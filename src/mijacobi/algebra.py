@@ -687,10 +687,6 @@ EXP_H = AffineExp(0, 1, _F0)
 # ---------------------------------------------------------------------------
 
 
-def _coeff_mul(a, b):
-    return a * b
-
-
 def _coeff_div(a, b):
     """Division inside the coefficient domain (exact for polynomials)."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):

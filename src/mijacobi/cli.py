@@ -48,10 +48,11 @@ from .spectral import (
 from .states import (
     DuplicateStatesError,
     NonGenericParametersError,
-    State,
     StateTuple,
     StateType,
     parse_state,
+    random_tuple,
+    require_generic,
 )
 from .wronskian import wronskian
 
@@ -165,7 +166,7 @@ def _instantiation(args):
         return None
     if args.g is None or args.h is None:
         raise TupleParseError("--g and --h must be given together")
-    return (parse_rational(args.g), parse_rational(args.h))
+    return require_generic(parse_rational(args.g), parse_rational(args.h))
 
 
 # -- commands ---------------------------------------------------------------
@@ -267,6 +268,8 @@ def cmd_reduce(args):
 
 def cmd_spectrum(args):
     t = parse_tuple_spec(args.tuple)
+    if args.up_to < 0:
+        raise TupleParseError("--up-to must be nonnegative, got %d" % args.up_to)
     spectrum = permitted_spectrum(t, args.up_to)
     report = {
         "command": "spectrum",
@@ -282,8 +285,12 @@ def cmd_spectrum(args):
         inst = _instantiation(args)
         if inst is None:
             raise TupleParseError("--verify for spectrum needs --g and --h")
+        # a singular potential is a property of the tuple at this point,
+        # not a failed identity, so only the eigenfunction checks gate exit 4
+        nonsingular = check_nonsingular(t, *inst)
         checks = _verify_spectrum(t, spectrum, inst)
-        report["verify"] = checks
+        report["verify"] = {"nonsingular": nonsingular, **checks}
+        lines.append("%-28s: %s" % ("nonsingular", "yes" if nonsingular else "no"))
         for name, ok in checks.items():
             lines.append("check %-22s: %s" % (name, "pass" if ok else "FAIL"))
         if not all(checks.values()):
@@ -293,7 +300,6 @@ def cmd_spectrum(args):
 
 def _verify_spectrum(t, spectrum, inst):
     checks = {}
-    checks["nonsingular"] = check_nonsingular(t, *inst)
     pot = deformed_potential(t, inst=inst)
     for lab, ev in spectrum:
         if lab.kind == "bound" and lab.index <= 2:
@@ -345,11 +351,7 @@ def _verify_random(args, inst):
     rng = random.Random(args.seed)
     results = []
     for _ in range(args.random):
-        size = rng.randint(0, 4)
-        states = set()
-        while len(states) < size:
-            states.add(State(rng.choice(list(StateType)), rng.randint(0, 4)))
-        t = StateTuple(sorted(states, key=State.sort_key))
+        t = random_tuple(rng, 4, 4)
         which = rng.choice(["first", "second"])
         direction = rng.choice(["left", "right"])
         rep = verify_move_identity(t, which, direction, instantiate=inst)

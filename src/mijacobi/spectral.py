@@ -32,10 +32,7 @@ from .algebra import (
     AffineExp,
     EtaPoly,
     ONE_MINUS_ETA_SQ,
-    _coeff_div,
-    _u_gcd,
     sturm_count,
-    _F0,
     _F1,
 )
 from .states import (
@@ -51,42 +48,14 @@ from .states import (
 from .wronskian import RawQuasi, _half_split, differentiate, wronskian
 
 
-def _eta_monomial(c, k):
-    return EtaPoly((_F0,) * k + (c,))
-
-
-def _eta_mod(a, b):
-    r = a
-    while r and r.degree >= b.degree:
-        f = _coeff_div(r.lc, b.lc)
-        r = r - b * _eta_monomial(f, r.degree - b.degree)
-    return r
-
-
-def _eta_gcd_field(a, b):
-    """Monic gcd of two eta-polynomials over the coefficient field."""
-    if a.degree <= 0 or b.degree <= 0:
-        return EtaPoly.const(_F1)
-    if all(isinstance(c, Fraction) for c in a.coeffs) and \
-            all(isinstance(c, Fraction) for c in b.coeffs):
-        g = _u_gcd(list(a.coeffs), list(b.coeffs))
-        return EtaPoly(g)
-    while b:
-        a, b = b, _eta_mod(a, b)
-    if a.degree > 0:
-        inv = _coeff_div(_F1, a.lc)
-        a = a.scale(inv)
-        return a
-    return EtaPoly.const(_F1)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiRat:
-    """(sin x)^expS (cos x)^expC * num(eta)/den(eta), reduced.
+    """(sin x)^expS (cos x)^expC * num(eta)/den(eta), an exact quotient.
 
-    Reduced means gcd(num, den) is constant and den has leading coefficient
-    1 over the coefficient field.  Construct through make(), which enforces
-    this.
+    num and den are kept as computed, with no common factor cancelled, so
+    symbolic coefficients stay ParamPolys.  Equality is equality of values,
+    decided by cross-multiplication; there is no normal form to hash, so
+    QuasiRats are unhashable.
     """
 
     expS: AffineExp
@@ -100,17 +69,18 @@ class QuasiRat:
             raise ZeroDivisionError("zero denominator")
         if not num:
             return cls(expS, expC, EtaPoly.zero(), EtaPoly.const(_F1))
-        g = _eta_gcd_field(num, den)
-        if g.degree > 0:
-            num, den = num.exact_div(g), den.exact_div(g)
-        lc = den.lc
-        if not (isinstance(lc, Fraction) and lc == 1):
-            inv = _coeff_div(_F1, lc)
-            num, den = num.scale(inv), den.scale(inv)
         return cls(expS, expC, num, den)
 
     def is_zero(self):
         return not self.num
+
+    def __eq__(self, other):
+        if not isinstance(other, QuasiRat):
+            return NotImplemented
+        try:
+            return self.sub(other).is_zero()
+        except ValueError:  # exponents that cannot be aligned
+            return False
 
     # -- exponent alignment --------------------------------------------------
     # Sums only make sense when the exponents differ by even integers; the
@@ -206,7 +176,7 @@ def _deformed_from(w, inst):
 
 
 def deformed_potential(t, inst=None):
-    """U - 2 (log W[t])'' as a reduced QuasiRat (symbolic or instantiated)."""
+    """U - 2 (log W[t])'' as a QuasiRat (symbolic or instantiated)."""
     return _deformed_from(wronskian(t, inst), inst)
 
 

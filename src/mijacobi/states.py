@@ -32,11 +32,14 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .algebra import (
     AffineExp,
+    ETA_ONE,
     EtaPoly,
+    ONE_MINUS_ETA,
+    ONE_PLUS_ETA,
     ParamPoly,
     P_G,
     P_H,
@@ -178,6 +181,16 @@ def as_state_tuple(t):
     return StateTuple(t)
 
 
+def random_tuple(rng, max_size, max_index, min_size=0):
+    """Random tuple in canonical order: min_size..max_size distinct states of
+    any type with indices 0..max_index, drawn from the random.Random rng."""
+    size = rng.randint(min_size, max_size)
+    seen = set()
+    while len(seen) < size:
+        seen.add(State(rng.choice(tuple(StateType)), rng.randint(0, max_index)))
+    return StateTuple(sorted(seen, key=State.sort_key))
+
+
 def pochhammer(base, k):
     """Rising factorial base*(base+1)*...*(base+k-1); the empty product is 1."""
     if k < 0:
@@ -205,14 +218,9 @@ def jacobi_poly(n, alpha, beta):
         scale = Fraction(1, 2 ** k)
         for m in range(k + 1):
             # ((1-eta)/2)^k contributes (-1)^m C(k,m)/2^k at eta^m
-            c = ck * (scale * Fraction((-1) ** m) * _binom(k, m))
+            c = ck * (scale * Fraction((-1) ** m) * comb(k, m))
             coeffs[m] = coeffs[m] + c
     return EtaPoly(coeffs)
-
-
-def _binom(k, m):
-    from math import comb
-    return comb(k, m)
 
 
 @dataclass(frozen=True)
@@ -299,32 +307,25 @@ def pairing(j, jp):
     return 0
 
 
-#: Parameter step (dg, dh) performed by prepending the index-0 state of each family.
-PREPEND_SHIFT = {
-    StateType.I: (1, -1),
-    StateType.II: (-1, 1),
-    StateType.III: (-1, -1),
-    StateType.N: (1, 1),
-}
-
-
 def potential(inst=None):
     """The undeformed well as a quotient of eta-polynomials.
 
     Using sin^2 x = (1-eta)/2 and cos^2 x = (1+eta)/2,
 
-        U = [2g(g-1)(1+eta) + 2h(h-1)(1-eta) - (g+h)^2 (1-eta^2)] / (1-eta^2)
+        U = 2g(g-1)/(1-eta) + 2h(h-1)/(1+eta) - (g+h)^2
 
-    with zero sin/cos prefactor exponents.
+    with zero sin/cos prefactor exponents.  The terms are summed as
+    quotients, so a vanishing g(g-1) or h(h-1) drops its pole.
     """
     from .spectral import QuasiRat
     if inst is None:
         g, h = P_G, P_H
     else:
         g, h = Fraction(inst[0]), Fraction(inst[1])
-    a = (g * (g - 1)) * 2
-    b = (h * (h - 1)) * 2
-    c = (g + h) * (g + h)
-    num = EtaPoly((a + b - c, a - b, c))
-    den = EtaPoly((_F1, _F0, -_F1))
-    return QuasiRat.make(AffineExp(), AffineExp(), num, den)
+
+    def term(c, den):
+        return QuasiRat.make(AffineExp(), AffineExp(), EtaPoly((c,)), den)
+
+    return (term((g * (g - 1)) * 2, ONE_MINUS_ETA)
+            .add(term((h * (h - 1)) * 2, ONE_PLUS_ETA))
+            .add(term(-((g + h) * (g + h)), ETA_ONE)))

@@ -14,6 +14,7 @@ import mpmath as mp
 from mijacobi.algebra import AffineExp
 from mijacobi.maya import dbar
 from mijacobi.states import State, StateTuple, StateType, is_generic
+from mijacobi.states import random_tuple  # noqa: F401  (re-exported for the tests)
 
 
 # -- numeric oracle ----------------------------------------------------------
@@ -94,8 +95,6 @@ def quasi_value(q, x0):
 
 # -- random generators -------------------------------------------------------
 
-ALL_TYPES = (StateType.I, StateType.II, StateType.III, StateType.N)
-
 GENERIC_POINTS = [
     (Fraction(37, 10), Fraction(52, 7)),
     (Fraction(23, 6), Fraction(31, 5)),
@@ -103,14 +102,6 @@ GENERIC_POINTS = [
     (Fraction(29, 12), Fraction(41, 9)),
     (Fraction(33, 7), Fraction(27, 11)),
 ]
-
-
-def random_tuple(rng, max_size, max_index, min_size=0):
-    size = rng.randint(min_size, max_size)
-    seen = set()
-    while len(seen) < size:
-        seen.add(State(rng.choice(ALL_TYPES), rng.randint(0, max_index)))
-    return StateTuple(sorted(seen, key=State.sort_key))
 
 
 def random_rational(rng, max_num=60, max_den=12):

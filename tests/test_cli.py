@@ -46,6 +46,15 @@ class TestParsing:
         assert code == 5
 
 
+    def test_non_generic_poly_exit_code(self, capsys):
+        code, _, err = run(capsys, "--g", "1/2", "--h", "1/3", "poly", "II1,N1")
+        assert code == 5 and "non-generic" in err
+
+    def test_negative_up_to_exit_code(self, capsys):
+        code, _, err = run(capsys, "spectrum", "I1", "--up-to", "-1")
+        assert code == 2 and "up-to" in err
+
+
 class TestPoly:
     def test_golden_example_json(self, capsys):
         rep = run_json(capsys, "poly", "I1,II2,III1")
@@ -154,6 +163,14 @@ class TestSpectrum:
                        "spectrum", "I1,II2,III1", "--up-to", "2", "--verify")
         assert rep["verify"]["nonsingular"] is True
         assert all(rep["verify"].values())
+
+
+    def test_singular_potential_is_reported_not_failed(self, capsys):
+        rep = run_json(capsys, "--g", "3", "--h", "17/3",
+                       "spectrum", "N1", "--up-to", "2", "--verify")
+        assert rep["verify"]["nonsingular"] is False
+        assert rep["verify"]["eigenfunction E_0"] is True
+        assert rep["verify"]["eigenfunction E_2"] is True
 
 
 class TestVerifyIdentityCommand:

@@ -90,6 +90,26 @@ class TestApplyHamiltonian:
             f.add(g2)
 
 
+class TestQuasiRatEquality:
+    def test_common_factor_does_not_change_value(self):
+        gv, hv = GENERIC_POINTS[1]
+        f = deformed_potential(parse_states("I1"), inst=(gv, hv))
+        one_plus_eta = EtaPoly((F(1), F(1)))
+        g2 = QuasiRat(f.expS, f.expC, f.num * one_plus_eta, f.den * one_plus_eta)
+        assert f == g2 and not f != g2
+        assert f != g2.scale(F(2))
+
+    def test_unaligned_exponents_compare_unequal(self):
+        gv, hv = GENERIC_POINTS[0]
+        f = as_quasirat(make_state(State(StateType.N, 0), inst=(gv, hv)))
+        g2 = as_quasirat(make_state(State(StateType.I, 0), inst=(gv, hv)))
+        assert f != g2
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(potential())
+
+
 class TestVerifyEigenfunction:
     def test_trivial(self):
         ok, ev = verify_eigenfunction(StateTuple(), 0)
@@ -104,6 +124,10 @@ class TestVerifyEigenfunction:
     def test_one_deletion_symbolic(self):
         ok, _ = verify_eigenfunction(parse_states("I0"), 1)
         assert ok
+
+    def test_first_excited_deleted_symbolic(self):
+        ok, ev = verify_eigenfunction(parse_states("N1"), 0)
+        assert ok and ev == ParamPoly()
 
     def test_three_state_tuple(self):
         ok, _ = verify_eigenfunction(parse_states("I1,II2,III1"), 0,
