@@ -7,13 +7,13 @@ Everything downstream is built from four value types, all exact over Q:
              coefficients; the canonical term order is graded lexicographic
              with g > h.
   ParamRat   quotient of two ParamPolys, gcd-reduced, denominator scaled to
-             have leading rational 1 under the term order.
+             have leading rational 1 under the term order; the value type
+             of a symbolic proportionality constant, with no arithmetic.
   AffineExp  cg*g + ch*h + c0 with integer cg, ch; used for the sin/cos
              exponents of quasi-polynomials and for move-ledger prefactors.
   EtaPoly    polynomial in eta = cos(2x).  Coefficients are Fractions for
-             instantiated parameters, ParamPolys for symbolic work, or
-             ParamRats when quotients are unavoidable; all operations are
-             agnostic to the coefficient domain.
+             instantiated parameters and ParamPolys for symbolic work;
+             division of coefficients is exact or raises ValueError.
 
 There is no floating point anywhere in this module, and every value is
 immutable after construction; all operations are pure functions.
@@ -78,7 +78,9 @@ class ParamPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
+    def __hash__(self):  # a constant hashes as the Fraction it equals
+        if self.is_constant:
+            return hash(self.constant_value())
         return hash(frozenset(self.terms.items()))
 
     @property
@@ -188,14 +190,7 @@ class ParamPoly:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(1, 1) / Fraction(other))
-        if isinstance(other, ParamPoly):
-            return ParamRat(self, other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            return ParamRat(other, self)
+            return self.scale(1 / Fraction(other))
         return NotImplemented
 
     # -- parameter operations -----------------------------------------------
@@ -465,10 +460,12 @@ def parampoly_gcd(a, b):
 
 
 class ParamRat:
-    """Reduced quotient of two ParamPolys.
+    """A symbolic proportionality constant: reduced quotient of two ParamPolys.
 
     Canonical form: num/den with gcd(num, den) = 1 and the denominator's
     graded-lex leading coefficient equal to 1, so equality is structural.
+    It is a reported value only, with no arithmetic; EtaPoly coefficients
+    are never ParamRats.
     """
 
     __slots__ = ("num", "den")
@@ -515,65 +512,8 @@ class ParamRat:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
-
-    @property
-    def is_polynomial(self):
-        return self.den.is_one
-
-    @property
-    def is_one(self):
-        return self.den.is_one and self.num.is_one
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ParamRat(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = ParamRat.__new__(ParamRat)
-        r.num, r.den = -self.num, self.den
-        return r
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ParamRat(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.num:
-            raise ZeroDivisionError("division by zero")
-        return ParamRat(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def shift(self, dg, dh):
-        return ParamRat(self.num.shift(dg, dh), self.den.shift(dg, dh))
+        # den 1: hash as the ParamPoly num it equals (a constant as its Fraction)
+        return hash(self.num) if self.den.is_one else hash((self.num, self.den))
 
     def eval_at(self, gv, hv):
         d = self.den.eval_at(gv, hv)
@@ -677,31 +617,16 @@ class AffineExp:
         return self._render()
 
 
-EXP_ZERO = AffineExp()
-EXP_G = AffineExp(1, 0, _F0)
-EXP_H = AffineExp(0, 1, _F0)
-
-
 # ---------------------------------------------------------------------------
 # EtaPoly
 # ---------------------------------------------------------------------------
 
 
 def _coeff_div(a, b):
-    """Division inside the coefficient domain (exact for polynomials)."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a / b
-    if isinstance(b, Fraction):
-        return a * (1 / b)
-    if isinstance(a, ParamPoly) and isinstance(b, ParamPoly):
-        try:
-            return a.exact_div(b)
-        except ValueError:
-            return ParamRat(a, b)
-    ra, rb = ParamRat._coerce(a), ParamRat._coerce(b)
-    if ra is None or rb is None:
-        raise TypeError("cannot divide coefficients %r / %r" % (a, b))
-    return ra / rb
+    """Exact division inside the coefficient domain; ValueError if inexact."""
+    if isinstance(b, ParamPoly):
+        return ParamPoly._coerce(a).exact_div(b)
+    return a / b
 
 
 class EtaPoly:
@@ -897,7 +822,6 @@ class EtaPoly:
         return "EtaPoly(%s)" % self
 
 
-ETA = EtaPoly((_F0, _F1))
 ETA_ONE = EtaPoly((_F1,))
 ONE_MINUS_ETA = EtaPoly((_F1, -_F1))
 ONE_PLUS_ETA = EtaPoly((_F1, _F1))
@@ -930,8 +854,8 @@ def extract_edge_factors(p):
 def proportional(a, b):
     """Constant c with a = c*b, or None if the polynomials are not proportional.
 
-    c is lc(a)/lc(b): a Fraction for instantiated inputs, a ParamRat for
-    symbolic ones.
+    c is lc(a)/lc(b): a Fraction when both leading coefficients are
+    Fractions (instantiated inputs), otherwise a reduced ParamRat.
     """
     if not a or not b:
         raise ZeroPolynomialError("proportionality test requires nonzero inputs")
@@ -940,7 +864,9 @@ def proportional(a, b):
     la, lb = a.lc, b.lc
     if a.scale(lb) != b.scale(la):
         return None
-    return _coeff_div(la, lb)
+    if isinstance(la, Fraction) and isinstance(lb, Fraction):
+        return la / lb
+    return ParamRat(la, lb)
 
 
 def sturm_count(p, lo, hi):

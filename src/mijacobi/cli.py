@@ -12,8 +12,9 @@ equivalent T1 T2      compare canonical forms of two tuples
 
 Tuples are comma-separated states like "I1,II2,III1" (types I, II, III, N
 with nonnegative indices); the empty string is the empty tuple.  Rationals on
-the command line are "p/q".  Output is UTF-8 text on stdout (JSON with
---json, LaTeX with --latex where supported); errors go to stderr.
+the command line are "p/q".  A point --g/--h must be generic; maya and
+equivalent read none and reject one.  Output is UTF-8 text on stdout (JSON
+with --json, LaTeX with --latex where supported); errors go to stderr.
 
 Exit codes: 0 success, 2 parse error, 3 invalid tuple, 4 internal identity
 failure, 5 non-generic parameters.
@@ -27,7 +28,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .algebra import AffineExp, EtaPoly, ParamPoly, ParamRat
+from .algebra import ParamRat
 from .maya import (
     ReductionTarget,
     canonical_form,
@@ -87,8 +88,9 @@ def parse_rational(text):
 
 # -- JSON encoding ----------------------------------------------------------
 # rationals: "p/q" strings; ParamPoly: [[i, j, "p/q"], ...] sorted by (i, j);
-# AffineExp: {"g": int, "h": int, "c": "p/q"}; EtaPoly: [[k, ParamRat], ...]
-# by ascending power; ParamRat: {"num": ParamPoly, "den": ParamPoly}.
+# AffineExp: {"g": int, "h": int, "c": "p/q"}; EtaPoly: [[k, quotient], ...] by
+# ascending power; quotient: {"num": ParamPoly, "den": ParamPoly}, which holds a
+# Fraction or ParamPoly coefficient (den 1) or a Fraction or ParamRat constant.
 
 
 def rational_json(q):
@@ -100,9 +102,7 @@ def parampoly_json(p):
 
 
 def paramrat_json(r):
-    if isinstance(r, Fraction):
-        r = ParamRat(ParamPoly.const(r))
-    elif isinstance(r, ParamPoly):
+    if not isinstance(r, ParamRat):
         r = ParamRat(r)
     return {"num": parampoly_json(r.num), "den": parampoly_json(r.den)}
 
@@ -162,8 +162,11 @@ def _emit(args, report, human_lines, latex_text=None):
 
 
 def _instantiation(args):
+    """The generic point given by --g/--h, or None when neither is given."""
     if args.g is None and args.h is None:
         return None
+    if args.command in ("maya", "equivalent"):  # they read no point
+        raise TupleParseError("%s takes no --g/--h" % args.command)
     if args.g is None or args.h is None:
         raise TupleParseError("--g and --h must be given together")
     return require_generic(parse_rational(args.g), parse_rational(args.h))
@@ -174,7 +177,7 @@ def _instantiation(args):
 
 def cmd_poly(args):
     t = parse_tuple_spec(args.tuple)
-    inst = _instantiation(args)
+    inst = args.inst
     w = wronskian(t, inst=inst)
     report = {
         "command": "poly",
@@ -245,7 +248,7 @@ def cmd_reduce(args):
         "prefC   : %s" % ledger.prefC,
     ]
     if args.verify:
-        rep = verify_reduction(t, target, instantiate=_instantiation(args))
+        rep = verify_reduction(t, target, instantiate=args.inst)
         report["verify"] = {
             "mode": rep.mode,
             "proportional": rep.proportional,
@@ -282,7 +285,7 @@ def cmd_spectrum(args):
     lines += ["%-6s (%s, index %d)  E = %s" % (lab.label(), lab.kind, lab.index, ev)
               for lab, ev in spectrum]
     if args.verify:
-        inst = _instantiation(args)
+        inst = args.inst
         if inst is None:
             raise TupleParseError("--verify for spectrum needs --g and --h")
         # a singular potential is a property of the tuple at this point,
@@ -317,11 +320,10 @@ def _verify_spectrum(t, spectrum, inst):
 
 
 def cmd_verify_identity(args):
-    inst = _instantiation(args)
     if args.random:
-        return _verify_random(args, inst)
+        return _verify_random(args)
     t = parse_tuple_spec(args.tuple)
-    rep = verify_move_identity(t, args.which, args.dir, instantiate=inst)
+    rep = verify_move_identity(t, args.which, args.dir, instantiate=args.inst)
     report = {
         "command": "verify-identity",
         "tuple": [str(s) for s in t],
@@ -347,14 +349,14 @@ def cmd_verify_identity(args):
     return _emit(args, report, lines)
 
 
-def _verify_random(args, inst):
+def _verify_random(args):
     rng = random.Random(args.seed)
     results = []
     for _ in range(args.random):
         t = random_tuple(rng, 4, 4)
         which = rng.choice(["first", "second"])
         direction = rng.choice(["left", "right"])
-        rep = verify_move_identity(t, which, direction, instantiate=inst)
+        rep = verify_move_identity(t, which, direction, instantiate=args.inst)
         results.append({"tuple": [str(s) for s in t],
                         "move": {"which": which, "dir": direction},
                         "mode": rep.mode,
@@ -448,6 +450,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        args.inst = _instantiation(args)  # checked once, for every command
         return args.func(args)
     except TupleParseError as e:
         print("parse error: %s" % e, file=sys.stderr)

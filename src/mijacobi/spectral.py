@@ -41,10 +41,10 @@ from .states import (
     StateType,
     as_state_tuple,
     eigenvalue,
-    make_state,
     potential,
     require_generic,
 )
+from .maya import tuple_to_diagrams
 from .wronskian import RawQuasi, _half_split, differentiate, wronskian
 
 
@@ -196,10 +196,14 @@ def _warn_if_small(expS, expC, gv, hv):
             RuntimeWarning, stacklevel=3)
 
 
-def _resolve_instantiation(t, inst, symbolic_cap=2):
+# larger tuples go to a point: symbolic H f for I1,II1 at n = 1 already takes 25-40 s
+SYMBOLIC_SIZE_CAP = 2
+
+
+def _resolve_instantiation(t, inst):
     if inst is not None:
         return require_generic(*inst)
-    if len(t) <= symbolic_cap:
+    if len(t) <= SYMBOLIC_SIZE_CAP:
         return None
     return require_generic(*DEFAULT_GENERIC_POINT)
 
@@ -286,7 +290,6 @@ def permitted_spectrum(t, up_to):
     E_n for n in {0..up_to} minus the right black bead positions; ordered by
     the energy label.  No claim is made that this list is complete.
     """
-    from .maya import tuple_to_diagrams
     if up_to < 0:
         raise ValueError("up_to must be nonnegative")
     first = tuple_to_diagrams(as_state_tuple(t)).first

@@ -28,13 +28,17 @@ from .algebra import (
     AffineExp,
     EtaPoly,
     ONE_MINUS_ETA_SQ,
-    ZeroPolynomialError,
     extract_edge_factors,
     proportional,
-    _F0,
     _F1,
 )
-from .states import QuasiPoly, as_state_tuple, make_state
+from .states import (
+    DEFAULT_GENERIC_POINT,
+    QuasiPoly,
+    as_state_tuple,
+    make_state,
+    require_generic,
+)
 
 
 class WronskianZeroError(ArithmeticError):
@@ -205,7 +209,6 @@ def wronskian_compose_check(base, f, g2, inst=None):
     formed by differentiating the two inner Wronskians as quasi-polynomials.
     Returns True iff the two sides agree exactly.
     """
-    from .states import DEFAULT_GENERIC_POINT, require_generic
     if inst is None:
         inst = DEFAULT_GENERIC_POINT
     require_generic(*inst)

@@ -117,14 +117,6 @@ class TestParamRat:
         assert r.den == ONE
         assert r.num == (G * 2 - 1).scale(F(1, 16))
 
-    def test_arithmetic(self):
-        a = ParamRat(ONE, G)
-        b = ParamRat(ONE, H)
-        s = a + b
-        assert s == ParamRat(G + H, G * H)
-        assert a * b == ParamRat(ONE, G * H)
-        assert (a / b) == ParamRat(H, G)
-
     def test_eval(self):
         r = ParamRat(G - 1, H + 1)
         assert r.eval_at(3, 1) == 1
@@ -247,9 +239,8 @@ class TestProportional:
         rng = seeded(13)
         for _ in range(10):
             p = EtaPoly((G + rng.randint(1, 5), H - rng.randint(1, 5), ONE))
-            c = ParamRat(G - rng.randint(1, 4), H + rng.randint(1, 4))
-            scaled = EtaPoly(tuple(c * coef for coef in p.coeffs))
-            assert proportional(scaled, p) == c
+            num, den = G - rng.randint(1, 4), H + rng.randint(1, 4)
+            assert proportional(p.scale(num), p.scale(den)) == ParamRat(num, den)
 
 
 class TestSturm:
@@ -295,3 +286,39 @@ class TestSturm:
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomialError):
             sturm_count(EtaPoly.zero(), F(-1), F(1))
+
+
+class TestCoefficientDomains:
+    def test_constant_parampoly_hashes_as_fraction(self):
+        assert hash(ParamPoly.const(2)) == hash(2)
+        assert hash(ParamPoly()) == hash(F(0))
+
+    def test_equal_etapolys_across_domains_hash_equal(self):
+        assert len({EtaPoly((F(1),)), EtaPoly((ParamPoly.const(1),))}) == 1
+
+    def test_polynomial_paramrat_hashes_as_numerator(self):
+        assert ParamRat(G - 1) == G - 1 and hash(ParamRat(G - 1)) == hash(G - 1)
+        assert ParamRat(F(3)) == 3 and hash(ParamRat(F(3))) == hash(3)
+
+    def test_parampoly_divides_by_scalars_only(self):
+        assert (G * 2) / 2 == G
+        with pytest.raises(TypeError):
+            G / H
+
+    def test_paramrat_has_no_arithmetic(self):
+        r = ParamRat(G, H)
+        for op in (lambda: r + 1, lambda: 1 - r, lambda: r * r, lambda: r / 2,
+                   lambda: -r):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_inexact_coefficient_division_raises(self):
+        with pytest.raises(ValueError):
+            EtaPoly((G, ONE)).exact_div(EtaPoly((H,)))
+
+    def test_proportional_constant_types(self):
+        p = EtaPoly((F(1), F(2)))
+        assert type(proportional(p.scale(F(3)), p)) is F
+        q = EtaPoly((G, ONE))
+        assert proportional(q.scale(F(3)), q) == ParamRat(F(3))
+        assert type(proportional(q.scale(G), q)) is ParamRat

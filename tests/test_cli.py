@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 from mijacobi.algebra import ParamPoly
 from mijacobi.cli import main, parse_tuple_spec
+from mijacobi.maya import Ledger, ProportionalityReport
 from mijacobi.states import StateType
 
 G = ParamPoly.gen_g()
@@ -53,6 +54,15 @@ class TestParsing:
     def test_negative_up_to_exit_code(self, capsys):
         code, _, err = run(capsys, "spectrum", "I1", "--up-to", "-1")
         assert code == 2 and "up-to" in err
+
+    def test_point_rejected_by_commands_without_one(self, capsys):
+        for argv in (["maya", "I1"], ["equivalent", "I1", "N2"]):
+            code, out, err = run(capsys, "--g", "37/10", "--h", "52/7", *argv)
+            assert code == 2 and "--g/--h" in err and not out
+
+    def test_non_generic_point_checked_without_verify(self, capsys):
+        code, _, err = run(capsys, "--g", "1/2", "--h", "5/3", "reduce", "I1")
+        assert code == 5 and "non-generic" in err
 
 
 class TestPoly:
@@ -179,6 +189,15 @@ class TestVerifyIdentityCommand:
                        "--which", "second", "--dir", "left")
         assert rep["proportional"] is True
         assert rep["moved"] == ["I0", "I2", "II1", "III1"]
+
+    def test_identity_failure_exit_code(self, capsys, monkeypatch):
+        t = parse_tuple_spec("I1")
+        report = ProportionalityReport(False, None, t, t, Ledger(), "symbolic",
+                                       detail="forced mismatch")
+        monkeypatch.setattr("mijacobi.cli.verify_move_identity",
+                            lambda *args, **kwargs: report)
+        code, _, err = run(capsys, "verify-identity", "I1")
+        assert code == 4 and "identity failure" in err
 
     def test_random_mode_deterministic(self, capsys):
         a = run(capsys, "--json", "--seed", "3", "verify-identity", "--random", "4")

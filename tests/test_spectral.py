@@ -165,7 +165,7 @@ class TestExtraEigenstate:
         w = wronskian(t)
         assert f.expS == AffineExp(1, 0, -1)  # g - 1
         assert f.expC == AffineExp(0, 1, -1)  # h - 1
-        assert f.num == EtaPoly((F(1),)) and f.den == w.poly.scale(1 / w.poly.lc)
+        assert f.num == EtaPoly((F(1),)) and f.den == w.poly
         assert ev == (G + H - 1).scale(-4)
 
     def test_single_type_iii_verified(self):
