@@ -12,8 +12,9 @@ Q_{i,j}(eta), so
 
     W = s^(sum a_j - N(N-1)/2) c^(sum b_j - N(N-1)/2) det(Q_{i,j}).
 
-The determinant is computed exactly over the coefficient ring (cofactor
-expansion up to 4x4, fraction-free Bareiss elimination beyond), and the
+The determinant is computed exactly by fraction-free Bareiss elimination:
+over Z[eta] in plain ints at an instantiated point (rows cleared of
+denominators first), over the EtaPoly entries in symbolic mode.  The
 result is canonicalized by pulling all (1 -/+ eta) factors into the
 exponents.  The eta-polynomial left over is the object of interest: for
 tuples of well states it is a (multi-indexed) Jacobi-type polynomial.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     AffineExp,
@@ -91,31 +93,55 @@ def canonicalize(r):
     return QuasiPoly(r.expS + 2 * k_minus, r.expC + 2 * k_plus, core)
 
 
-def _det_cofactor(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = None
-    for j in range(n):
-        a = mat[0][j]
-        if not a:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = a * _det_cofactor(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total if total is not None else EtaPoly.zero()
+def _int_combine(pivot, x, lead, y):
+    """pivot*x - lead*y for dense int coefficient lists, trailing zeros trimmed."""
+    out = [0] * max(len(pivot) + len(x), len(lead) + len(y))
+    for i, a in enumerate(pivot):
+        if a:
+            for j, b in enumerate(x, i):
+                out[j] += a * b
+    for i, a in enumerate(lead):
+        if a:
+            for j, b in enumerate(y, i):
+                out[j] -= a * b
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def _det_bareiss(mat):
-    n = len(mat)
-    m = [list(row) for row in mat]
-    sign = 1
-    prev = EtaPoly.const(_F1)
-    zero = EtaPoly.zero()
+def _int_exact_div(a, b):
+    """Exact quotient a/b of dense int coefficient lists (b nonzero);
+    ValueError if inexact."""
+    rem = list(a)
+    d, lc = len(b) - 1, b[-1]
+    out = [0] * max(len(rem) - d, 0)
+    for k in range(len(out) - 1, -1, -1):
+        q, r = divmod(rem[k + d], lc)
+        if r:
+            raise ValueError("integer polynomial division is not exact")
+        if q:
+            out[k] = q
+            for i, c in enumerate(b, k):
+                rem[i] -= q * c
+    if any(rem[:d]):
+        raise ValueError("integer polynomial division is not exact")
+    return out
+
+
+def _eta_combine(pivot, x, lead, y):
+    return pivot * x - lead * y
+
+
+def _bareiss(m, combine, exact_div):
+    """Fraction-free elimination of the square matrix m, in place.
+
+    Returns (sign, d) with det = sign * d.  Step k replaces each entry below
+    and right of the pivot by (pivot*x - lead*y) / prev, where prev is the
+    previous pivot; the quotient is exact (Sylvester's identity), and the
+    first step has no previous pivot to divide by.
+    """
+    n = len(m)
+    sign, prev = 1, None
     for k in range(n - 1):
         if not m[k][k]:
             for i in range(k + 1, n):
@@ -124,28 +150,40 @@ def _det_bareiss(mat):
                     sign = -sign
                     break
             else:
-                return zero
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
+                return 1, m[k][k]  # column k is zero from row k down
+        row_k = m[k]
+        pivot = row_k[k]
+        for row_i in m[k + 1:]:
             lead = row_i[k]
             for j in range(k + 1, n):
-                num = pivot * row_i[j] - lead * m[k][j]
-                row_i[j] = num.exact_div(prev)
-            row_i[k] = zero
+                num = combine(pivot, row_i[j], lead, row_k[j])
+                row_i[j] = num if prev is None else exact_div(num, prev)
         prev = pivot
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    return sign, m[n - 1][n - 1]
 
 
 def det_poly_matrix(mat):
-    """Exact determinant of a square EtaPoly matrix."""
+    """Exact determinant of a square EtaPoly matrix, by Bareiss elimination.
+
+    When every coefficient is a Fraction, each row is scaled by the lcm of
+    its denominators and the elimination runs over Z[eta] on dense lists of
+    ints; the result is divided by the product of the row scales once.
+    Otherwise (ParamPoly coefficients) it runs over the EtaPoly entries.
+    """
     n = len(mat)
     if n == 0:
         return EtaPoly.const(_F1)
-    if n <= 4:
-        return _det_cofactor(mat)
-    return _det_bareiss(mat)
+    if all(isinstance(c, Fraction) for row in mat for e in row for c in e.coeffs):
+        rows, scale = [], 1
+        for row in mat:
+            s = lcm(*(c.denominator for e in row for c in e.coeffs))
+            rows.append([[c.numerator * (s // c.denominator) for c in e.coeffs]
+                         for e in row])
+            scale *= s
+        sign, det = _bareiss(rows, _int_combine, _int_exact_div)
+        return EtaPoly(tuple(Fraction(sign * c, scale) for c in det))
+    sign, det = _bareiss([list(row) for row in mat], _eta_combine, EtaPoly.exact_div)
+    return -det if sign < 0 else det
 
 
 def wronskian_of_quasis(quasis):

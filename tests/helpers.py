@@ -1,17 +1,18 @@
 """Shared test utilities.
 
 Contains the independent numeric Wronskian oracle (Taylor-mode automatic
-differentiation in mpmath, never touching the engine's eta-space rule),
-random generators for states and generic rational points, and the
+differentiation in mpmath, never touching the engine's eta-space rule), a
+permutation-expansion determinant oracle, random generators for states and generic rational points, and the
 closed-form reduction-ledger oracle used to cross-check the move engine.
 """
 
 from fractions import Fraction
+from itertools import permutations
 import random
 
 import mpmath as mp
 
-from mijacobi.algebra import AffineExp
+from mijacobi.algebra import AffineExp, EtaPoly
 from mijacobi.maya import dbar
 from mijacobi.states import State, StateTuple, StateType, is_generic
 from mijacobi.states import random_tuple  # noqa: F401  (re-exported for the tests)
@@ -91,6 +92,23 @@ def quasi_value(q, x0):
     for coef in reversed(q.poly.coeffs):
         pv = pv * eta + mpf_of(coef)
     return mp.power(s, mpf_of(q.expS.c0)) * mp.power(c, mpf_of(q.expC.c0)) * pv
+
+
+# -- determinant oracle ------------------------------------------------------
+
+
+def leibniz_det(mat):
+    """Determinant of a square EtaPoly matrix as the signed sum over all
+    permutations of products of entries: no pivots, no divisions."""
+    n = len(mat)
+    total = EtaPoly.zero()
+    for perm in permutations(range(n)):
+        term = EtaPoly.const(Fraction(1))
+        for i, j in enumerate(perm):
+            term = term * mat[i][j]
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 # -- random generators -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Differentiation, canonicalization, Wronskians, and their identities."""
 
+import sys
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -10,8 +11,10 @@ from mijacobi.states import State, StateTuple, StateType, make_state, parse_stat
 from mijacobi.wronskian import (
     RawQuasi,
     WronskianZeroError,
+    _int_exact_div,
     canonicalize,
     compare_quasi,
+    det_poly_matrix,
     differentiate,
     shift_quasi,
     wronskian,
@@ -21,6 +24,7 @@ from mijacobi.wronskian import (
 from mijacobi.states import DuplicateStatesError
 from helpers import (
     GENERIC_POINTS,
+    leibniz_det,
     numeric_wronskian,
     quasi_value,
     random_rational,
@@ -99,6 +103,115 @@ class TestCanonicalize:
     def test_zero_raises(self):
         with pytest.raises(WronskianZeroError):
             canonicalize(raw(AffineExp(), AffineExp(), ()))
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17)
+
+
+def fraction_entry(rng, den):
+    """Random EtaPoly of degree at most 1 with denominators dividing den^2."""
+    return EtaPoly(tuple(F(rng.randint(-9, 9), den ** rng.randint(0, 2))
+                         for _ in range(rng.randint(0, 2))))
+
+
+def param_entry(rng):
+    """Random EtaPoly of degree at most 1 with affine ParamPoly coefficients."""
+    return EtaPoly(tuple(G * rng.randint(-2, 2) + H * rng.randint(-2, 2)
+                         + rng.randint(-3, 3) for _ in range(rng.randint(0, 2))))
+
+
+def fraction_matrix(rng, n):
+    """Row i takes its denominators from the i-th prime, so the row scales
+    are pairwise coprime."""
+    return [[fraction_entry(rng, PRIMES[i]) for _ in range(n)] for i in range(n)]
+
+
+def param_matrix(rng, n):
+    return [[param_entry(rng) for _ in range(n)] for _ in range(n)]
+
+
+class TestDetPolyMatrix:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_fraction_matches_leibniz(self, n):
+        rng = seeded(100 + n)
+        for _ in range(3):
+            mat = fraction_matrix(rng, n)
+            assert det_poly_matrix(mat) == leibniz_det(mat)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_parampoly_matches_leibniz(self, n):
+        rng = seeded(200 + n)
+        for _ in range(2):
+            mat = param_matrix(rng, n)
+            assert det_poly_matrix(mat) == leibniz_det(mat)
+
+    def test_mixed_matches_leibniz(self):
+        rng = seeded(300)
+        mat = [[param_entry(rng) if (i + j) % 2 else fraction_entry(rng, PRIMES[i])
+                for j in range(3)] for i in range(3)]
+        assert any(isinstance(c, ParamPoly) for row in mat for e in row for c in e.coeffs)
+        assert det_poly_matrix(mat) == leibniz_det(mat)
+
+    @pytest.mark.parametrize("make", [fraction_matrix, param_matrix])
+    def test_zero_pivot_swaps_rows(self, make):
+        rng = seeded(400)
+        mat = make(rng, 4)
+        mat[0][0] = EtaPoly.zero()
+        while not mat[1][0]:
+            mat[1][0] = make(rng, 1)[0][0]
+        det = det_poly_matrix(mat)
+        assert det and det == leibniz_det(mat)
+
+    @pytest.mark.parametrize("make", [fraction_matrix, param_matrix])
+    def test_equal_rows_give_zero(self, make):
+        mat = make(seeded(500), 4)
+        mat[2] = list(mat[0])
+        assert det_poly_matrix(mat) == EtaPoly.zero()
+
+    def test_empty_matrix_is_one(self):
+        assert det_poly_matrix([]) == EtaPoly((F(1),))
+
+    def test_point_coefficients_are_fractions(self):
+        # integral entries: the result must still hold Fractions, not ints
+        mat = [[EtaPoly((F(2), F(1))), EtaPoly((F(3),))],
+               [EtaPoly((F(1),)), EtaPoly((F(0), F(5)))]]
+        det = det_poly_matrix(mat)
+        assert det == EtaPoly((F(-3), F(10), F(5)))
+        assert all(type(c) is F for c in det.coeffs)
+        det = det_poly_matrix(fraction_matrix(seeded(600), 5))
+        assert det and all(type(c) is F for c in det.coeffs)
+        t = [parse_state(x) for x in ("I1", "II2", "III1", "N0")]
+        w = wronskian(t, inst=GENERIC_POINTS[0])
+        assert all(type(c) is F for c in w.poly.coeffs)
+
+    def test_int_exact_division(self):
+        assert _int_exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
+        assert _int_exact_div([6, 4], [2]) == [3, 2]
+        assert _int_exact_div([], [1, 1]) == []
+        with pytest.raises(ValueError):
+            _int_exact_div([1, 0, 1], [1, 1])  # remainder 2
+        with pytest.raises(ValueError):
+            _int_exact_div([3], [2])  # 3/2 is not an integer
+        with pytest.raises(ValueError):
+            _int_exact_div([1], [1, 1])  # divisor of higher degree
+
+    def test_two_by_two_divides_nothing(self, monkeypatch):
+        # the first elimination step has no previous pivot to divide by
+        calls = []
+        module = sys.modules["mijacobi.wronskian"]
+        int_div = module._int_exact_div
+        monkeypatch.setattr(module, "_int_exact_div",
+                            lambda a, b: calls.append(b) or int_div(a, b))
+        eta_div = EtaPoly.exact_div
+        monkeypatch.setattr(EtaPoly, "exact_div",
+                            lambda a, b: calls.append(b) or eta_div(a, b))
+        for make in (fraction_matrix, param_matrix):
+            mat = make(seeded(700), 2)
+            assert det_poly_matrix(mat) == leibniz_det(mat)
+        assert calls == []
+        mat = param_matrix(seeded(701), 3)
+        assert det_poly_matrix(mat) == leibniz_det(mat)
+        assert len(calls) == 1  # step 1 only: one entry, divided by pivot 0
 
 
 class TestWronskian:
