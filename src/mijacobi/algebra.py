@@ -12,8 +12,11 @@ Everything downstream is built from four value types, all exact over Q:
   AffineExp  cg*g + ch*h + c0 with integer cg, ch; used for the sin/cos
              exponents of quasi-polynomials and for move-ledger prefactors.
   EtaPoly    polynomial in eta = cos(2x).  Coefficients are Fractions for
-             instantiated parameters and ParamPolys for symbolic work;
-             division of coefficients is exact or raises ValueError.
+             instantiated parameters and ParamPolys for symbolic work.
+
+Polynomials in (eta, g, h) with integer coefficients are also packed into
+single Python ints (Kronecker substitution) for exact determinants and
+proportionality checks; see _pack.
 
 There is no floating point anywhere in this module, and every value is
 immutable after construction; all operations are pure functions.
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -196,20 +199,25 @@ class ParamPoly:
     # -- parameter operations -----------------------------------------------
 
     def shift(self, dg, dh):
-        """Substitute g -> g + dg, h -> h + dh (integer shifts), exactly."""
+        """Substitute g -> g + dg, h -> h + dh (integer shifts), exactly.
+
+        The sums run over integers, on the terms scaled by the lcm s of
+        their denominators.
+        """
+        s = lcm(*(c.denominator for c in self.terms.values()))
+        pg = [[comb(i, a) * dg ** (i - a) for a in range(i + 1)]
+              for i in range(1 + max((i for i, _ in self.terms), default=0))]
+        ph = [[comb(j, b) * dh ** (j - b) for b in range(j + 1)]
+              for j in range(1 + max((j for _, j in self.terms), default=0))]
         out = {}
         for (i, j), c in self.terms.items():
-            for a in range(i + 1):
-                ca = c * comb(i, a) * (Fraction(dg) ** (i - a) if i > a else 1)
-                for b in range(j + 1):
-                    cb = ca * comb(j, b) * (Fraction(dh) ** (j - b) if j > b else 1)
-                    k = (a, b)
-                    nc = out.get(k, _F0) + cb
-                    if nc:
-                        out[k] = nc
-                    else:
-                        out.pop(k, None)
-        return _raw_parampoly(out)
+            n = c.numerator * (s // c.denominator)
+            for a, ca in enumerate(pg[i]):
+                if ca:
+                    for b, cb in enumerate(ph[j]):
+                        if cb:
+                            out[(a, b)] = out.get((a, b), 0) + n * ca * cb
+        return _raw_parampoly({k: Fraction(v, s) for k, v in out.items() if v})
 
     def eval_at(self, gv, hv):
         gv, hv = Fraction(gv), Fraction(hv)
@@ -622,13 +630,6 @@ class AffineExp:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_div(a, b):
-    """Exact division inside the coefficient domain; ValueError if inexact."""
-    if isinstance(b, ParamPoly):
-        return ParamPoly._coerce(a).exact_div(b)
-    return a / b
-
-
 class EtaPoly:
     """Polynomial in eta with exact coefficients (list indexed by power)."""
 
@@ -757,31 +758,6 @@ class EtaPoly:
         q, r = self._div_linear(-1)
         return EtaPoly(tuple(q)), r
 
-    def exact_div(self, other):
-        """Exact quotient in the eta-polynomial ring; raises if not divisible."""
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if other.degree == 0:
-            return EtaPoly(tuple(_coeff_div(c, other.coeffs[0]) for c in self.coeffs))
-        rem = list(self.coeffs)
-        while rem and not rem[-1]:
-            rem.pop()
-        out = [_F0] * max(len(rem) - other.degree, 0)
-        lc = other.coeffs[-1]
-        d = other.degree
-        while rem:
-            k = len(rem) - 1 - d
-            if k < 0:
-                raise ValueError("eta-polynomial division is not exact")
-            q = _coeff_div(rem[-1], lc)
-            out[k] = q
-            for i, c in enumerate(other.coeffs):
-                if c:
-                    rem[i + k] = rem[i + k] - q * c
-            while rem and not rem[-1]:
-                rem.pop()
-        return EtaPoly(tuple(out))
-
     def _render(self, latex=False):
         if not self.coeffs:
             return "0"
@@ -851,19 +827,81 @@ def extract_edge_factors(p):
     return k_minus, k_plus, p
 
 
+# ---------------------------------------------------------------------------
+# Kronecker packing
+# ---------------------------------------------------------------------------
+# eta^k g^i h^j -> 2^(width*(k + le*(i + lg*j))) maps Z[eta, g, h] into Z as a
+# ring homomorphism (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4).
+# It is injective on polynomials with deg_eta < le, deg_g < lg and every
+# coefficient below 2^(width-1) in absolute value, and such a polynomial is
+# zero exactly when its image is.
+
+
+def _cleared(polys):
+    """(terms, s): the integer terms {(k, i, j): n} of s*p for each EtaPoly p
+    in polys, where s is the lcm of all their denominators."""
+    terms = [{(k, i, j): v for k, c in enumerate(p.coeffs)
+              for (i, j), v in (c.terms if isinstance(c, ParamPoly) else {(0, 0): c}).items()
+              if v} for p in polys]
+    s = lcm(*(v.denominator for t in terms for v in t.values()))
+    return [{key: v.numerator * (s // v.denominator) for key, v in t.items()}
+            for t in terms], s
+
+
+def _pack(terms, width, le, lg):
+    """The image of integer terms {(k, i, j): n} under the packing map."""
+    return sum(n << width * (k + le * (i + lg * j)) for (k, i, j), n in terms.items())
+
+
+def _unpack(v, den, width, le, lg):
+    """EtaPoly with ParamPoly coefficients whose integer terms over den pack to v.
+
+    v is read as balanced base-2^width digits, least significant first; each
+    digit in [2^(width-1), 2^width) stands for digit - 2^width and carries 1.
+    """
+    sign = -1 if v < 0 else 1
+    bits = bin(abs(v))[2:]
+    half, full = 1 << (width - 1), 1 << width
+    coeffs = [{} for _ in range(le)]
+    digits = [int(bits[max(end - width, 0):end], 2)
+              for end in range(len(bits), 0, -width)]
+    carry = 0
+    for pos, d in enumerate(digits + [0]):
+        d += carry
+        carry = d >= half
+        if carry:
+            d -= full
+        if d:
+            k, ij = pos % le, pos // le
+            coeffs[k][(ij % lg, ij // lg)] = Fraction(sign * d, den)
+    return EtaPoly(tuple(_raw_parampoly(c) for c in coeffs))
+
+
 def proportional(a, b):
     """Constant c with a = c*b, or None if the polynomials are not proportional.
 
-    c is lc(a)/lc(b): a Fraction when both leading coefficients are
+    Decides lb*a == la*b for the leading coefficients la, lb by comparing two
+    products of packed ints, in slots wider than any coefficient of
+    lb*a - la*b.  c is la/lb: a Fraction when both leading coefficients are
     Fractions (instantiated inputs), otherwise a reduced ParamRat.
     """
     if not a or not b:
         raise ZeroPolynomialError("proportionality test requires nonzero inputs")
     if a.degree != b.degree:
         return None
-    la, lb = a.lc, b.lc
-    if a.scale(lb) != b.scale(la):
+    d = a.degree
+    (ta,), _ = _cleared([a])
+    (tb,), _ = _cleared([b])
+    tla = {(0, i, j): n for (k, i, j), n in ta.items() if k == d}
+    tlb = {(0, i, j): n for (k, i, j), n in tb.items() if k == d}
+    lg = 1 + max(key[1] for key in ta) + max(key[1] for key in tb)
+    bound = (sum(map(abs, tlb.values())) * max(map(abs, ta.values()))
+             + sum(map(abs, tla.values())) * max(map(abs, tb.values())))
+    width = bound.bit_length() + 2
+    if (_pack(ta, width, d + 1, lg) * _pack(tlb, width, d + 1, lg)
+            != _pack(tb, width, d + 1, lg) * _pack(tla, width, d + 1, lg)):
         return None
+    la, lb = a.lc, b.lc
     if isinstance(la, Fraction) and isinstance(lb, Fraction):
         return la / lb
     return ParamRat(la, lb)

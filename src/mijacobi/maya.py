@@ -239,7 +239,8 @@ class ProportionalityReport:
     detail: str = ""
 
 
-# larger tuples go to a point: the symbolic 5-state W[I2,II0,II2,III4,N4] takes 140 s
+# larger tuples go to a point: the symbolic 5-state W[I2,II0,II2,III4,N4] takes
+# 5 s, the 6-state W[I2,II0,II2,III4,N4,N2] 74 s (Python 3.11, 2-core container)
 SYMBOLIC_SIZE_CAP = 5
 
 

@@ -12,9 +12,10 @@ Q_{i,j}(eta), so
 
     W = s^(sum a_j - N(N-1)/2) c^(sum b_j - N(N-1)/2) det(Q_{i,j}).
 
-The determinant is computed exactly by fraction-free Bareiss elimination:
-over Z[eta] in plain ints at an instantiated point (rows cleared of
-denominators first), over the EtaPoly entries in symbolic mode.  The
+The determinant is computed exactly by fraction-free Bareiss elimination
+on integers, with every row cleared of denominators first: over Z[eta] in
+lists of ints at an instantiated point, and in symbolic mode over
+Z[eta, g, h], each entry packed into one int by Kronecker substitution.  The
 result is canonicalized by pulling all (1 -/+ eta) factors into the
 exponents.  The eta-polynomial left over is the object of interest: for
 tuples of well states it is a (multi-indexed) Jacobi-type polynomial.
@@ -33,6 +34,9 @@ from .algebra import (
     extract_edge_factors,
     proportional,
     _F1,
+    _cleared,
+    _pack,
+    _unpack,
 )
 from .states import (
     DEFAULT_GENERIC_POINT,
@@ -128,8 +132,37 @@ def _int_exact_div(a, b):
     return out
 
 
-def _eta_combine(pivot, x, lead, y):
+def _packed_combine(pivot, x, lead, y):
     return pivot * x - lead * y
+
+
+def _packed_div(a, b):
+    """Exact quotient a/b of packed ints; ValueError on a remainder."""
+    q, r = divmod(a, b)
+    if r:
+        raise ValueError("packed division is not exact")
+    return q
+
+
+def _degree_bound(rows, axis):
+    """Bound on the degree in one variable (axis 0 eta, 1 g) of every minor
+    of a square matrix of integer terms.
+
+    It is the largest sum of the entries' maximum degrees along a
+    permutation, found by a pass over the rows that keeps the best sum for
+    each set of columns used.  Degrees are nonnegative, so this also bounds
+    every smaller minor, and it is at most the row and the column sums.
+    """
+    best = {0: 0}
+    for row in rows:
+        degs = [max((key[axis] for key in t), default=0) for t in row]
+        nxt = {}
+        for used, total in best.items():
+            for j, d in enumerate(degs):
+                if not used >> j & 1:
+                    nxt[used | 1 << j] = max(nxt.get(used | 1 << j, 0), total + d)
+        best = nxt
+    return best.popitem()[1]
 
 
 def _bareiss(m, combine, exact_div):
@@ -165,10 +198,15 @@ def _bareiss(m, combine, exact_div):
 def det_poly_matrix(mat):
     """Exact determinant of a square EtaPoly matrix, by Bareiss elimination.
 
-    When every coefficient is a Fraction, each row is scaled by the lcm of
-    its denominators and the elimination runs over Z[eta] on dense lists of
-    ints; the result is divided by the product of the row scales once.
-    Otherwise (ParamPoly coefficients) it runs over the EtaPoly entries.
+    Each row is scaled by the lcm of its denominators, and the result is
+    divided by the product of the row scales once.  When every coefficient
+    is a Fraction the elimination runs over Z[eta] on dense lists of ints.
+    Otherwise (ParamPoly coefficients) each entry is packed into one int
+    (see algebra._pack) with degree bounds and a slot width that hold for
+    every minor: the width is 2 bits above the Hadamard-type bound
+    prod_rows max(1, sqrt(sum_j |e_ij|_1^2)) on its coefficients.  So a
+    pivot is zero exactly when its packed int is, and the result unpacks
+    uniquely.
     """
     n = len(mat)
     if n == 0:
@@ -182,8 +220,17 @@ def det_poly_matrix(mat):
             scale *= s
         sign, det = _bareiss(rows, _int_combine, _int_exact_div)
         return EtaPoly(tuple(Fraction(sign * c, scale) for c in det))
-    sign, det = _bareiss([list(row) for row in mat], _eta_combine, EtaPoly.exact_div)
-    return -det if sign < 0 else det
+    rows, scale, h2 = [], 1, 1
+    for row in mat:
+        terms, s = _cleared(row)
+        rows.append(terms)
+        scale *= s
+        h2 *= max(1, sum(sum(map(abs, t.values())) ** 2 for t in terms))
+    width = (h2.bit_length() + 1) // 2 + 2
+    le, lg = 1 + _degree_bound(rows, 0), 1 + _degree_bound(rows, 1)
+    m = [[_pack(t, width, le, lg) for t in row] for row in rows]
+    sign, det = _bareiss(m, _packed_combine, _packed_div)
+    return _unpack(sign * det, scale, width, le, lg)
 
 
 def wronskian_of_quasis(quasis):

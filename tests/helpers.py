@@ -2,8 +2,10 @@
 
 Contains the independent numeric Wronskian oracle (Taylor-mode automatic
 differentiation in mpmath, never touching the engine's eta-space rule), a
-permutation-expansion determinant oracle, random generators for states and generic rational points, and the
-closed-form reduction-ledger oracle used to cross-check the move engine.
+permutation-expansion determinant oracle, a coefficient-scaling
+proportionality oracle, random generators for states and generic rational
+points, and the closed-form reduction-ledger oracle used to cross-check the
+move engine.
 """
 
 from fractions import Fraction
@@ -109,6 +111,12 @@ def leibniz_det(mat):
         inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
         total = total - term if inversions % 2 else total + term
     return total
+
+
+def scaled_proportional(a, b):
+    """Whether lb*a == la*b for the leading coefficients la, lb, by scaling
+    every coefficient: the engine's former proportionality test."""
+    return a.scale(b.lc) == b.scale(a.lc)
 
 
 # -- random generators -------------------------------------------------------

@@ -14,8 +14,10 @@ from mijacobi.algebra import (
     parampoly_gcd,
     proportional,
     sturm_count,
+    _pack,
+    _unpack,
 )
-from helpers import random_rational, seeded
+from helpers import random_rational, scaled_proportional, seeded
 
 G = ParamPoly.gen_g()
 H = ParamPoly.gen_h()
@@ -59,6 +61,15 @@ class TestParamPoly:
         p = ((G + F(v) + F(1, 2)) * (H - F(v) - F(1, 2))).scale(-4)
         q = ((G + 1 + F(v) + F(1, 2)) * (H - 1 - F(v) - F(1, 2))).scale(-4)
         assert p.shift(1, -1) == q
+
+    def test_shift_matches_evaluation(self):
+        rng = seeded(7)
+        for _ in range(30):
+            p = ParamPoly({(rng.randint(0, 5), rng.randint(0, 5)): random_rational(rng)
+                           for _ in range(rng.randint(0, 6))})
+            dg, dh = rng.randint(-4, 4), rng.randint(-4, 4)
+            gv, hv = random_rational(rng), random_rational(rng)
+            assert p.shift(dg, dh).eval_at(gv, hv) == p.eval_at(gv + dg, hv + dh)
 
     def test_eval(self):
         assert (G + H).eval_at(F(1, 2), F(1, 2)) == 1
@@ -162,13 +173,6 @@ class TestEtaPoly:
         assert a.shift_params(1, -1) == EtaPoly((G + 1, H - 1))
         assert a.instantiate(2, 3) == EtaPoly((F(2), F(3)))
 
-    def test_exact_div(self):
-        a = EtaPoly((F(1), F(2), F(1)))  # (1+eta)^2
-        b = EtaPoly((F(1), F(1)))
-        assert a.exact_div(b) == b
-        with pytest.raises(ValueError):
-            EtaPoly((F(1), F(0), F(1))).exact_div(b)
-
 
 class TestEdgeFactors:
     def test_constructed(self):
@@ -243,6 +247,63 @@ class TestProportional:
             assert proportional(p.scale(num), p.scale(den)) == ParamRat(num, den)
 
 
+    def test_matches_scaling_oracle(self):
+        rng = seeded(19)
+
+        def coeff():
+            if rng.random() < 0.3:
+                return random_rational(rng)
+            return ParamPoly({(rng.randint(0, 3), rng.randint(0, 3)):
+                              F(rng.randint(-2 ** 60, 2 ** 60), rng.randint(1, 9))
+                              for _ in range(rng.randint(1, 4))})
+
+        seen = set()
+        for _ in range(60):
+            p = EtaPoly(tuple(coeff() for _ in range(rng.randint(1, 4))))
+            a, b = p.scale(coeff()), p.scale(coeff())
+            if rng.random() < 0.5 and b:
+                k = rng.randrange(len(b.coeffs))
+                b = EtaPoly(b.coeffs[:k] + (b.coeffs[k] + coeff(),) + b.coeffs[k + 1:])
+            if a and b:
+                expected = scaled_proportional(a, b)
+                assert (proportional(a, b) is not None) == expected
+                seen.add(expected)
+        assert seen == {True, False}
+
+    def test_difference_in_top_slot_only(self):
+        # the packings of lb*a and la*b differ only in the h^3 slot, the most
+        # significant one
+        big = F(2 ** 150 + 1, 7)
+        a = EtaPoly((G * big + H ** 3 * 5, G * G * big, ONE))
+        b = EtaPoly((G * big + H ** 3 * 6, G * G * big, ONE))
+        assert not scaled_proportional(a, b)
+        assert proportional(a, b) is None
+
+    def test_negative_top_slot(self):
+        big = F(-(2 ** 150) - 3, 11)
+        a = EtaPoly((G * big + 1, H ** 4 * big - G, H))
+        assert proportional(a.scale(F(-3)), a) == -3
+        assert proportional(a.scale(G - 2), a.scale(H + 1)) == ParamRat(G - 2, H + 1)
+
+
+class TestPacking:
+    def test_round_trip_with_negative_top_slot(self):
+        rng = seeded(17)
+        for _ in range(20):
+            le, lg = rng.randint(1, 4), rng.randint(1, 4)
+            terms = {(rng.randrange(le), rng.randrange(lg), rng.randint(0, 3)):
+                     rng.randint(-2 ** 40, 2 ** 40) for _ in range(6)}
+            top = max(terms, key=lambda key: (key[2], key[1], key[0]))
+            terms[top] = -abs(terms[top]) or -1
+            terms = {key: n for key, n in terms.items() if n}
+            den = rng.randint(1, 9)
+            width = 43  # 2 bits above the coefficients' 41
+            e = _unpack(_pack(terms, width, le, lg), den, width, le, lg)
+            got = {(k, i, j): v for k, c in enumerate(e.coeffs)
+                   for (i, j), v in c.terms.items()}
+            assert got == {key: F(n, den) for key, n in terms.items()}
+
+
 class TestSturm:
     def test_two_roots(self):
         p = EtaPoly((F(-1, 4), F(0), F(1)))  # eta^2 - 1/4
@@ -311,10 +372,6 @@ class TestCoefficientDomains:
                    lambda: -r):
             with pytest.raises(TypeError):
                 op()
-
-    def test_inexact_coefficient_division_raises(self):
-        with pytest.raises(ValueError):
-            EtaPoly((G, ONE)).exact_div(EtaPoly((H,)))
 
     def test_proportional_constant_types(self):
         p = EtaPoly((F(1), F(2)))

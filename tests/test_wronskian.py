@@ -2,16 +2,19 @@
 
 import sys
 from fractions import Fraction as F
+from itertools import permutations
 
 import mpmath as mp
 import pytest
 
-from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly, ParamRat
+from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly, ParamRat, _pack
 from mijacobi.states import State, StateTuple, StateType, make_state, parse_state
 from mijacobi.wronskian import (
     RawQuasi,
     WronskianZeroError,
+    _degree_bound,
     _int_exact_div,
+    _packed_div,
     canonicalize,
     compare_quasi,
     det_poly_matrix,
@@ -130,6 +133,18 @@ def param_matrix(rng, n):
     return [[param_entry(rng) for _ in range(n)] for _ in range(n)]
 
 
+def wide_param_matrix(rng, n):
+    """param_matrix with its entry (n-1, 0) replaced by one of (g, h)-degree
+    (7, 5) whose coefficients have up to 215 bits and both signs."""
+    mat = param_matrix(rng, n)
+    big = ParamPoly({(rng.randint(0, 6), rng.randint(0, 4)):
+                     F(rng.randint(-2 ** 215, 2 ** 215), rng.randint(1, 6))
+                     for _ in range(4)})
+    top = (G ** 7 * H ** 5).scale(F(-2 ** 210 - rng.randint(1, 99), 3))
+    mat[n - 1][0] = EtaPoly((big + top, param_entry(rng).coeff(0) + 1, big))
+    return mat
+
+
 class TestDetPolyMatrix:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_fraction_matches_leibniz(self, n):
@@ -145,6 +160,13 @@ class TestDetPolyMatrix:
             mat = param_matrix(rng, n)
             assert det_poly_matrix(mat) == leibniz_det(mat)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_wide_parampoly_matches_leibniz(self, n):
+        rng = seeded(250 + n)
+        for _ in range(2):
+            mat = wide_param_matrix(rng, n)
+            assert det_poly_matrix(mat) == leibniz_det(mat)
+
     def test_mixed_matches_leibniz(self):
         rng = seeded(300)
         mat = [[param_entry(rng) if (i + j) % 2 else fraction_entry(rng, PRIMES[i])
@@ -152,7 +174,7 @@ class TestDetPolyMatrix:
         assert any(isinstance(c, ParamPoly) for row in mat for e in row for c in e.coeffs)
         assert det_poly_matrix(mat) == leibniz_det(mat)
 
-    @pytest.mark.parametrize("make", [fraction_matrix, param_matrix])
+    @pytest.mark.parametrize("make", [fraction_matrix, param_matrix, wide_param_matrix])
     def test_zero_pivot_swaps_rows(self, make):
         rng = seeded(400)
         mat = make(rng, 4)
@@ -162,7 +184,7 @@ class TestDetPolyMatrix:
         det = det_poly_matrix(mat)
         assert det and det == leibniz_det(mat)
 
-    @pytest.mark.parametrize("make", [fraction_matrix, param_matrix])
+    @pytest.mark.parametrize("make", [fraction_matrix, param_matrix, wide_param_matrix])
     def test_equal_rows_give_zero(self, make):
         mat = make(seeded(500), 4)
         mat[2] = list(mat[0])
@@ -195,6 +217,30 @@ class TestDetPolyMatrix:
         with pytest.raises(ValueError):
             _int_exact_div([1], [1, 1])  # divisor of higher degree
 
+    def test_packed_exact_division(self):
+        assert _packed_div(-12, 4) == -3
+        with pytest.raises(ValueError):
+            _packed_div(7, 2)
+        # (1+eta)^2 / (1+eta) is exact; (1+eta^2) / (1+eta) leaves a remainder
+        lin = _pack({(0, 0, 0): 1, (1, 0, 0): 1}, 8, 3, 1)
+        assert _packed_div(_pack({(0, 0, 0): 1, (1, 0, 0): 2, (2, 0, 0): 1}, 8, 3, 1),
+                           lin) == lin
+        with pytest.raises(ValueError):
+            _packed_div(_pack({(0, 0, 0): 1, (2, 0, 0): 1}, 8, 3, 1), lin)
+
+    def test_degree_bound_is_best_permutation(self):
+        rng = seeded(800)
+        for n in range(1, 6):
+            rows = [[{(rng.randint(0, 5), rng.randint(0, 5), 0): 1}
+                     if rng.random() < 0.8 else {} for _ in range(n)] for _ in range(n)]
+            for axis in (0, 1):
+                d = [[max((key[axis] for key in t), default=0) for t in row]
+                     for row in rows]
+                best = max(sum(d[i][p[i]] for i in range(n))
+                           for p in permutations(range(n)))
+                assert _degree_bound(rows, axis) == best
+                assert best <= min(sum(map(max, d)), sum(map(max, zip(*d))))
+
     def test_two_by_two_divides_nothing(self, monkeypatch):
         # the first elimination step has no previous pivot to divide by
         calls = []
@@ -202,9 +248,9 @@ class TestDetPolyMatrix:
         int_div = module._int_exact_div
         monkeypatch.setattr(module, "_int_exact_div",
                             lambda a, b: calls.append(b) or int_div(a, b))
-        eta_div = EtaPoly.exact_div
-        monkeypatch.setattr(EtaPoly, "exact_div",
-                            lambda a, b: calls.append(b) or eta_div(a, b))
+        packed_div = module._packed_div
+        monkeypatch.setattr(module, "_packed_div",
+                            lambda a, b: calls.append(b) or packed_div(a, b))
         for make in (fraction_matrix, param_matrix):
             mat = make(seeded(700), 2)
             assert det_poly_matrix(mat) == leibniz_det(mat)
@@ -269,6 +315,14 @@ class TestWronskian:
         w2 = wronskian_of_quasis([scaled, qs[1], qs[2]])
         assert w2.expS == w1.expS and w2.expC == w1.expC
         assert w2.poly == EtaPoly(tuple(c * x for x in w1.poly.coeffs))
+
+    def test_symbolic_matches_point_on_random_tuples(self):
+        # the point path eliminates over Z[eta] int lists, an independent ring
+        rng = seeded(31)
+        for _ in range(3):
+            t = random_tuple(rng, 4, 3, min_size=4)
+            pt = rng.choice(GENERIC_POINTS)
+            assert wronskian(t).poly.instantiate(*pt) == wronskian(t, inst=pt).poly
 
     def test_instantiated_matches_symbolic(self):
         gv, hv = GENERIC_POINTS[1]
