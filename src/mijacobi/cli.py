@@ -39,12 +39,11 @@ from .maya import (
     verify_reduction,
 )
 from .spectral import (
-    apply_hamiltonian,
     check_nonsingular,
-    deformed_potential,
     extra_eigenstate,
     permitted_spectrum,
     verify_eigenfunction,
+    _eigen_identity,
 )
 from .states import (
     DuplicateStatesError,
@@ -303,7 +302,7 @@ def cmd_spectrum(args):
 
 def _verify_spectrum(t, spectrum, inst):
     checks = {}
-    pot = deformed_potential(t, inst=inst)
+    wt = wronskian(t, inst)
     for lab, ev in spectrum:
         if lab.kind == "bound" and lab.index <= 2:
             ok, _ = verify_eigenfunction(t, lab.index, inst=inst)
@@ -312,14 +311,15 @@ def _verify_spectrum(t, spectrum, inst):
             for i, s in enumerate(t):
                 if s.type is StateType.III and s.v == lab.index:
                     f, ev2 = extra_eigenstate(t, i, inst=inst)
-                    ev_c = ev2.eval_at(*inst)
-                    ok = apply_hamiltonian(pot, f).sub(f.scale(ev_c)).is_zero()
+                    ok = _eigen_identity(wt, f, ev2.eval_at(*inst), inst)
                     checks["extra state %s" % lab.label()] = ok
                     break
     return checks
 
 
 def cmd_verify_identity(args):
+    if args.random < 0:
+        raise TupleParseError("--random must be nonnegative, got %d" % args.random)
     if args.random:
         return _verify_random(args)
     t = parse_tuple_spec(args.tuple)

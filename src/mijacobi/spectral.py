@@ -17,9 +17,16 @@ produces an extra eigenstate with E_{-m-1} = -4(m+1)(g+h-m-1).  Which labels
 survive is read off the first Maya diagram: left white beads give the extra
 levels, right black beads the deleted bound levels.
 
-Everything here is exact; no tolerances appear anywhere.  Hamiltonian
-applications default to an instantiated generic rational point because fully
-symbolic quotient arithmetic is only cheap for very small tuples.
+The eigenfunction checks do not form H_T f as a quotient: multiplying
+(H_T - E) f through by P^3 and the sin/cos prefactors leaves one polynomial
+in eta (see _eigen_identity), which is zero exactly when the eigen-equation
+holds.  QuasiRat, apply_hamiltonian and deformed_potential keep the quotient
+route as public API.
+
+Everything here is exact; no tolerances appear anywhere.  Eigenfunction
+checks are symbolic in (g, h) for tuples of at most SYMBOLIC_SIZE_CAP states
+and run at an instantiated generic rational point otherwise, because the
+(g, h)-coefficients of the identity grow quickly with the tuple.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from .algebra import (
     AffineExp,
     EtaPoly,
     ONE_MINUS_ETA_SQ,
+    P_G,
+    P_H,
     sturm_count,
     _F1,
 )
@@ -160,30 +169,63 @@ def differentiate_rat(f):
     return QuasiRat.make(f.expS - 1, f.expC - 1, num, f.den * f.den)
 
 
+def _log_numerator(w):
+    """P2 P - P1^2 for a canonical W = s^a c^b P, where P1 and P2 are the
+    eta-parts of W' and W'', so (log W)'' = 4 (P2 P - P1^2) / ((1-eta^2) P^2)."""
+    r1 = differentiate(RawQuasi(w.expS, w.expC, w.poly))
+    return differentiate(r1).poly * w.poly - r1.poly * r1.poly
+
+
 def _log_second_derivative_term(w):
     """-2 (log W)'' for a canonical quasi-polynomial W, as a QuasiRat."""
-    p0 = w.poly
-    r1 = differentiate(RawQuasi(w.expS, w.expC, p0))
-    r2 = differentiate(r1)
-    n_corr = r2.poly * p0 - r1.poly * r1.poly
     return QuasiRat.make(AffineExp(), AffineExp(),
-                         n_corr.scale(Fraction(-8)),
-                         ONE_MINUS_ETA_SQ * (p0 * p0))
-
-
-def _deformed_from(w, inst):
-    return potential(inst).add(_log_second_derivative_term(w))
+                         _log_numerator(w).scale(Fraction(-8)),
+                         ONE_MINUS_ETA_SQ * (w.poly * w.poly))
 
 
 def deformed_potential(t, inst=None):
     """U - 2 (log W[t])'' as a QuasiRat (symbolic or instantiated)."""
-    return _deformed_from(wronskian(t, inst), inst)
+    return potential(inst).add(_log_second_derivative_term(wronskian(t, inst)))
 
 
 def apply_hamiltonian(pot, f):
     """(-d^2/dx^2 + pot) applied to f, exactly."""
     fpp = differentiate_rat(differentiate_rat(f))
     return pot.mul(f).sub(fpp)
+
+
+def _eigen_identity(w, f, ev, inst):
+    """Whether f solves H_T f = ev f, decided as one polynomial identity in
+    eta: no quotient is formed and nothing is divided.
+
+    w = s^a c^b P is the canonical W[T], and f = s^al c^be Q/P is the
+    QuasiRat that verify_eigenfunction and extra_eigenstate build over it
+    (its den is P); only f's exponents and numerator are read.  Write
+    m_{x,y} = ((x-y) + (x+y) eta)/2 for the multiplier of the derivative
+    rule.  The eta-parts of P^2 f' and P^3 f'' are
+
+        A1 = m_{al,be} Q P - (1-eta^2) (Q' P - Q P'),
+        T1 = m_{al-1,be-1} A1 P - (1-eta^2) (A1' P - 2 A1 P'),
+
+    and with P2 P - P1^2 from _log_numerator and Nu = (1-eta^2) U the
+    polynomial
+
+        N = (Nu - ev (1-eta^2)) Q P^2 / 4 - 2 (P2 P - P1^2) Q - T1
+
+    equals P^3 s^(2-al) c^(2-be) (H_T - ev) f.  So f is an eigenfunction
+    exactly when N = 0; N has degree at most deg Q + 2 deg P + 2.
+    """
+    g, h = (P_G, P_H) if inst is None else inst
+    p, q = w.poly, f.num
+    dp = p.deriv()
+    a1 = (EtaPoly(_half_split(f.expS, f.expC)) * (q * p)
+          - ONE_MINUS_ETA_SQ * (q.deriv() * p - q * dp))
+    t1 = (EtaPoly(_half_split(f.expS - 1, f.expC - 1)) * (a1 * p)
+          - ONE_MINUS_ETA_SQ * (a1.deriv() * p - (a1 * dp).scale(2)))
+    ug, uh, us = g * (g - 1) * 2, h * (h - 1) * 2, (g + h) * (g + h)
+    nu_ev = EtaPoly((ug + uh - us - ev, ug - uh, us + ev))
+    k = (nu_ev * (p * p)).scale(Fraction(1, 4)) - _log_numerator(w).scale(2)
+    return not (k * q - t1)
 
 
 def _warn_if_small(expS, expC, gv, hv):
@@ -196,7 +238,9 @@ def _warn_if_small(expS, expC, gv, hv):
             RuntimeWarning, stacklevel=3)
 
 
-# larger tuples go to a point: symbolic H f for I1,II1 at n = 1 already takes 25-40 s
+# larger tuples go to a point: symbolic checks of 2 states take 0.7 s (I1,II1,
+# n = 1) to 7 s (I2,II2, n = 2), of 3 states 4-6 s (I0,II1,N2; I1,II1,III1)
+# and 56 s (I2,II2,III2, n = 0) (Python 3.11, 2-core container)
 SYMBOLIC_SIZE_CAP = 2
 
 
@@ -212,9 +256,11 @@ def verify_eigenfunction(t, n, inst=None):
     """Check that W[t, phi_n]/W[t] is an eigenfunction of the deformed
     Hamiltonian with eigenvalue E_n = 4n(n+g+h).
 
-    Returns (holds exactly, eigenvalue as a ParamPoly).  Symbolic in (g, h)
-    for tuples of at most 2 states when no point is given; otherwise exact
-    at the given (or default) generic rational point.
+    The check is the exact polynomial identity of _eigen_identity, built
+    from W[t] and W[t, phi_n]; no rational function is formed.  Returns
+    (holds exactly, eigenvalue as a ParamPoly).  Symbolic in (g, h) for
+    tuples of at most SYMBOLIC_SIZE_CAP (2) states when no point is given;
+    otherwise exact at the given (or default) generic rational point.
     """
     t = as_state_tuple(t)
     phi = State(StateType.N, n)
@@ -223,13 +269,10 @@ def verify_eigenfunction(t, n, inst=None):
     wt = wronskian(t, inst)
     wtn = wronskian(tn, inst)
     f = QuasiRat.make(wtn.expS - wt.expS, wtn.expC - wt.expC, wtn.poly, wt.poly)
-    ham = _deformed_from(wt, inst)
     ev = eigenvalue(phi)
-    ev_c = ev.eval_at(*inst) if inst else ev
     if inst:
         _warn_if_small(f.expS, f.expC, *inst)
-    ok = apply_hamiltonian(ham, f).sub(f.scale(ev_c)).is_zero()
-    return ok, ev
+    return _eigen_identity(wt, f, ev.eval_at(*inst) if inst else ev, inst), ev
 
 
 def extra_eigenstate(t, ell, inst=None):

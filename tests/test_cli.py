@@ -55,6 +55,10 @@ class TestParsing:
         code, _, err = run(capsys, "spectrum", "I1", "--up-to", "-1")
         assert code == 2 and "up-to" in err
 
+    def test_negative_random_count_exit_code(self, capsys):
+        code, out, err = run(capsys, "verify-identity", "--random", "-1")
+        assert code == 2 and "--random" in err and not out
+
     def test_point_rejected_by_commands_without_one(self, capsys):
         for argv in (["maya", "I1"], ["equivalent", "I1", "N2"]):
             code, out, err = run(capsys, "--g", "37/10", "--h", "52/7", *argv)
@@ -181,6 +185,21 @@ class TestSpectrum:
         assert rep["verify"]["nonsingular"] is False
         assert rep["verify"]["eigenfunction E_0"] is True
         assert rep["verify"]["eigenfunction E_2"] is True
+
+
+    def test_failed_eigenfunction_check_exit_code(self, capsys, monkeypatch):
+        # verify_eigenfunction looks the identity up in spectral, the
+        # extra-state check in cli; each failure alone gives exit 4
+        eigen, extra = "eigenfunction E_1", "extra state E_-2"
+        for target, failed, passed in (("mijacobi.spectral._eigen_identity", eigen, extra),
+                                       ("mijacobi.cli._eigen_identity", extra, eigen)):
+            with monkeypatch.context() as m:
+                m.setattr(target, lambda *args: False)
+                code, out, err = run(capsys, "--g", "37/10", "--h", "52/7",
+                                     "spectrum", "I1,II2,III1", "--up-to", "2",
+                                     "--verify")
+            assert code == 4 and "identity failure" in err and not out, target
+            assert "'%s': False" % failed in err and "'%s': True" % passed in err
 
 
 class TestVerifyIdentityCommand:

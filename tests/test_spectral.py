@@ -1,7 +1,9 @@
 """Deformed Hamiltonians, eigenfunction checks, spectra, nonsingularity."""
 
 from fractions import Fraction as F
+from math import prod
 
+import mpmath as mp
 import pytest
 
 from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly, sturm_count
@@ -16,9 +18,11 @@ from mijacobi.spectral import (
     extra_eigenstate,
     permitted_spectrum,
     verify_eigenfunction,
+    _eigen_identity,
 )
 from mijacobi.states import (
     DuplicateStatesError,
+    QuasiPoly,
     State,
     StateTuple,
     StateType,
@@ -27,7 +31,15 @@ from mijacobi.states import (
     potential,
 )
 from mijacobi.wronskian import wronskian
-from helpers import GENERIC_POINTS, parse_states, random_tuple, seeded
+from helpers import (
+    GENERIC_POINTS,
+    mpf_of,
+    parse_states,
+    quasi_taylor,
+    random_generic_point,
+    random_tuple,
+    seeded,
+)
 
 G = ParamPoly.gen_g()
 H = ParamPoly.gen_h()
@@ -35,6 +47,30 @@ H = ParamPoly.gen_h()
 
 def as_quasirat(q):
     return QuasiRat.make(q.expS, q.expC, q.poly, EtaPoly((F(1),)))
+
+
+def bound_eigenstate(t, n, inst=None):
+    """f = W[t, phi_n]/W[t] as verify_eigenfunction builds it, with its
+    eigenvalue."""
+    phi = State(StateType.N, n)
+    wt, wtn = wronskian(t, inst), wronskian(t.with_state(phi), inst)
+    f = QuasiRat.make(wtn.expS - wt.expS, wtn.expC - wt.expC, wtn.poly, wt.poly)
+    return f, eigenvalue(phi)
+
+
+def eigen_cases(rng, count):
+    """(t, point, f, eigenvalue) for every bound level n <= 2 and every
+    extra state of count seeded tuples at generic points."""
+    for k in range(count):
+        t = random_tuple(rng, 3, 3, min_size=1)
+        pt = GENERIC_POINTS[k % len(GENERIC_POINTS)]
+        deleted = set(t.indices(StateType.N))
+        for n in range(3):
+            if n not in deleted:
+                yield (t, pt) + bound_eigenstate(t, n, pt)
+        for i, s in enumerate(t):
+            if s.type is StateType.III:
+                yield (t, pt) + extra_eigenstate(t, i, pt)
 
 
 class TestDeformedPotential:
@@ -157,6 +193,79 @@ class TestVerifyEigenfunction:
                 assert ok, (t, n, pt)
             done += 1
 
+    def test_two_state_symbolic(self):
+        ok, ev = verify_eigenfunction(parse_states("I1,II1"), 1)
+        assert ok and ev == (G + H + 1).scale(4)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestEigenIdentity:
+    def test_wrong_eigenvalue_fails_at_a_point(self):
+        pt = GENERIC_POINTS[0]
+        t = parse_states("I1,II2,III1")
+        wt = wronskian(t, pt)
+        f, ev = bound_eigenstate(t, 1, pt)
+        assert _eigen_identity(wt, f, ev.eval_at(*pt), pt)
+        assert not _eigen_identity(wt, f, ev.eval_at(*pt) + 1, pt)
+        f, ev = extra_eigenstate(t, 2, pt)
+        assert _eigen_identity(wt, f, ev.eval_at(*pt), pt)
+        assert not _eigen_identity(wt, f, ev.eval_at(*pt) + 1, pt)
+
+    def test_wrong_eigenvalue_fails_symbolically(self):
+        t = parse_states("I0")
+        wt = wronskian(t)
+        f, ev = bound_eigenstate(t, 1)
+        assert _eigen_identity(wt, f, ev, None)
+        assert not _eigen_identity(wt, f, ev + 1, None)
+
+    def test_agrees_with_quotient_route(self):
+        # the kept QuasiRat route, H f - E f by repeated differentiate_rat,
+        # decides the same flag for the true eigenvalue and for E + 1
+        seen = 0
+        for t, pt, f, ev in eigen_cases(seeded(44), 6):
+            wt, pot = wronskian(t, pt), deformed_potential(t, pt)
+            for e in (ev.eval_at(*pt), ev.eval_at(*pt) + 1):
+                old = apply_hamiltonian(pot, f).sub(f.scale(e)).is_zero()
+                assert _eigen_identity(wt, f, e, pt) == old, (t, e)
+                seen += old
+        assert seen >= 12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNumericEigenOracle:
+    """-f'' + (U - 2 (log W[t])'' - E) f = 0 at 200 bits, from Taylor
+    coefficients of W[t] and of the numerator; U is evaluated from sin and
+    cos directly, so nothing passes through the eta-space identity.  The
+    identity must decide the same, for E and for E + 1."""
+
+    @staticmethod
+    def residual(wt, wf, ev, pt, x0):
+        w, u = quasi_taylor(wt, x0, 2), quasi_taylor(wf, x0, 2)
+        f0 = u[0] / w[0]
+        f1 = (u[1] - f0 * w[1]) / w[0]
+        f2 = (u[2] - f0 * w[2] - f1 * w[1]) / w[0]
+        log_pp = 2 * w[2] / w[0] - (w[1] / w[0]) ** 2
+        g, h, e = (mpf_of(v) for v in (*pt, ev.eval_at(*pt)))
+        pot = (g * (g - 1) / mp.sin(x0) ** 2 + h * (h - 1) / mp.cos(x0) ** 2
+               - (g + h) ** 2 - 2 * log_pp)
+        res = -2 * f2 + (pot - e) * f0
+        return res, abs(2 * f2) + abs(pot * f0) + abs(e * f0)
+
+    def test_seeded_tuples(self):
+        checked = 0
+        with mp.workprec(200):
+            for t, pt, f, ev in eigen_cases(seeded(45), 5):
+                wt = wronskian(t, pt)
+                wf = QuasiPoly(wt.expS + f.expS, wt.expC + f.expC, f.num)
+                for e in (ev, ev + 1):
+                    exact = _eigen_identity(wt, f, e.eval_at(*pt), pt)
+                    for x0 in (mp.mpf("0.3"), mp.mpf("0.8"), mp.mpf("1.3")):
+                        res, size = self.residual(wt, wf, e, pt, x0)
+                        numeric = abs(res) <= size * mp.mpf(10) ** -30
+                        assert numeric == exact == (e is ev), (t, e, x0)
+                        checked += exact
+        assert checked >= 30
+
 
 class TestExtraEigenstate:
     def test_single_type_iii(self):
@@ -238,6 +347,22 @@ class TestNonsingular:
 
     def test_first_excited_deletion_singular(self):
         assert not check_nonsingular(parse_states("N1"), F(37, 10), F(52, 7))
+
+    def test_krein_adler_type_n_tuples(self):
+        # Adler (1994): deleting the levels d_j leaves a nonsingular
+        # potential iff prod_j (n - d_j) >= 0 for every level n >= 0
+        rng = seeded(46)
+        outcomes = set()
+        for _ in range(60):
+            ds = rng.sample(range(7), rng.randint(1, 4))
+            gv, hv = random_generic_point(rng)
+            if gv < 1 or hv < 1:
+                continue
+            t = StateTuple([State(StateType.N, d) for d in ds])
+            want = all(prod(n - d for d in ds) >= 0 for n in range(max(ds) + 1))
+            assert check_nonsingular(t, gv, hv) == want, (ds, gv, hv)
+            outcomes.add(want)
+        assert outcomes == {True, False}
 
     def test_three_state_example(self):
         t = parse_states("I1,II2,III1")
