@@ -14,9 +14,10 @@ Everything downstream is built from four value types, all exact over Q:
   EtaPoly    polynomial in eta = cos(2x).  Coefficients are Fractions for
              instantiated parameters and ParamPolys for symbolic work.
 
-Polynomials in (eta, g, h) with integer coefficients are also packed into
-single Python ints (Kronecker substitution) for exact determinants and
-proportionality checks; see _pack.
+Integer polynomials are also packed into single Python ints (Kronecker
+substitution; see _pack): each eta-coefficient, a polynomial in (g, h), of a
+symbolic determinant entry, and each whole polynomial in (eta, g, h) of a
+proportionality check.
 
 There is no floating point anywhere in this module, and every value is
 immutable after construction; all operations are pure functions.
@@ -834,7 +835,9 @@ def extract_edge_factors(p):
 # ring homomorphism (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4).
 # It is injective on polynomials with deg_eta < le, deg_g < lg and every
 # coefficient below 2^(width-1) in absolute value, and such a polynomial is
-# zero exactly when its image is.
+# zero exactly when its image is.  Symbolic determinants pack only (g, h),
+# with le = 1 and keys (0, i, j), one int per eta-coefficient; proportional
+# packs whole polynomials in (eta, g, h).
 
 
 def _cleared(polys):

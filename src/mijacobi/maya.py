@@ -240,7 +240,8 @@ class ProportionalityReport:
 
 
 # larger tuples go to a point: the symbolic 5-state W[I2,II0,II2,III4,N4] takes
-# 5 s, the 6-state W[I2,II0,II2,III4,N4,N2] 74 s (Python 3.11, 2-core container)
+# 1.1-1.6 s, the 6-state W[I2,II0,II2,III4,N4,N2] 11.5 s (Python 3.11, 2-core
+# container)
 SYMBOLIC_SIZE_CAP = 5
 
 
@@ -273,9 +274,9 @@ def _check_ledger_identity(t_before, t_after, ledger, instantiate):
 def verify_move_identity(t, which, direction, instantiate=None):
     """Verify the single-move Wronskian identity for the given tuple.
 
-    Symbolic in (g, h) when both tuples have at most 5 states and no
-    instantiation is requested; otherwise exact at the given (or default)
-    generic rational point.
+    Symbolic in (g, h) when both tuples have at most SYMBOLIC_SIZE_CAP states
+    and no instantiation is requested; otherwise exact at the given (or
+    default) generic rational point.
     """
     t = as_state_tuple(t)
     pair = move_division(tuple_to_diagrams(t), which, direction)

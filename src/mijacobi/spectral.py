@@ -259,7 +259,7 @@ def verify_eigenfunction(t, n, inst=None):
     The check is the exact polynomial identity of _eigen_identity, built
     from W[t] and W[t, phi_n]; no rational function is formed.  Returns
     (holds exactly, eigenvalue as a ParamPoly).  Symbolic in (g, h) for
-    tuples of at most SYMBOLIC_SIZE_CAP (2) states when no point is given;
+    tuples of at most SYMBOLIC_SIZE_CAP states when no point is given;
     otherwise exact at the given (or default) generic rational point.
     """
     t = as_state_tuple(t)

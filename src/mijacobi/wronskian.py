@@ -12,13 +12,14 @@ Q_{i,j}(eta), so
 
     W = s^(sum a_j - N(N-1)/2) c^(sum b_j - N(N-1)/2) det(Q_{i,j}).
 
-The determinant is computed exactly by fraction-free Bareiss elimination
-on integers, with every row cleared of denominators first: over Z[eta] in
-lists of ints at an instantiated point, and in symbolic mode over
-Z[eta, g, h], each entry packed into one int by Kronecker substitution.  The
-result is canonicalized by pulling all (1 -/+ eta) factors into the
-exponents.  The eta-polynomial left over is the object of interest: for
-tuples of well states it is a (multi-indexed) Jacobi-type polynomial.
+The determinant is computed exactly by one fraction-free Bareiss elimination
+over Z[eta] on dense lists of ints, with every row cleared of denominators
+first.  At an instantiated point each eta-coefficient is an integer; in
+symbolic mode it is a polynomial in (g, h), packed into one int by Kronecker
+substitution.  The result is canonicalized by pulling all (1 -/+ eta)
+factors into the exponents.  The eta-polynomial left over is the object of
+interest: for tuples of well states it is a (multi-indexed) Jacobi-type
+polynomial.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .algebra import (
     AffineExp,
     EtaPoly,
     ONE_MINUS_ETA_SQ,
+    P_ZERO,
     extract_edge_factors,
     proportional,
     _F1,
@@ -132,30 +134,18 @@ def _int_exact_div(a, b):
     return out
 
 
-def _packed_combine(pivot, x, lead, y):
-    return pivot * x - lead * y
+def _degree_bound(rows):
+    """Bound on the g-degree of every minor of a square matrix of integer
+    terms {(k, i, j): n}.
 
-
-def _packed_div(a, b):
-    """Exact quotient a/b of packed ints; ValueError on a remainder."""
-    q, r = divmod(a, b)
-    if r:
-        raise ValueError("packed division is not exact")
-    return q
-
-
-def _degree_bound(rows, axis):
-    """Bound on the degree in one variable (axis 0 eta, 1 g) of every minor
-    of a square matrix of integer terms.
-
-    It is the largest sum of the entries' maximum degrees along a
+    It is the largest sum of the entries' maximum g-degrees along a
     permutation, found by a pass over the rows that keeps the best sum for
     each set of columns used.  Degrees are nonnegative, so this also bounds
     every smaller minor, and it is at most the row and the column sums.
     """
     best = {0: 0}
     for row in rows:
-        degs = [max((key[axis] for key in t), default=0) for t in row]
+        degs = [max((key[1] for key in t), default=0) for t in row]
         nxt = {}
         for used, total in best.items():
             for j, d in enumerate(degs):
@@ -165,8 +155,9 @@ def _degree_bound(rows, axis):
     return best.popitem()[1]
 
 
-def _bareiss(m, combine, exact_div):
-    """Fraction-free elimination of the square matrix m, in place.
+def _bareiss(m):
+    """Fraction-free elimination of the square matrix m of dense int
+    coefficient lists, in place.
 
     Returns (sign, d) with det = sign * d.  Step k replaces each entry below
     and right of the pivot by (pivot*x - lead*y) / prev, where prev is the
@@ -189,48 +180,53 @@ def _bareiss(m, combine, exact_div):
         for row_i in m[k + 1:]:
             lead = row_i[k]
             for j in range(k + 1, n):
-                num = combine(pivot, row_i[j], lead, row_k[j])
-                row_i[j] = num if prev is None else exact_div(num, prev)
+                num = _int_combine(pivot, row_i[j], lead, row_k[j])
+                row_i[j] = num if prev is None else _int_exact_div(num, prev)
         prev = pivot
     return sign, m[n - 1][n - 1]
 
 
 def det_poly_matrix(mat):
-    """Exact determinant of a square EtaPoly matrix, by Bareiss elimination.
+    """Exact determinant of a square EtaPoly matrix, by Bareiss elimination
+    over Z[eta] on dense lists of ints.
 
     Each row is scaled by the lcm of its denominators, and the result is
-    divided by the product of the row scales once.  When every coefficient
-    is a Fraction the elimination runs over Z[eta] on dense lists of ints.
-    Otherwise (ParamPoly coefficients) each entry is packed into one int
-    (see algebra._pack) with degree bounds and a slot width that hold for
-    every minor: the width is 2 bits above the Hadamard-type bound
-    prod_rows max(1, sqrt(sum_j |e_ij|_1^2)) on its coefficients.  So a
-    pivot is zero exactly when its packed int is, and the result unpacks
-    uniquely.
+    divided by the product of the row scales once.  At a point each
+    eta-coefficient is its scaled Fraction numerator.  In symbolic mode each
+    eta-coefficient, a polynomial in (g, h), is packed into one int (see
+    algebra._pack) with a g-degree bound and a slot width that hold for the
+    coefficients of every minor: the width is 2 bits above the Hadamard-type
+    bound prod_rows max(1, sqrt(sum_j |e_ij|_1^2)).  So a packed coefficient
+    of a minor is zero exactly when its polynomial is, and the result unpacks
+    uniquely; packing is a ring homomorphism, so each exact division returns
+    the packed minor.
     """
     n = len(mat)
     if n == 0:
         return EtaPoly.const(_F1)
+    rows, scale = [], 1
     if all(isinstance(c, Fraction) for row in mat for e in row for c in e.coeffs):
-        rows, scale = [], 1
         for row in mat:
             s = lcm(*(c.denominator for e in row for c in e.coeffs))
             rows.append([[c.numerator * (s // c.denominator) for c in e.coeffs]
                          for e in row])
             scale *= s
-        sign, det = _bareiss(rows, _int_combine, _int_exact_div)
+        sign, det = _bareiss(rows)
         return EtaPoly(tuple(Fraction(sign * c, scale) for c in det))
-    rows, scale, h2 = [], 1, 1
+    h2 = 1
     for row in mat:
         terms, s = _cleared(row)
         rows.append(terms)
         scale *= s
         h2 *= max(1, sum(sum(map(abs, t.values())) ** 2 for t in terms))
     width = (h2.bit_length() + 1) // 2 + 2
-    le, lg = 1 + _degree_bound(rows, 0), 1 + _degree_bound(rows, 1)
-    m = [[_pack(t, width, le, lg) for t in row] for row in rows]
-    sign, det = _bareiss(m, _packed_combine, _packed_div)
-    return _unpack(sign * det, scale, width, le, lg)
+    lg = 1 + _degree_bound(rows)
+    m = [[[_pack({(0, i, j): v for (k, i, j), v in t.items() if k == e}, width, 1, lg)
+           for e in range(1 + max((k for k, _, _ in t), default=-1))] for t in row]
+         for row in rows]
+    sign, det = _bareiss(m)
+    return EtaPoly(tuple(_unpack(sign * c, scale, width, 1, lg).coeff(0) if c else P_ZERO
+                         for c in det))
 
 
 def wronskian_of_quasis(quasis):
@@ -239,9 +235,6 @@ def wronskian_of_quasis(quasis):
     n = len(quasis)
     if n == 0:
         return QuasiPoly(AffineExp(), AffineExp(), EtaPoly.const(_F1))
-    if n == 1:
-        q = quasis[0]
-        return canonicalize(RawQuasi(q.expS, q.expC, q.poly))
     cols = []
     exp_s = exp_c = AffineExp()
     for q in quasis:

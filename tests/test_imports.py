@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and
-every module-level private function is used somewhere in the package."""
+"""Source hygiene: every name a package module imports is used in it, every
+module-level private function is used somewhere in the package, and no
+module uses floating point."""
 
 import ast
 from collections import Counter
@@ -55,3 +56,34 @@ def test_unused_private_functions_found():
 def test_no_unused_private_functions():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert sources and unused_private_functions(sources) == []
+
+
+FLOAT_NAMES = {"float", "sqrt", "log", "exp"}
+
+
+def float_uses(source):
+    """(line, text) of each float literal in source and of each name,
+    attribute or imported name that is one of FLOAT_NAMES."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id in FLOAT_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in FLOAT_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.alias) and node.name.split(".")[-1] in FLOAT_NAMES:
+            found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_float_uses_found():
+    source = ("from math import isqrt, sqrt\n"
+              "y = sqrt(2) * 0.5 + float(isqrt(4)) + math.log(exp_s) + 1e3  # exp\n")
+    assert float_uses(source) == [(1, "sqrt"), (2, "0.5"), (2, "1000.0"),
+                                  (2, "float"), (2, "log"), (2, "sqrt")]
+
+
+def test_no_floats_in_engine():
+    found = {path.name: float_uses(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert found and {name: u for name, u in found.items() if u} == {}

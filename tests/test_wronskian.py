@@ -14,7 +14,6 @@ from mijacobi.wronskian import (
     WronskianZeroError,
     _degree_bound,
     _int_exact_div,
-    _packed_div,
     canonicalize,
     compare_quasi,
     det_poly_matrix,
@@ -216,30 +215,29 @@ class TestDetPolyMatrix:
             _int_exact_div([3], [2])  # 3/2 is not an integer
         with pytest.raises(ValueError):
             _int_exact_div([1], [1, 1])  # divisor of higher degree
-
-    def test_packed_exact_division(self):
-        assert _packed_div(-12, 4) == -3
+        # coefficients in (g, h) packed as in symbolic mode, with negative slots:
+        # ((g - 1) + eta) * ((h - g) + 2 eta) / ((g - 1) + eta) is exact
+        def pack(terms):
+            return _pack({(0, i, j): n for (i, j), n in terms.items()}, 8, 1, 3)
+        b = [pack({(1, 0): 1, (0, 0): -1}), pack({(0, 0): 1})]
+        q = [pack({(0, 1): 1, (1, 0): -1}), pack({(0, 0): 2})]
+        a = [b[0] * q[0], b[0] * q[1] + b[1] * q[0], b[1] * q[1]]
+        assert _int_exact_div(a, b) == q
         with pytest.raises(ValueError):
-            _packed_div(7, 2)
-        # (1+eta)^2 / (1+eta) is exact; (1+eta^2) / (1+eta) leaves a remainder
-        lin = _pack({(0, 0, 0): 1, (1, 0, 0): 1}, 8, 3, 1)
-        assert _packed_div(_pack({(0, 0, 0): 1, (1, 0, 0): 2, (2, 0, 0): 1}, 8, 3, 1),
-                           lin) == lin
+            _int_exact_div([a[0] + pack({(0, 0): 1})] + a[1:], b)  # remainder 1
         with pytest.raises(ValueError):
-            _packed_div(_pack({(0, 0, 0): 1, (2, 0, 0): 1}, 8, 3, 1), lin)
+            _int_exact_div([pack({(1, 0): 1})], b[:1])  # g / (g - 1)
 
     def test_degree_bound_is_best_permutation(self):
         rng = seeded(800)
         for n in range(1, 6):
             rows = [[{(rng.randint(0, 5), rng.randint(0, 5), 0): 1}
                      if rng.random() < 0.8 else {} for _ in range(n)] for _ in range(n)]
-            for axis in (0, 1):
-                d = [[max((key[axis] for key in t), default=0) for t in row]
-                     for row in rows]
-                best = max(sum(d[i][p[i]] for i in range(n))
-                           for p in permutations(range(n)))
-                assert _degree_bound(rows, axis) == best
-                assert best <= min(sum(map(max, d)), sum(map(max, zip(*d))))
+            d = [[max((key[1] for key in t), default=0) for t in row] for row in rows]
+            best = max(sum(d[i][p[i]] for i in range(n))
+                       for p in permutations(range(n)))
+            assert _degree_bound(rows) == best
+            assert best <= min(sum(map(max, d)), sum(map(max, zip(*d))))
 
     def test_two_by_two_divides_nothing(self, monkeypatch):
         # the first elimination step has no previous pivot to divide by
@@ -248,9 +246,6 @@ class TestDetPolyMatrix:
         int_div = module._int_exact_div
         monkeypatch.setattr(module, "_int_exact_div",
                             lambda a, b: calls.append(b) or int_div(a, b))
-        packed_div = module._packed_div
-        monkeypatch.setattr(module, "_packed_div",
-                            lambda a, b: calls.append(b) or packed_div(a, b))
         for make in (fraction_matrix, param_matrix):
             mat = make(seeded(700), 2)
             assert det_poly_matrix(mat) == leibniz_det(mat)
