@@ -8,20 +8,21 @@ A tuple T of states deforms it to
 a quotient of eta-polynomials once (log W)'' is expressed through the
 canonical form W = s^a c^b P(eta):
 
-    (log W)'' = 4 (P'' P - P'^2-part) / ((1-eta^2) P^2)
+    (log W)'' = 4 (P2 P - P1^2) / ((1-eta^2) P^2),
 
-computed with the same exact differentiation rule used for Wronskians.  The
-ratios W[T, phi_n]/W[T] remain eigenfunctions with unchanged eigenvalue E_n,
-and deleting a type III member with index m from the numerator instead
-produces an extra eigenstate with E_{-m-1} = -4(m+1)(g+h-m-1).  Which labels
-survive is read off the first Maya diagram: left white beads give the extra
-levels, right black beads the deleted bound levels.
+where P1 and P2 are the eta-parts of W' and W'' by the exact differentiation
+rule used for Wronskians.  The ratios W[T, phi_n]/W[T] remain eigenfunctions
+with unchanged eigenvalue E_n, and deleting a type III member with index m
+from the numerator instead produces an extra eigenstate with
+E_{-m-1} = -4(m+1)(g+h-m-1).  Which labels survive is read off the first
+Maya diagram: left white beads give the extra levels, right black beads the
+deleted bound levels.
 
-The eigenfunction checks do not form H_T f as a quotient: multiplying
-(H_T - E) f through by P^3 and the sin/cos prefactors leaves one polynomial
-in eta (see _eigen_identity), which is zero exactly when the eigen-equation
-holds.  QuasiRat, apply_hamiltonian and deformed_potential keep the quotient
-route as public API.
+The eigenfunction checks do not form H_T f as a quotient: for f = Y/W,
+W^2 (H_T - E) f is built from Y, W and their derivatives by the same rule
+and leaves one polynomial in eta (see _eigen_identity), which is zero
+exactly when the eigen-equation holds.  QuasiRat, apply_hamiltonian and
+deformed_potential keep the quotient route as public API.
 
 Everything here is exact; no tolerances appear anywhere.  Eigenfunction
 checks are symbolic in (g, h) for tuples of at most SYMBOLIC_SIZE_CAP states
@@ -54,7 +55,7 @@ from .states import (
     require_generic,
 )
 from .maya import tuple_to_diagrams
-from .wronskian import RawQuasi, _half_split, differentiate, wronskian
+from .wronskian import RawQuasi, differentiate, wronskian
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,26 +161,20 @@ class QuasiRat:
 
 
 def differentiate_rat(f):
-    """One x-derivative of a QuasiRat (same rule as for quasi-polynomials,
-    with the quotient rule for the eta-part)."""
-    c0, c1 = _half_split(f.expS, f.expC)
-    mult = EtaPoly((c0, c1))
-    num = mult * (f.num * f.den) - ONE_MINUS_ETA_SQ * (
-        f.num.deriv() * f.den - f.num * f.den.deriv())
-    return QuasiRat.make(f.expS - 1, f.expC - 1, num, f.den * f.den)
-
-
-def _log_numerator(w):
-    """P2 P - P1^2 for a canonical W = s^a c^b P, where P1 and P2 are the
-    eta-parts of W' and W'', so (log W)'' = 4 (P2 P - P1^2) / ((1-eta^2) P^2)."""
-    r1 = differentiate(RawQuasi(w.expS, w.expC, w.poly))
-    return differentiate(r1).poly * w.poly - r1.poly * r1.poly
+    """One x-derivative of a QuasiRat f = s^a c^b N/D: with s^(a-1) c^(b-1) N1
+    the derivative of s^a c^b N by differentiate, the quotient rule adds one
+    term, f' = s^(a-1) c^(b-1) [N1 D + (1-eta^2) N D'] / D^2."""
+    d = differentiate(RawQuasi(f.expS, f.expC, f.num))
+    num = d.poly * f.den + ONE_MINUS_ETA_SQ * (f.num * f.den.deriv())
+    return QuasiRat.make(d.expS, d.expC, num, f.den * f.den)
 
 
 def _log_second_derivative_term(w):
-    """-2 (log W)'' for a canonical quasi-polynomial W, as a QuasiRat."""
-    return QuasiRat.make(AffineExp(), AffineExp(),
-                         _log_numerator(w).scale(Fraction(-8)),
+    """-2 (log W)'' for a canonical W = s^a c^b P, as a QuasiRat: with P1 and
+    P2 the eta-parts of W' and W'', (log W)'' = 4 (P2 P - P1^2) / ((1-eta^2) P^2)."""
+    r1 = differentiate(w)
+    num = differentiate(r1).poly * w.poly - r1.poly * r1.poly
+    return QuasiRat.make(AffineExp(), AffineExp(), num.scale(Fraction(-8)),
                          ONE_MINUS_ETA_SQ * (w.poly * w.poly))
 
 
@@ -198,34 +193,27 @@ def _eigen_identity(w, f, ev, inst):
     """Whether f solves H_T f = ev f, decided as one polynomial identity in
     eta: no quotient is formed and nothing is divided.
 
-    w = s^a c^b P is the canonical W[T], and f = s^al c^be Q/P is the
-    QuasiRat that verify_eigenfunction and extra_eigenstate build over it
-    (its den is P); only f's exponents and numerator are read.  Write
-    m_{x,y} = ((x-y) + (x+y) eta)/2 for the multiplier of the derivative
-    rule.  The eta-parts of P^2 f' and P^3 f'' are
+    w = s^a c^b P is the canonical W[T] and f = s^al c^be Q/P the QuasiRat
+    built over it (its den, P, is not read).  So f = Y/w with
+    Y = s^(a+al) c^(b+be) Q, and U_T = U - 2 (log w)'' gives
 
-        A1 = m_{al,be} Q P - (1-eta^2) (Q' P - Q P'),
-        T1 = m_{al-1,be-1} A1 P - (1-eta^2) (A1' P - 2 A1 P'),
+        w^2 (H_T - ev) f = -Y'' w + 2 Y' w' - Y w'' + (U - ev) Y w.
 
-    and with P2 P - P1^2 from _log_numerator and Nu = (1-eta^2) U the
-    polynomial
-
-        N = (Nu - ev (1-eta^2)) Q P^2 / 4 - 2 (P2 P - P1^2) Q - T1
-
-    equals P^3 s^(2-al) c^(2-be) (H_T - ev) f.  So f is an eigenfunction
-    exactly when N = 0; N has degree at most deg Q + 2 deg P + 2.
+    Each term is s^(2a+al-2) c^(2b+be-2) times an eta-polynomial; with Y1,
+    Y2, W1, W2 the eta-parts of Y', Y'', w', w'' from differentiate and
+    v = (U - ev) s^2 c^2, their sum is N = (v Q - Y2) P + 2 Y1 W1 - Q W2, of
+    degree at most deg Q + deg P + 2.  f is an eigenfunction iff N = 0.
     """
     g, h = (P_G, P_H) if inst is None else inst
     p, q = w.poly, f.num
-    dp = p.deriv()
-    a1 = (EtaPoly(_half_split(f.expS, f.expC)) * (q * p)
-          - ONE_MINUS_ETA_SQ * (q.deriv() * p - q * dp))
-    t1 = (EtaPoly(_half_split(f.expS - 1, f.expC - 1)) * (a1 * p)
-          - ONE_MINUS_ETA_SQ * (a1.deriv() * p - (a1 * dp).scale(2)))
-    ug, uh, us = g * (g - 1) * 2, h * (h - 1) * 2, (g + h) * (g + h)
-    nu_ev = EtaPoly((ug + uh - us - ev, ug - uh, us + ev))
-    k = (nu_ev * (p * p)).scale(Fraction(1, 4)) - _log_numerator(w).scale(2)
-    return not (k * q - t1)
+    w1 = differentiate(w)
+    y1 = differentiate(RawQuasi(w.expS + f.expS, w.expC + f.expC, q))
+    # v = g(g-1)(1+eta)/2 + h(h-1)(1-eta)/2 - ((g+h)^2 + ev)(1-eta^2)/4
+    ug, uh, us = g * (g - 1) * 2, h * (h - 1) * 2, (g + h) * (g + h) + ev
+    v = EtaPoly((ug + uh - us, ug - uh, us)).scale(Fraction(1, 4))
+    n = ((v * q - differentiate(y1).poly) * p + (y1.poly * w1.poly).scale(2)
+         - q * differentiate(w1).poly)
+    return not n
 
 
 def _warn_if_small(expS, expC, gv, hv):
@@ -238,9 +226,9 @@ def _warn_if_small(expS, expC, gv, hv):
             RuntimeWarning, stacklevel=3)
 
 
-# larger tuples go to a point: symbolic checks of 2 states take 0.7 s (I1,II1,
-# n = 1) to 7 s (I2,II2, n = 2), of 3 states 4-6 s (I0,II1,N2; I1,II1,III1)
-# and 56 s (I2,II2,III2, n = 0) (Python 3.11, 2-core container)
+# larger tuples go to a point: symbolic checks of 2 states take 0.16 s (I1,II1,
+# n = 1) to 1.3 s (I2,II2, n = 2), of 3 states 0.9-1.7 s (I0,II1,N2;
+# I1,II1,III1) and 9.3 s (I2,II2,III2, n = 0) (Python 3.11, 2-core container)
 SYMBOLIC_SIZE_CAP = 2
 
 

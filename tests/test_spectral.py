@@ -30,7 +30,7 @@ from mijacobi.states import (
     make_state,
     potential,
 )
-from mijacobi.wronskian import wronskian
+from mijacobi.wronskian import differentiate, wronskian
 from helpers import (
     GENERIC_POINTS,
     mpf_of,
@@ -212,11 +212,14 @@ class TestEigenIdentity:
         assert not _eigen_identity(wt, f, ev.eval_at(*pt) + 1, pt)
 
     def test_wrong_eigenvalue_fails_symbolically(self):
-        t = parse_states("I0")
-        wt = wronskian(t)
-        f, ev = bound_eigenstate(t, 1)
-        assert _eigen_identity(wt, f, ev, None)
-        assert not _eigen_identity(wt, f, ev + 1, None)
+        # bound states (n) and extra states (the III member at index ell)
+        for spec, n, ell in (("I0", 1, None), ("I1,III1", None, 1),
+                             ("II0,III2", None, 1), ("I0,II1,N2", 0, None)):
+            t = parse_states(spec)
+            wt = wronskian(t)
+            f, ev = bound_eigenstate(t, n) if ell is None else extra_eigenstate(t, ell)
+            assert _eigen_identity(wt, f, ev, None), spec
+            assert not _eigen_identity(wt, f, ev + 1, None), spec
 
     def test_agrees_with_quotient_route(self):
         # the kept QuasiRat route, H f - E f by repeated differentiate_rat,
@@ -405,3 +408,18 @@ class TestDifferentiateRat:
         d_rat = differentiate_rat(as_quasirat(q))
         diff = d_rat.sub(as_quasirat(d_poly))
         assert diff.is_zero()
+
+    @pytest.mark.parametrize("inst", [GENERIC_POINTS[1], None])
+    def test_quotient_rule_with_denominator(self, inst):
+        # f = Y/W with Y = W[I1, phi_1] and W = W[I1]: f' = (Y'W - YW')/W^2,
+        # assembled from differentiate and QuasiRat.mul/sub
+        t = parse_states("I1")
+        w, y = wronskian(t, inst), wronskian(t.with_state(State(StateType.N, 1)), inst)
+        f = QuasiRat.make(y.expS - w.expS, y.expC - w.expC, y.poly, w.poly)
+        assert f.den.degree > 0
+        dy, dw = as_quasirat(differentiate(y)), as_quasirat(differentiate(w))
+        inv_w2 = QuasiRat.make(-(w.expS + w.expS), -(w.expC + w.expC),
+                               EtaPoly((F(1),)), w.poly * w.poly)
+        ref = dy.mul(as_quasirat(w)).sub(as_quasirat(y).mul(dw)).mul(inv_w2)
+        assert differentiate_rat(f) == ref
+        assert differentiate_rat(f) != ref.scale(2)
