@@ -12,7 +12,9 @@ Everything downstream is built from four value types, all exact over Q:
   AffineExp  cg*g + ch*h + c0 with integer cg, ch; used for the sin/cos
              exponents of quasi-polynomials and for move-ledger prefactors.
   EtaPoly    polynomial in eta = cos(2x).  Coefficients are Fractions for
-             instantiated parameters and ParamPolys for symbolic work.
+             instantiated parameters and ParamPolys for symbolic work.  With
+             Fraction coefficients it is the one univariate type over Q: the
+             gcd of ParamPolys and Sturm counting run on it too.
 
 Integer polynomials are also packed into single Python ints (Kronecker
 substitution; see _pack): each eta-coefficient, a polynomial in (g, h), of a
@@ -321,87 +323,39 @@ P_H = ParamPoly.gen_h()
 # ---------------------------------------------------------------------------
 # bivariate gcd (content / primitive-part pseudo-remainder sequence)
 # ---------------------------------------------------------------------------
-# Univariate helpers work on dense Fraction lists (index = degree, trailing
-# zeros trimmed, [] is the zero polynomial).
+# Q[g, h] is read as (Q[h])[g]: a list over g-degree of rows, each row an
+# EtaPoly with Fraction coefficients whose variable is h.  The list has no
+# trailing zero rows; [] is the zero polynomial.
 
 
-def _u_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _u_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] += ca * cb
-    return _u_trim(out)
-
-def _u_sub(a, b):
-    out = list(a) + [_F0] * (len(b) - len(a))
-    for i, cb in enumerate(b):
-        out[i] -= cb
-    return _u_trim(out)
-
-
-def _u_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    r = list(a)
-    q = [_F0] * max(len(a) - len(b) + 1, 0)
-    db, lb = len(b) - 1, b[-1]
-    while len(r) - 1 >= db and r:
-        k = len(r) - 1 - db
-        f = r[-1] / lb
-        q[k] = f
-        for i, cb in enumerate(b):
-            r[i + k] -= f * cb
-        _u_trim(r)
-    return _u_trim(q), r
-
-
-def _u_gcd(a, b):
-    a, b = list(a), list(b)
+def _gcd(a, b):
+    """Monic gcd of two EtaPolys over Q; zero when both are zero."""
     while b:
-        a, b = b, _u_divmod(a, b)[1]
-    if a:
-        lc = a[-1]
-        a = [c / lc for c in a]
-    return a
+        a, b = b, divmod(a, b)[1]
+    return a.scale(1 / a.lc) if a else a
 
 
-def _u_exact_div(a, b):
-    q, r = _u_divmod(a, b)
+def _exact_quo(a, b):
+    """Quotient a/b of EtaPolys over Q; ValueError if b does not divide a."""
+    q, r = divmod(a, b)
     if r:
         raise ValueError("univariate division is not exact")
     return q
 
 
 def _to_g_major(p):
-    """ParamPoly -> dense list over g-degree of h-coefficient lists."""
-    dg = max((i for i, _ in p.terms), default=0)
-    out = [[] for _ in range(dg + 1)]
+    """Nonzero ParamPoly -> list over g-degree of EtaPoly rows in h."""
+    rows = [[] for _ in range(1 + max(i for i, _ in p.terms))]
     for (i, j), c in p.terms.items():
-        row = out[i]
-        if len(row) <= j:
-            row.extend([_F0] * (j + 1 - len(row)))
+        row = rows[i]
+        row.extend([_F0] * (j + 1 - len(row)))
         row[j] = c
-    return [_u_trim(row) for row in out]
+    return [EtaPoly(row) for row in rows]
 
 
 def _from_g_major(rows):
-    terms = {}
-    for i, row in enumerate(rows):
-        for j, c in enumerate(row):
-            if c:
-                terms[(i, j)] = c
-    return _raw_parampoly(terms)
+    return _raw_parampoly({(i, j): c for i, row in enumerate(rows)
+                           for j, c in enumerate(row.coeffs) if c})
 
 
 def _g_trim(rows):
@@ -411,34 +365,31 @@ def _g_trim(rows):
 
 
 def _g_content(rows):
-    c = []
+    """Monic gcd of the rows; zero for []."""
+    c = EtaPoly()
     for row in rows:
         if row:
-            c = _u_gcd(c, row)
-            if len(c) == 1:
+            c = _gcd(c, row)
+            if not c.degree:
                 break
-    return c if c else []
+    return c
 
 
 def _g_primitive(rows, content):
-    if not content or content == [_F1]:
-        return [list(r) for r in rows]
-    return [_u_exact_div(r, content) if r else [] for r in rows]
+    if content.degree < 1:
+        return list(rows)
+    return [_exact_quo(r, content) for r in rows]
 
 
 def _g_pseudo_rem(a, b):
     """Pseudo-remainder of a by b in (Q[h])[g]."""
-    r = [list(row) for row in a]
-    db = len(b) - 1
-    lb = b[-1]
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
     while _g_trim(r) and len(r) - 1 >= db:
-        dr = len(r) - 1
-        lr = r[-1]
-        r = [_u_mul(row, lb) for row in r]
-        shift = dr - db
-        for i, brow in enumerate(b):
-            r[i + shift] = _u_sub(r[i + shift], _u_mul(lr, brow))
-        _g_trim(r)
+        lr, shift = r[-1], len(r) - 1 - db
+        r = [row * lb for row in r]
+        for i, brow in enumerate(b, shift):
+            r[i] = r[i] - lr * brow
     return r
 
 
@@ -451,19 +402,17 @@ def parampoly_gcd(a, b):
         return p.scale(1 / p.leading_coeff())
     if a.is_constant or b.is_constant:
         return P_ONE
-    ra, rb = _g_trim(_to_g_major(a)), _g_trim(_to_g_major(b))
+    ra, rb = _to_g_major(a), _to_g_major(b)
     ca, cb = _g_content(ra), _g_content(rb)
-    cont = _u_gcd(ca, cb)
+    cont = _gcd(ca, cb)
     pa, pb = _g_primitive(ra, ca), _g_primitive(rb, cb)
     if len(pa) < len(pb):
         pa, pb = pb, pa
-    while _g_trim(pb):
+    while pb:
         rem = _g_pseudo_rem(pa, pb)
-        pa = pb
-        cr = _g_content(rem)
-        pb = _g_primitive(rem, cr) if _g_trim(rem) else []
-    if len(cont) > 1:
-        pa = [_u_mul(row, cont) for row in pa]
+        pa, pb = pb, _g_primitive(rem, _g_content(rem))
+    if cont.degree > 0:
+        pa = [row * cont for row in pa]
     g = _from_g_major(pa)
     return g.scale(1 / g.leading_coeff())
 
@@ -632,7 +581,11 @@ class AffineExp:
 
 
 class EtaPoly:
-    """Polynomial in eta with exact coefficients (list indexed by power)."""
+    """Polynomial in eta with exact coefficients (tuple indexed by power).
+
+    divmod(a, b) is long division by a b whose leading coefficient is a
+    nonzero Fraction.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -718,6 +671,27 @@ class EtaPoly:
             return EtaPoly()
         return EtaPoly(tuple(v * c for v in self.coeffs))
 
+    def __divmod__(self, other):
+        """Long division: (q, r) with self = q*other + r, r.degree < other.degree.
+
+        other's leading coefficient must be a nonzero Fraction; self's
+        coefficients may be Fractions or ParamPolys.
+        """
+        if not isinstance(other, EtaPoly):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("division by the zero polynomial")
+        b, db, inv = other.coeffs, other.degree, 1 / other.lc
+        r = list(self.coeffs)
+        q = [_F0] * max(len(r) - db, 0)
+        for k in range(len(q) - 1, -1, -1):
+            f = r[k + db] * inv
+            if f:
+                q[k] = f
+                for i, c in enumerate(b, k):
+                    r[i] = r[i] - f * c
+        return EtaPoly(q), EtaPoly(r[:db])
+
     def deriv(self):
         """d/d(eta)."""
         return EtaPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k))
@@ -735,29 +709,6 @@ class EtaPoly:
     def instantiate(self, gv, hv):
         return EtaPoly(tuple(
             c if isinstance(c, Fraction) else c.eval_at(gv, hv) for c in self.coeffs))
-
-    def _div_linear(self, root):
-        """Quotient and remainder for division by (eta - root), root = +/-1."""
-        q = [None] * (len(self.coeffs) - 1)
-        acc = self.coeffs[-1]
-        for k in range(len(self.coeffs) - 2, -1, -1):
-            q[k] = acc
-            acc = self.coeffs[k] + (acc if root == 1 else -acc)
-        return q, acc
-
-    def div_one_minus_eta(self):
-        """(quotient, remainder) with self = (1 - eta)*quotient + remainder."""
-        if not self.coeffs:
-            return EtaPoly(), _F0
-        q, r = self._div_linear(1)
-        return EtaPoly(tuple(-c for c in q)), r
-
-    def div_one_plus_eta(self):
-        """(quotient, remainder) with self = (1 + eta)*quotient + remainder."""
-        if not self.coeffs:
-            return EtaPoly(), _F0
-        q, r = self._div_linear(-1)
-        return EtaPoly(tuple(q)), r
 
     def _render(self, latex=False):
         if not self.coeffs:
@@ -809,23 +760,25 @@ def extract_edge_factors(p):
     """Split p as (1-eta)^k_minus * (1+eta)^k_plus * core.
 
     The core is divisible by neither edge factor; divisibility is decided by
-    exact synthetic division, never numerically.
+    exact synthetic division by eta - 1, then by eta + 1, never numerically.
     """
     if not p:
         raise ZeroPolynomialError("zero input")
-    k_minus = 0
-    while True:
-        q, r = p.div_one_minus_eta()
-        if r:
-            break
-        p, k_minus = q, k_minus + 1
-    k_plus = 0
-    while True:
-        q, r = p.div_one_plus_eta()
-        if r:
-            break
-        p, k_plus = q, k_plus + 1
-    return k_minus, k_plus, p
+    cs, ks = p.coeffs, []
+    for root in (1, -1):
+        k = 0
+        while len(cs) > 1:
+            q, acc = [None] * (len(cs) - 1), cs[-1]
+            for i in range(len(cs) - 2, -1, -1):
+                q[i] = acc
+                acc = cs[i] + acc if root == 1 else cs[i] - acc
+            if acc:
+                break
+            cs, k = q, k + 1
+        ks.append(k)
+    # (1 - eta)^k = (-1)^k (eta - 1)^k
+    core = EtaPoly(cs) if ks[0] % 2 == 0 else EtaPoly([-c for c in cs])
+    return ks[0], ks[1], core
 
 
 # ---------------------------------------------------------------------------
@@ -923,38 +876,25 @@ def sturm_count(p, lo, hi):
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("empty interval")
-    f = list(p.coeffs)
-    if len(f) == 1:
-        return 0
-    df = _u_trim([c * k for k, c in enumerate(f) if k])
-    g = _u_gcd(f, df)
-    if len(g) > 1:
-        f = _u_exact_div(f, g)
+    f = _exact_quo(p, _gcd(p, p.deriv()))
     for pt in (lo, hi):
-        while len(f) > 1 and not _u_eval(f, pt):
-            f = _u_exact_div(f, [-pt, _F1])
-    if len(f) == 1:
+        while f.degree > 0 and not f.eval_at(pt):
+            f = _exact_quo(f, EtaPoly((-pt, _F1)))
+    if f.degree < 1:
         return 0
-    chain = [f, _u_trim([c * k for k, c in enumerate(f) if k])]
-    while len(chain[-1]) > 1:
-        r = _u_divmod(chain[-2], chain[-1])[1]
+    chain = [f, f.deriv()]
+    while chain[-1].degree > 0:
+        r = divmod(chain[-2], chain[-1])[1]
         if not r:
             break
-        chain.append([-c for c in r])
+        chain.append(-r)
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)
-
-
-def _u_eval(p, v):
-    out = _F0
-    for c in reversed(p):
-        out = out * v + c
-    return out
 
 
 def _sign_changes(chain, x):
     signs = []
     for p in chain:
-        v = _u_eval(p, x)
+        v = p.eval_at(x)
         if v:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)

@@ -256,8 +256,8 @@ def _check_ledger_identity(t_before, t_after, ledger, instantiate):
         point = None
         mode = "symbolic"
     else:
-        point = DEFAULT_GENERIC_POINT if instantiate is None else instantiate
-        gv, hv = require_generic(*point)
+        gv, hv = point = require_generic(
+            *(DEFAULT_GENERIC_POINT if instantiate is None else instantiate))
         lhs = wronskian(t_before, inst=(gv, hv))
         moved = wronskian(t_after, inst=(gv + ledger.dg, hv + ledger.dh))
         rhs = QuasiPoly(moved.expS + ledger.prefS.eval_at(gv, hv),

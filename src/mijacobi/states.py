@@ -60,8 +60,16 @@ class NonGenericParametersError(ValueError):
 DEFAULT_GENERIC_POINT = (Fraction(37, 10), Fraction(52, 7))
 
 
+def _exact_point(gv, hv):
+    """(gv, hv) as Fractions; TypeError unless each is an int or a Fraction."""
+    if not (isinstance(gv, (int, Fraction)) and isinstance(hv, (int, Fraction))):
+        raise TypeError("parameter values must be ints or Fractions, got %r, %r"
+                        % (gv, hv))
+    return Fraction(gv), Fraction(hv)
+
+
 def is_generic(gv, hv):
-    gv, hv = Fraction(gv), Fraction(hv)
+    gv, hv = _exact_point(gv, hv)
     if (gv + hv).denominator == 1 or (gv - hv).denominator == 1:
         return False
     if (gv - Fraction(1, 2)).denominator == 1 or (hv - Fraction(1, 2)).denominator == 1:
@@ -74,7 +82,7 @@ def require_generic(gv, hv):
         raise NonGenericParametersError(
             "excluded parameter values: need g +/- h not integral and g, h "
             "not half-odd integers, got g=%s h=%s" % (gv, hv))
-    return Fraction(gv), Fraction(hv)
+    return _exact_point(gv, hv)
 
 
 class StateType(enum.Enum):
@@ -254,9 +262,8 @@ def _exponents(state_type, inst):
         eg, eh = AffineExp(1, 0, _F0), AffineExp(0, 1, _F0)
         g, h = P_G, P_H
     else:
-        gv, hv = inst
-        eg, eh = AffineExp.const(gv), AffineExp.const(hv)
-        g, h = Fraction(gv), Fraction(hv)
+        g, h = _exact_point(*inst)
+        eg, eh = AffineExp.const(g), AffineExp.const(h)
     half = Fraction(1, 2)
     if state_type is StateType.N:
         return eg, eh, g - half, h - half
@@ -321,7 +328,7 @@ def potential(inst=None):
     if inst is None:
         g, h = P_G, P_H
     else:
-        g, h = Fraction(inst[0]), Fraction(inst[1])
+        g, h = _exact_point(*inst)
 
     def term(c, den):
         return QuasiRat.make(AffineExp(), AffineExp(), EtaPoly((c,)), den)

@@ -7,6 +7,7 @@ import pytest
 from mijacobi.algebra import (
     AffineExp,
     EtaPoly,
+    ONE_MINUS_ETA,
     ParamPoly,
     ParamRat,
     ZeroPolynomialError,
@@ -117,6 +118,27 @@ class TestParamPoly:
         assert parampoly_gcd(a, b) == G + H
         assert parampoly_gcd(G * 2, ParamPoly.const(2)) == ONE
 
+    def test_gcd_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        g, h = sympy.symbols("g h")
+        rng = seeded(23)
+
+        def rand_poly(max_deg):
+            return ParamPoly({(rng.randint(0, max_deg), rng.randint(0, max_deg)):
+                              F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+                              for _ in range(rng.randint(1, 4))})
+
+        def to_sympy(p):
+            return sum(sympy.Rational(c.numerator, c.denominator) * g ** i * h ** j
+                       for (i, j), c in p.terms.items())
+
+        for _ in range(40):
+            a, b, c = rand_poly(2), rand_poly(2), rand_poly(2)
+            want = sympy.Poly(sympy.gcd(to_sympy(a * c), to_sympy(b * c)), g, h)
+            want = want.mul_ground(1 / want.LC(order="grlex"))
+            assert parampoly_gcd(a * c, b * c) == ParamPoly(
+                {key: F(int(v.p), int(v.q)) for key, v in want.as_dict().items()})
+
 
 class TestParamRat:
     def test_reduction(self):
@@ -172,6 +194,21 @@ class TestEtaPoly:
         assert (a * b).coeffs == (G * H, G * G + H * H, G * H)
         assert a.shift_params(1, -1) == EtaPoly((G + 1, H - 1))
         assert a.instantiate(2, 3) == EtaPoly((F(2), F(3)))
+
+    def test_divmod(self):
+        rng = seeded(21)
+        for _ in range(30):
+            a = EtaPoly([random_rational(rng) for _ in range(rng.randint(0, 7))])
+            b = EtaPoly([random_rational(rng) for _ in range(rng.randint(0, 3))]
+                        + [random_rational(rng) or F(1)])
+            q, r = divmod(a, b)
+            assert q * b + r == a and r.degree < b.degree
+            assert divmod(a * b, b) == (a, EtaPoly.zero())
+        with pytest.raises(ZeroDivisionError):
+            divmod(EtaPoly((F(1), F(2))), EtaPoly.zero())
+        # ParamPoly coefficients over a Fraction divisor, as for the edge factors
+        q, r = divmod(EtaPoly((G, H, G * H)), ONE_MINUS_ETA)
+        assert q == EtaPoly((-H - G * H, -G * H)) and r == EtaPoly((G + H + G * H,))
 
 
 class TestEdgeFactors:
@@ -322,6 +359,11 @@ class TestSturm:
         # roots exactly at the endpoints must not count
         p = EtaPoly((F(-1), F(0), F(1)))  # (eta-1)(eta+1)
         assert sturm_count(p, F(-1), F(1)) == 0
+        # (eta-1)^3 (eta+1)(eta-1/2): a repeated endpoint root next to an
+        # interior one
+        m = EtaPoly((F(-1), F(1)))
+        p = m * m * m * EtaPoly((F(1), F(1))) * EtaPoly((F(-1, 2), F(1)))
+        assert sturm_count(p, F(-1), F(1)) == 1
 
     def test_repeated_roots_counted_once(self):
         # (eta - 1/2)^2 (eta + 1/3)

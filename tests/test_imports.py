@@ -1,6 +1,6 @@
 """Source hygiene: every name a package module imports is used in it, every
-module-level private function is used somewhere in the package, and no
-module uses floating point."""
+module-level private function and private method is used somewhere in the
+package, and no module uses floating point."""
 
 import ast
 from collections import Counter
@@ -35,22 +35,33 @@ def _mentions(node):
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _functions(tree):
+    """The module-level functions of tree and the methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from (n for n in node.body if isinstance(n, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            yield node
+
+
 def unused_private_functions(sources):
-    """(module, name) of each module-level _private function that no module
-    of sources {module: source} mentions outside the function's own def."""
+    """(module, name) of each module-level _private function or _private
+    method of a module-level class that no module of sources {module: source}
+    mentions outside the function's own def."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     total = sum((_mentions(tree) for tree in trees.values()), Counter())
-    return sorted((name, node.name) for name, tree in trees.items() for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    return sorted((name, node.name) for name, tree in trees.items()
+                  for node in _functions(tree) if node.name.startswith("_")
                   and not node.name.startswith("__")
                   and total[node.name] == _mentions(node)[node.name])
 
 
 def test_unused_private_functions_found():
     sources = {"a": "def _used():\n    return _used()\n\n"
-                    "def _dead(x):\n    return _dead(x - 1)\n",
+                    "def _dead(x):\n    return _dead(x - 1)\n\n"
+                    "class C:\n    def _gone(self):\n        return self._gone()\n",
                "b": "from a import _used\nprint(_used)\n"}
-    assert unused_private_functions(sources) == [("a", "_dead")]
+    assert unused_private_functions(sources) == [("a", "_dead"), ("a", "_gone")]
 
 
 def test_no_unused_private_functions():

@@ -19,7 +19,9 @@ from mijacobi.maya import (
     verify_move_identity,
     verify_reduction,
 )
+from mijacobi.spectral import check_nonsingular
 from mijacobi.states import NonGenericParametersError, StateTuple
+from mijacobi.wronskian import wronskian
 from helpers import (
     GENERIC_POINTS,
     closed_form_ledger,
@@ -243,6 +245,22 @@ class TestVerifyIdentities:
         with pytest.raises(NonGenericParametersError):
             verify_move_identity(parse_states("I1,II2,III1,N0,N1,N2"),
                                  "second", "left", instantiate=(F(3, 2), F(5, 7)))
+
+    def test_float_point_rejected(self):
+        # a float would be converted to the binary fraction nearest it
+        t = parse_states("I1,II2,III1")
+        with pytest.raises(TypeError):
+            wronskian(t, inst=(0.1, 0.3))
+        with pytest.raises(TypeError):
+            verify_reduction(t, "IN", instantiate=(3.7, 7.4))
+        with pytest.raises(TypeError):
+            check_nonsingular(t, 3.7, F(52, 7))
+
+    def test_point_reported_as_used(self):
+        rep = verify_reduction(parse_states("I1,II2,III1"), "IN",
+                               instantiate=(4, F(52, 7)))
+        assert rep.proportional and rep.point == (F(4), F(52, 7))
+        assert all(type(v) is F for v in rep.point)
 
 
 class TestCanonicalForm:
