@@ -39,6 +39,14 @@ class ZeroPolynomialError(ValueError):
     """Raised when an operation requires a nonzero polynomial."""
 
 
+def _exact_point(gv, hv):
+    """(gv, hv) as Fractions; TypeError unless each is an int or a Fraction."""
+    if not (isinstance(gv, (int, Fraction)) and isinstance(hv, (int, Fraction))):
+        raise TypeError("parameter values must be ints or Fractions, got %r, %r"
+                        % (gv, hv))
+    return Fraction(gv), Fraction(hv)
+
+
 def _grlex(key):
     i, j = key
     return (i + j, i)
@@ -223,7 +231,7 @@ class ParamPoly:
         return _raw_parampoly({k: Fraction(v, s) for k, v in out.items() if v})
 
     def eval_at(self, gv, hv):
-        gv, hv = Fraction(gv), Fraction(hv)
+        gv, hv = _exact_point(gv, hv)
         total = _F0
         gpow, hpow = {0: _F1}, {0: _F1}
         for (i, j), c in self.terms.items():
@@ -541,7 +549,8 @@ class AffineExp:
         return AffineExp(self.cg, self.ch, self.c0 + self.cg * dg + self.ch * dh)
 
     def eval_at(self, gv, hv):
-        return self.cg * Fraction(gv) + self.ch * Fraction(hv) + self.c0
+        gv, hv = _exact_point(gv, hv)
+        return self.cg * gv + self.ch * hv + self.c0
 
     def as_parampoly(self):
         return _raw_parampoly(
@@ -707,6 +716,7 @@ class EtaPoly:
             c if isinstance(c, Fraction) else c.shift(dg, dh) for c in self.coeffs))
 
     def instantiate(self, gv, hv):
+        gv, hv = _exact_point(gv, hv)
         return EtaPoly(tuple(
             c if isinstance(c, Fraction) else c.eval_at(gv, hv) for c in self.coeffs))
 

@@ -32,7 +32,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .algebra import (
     AffineExp,
@@ -43,8 +43,9 @@ from .algebra import (
     ParamPoly,
     P_G,
     P_H,
-    _F0,
+    P_ONE,
     _F1,
+    _exact_point,
 )
 
 
@@ -58,14 +59,6 @@ class NonGenericParametersError(ValueError):
 
 #: Generic rational point used by verification routines when none is given.
 DEFAULT_GENERIC_POINT = (Fraction(37, 10), Fraction(52, 7))
-
-
-def _exact_point(gv, hv):
-    """(gv, hv) as Fractions; TypeError unless each is an int or a Fraction."""
-    if not (isinstance(gv, (int, Fraction)) and isinstance(hv, (int, Fraction))):
-        raise TypeError("parameter values must be ints or Fractions, got %r, %r"
-                        % (gv, hv))
-    return Fraction(gv), Fraction(hv)
 
 
 def is_generic(gv, hv):
@@ -212,23 +205,40 @@ def pochhammer(base, k):
 def jacobi_poly(n, alpha, beta):
     """Jacobi polynomial P_n^(alpha, beta) in eta.
 
-    Computed from the cancelled hypergeometric sum: the coefficient of
-    ((1-eta)/2)^k is (-1)^k (alpha+k+1)_{n-k} (n+alpha+beta+1)_k / ((n-k)! k!),
-    which keeps the coefficients polynomial in (alpha, beta).  alpha and beta
-    may be ParamPolys (symbolic) or Fractions (instantiated).
+    With d the lcm of the denominators of alpha and beta, a = d*alpha and
+    s = d*(alpha+beta), the cancelled hypergeometric sum is
+
+        P = sum_k (-1)^k C(n,k) 2^(n-k) prod_{i=k+1..n} (a + d*i)
+                * prod_{i=1..k} (s + d*(n+i)) * (1-eta)^k / (d^n n! 2^n).
+
+    Everything before the one division at the end is an integer at an
+    instantiated point and an integer-coefficient ParamPoly in symbolic
+    mode.  alpha and beta may be ParamPolys (symbolic) or ints and Fractions
+    (instantiated).
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    coeffs = [_F0] * (n + 1)
+    if isinstance(alpha, ParamPoly) or isinstance(beta, ParamPoly):
+        alpha, beta = ParamPoly._coerce(alpha), ParamPoly._coerce(beta)
+        d = lcm(*(c.denominator for p in (alpha, beta) for c in p.terms.values()))
+        a, s, one = alpha.scale(d), (alpha + beta).scale(d), P_ONE
+    else:
+        alpha, beta = Fraction(alpha), Fraction(beta)
+        d = lcm(alpha.denominator, beta.denominator)
+        a, s, one = int(alpha * d), int((alpha + beta) * d), 1
+    tail = [one] * (n + 1)  # tail[k] = prod_{i=k+1..n} (a + d*i)
+    for k in range(n - 1, -1, -1):
+        tail[k] = tail[k + 1] * (a + d * (k + 1))
+    coeffs, head = [0] * (n + 1), one  # head = prod_{i=1..k} (s + d*(n+i))
     for k in range(n + 1):
-        ck = pochhammer(alpha + k + 1, n - k) * pochhammer(n + alpha + beta + 1, k)
-        ck = ck * Fraction((-1) ** k, factorial(n - k) * factorial(k))
-        scale = Fraction(1, 2 ** k)
+        if k:
+            head = head * (s + d * (n + k))
+        t = tail[k] * head * ((-1) ** k * comb(n, k) * 2 ** (n - k))
         for m in range(k + 1):
-            # ((1-eta)/2)^k contributes (-1)^m C(k,m)/2^k at eta^m
-            c = ck * (scale * Fraction((-1) ** m) * comb(k, m))
-            coeffs[m] = coeffs[m] + c
-    return EtaPoly(coeffs)
+            # (1-eta)^k contributes (-1)^m C(k,m) at eta^m
+            coeffs[m] = coeffs[m] + t * ((-1) ** m * comb(k, m))
+    inv = Fraction(1, d ** n * factorial(n) * 2 ** n)
+    return EtaPoly(tuple(inv * c for c in coeffs))
 
 
 @dataclass(frozen=True)
@@ -259,7 +269,7 @@ class QuasiPoly:
 def _exponents(state_type, inst):
     one = _F1
     if inst is None:
-        eg, eh = AffineExp(1, 0, _F0), AffineExp(0, 1, _F0)
+        eg, eh = AffineExp(1, 0), AffineExp(0, 1)
         g, h = P_G, P_H
     else:
         g, h = _exact_point(*inst)

@@ -13,13 +13,15 @@ Q_{i,j}(eta), so
     W = s^(sum a_j - N(N-1)/2) c^(sum b_j - N(N-1)/2) det(Q_{i,j}).
 
 The determinant is computed exactly by one fraction-free Bareiss elimination
-over Z[eta] on dense lists of ints, with every row cleared of denominators
-first.  At an instantiated point each eta-coefficient is an integer; in
-symbolic mode it is a polynomial in (g, h), packed into one int by Kronecker
-substitution.  The result is canonicalized by pulling all (1 -/+ eta)
-factors into the exponents.  The eta-polynomial left over is the object of
-interest: for tuples of well states it is a (multi-indexed) Jacobi-type
-polynomial.
+over Z[eta] on dense lists of ints.  At an instantiated point the Wronskian
+is one integer pipeline: each input is cleared of denominators once, its
+derivatives follow an integer form of the rule above, and the (1 -/+ eta)
+factors come off the integer determinant before one division by the
+scales.  In symbolic mode every row is cleared and each eta-coefficient, a
+polynomial in (g, h), is packed into one int by Kronecker substitution.  The
+result is canonicalized by pulling all (1 -/+ eta) factors into the
+exponents.  The eta-polynomial left over is the object of interest: for
+tuples of well states it is a (multi-indexed) Jacobi-type polynomial.
 """
 
 from __future__ import annotations
@@ -89,13 +91,14 @@ def canonicalize(r):
 
     (1-eta)^k = 2^k sin^(2k) x and (1+eta)^k = 2^k cos^(2k) x, so each
     extracted factor raises the matching exponent by 2 and scales the core
-    by 2.
+    by 2.  An int-coefficient poly (the integer determinant at a point)
+    keeps int coefficients.
     """
     if not r.poly:
         raise WronskianZeroError("zero Wronskian")
     k_minus, k_plus, core = extract_edge_factors(r.poly)
     if k_minus or k_plus:
-        core = core.scale(Fraction(2 ** (k_minus + k_plus)))
+        core = core.scale(2 ** (k_minus + k_plus))
     return QuasiPoly(r.expS + 2 * k_minus, r.expC + 2 * k_plus, core)
 
 
@@ -190,9 +193,11 @@ def det_poly_matrix(mat):
     """Exact determinant of a square EtaPoly matrix, by Bareiss elimination
     over Z[eta] on dense lists of ints.
 
-    Each row is scaled by the lcm of its denominators, and the result is
-    divided by the product of the row scales once.  At a point each
-    eta-coefficient is its scaled Fraction numerator.  In symbolic mode each
+    A matrix of int coefficients (the cleared Wronskian matrix at a point)
+    gives its int-coefficient determinant as it is.  Otherwise each row is
+    scaled by the lcm of its denominators, and the result is divided by the
+    product of the row scales once.  With Fraction coefficients each
+    eta-coefficient is its scaled numerator.  In symbolic mode each
     eta-coefficient, a polynomial in (g, h), is packed into one int (see
     algebra._pack) with a g-degree bound and a slot width that hold for the
     coefficients of every minor: the width is 2 bits above the Hadamard-type
@@ -204,6 +209,9 @@ def det_poly_matrix(mat):
     n = len(mat)
     if n == 0:
         return EtaPoly.const(_F1)
+    if all(type(c) is int for row in mat for e in row for c in e.coeffs):
+        sign, det = _bareiss([[list(e.coeffs) for e in row] for row in mat])
+        return EtaPoly([sign * c for c in det])
     rows, scale = [], 1
     if all(isinstance(c, Fraction) for row in mat for e in row for c in e.coeffs):
         for row in mat:
@@ -229,27 +237,66 @@ def det_poly_matrix(mat):
                          for c in det))
 
 
+def _point_matrix(quasis):
+    """(int EtaPoly Wronskian matrix, its scale) of instantiated quasis.
+
+    Column j is cleared once by d_j, the lcm of its denominators.  With L
+    the lcm of the denominators of all (a-b)/2 and (a+b)/2 (a, b the sin and
+    cos exponents, which each derivative lowers by 1), L times the eta-part
+    of a derivative is c0*Q + c1*eta*Q - L*(1-eta^2)*Q' with integers
+    c0 = L(a-b)/2 and c1 = L(a+b)/2.  Row i carries L^i, so the scale is
+    L^(n(n-1)/2) * prod_j d_j.
+    """
+    n = len(quasis)
+    halves = [_half_split(q.expS, q.expC) for q in quasis]
+    big = lcm(*(h.denominator for pair in halves for h in pair))
+    cols, scale = [], big ** (n * (n - 1) // 2)
+    for q, (h0, h1) in zip(quasis, halves):
+        d = lcm(*(c.denominator for c in q.poly.coeffs))
+        p = [c.numerator * (d // c.denominator) for c in q.poly.coeffs]
+        c0, c1 = int(h0 * big), int(h1 * big)
+        col = [p]
+        for _ in range(1, n):
+            nxt = [0] * (len(p) + 1)
+            for k, c in enumerate(p):
+                nxt[k] += c0 * c
+                nxt[k + 1] += (c1 + big * k) * c
+                if k:
+                    nxt[k - 1] -= big * k * c
+            while nxt and not nxt[-1]:
+                nxt.pop()
+            p, c1 = nxt, c1 - big
+            col.append(p)
+        cols.append(col)
+        scale *= d
+    return [[EtaPoly(col[i]) for col in cols] for i in range(n)], scale
+
+
 def wronskian_of_quasis(quasis):
-    """Wronskian of arbitrary quasi-polynomials, canonicalized."""
+    """Wronskian of arbitrary quasi-polynomials, canonicalized.
+
+    Instantiated inputs (constant exponents, Fraction coefficients) take the
+    integer route of _point_matrix.
+    """
     quasis = list(quasis)
     n = len(quasis)
     if n == 0:
         return QuasiPoly(AffineExp(), AffineExp(), EtaPoly.const(_F1))
-    cols = []
-    exp_s = exp_c = AffineExp()
-    for q in quasis:
-        col = [q.poly]
-        cur = q
-        for _ in range(1, n):
-            cur = differentiate(cur)
-            col.append(cur.poly)
-        cols.append(col)
-        exp_s = exp_s + q.expS
-        exp_c = exp_c + q.expC
-    mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    det = det_poly_matrix(mat)
     off = Fraction(n * (n - 1), 2)
-    return canonicalize(RawQuasi(exp_s - off, exp_c - off, det))
+    exp_s = sum((q.expS for q in quasis), AffineExp()) - off
+    exp_c = sum((q.expC for q in quasis), AffineExp()) - off
+    if all(q.expS.is_constant and q.expC.is_constant
+           and all(isinstance(c, Fraction) for c in q.poly.coeffs) for q in quasis):
+        mat, scale = _point_matrix(quasis)
+        raw = RawQuasi(exp_s, exp_c, det_poly_matrix(mat))
+        return canonicalize(raw).scale_poly(Fraction(1, scale))
+    cols = []
+    for q in quasis:
+        cols.append([q])
+        for _ in range(1, n):
+            cols[-1].append(differentiate(cols[-1][-1]))
+    mat = [[col[i].poly for col in cols] for i in range(n)]
+    return canonicalize(RawQuasi(exp_s, exp_c, det_poly_matrix(mat)))
 
 
 def wronskian(t, inst=None):

@@ -155,6 +155,23 @@ class TestParamRat:
         assert r.eval_at(3, 1) == 1
 
 
+class TestFloatPointsRejected:
+    # A float would otherwise be read as its binary fraction, e.g.
+    # G.eval_at(0.1, 0) == 3602879701896397/36028797018963968.
+    @pytest.mark.parametrize("evaluate", [
+        lambda gv, hv: (G * H + G * 2 - 1).eval_at(gv, hv),
+        lambda gv, hv: ParamRat(G - 1, H + 1).eval_at(gv, hv),
+        lambda gv, hv: AffineExp(1, -2, F(1, 2)).eval_at(gv, hv),
+        lambda gv, hv: EtaPoly((G, F(3), H * 2)).instantiate(gv, hv),
+        lambda gv, hv: EtaPoly((F(1, 2), F(3))).instantiate(gv, hv),
+    ], ids=["ParamPoly", "ParamRat", "AffineExp", "EtaPoly", "EtaPoly-instantiated"])
+    def test_float_raises_exact_agrees(self, evaluate):
+        for gv, hv in ((0.1, 0), (3, 0.5), (F(1, 3), 2.0)):
+            with pytest.raises(TypeError):
+                evaluate(gv, hv)
+        assert evaluate(F(7, 3), 2) == evaluate(F(7, 3), F(2))
+
+
 class TestAffineExp:
     def test_render(self):
         assert str(AffineExp(-5, 0, 15)) == "15 - 5g"

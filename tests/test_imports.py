@@ -1,6 +1,6 @@
 """Source hygiene: every name a package module imports is used in it, every
 module-level private function and private method is used somewhere in the
-package, and no module uses floating point."""
+package, no module uses floating point, and none memoises."""
 
 import ast
 from collections import Counter
@@ -97,4 +97,32 @@ def test_float_uses_found():
 
 def test_no_floats_in_engine():
     found = {path.name: float_uses(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert found and {name: u for name, u in found.items() if u} == {}
+
+
+CACHE_NAMES = {"cache", "lru_cache", "cached_property"}
+
+
+def cache_uses(source):
+    """(line, name) of each import from functools and each attribute that is
+    one of CACHE_NAMES: a memo kept across calls would let a benchmark that
+    repeats its ops time the repeats instead of the engine."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name in CACHE_NAMES or a.name == "*"]
+        elif isinstance(node, ast.Attribute) and node.attr in CACHE_NAMES:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_cache_uses_found():
+    source = ("from functools import lru_cache as memo, reduce\n"
+              "f = functools.cache(g) or ft.cached_property(h)\n")
+    assert cache_uses(source) == [(1, "lru_cache"), (2, "cache"), (2, "cached_property")]
+
+
+def test_no_memoisation_in_engine():
+    found = {path.name: cache_uses(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert found and {name: u for name, u in found.items() if u} == {}

@@ -22,7 +22,7 @@ from mijacobi.states import (
     potential,
     require_generic,
 )
-from helpers import GENERIC_POINTS
+from helpers import GENERIC_POINTS, random_rational, seeded
 
 G = ParamPoly.gen_g()
 H = ParamPoly.gen_h()
@@ -65,6 +65,49 @@ class TestJacobi:
                 p = jacobi_poly(n, alpha, beta)
                 assert p.degree == n
                 assert p.lc  # nonzero ParamPoly
+
+
+HALF = F(1, 2)
+# (alpha, beta) of the four families, as functions of g and of h
+FAMILIES = [(lambda g: g - HALF, lambda h: h - HALF),
+            (lambda g: g - HALF, lambda h: HALF - h),
+            (lambda g: HALF - g, lambda h: h - HALF),
+            (lambda g: HALF - g, lambda h: HALF - h)]
+
+
+class TestJacobiSum:
+    def test_matches_sympy_at_rational_parameters(self):
+        sympy = pytest.importorskip("sympy")
+        rng = seeded(41)
+        x = sympy.Symbol("x")
+        for n in range(10):
+            for _ in range(3):
+                alpha = beta = random_rational(rng, 30, 9)
+                # sympy.jacobi divides by zero when alpha + beta is a negative integer
+                while (alpha + beta).denominator == 1:
+                    beta = random_rational(rng, 30, 9)
+                a, b = (sympy.Rational(v.numerator, v.denominator) for v in (alpha, beta))
+                want = sympy.Poly(sympy.jacobi(n, a, b, x), x)
+                coeffs = [F(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())]
+                assert jacobi_poly(n, alpha, beta) == EtaPoly(coeffs), (n, alpha, beta)
+
+    def test_symbolic_instantiates_to_point(self):
+        for n in range(8):
+            for fa, fb in FAMILIES:
+                sym = jacobi_poly(n, fa(G), fb(H))
+                for gv, hv in GENERIC_POINTS[:3]:
+                    assert sym.instantiate(gv, hv) == jacobi_poly(n, fa(gv), fb(hv))
+
+    def test_coefficient_type_follows_the_mode(self):
+        for n in range(5):
+            for alpha, beta in [(G, H), (G - F(1, 2), F(3, 4)), (F(1, 3), H * 2)]:
+                p = jacobi_poly(n, alpha, beta)
+                assert p.degree == n
+                assert all(type(c) is ParamPoly for c in p.coeffs)
+            for alpha, beta in [(F(1, 3), F(-5, 2)), (2, 0)]:
+                p = jacobi_poly(n, alpha, beta)
+                assert p.degree == n
+                assert all(type(c) is F for c in p.coeffs)
 
 
 class TestMakeState:

@@ -8,7 +8,14 @@ import mpmath as mp
 import pytest
 
 from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly, ParamRat, _pack
-from mijacobi.states import State, StateTuple, StateType, make_state, parse_state
+from mijacobi.states import (
+    QuasiPoly,
+    State,
+    StateTuple,
+    StateType,
+    make_state,
+    parse_state,
+)
 from mijacobi.wronskian import (
     RawQuasi,
     WronskianZeroError,
@@ -29,6 +36,7 @@ from helpers import (
     leibniz_det,
     numeric_wronskian,
     quasi_value,
+    random_generic_point,
     random_rational,
     random_tuple,
     seeded,
@@ -362,6 +370,78 @@ class TestComposition:
             pt = rng.choice(GENERIC_POINTS)
             assert wronskian_compose_check(base, f, g2, inst=pt)
             done += 1
+
+
+def fraction_route(quasis):
+    """Wronskian by Fraction arithmetic: differentiate columns, Leibniz
+    determinant, canonicalize; none of the integer point route."""
+    n = len(quasis)
+    cols = []
+    for q in quasis:
+        cols.append([q])
+        for _ in range(1, n):
+            cols[-1].append(differentiate(cols[-1][-1]))
+    det = leibniz_det([[col[i].poly for col in cols] for i in range(n)])
+    off = F(n * (n - 1), 2)
+    return canonicalize(RawQuasi(sum((q.expS for q in quasis), AffineExp()) - off,
+                                 sum((q.expC for q in quasis), AffineExp()) - off, det))
+
+
+def assert_point_result(got, want):
+    assert got == want
+    assert got.expS.is_constant and got.expC.is_constant
+    assert all(type(c) is F for c in got.poly.coeffs)
+
+
+class TestIntegerPointRoute:
+    def test_wronskians_as_inputs(self, monkeypatch):
+        # Wronskian exponents (e.g. 2g - 1) have other denominators than g, h.
+        rng = seeded(31)
+        cases = []
+        for _ in range(4):
+            pt = random_generic_point(rng)
+            t = random_tuple(rng, 5, 3, min_size=5)
+            cases.append([wronskian(t[:2], inst=pt), wronskian(t[2:4], inst=pt),
+                          make_state(t[4], inst=pt)])
+        want = [fraction_route(quasis) for quasis in cases]
+        # the integer route takes no Fraction derivative
+        monkeypatch.setattr(sys.modules["mijacobi.wronskian"], "differentiate", None)
+        for quasis, w in zip(cases, want):
+            assert_point_result(wronskian_of_quasis(quasis), w)
+
+    def test_one_by_one(self):
+        pt = GENERIC_POINTS[1]
+        edges = QuasiPoly(AffineExp.const(F(1, 3)), AffineExp.const(F(-2, 5)),
+                          EtaPoly((F(3, 4), F(0), F(-3, 4))))  # 3/4 (1-eta)(1+eta)
+        for q in [make_state(parse_state("N0"), inst=pt),
+                  make_state(parse_state("III3"), inst=pt), edges]:
+            assert_point_result(wronskian_of_quasis([q]), fraction_route([q]))
+        w = wronskian_of_quasis([edges])
+        assert w.poly == EtaPoly((F(3),))
+        assert (w.expS, w.expC) == (AffineExp.const(F(7, 3)), AffineExp.const(F(8, 5)))
+
+    def test_zero_polynomial_raises(self):
+        zero = QuasiPoly(AffineExp.const(F(1, 3)), AffineExp.const(F(2)), EtaPoly())
+        state = make_state(parse_state("I1"), inst=GENERIC_POINTS[0])
+        for quasis in ([zero], [state, zero], [zero, state]):
+            with pytest.raises(WronskianZeroError):
+                wronskian_of_quasis(quasis)
+
+    def test_non_generic_point_raises(self):
+        # at h = 1/2, I0 = s^g c^(1-h) and N0 = s^g c^h are one function
+        with pytest.raises(WronskianZeroError):
+            wronskian(StateTuple([parse_state("I0"), parse_state("N0")]),
+                      inst=(F(37, 10), F(1, 2)))
+
+    def test_compose_check_at_seeded_points(self):
+        rng = seeded(37)
+        base = [parse_state("I1"), parse_state("II2")]
+        f, g2 = parse_state("III1"), parse_state("N2")
+        for _ in range(3):
+            pt = random_generic_point(rng)
+            assert wronskian_compose_check(base, f, g2, inst=pt)
+            u, v = (wronskian(StateTuple(base + [s]), inst=pt) for s in (f, g2))
+            assert_point_result(wronskian_of_quasis([u, v]), fraction_route([u, v]))
 
 
 class TestNumericOracle:
