@@ -34,7 +34,6 @@ from .states import (
     make_state,
     pairing,
     parse_state,
-    pochhammer,
     potential,
     require_generic,
 )

@@ -3,9 +3,11 @@
 Everything downstream is built from four value types, all exact over Q:
 
   ParamPoly  bivariate polynomial in the two potential parameters (g, h),
-             stored sparsely as {(deg_g, deg_h): Fraction} with no zero
+             stored sparsely as {(deg_g, deg_h): coefficient} with no zero
              coefficients; the canonical term order is graded lexicographic
-             with g > h.
+             with g > h.  Public values hold Fractions.  Arithmetic keeps
+             int coefficients ints, so the integer Wronskian pipeline runs
+             on int-coefficient ParamPolys until its one final division.
   ParamRat   quotient of two ParamPolys, gcd-reduced, denominator scaled to
              have leading rational 1 under the term order; the value type
              of a symbolic proportionality constant, with no arithmetic.
@@ -126,6 +128,19 @@ class ParamPoly:
     def leading_coeff(self):
         return self.terms[self.leading_key()]
 
+    @property
+    def denominator(self):
+        """The lcm of the coefficients' denominators; 1 for int coefficients."""
+        return lcm(*(c.denominator for c in self.terms.values()))
+
+    @property
+    def numerator(self):
+        """denominator * self with int coefficients, so that, as for a
+        Fraction, self = numerator / denominator in lowest terms."""
+        d = self.denominator
+        return _raw_parampoly({k: c.numerator * (d // c.denominator)
+                               for k, c in self.terms.items()})
+
     # -- arithmetic ---------------------------------------------------------
 
     @staticmethod
@@ -133,7 +148,7 @@ class ParamPoly:
         if isinstance(x, ParamPoly):
             return x
         if isinstance(x, (int, Fraction)):
-            return ParamPoly.const(x)
+            return _raw_parampoly({(0, 0): x} if x else {})
         return None
 
     def __add__(self, other):
@@ -142,7 +157,7 @@ class ParamPoly:
             return NotImplemented
         out = dict(self.terms)
         for k, c in o.terms.items():
-            nc = out.get(k, _F0) + c
+            nc = out.get(k, 0) + c
             if nc:
                 out[k] = nc
             else:
@@ -175,7 +190,7 @@ class ParamPoly:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 k = (i1 + i2, j1 + j2)
-                nc = out.get(k, _F0) + c1 * c2
+                nc = out.get(k, 0) + c1 * c2
                 if nc:
                     out[k] = nc
                 else:
@@ -185,7 +200,6 @@ class ParamPoly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = Fraction(c)
         if not c:
             return ParamPoly()
         return _raw_parampoly({k: v * c for k, v in self.terms.items()})
@@ -212,17 +226,16 @@ class ParamPoly:
     def shift(self, dg, dh):
         """Substitute g -> g + dg, h -> h + dh (integer shifts), exactly.
 
-        The sums run over integers, on the terms scaled by the lcm s of
-        their denominators.
+        The sums run over integers, on the numerator; the result is divided
+        by the denominator s once.
         """
-        s = lcm(*(c.denominator for c in self.terms.values()))
+        s = self.denominator
         pg = [[comb(i, a) * dg ** (i - a) for a in range(i + 1)]
               for i in range(1 + max((i for i, _ in self.terms), default=0))]
         ph = [[comb(j, b) * dh ** (j - b) for b in range(j + 1)]
               for j in range(1 + max((j for _, j in self.terms), default=0))]
         out = {}
-        for (i, j), c in self.terms.items():
-            n = c.numerator * (s // c.denominator)
+        for (i, j), n in self.numerator.terms.items():
             for a, ca in enumerate(pg[i]):
                 if ca:
                     for b, cb in enumerate(ph[j]):
@@ -247,17 +260,17 @@ class ParamPoly:
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
         if other.is_constant:
-            return self.scale(1 / other.constant_value())
+            return self.scale(_F1 / other.constant_value())
         rem = dict(self.terms)
         out = {}
         lk = other.leading_key()
-        lc = other.terms[lk]
+        inv = _F1 / other.terms[lk]
         while rem:
             rk = max(rem, key=_grlex)
             di, dj = rk[0] - lk[0], rk[1] - lk[1]
             if di < 0 or dj < 0:
                 raise ValueError("polynomial division is not exact")
-            q = rem[rk] / lc
+            q = rem[rk] * inv
             out[(di, dj)] = q
             for (a, b), c in other.terms.items():
                 k = (a + di, b + dj)
@@ -340,7 +353,7 @@ def _gcd(a, b):
     """Monic gcd of two EtaPolys over Q; zero when both are zero."""
     while b:
         a, b = b, divmod(a, b)[1]
-    return a.scale(1 / a.lc) if a else a
+    return a.scale(_F1 / a.lc) if a else a
 
 
 def _exact_quo(a, b):
@@ -407,7 +420,7 @@ def parampoly_gcd(a, b):
         return P_ZERO
     if not a or not b:
         p = a if a else b
-        return p.scale(1 / p.leading_coeff())
+        return p.scale(_F1 / p.leading_coeff())
     if a.is_constant or b.is_constant:
         return P_ONE
     ra, rb = _to_g_major(a), _to_g_major(b)
@@ -422,7 +435,7 @@ def parampoly_gcd(a, b):
     if cont.degree > 0:
         pa = [row * cont for row in pa]
     g = _from_g_major(pa)
-    return g.scale(1 / g.leading_coeff())
+    return g.scale(_F1 / g.leading_coeff())
 
 
 class ParamRat:
@@ -447,14 +460,14 @@ class ParamRat:
             self.num, self.den = P_ZERO, P_ONE
             return
         if den.is_constant:
-            self.num, self.den = num.scale(1 / den.constant_value()), P_ONE
+            self.num, self.den = num.scale(_F1 / den.constant_value()), P_ONE
             return
         g = parampoly_gcd(num, den)
         if not g.is_one:
             num, den = num.exact_div(g), den.exact_div(g)
         lc = den.leading_coeff()
         if lc != 1:
-            num, den = num.scale(1 / lc), den.scale(1 / lc)
+            num, den = num.scale(_F1 / lc), den.scale(_F1 / lc)
         self.num, self.den = num, den
 
     @staticmethod
@@ -690,7 +703,7 @@ class EtaPoly:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
-        b, db, inv = other.coeffs, other.degree, 1 / other.lc
+        b, db, inv = other.coeffs, other.degree, _F1 / other.lc
         r = list(self.coeffs)
         q = [_F0] * max(len(r) - db, 0)
         for k in range(len(q) - 1, -1, -1):
@@ -819,8 +832,8 @@ def _pack(terms, width, le, lg):
     return sum(n << width * (k + le * (i + lg * j)) for (k, i, j), n in terms.items())
 
 
-def _unpack(v, den, width, le, lg):
-    """EtaPoly with ParamPoly coefficients whose integer terms over den pack to v.
+def _unpack(v, width, le, lg):
+    """EtaPoly with int-coefficient ParamPoly coefficients whose terms pack to v.
 
     v is read as balanced base-2^width digits, least significant first; each
     digit in [2^(width-1), 2^width) stands for digit - 2^width and carries 1.
@@ -839,7 +852,7 @@ def _unpack(v, den, width, le, lg):
             d -= full
         if d:
             k, ij = pos % le, pos // le
-            coeffs[k][(ij % lg, ij // lg)] = Fraction(sign * d, den)
+            coeffs[k][(ij % lg, ij // lg)] = sign * d
     return EtaPoly(tuple(_raw_parampoly(c) for c in coeffs))
 
 

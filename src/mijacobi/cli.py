@@ -48,9 +48,8 @@ from .spectral import (
 from .states import (
     DuplicateStatesError,
     NonGenericParametersError,
-    StateTuple,
     StateType,
-    parse_state,
+    as_state_tuple,
     random_tuple,
     require_generic,
 )
@@ -66,16 +65,12 @@ class IdentityMismatchError(RuntimeError):
 
 
 def parse_tuple_spec(text):
-    text = text.strip()
-    if not text:
-        return StateTuple()
-    states = []
-    for token in text.split(","):
-        try:
-            states.append(parse_state(token))
-        except ValueError as e:
-            raise TupleParseError(str(e)) from None
-    return StateTuple(states)
+    try:
+        return as_state_tuple(text)
+    except DuplicateStatesError:
+        raise
+    except ValueError as e:
+        raise TupleParseError(str(e)) from None
 
 
 def parse_rational(text):

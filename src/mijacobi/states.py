@@ -43,7 +43,6 @@ from .algebra import (
     ParamPoly,
     P_G,
     P_H,
-    P_ONE,
     _F1,
     _exact_point,
 )
@@ -177,8 +176,19 @@ def parse_state(token):
 
 
 def as_state_tuple(t):
+    """t as a StateTuple: t itself, an iterable of States, or a spec string
+    of comma-separated states like "I1,II2" (blank for the empty tuple).
+
+    ValueError for a bad token, TypeError for an item that is not a State.
+    """
     if isinstance(t, StateTuple):
         return t
+    if isinstance(t, str):
+        t = [parse_state(tok) for tok in t.split(",")] if t.strip() else []
+    t = tuple(t)
+    for s in t:
+        if not isinstance(s, State):
+            raise TypeError("expected State items, got %r" % (s,))
     return StateTuple(t)
 
 
@@ -190,16 +200,6 @@ def random_tuple(rng, max_size, max_index, min_size=0):
     while len(seen) < size:
         seen.add(State(rng.choice(tuple(StateType)), rng.randint(0, max_index)))
     return StateTuple(sorted(seen, key=State.sort_key))
-
-
-def pochhammer(base, k):
-    """Rising factorial base*(base+1)*...*(base+k-1); the empty product is 1."""
-    if k < 0:
-        raise ValueError("pochhammer length must be nonnegative")
-    out = ParamPoly.const(1) if isinstance(base, ParamPoly) else _F1
-    for i in range(k):
-        out = out * (base + i)
-    return out
 
 
 def jacobi_poly(n, alpha, beta):
@@ -219,13 +219,11 @@ def jacobi_poly(n, alpha, beta):
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if isinstance(alpha, ParamPoly) or isinstance(beta, ParamPoly):
-        alpha, beta = ParamPoly._coerce(alpha), ParamPoly._coerce(beta)
-        d = lcm(*(c.denominator for p in (alpha, beta) for c in p.terms.values()))
-        a, s, one = alpha.scale(d), (alpha + beta).scale(d), P_ONE
+        alpha, beta, one = (ParamPoly._coerce(x) for x in (alpha, beta, 1))
     else:
-        alpha, beta = Fraction(alpha), Fraction(beta)
-        d = lcm(alpha.denominator, beta.denominator)
-        a, s, one = int(alpha * d), int((alpha + beta) * d), 1
+        alpha, beta, one = Fraction(alpha), Fraction(beta), 1
+    d = lcm(alpha.denominator, beta.denominator)
+    a, s = (x.numerator * (d // x.denominator) for x in (alpha, alpha + beta))
     tail = [one] * (n + 1)  # tail[k] = prod_{i=k+1..n} (a + d*i)
     for k in range(n - 1, -1, -1):
         tail[k] = tail[k + 1] * (a + d * (k + 1))

@@ -12,16 +12,17 @@ Q_{i,j}(eta), so
 
     W = s^(sum a_j - N(N-1)/2) c^(sum b_j - N(N-1)/2) det(Q_{i,j}).
 
-The determinant is computed exactly by one fraction-free Bareiss elimination
-over Z[eta] on dense lists of ints.  At an instantiated point the Wronskian
-is one integer pipeline: each input is cleared of denominators once, its
-derivatives follow an integer form of the rule above, and the (1 -/+ eta)
-factors come off the integer determinant before one division by the
-scales.  In symbolic mode every row is cleared and each eta-coefficient, a
-polynomial in (g, h), is packed into one int by Kronecker substitution.  The
-result is canonicalized by pulling all (1 -/+ eta) factors into the
-exponents.  The eta-polynomial left over is the object of interest: for
-tuples of well states it is a (multi-indexed) Jacobi-type polynomial.
+The Wronskian is one integer pipeline in both modes: each input is cleared
+of denominators once, its derivatives follow an integer form of the rule
+above (see _column), one fraction-free Bareiss elimination over Z[eta] on
+dense lists of ints takes the determinant, and the (1 -/+ eta) factors come
+off the integer determinant, which is then divided once by the scales.  The
+entries are ints at an instantiated point and int-coefficient ParamPolys in
+symbolic mode, where each eta-coefficient, a polynomial in (g, h), is packed
+into one int by Kronecker substitution.  The exponents then hold all the
+(1 -/+ eta) factors.  The eta-polynomial left over is the object of
+interest: for tuples of well states it is a (multi-indexed) Jacobi-type
+polynomial.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from math import lcm
 from .algebra import (
     AffineExp,
     EtaPoly,
-    ONE_MINUS_ETA_SQ,
     P_ZERO,
     extract_edge_factors,
     proportional,
@@ -78,12 +78,45 @@ def _half_split(a, b):
     return (pa - pb) * half, (pa + pb) * half
 
 
+def _column(poly, h0, h1, n, big):
+    """(col, d): d*Q and the scaled eta-parts of the first n-1 derivatives of
+    a quasi-polynomial s^a c^b Q with h0 = (a-b)/2 and h1 = (a+b)/2.
+
+    d is the lcm of the denominators of Q, and big a common multiple of those
+    of h0 and h1.  With c0 = big*h0 and c1 = big*h1, big times the eta-part
+    of the derivative of s^a c^b P is c0*P + c1*eta*P - big*(1-eta^2)*P',
+    and a derivative lowers a and b by 1, so c1 by big.  Entry i of col is
+    big^i * d times the eta-part of the i-th derivative.  Every entry is
+    integral: ints at an instantiated point, int-coefficient ParamPolys
+    (c0, c1 affine in (g, h)) in symbolic mode.
+    """
+    d = lcm(*(c.denominator for c in poly.coeffs))
+    p = [c.numerator * (d // c.denominator) for c in poly.coeffs]
+    c0, c1 = (h.numerator * (big // h.denominator) for h in (h0, h1))
+    col = [p]
+    for _ in range(1, n):
+        nxt = [0] * (len(p) + 1)
+        for k, c in enumerate(p):
+            nxt[k] += c0 * c
+            nxt[k + 1] += (c1 + big * k) * c
+            if k:
+                nxt[k - 1] -= big * k * c
+        while nxt and not nxt[-1]:
+            nxt.pop()
+        p, c1 = nxt, c1 - big
+        col.append(p)
+    return col, d
+
+
 def differentiate(q):
-    """One x-derivative of a QuasiPoly or RawQuasi; exponents drop by one."""
-    c0, c1 = _half_split(q.expS, q.expC)
-    mult = EtaPoly((c0, c1))
-    poly = mult * q.poly - ONE_MINUS_ETA_SQ * q.poly.deriv()
-    return RawQuasi(q.expS - 1, q.expC - 1, poly)
+    """One x-derivative of a QuasiPoly or RawQuasi; exponents drop by one.
+
+    It is one step of _column, divided once by big*d.
+    """
+    h0, h1 = _half_split(q.expS, q.expC)
+    big = lcm(h0.denominator, h1.denominator)
+    (_, p), d = _column(q.poly, h0, h1, 2, big)
+    return RawQuasi(q.expS - 1, q.expC - 1, EtaPoly(p).scale(Fraction(1, big * d)))
 
 
 def canonicalize(r):
@@ -91,8 +124,8 @@ def canonicalize(r):
 
     (1-eta)^k = 2^k sin^(2k) x and (1+eta)^k = 2^k cos^(2k) x, so each
     extracted factor raises the matching exponent by 2 and scales the core
-    by 2.  An int-coefficient poly (the integer determinant at a point)
-    keeps int coefficients.
+    by 2.  An integer poly (the integer determinant, of ints or of
+    int-coefficient ParamPolys) keeps integer coefficients.
     """
     if not r.poly:
         raise WronskianZeroError("zero Wronskian")
@@ -190,42 +223,33 @@ def _bareiss(m):
 
 
 def det_poly_matrix(mat):
-    """Exact determinant of a square EtaPoly matrix, by Bareiss elimination
-    over Z[eta] on dense lists of ints.
+    """Exact determinant of a square EtaPoly matrix of integer coefficients,
+    by Bareiss elimination over Z[eta] on dense lists of ints.
 
-    A matrix of int coefficients (the cleared Wronskian matrix at a point)
-    gives its int-coefficient determinant as it is.  Otherwise each row is
-    scaled by the lcm of its denominators, and the result is divided by the
-    product of the row scales once.  With Fraction coefficients each
-    eta-coefficient is its scaled numerator.  In symbolic mode each
-    eta-coefficient, a polynomial in (g, h), is packed into one int (see
-    algebra._pack) with a g-degree bound and a slot width that hold for the
-    coefficients of every minor: the width is 2 bits above the Hadamard-type
-    bound prod_rows max(1, sqrt(sum_j |e_ij|_1^2)).  So a packed coefficient
-    of a minor is zero exactly when its polynomial is, and the result unpacks
-    uniquely; packing is a ring homomorphism, so each exact division returns
-    the packed minor.
+    Int coefficients (an instantiated Wronskian matrix) are eliminated as
+    they are.  Otherwise the coefficients are int-coefficient ParamPolys
+    (symbolic mode), and each eta-coefficient, a polynomial in (g, h), is
+    packed into one int (see algebra._pack) with a g-degree bound and a slot
+    width that hold for the coefficients of every minor: the width is 2 bits
+    above the Hadamard-type bound prod_rows max(1, sqrt(sum_j |e_ij|_1^2)).
+    So a packed coefficient of a minor is zero exactly when its polynomial
+    is, and the result unpacks uniquely; packing is a ring homomorphism, so
+    each exact division returns the packed minor.  The determinant has
+    integer coefficients of the same kind; ValueError for a non-integral
+    coefficient.
     """
     n = len(mat)
     if n == 0:
-        return EtaPoly.const(_F1)
+        return EtaPoly.const(1)
     if all(type(c) is int for row in mat for e in row for c in e.coeffs):
         sign, det = _bareiss([[list(e.coeffs) for e in row] for row in mat])
         return EtaPoly([sign * c for c in det])
-    rows, scale = [], 1
-    if all(isinstance(c, Fraction) for row in mat for e in row for c in e.coeffs):
-        for row in mat:
-            s = lcm(*(c.denominator for e in row for c in e.coeffs))
-            rows.append([[c.numerator * (s // c.denominator) for c in e.coeffs]
-                         for e in row])
-            scale *= s
-        sign, det = _bareiss(rows)
-        return EtaPoly(tuple(Fraction(sign * c, scale) for c in det))
-    h2 = 1
+    rows, h2 = [], 1
     for row in mat:
         terms, s = _cleared(row)
+        if s != 1:
+            raise ValueError("det_poly_matrix needs integer coefficients")
         rows.append(terms)
-        scale *= s
         h2 *= max(1, sum(sum(map(abs, t.values())) ** 2 for t in terms))
     width = (h2.bit_length() + 1) // 2 + 2
     lg = 1 + _degree_bound(rows)
@@ -233,50 +257,16 @@ def det_poly_matrix(mat):
            for e in range(1 + max((k for k, _, _ in t), default=-1))] for t in row]
          for row in rows]
     sign, det = _bareiss(m)
-    return EtaPoly(tuple(_unpack(sign * c, scale, width, 1, lg).coeff(0) if c else P_ZERO
+    return EtaPoly(tuple(_unpack(sign * c, width, 1, lg).coeff(0) if c else P_ZERO
                          for c in det))
-
-
-def _point_matrix(quasis):
-    """(int EtaPoly Wronskian matrix, its scale) of instantiated quasis.
-
-    Column j is cleared once by d_j, the lcm of its denominators.  With L
-    the lcm of the denominators of all (a-b)/2 and (a+b)/2 (a, b the sin and
-    cos exponents, which each derivative lowers by 1), L times the eta-part
-    of a derivative is c0*Q + c1*eta*Q - L*(1-eta^2)*Q' with integers
-    c0 = L(a-b)/2 and c1 = L(a+b)/2.  Row i carries L^i, so the scale is
-    L^(n(n-1)/2) * prod_j d_j.
-    """
-    n = len(quasis)
-    halves = [_half_split(q.expS, q.expC) for q in quasis]
-    big = lcm(*(h.denominator for pair in halves for h in pair))
-    cols, scale = [], big ** (n * (n - 1) // 2)
-    for q, (h0, h1) in zip(quasis, halves):
-        d = lcm(*(c.denominator for c in q.poly.coeffs))
-        p = [c.numerator * (d // c.denominator) for c in q.poly.coeffs]
-        c0, c1 = int(h0 * big), int(h1 * big)
-        col = [p]
-        for _ in range(1, n):
-            nxt = [0] * (len(p) + 1)
-            for k, c in enumerate(p):
-                nxt[k] += c0 * c
-                nxt[k + 1] += (c1 + big * k) * c
-                if k:
-                    nxt[k - 1] -= big * k * c
-            while nxt and not nxt[-1]:
-                nxt.pop()
-            p, c1 = nxt, c1 - big
-            col.append(p)
-        cols.append(col)
-        scale *= d
-    return [[EtaPoly(col[i]) for col in cols] for i in range(n)], scale
 
 
 def wronskian_of_quasis(quasis):
     """Wronskian of arbitrary quasi-polynomials, canonicalized.
 
-    Instantiated inputs (constant exponents, Fraction coefficients) take the
-    integer route of _point_matrix.
+    All columns of _column share big, the lcm over all inputs, so row i of
+    the integer matrix carries big^i and column j its d_j: the canonicalized
+    integer determinant is divided once by big^(n(n-1)/2) * prod_j d_j.
     """
     quasis = list(quasis)
     n = len(quasis)
@@ -285,24 +275,24 @@ def wronskian_of_quasis(quasis):
     off = Fraction(n * (n - 1), 2)
     exp_s = sum((q.expS for q in quasis), AffineExp()) - off
     exp_c = sum((q.expC for q in quasis), AffineExp()) - off
-    if all(q.expS.is_constant and q.expC.is_constant
-           and all(isinstance(c, Fraction) for c in q.poly.coeffs) for q in quasis):
-        mat, scale = _point_matrix(quasis)
-        raw = RawQuasi(exp_s, exp_c, det_poly_matrix(mat))
-        return canonicalize(raw).scale_poly(Fraction(1, scale))
-    cols = []
-    for q in quasis:
-        cols.append([q])
-        for _ in range(1, n):
-            cols[-1].append(differentiate(cols[-1][-1]))
-    mat = [[col[i].poly for col in cols] for i in range(n)]
-    return canonicalize(RawQuasi(exp_s, exp_c, det_poly_matrix(mat)))
+    halves = [_half_split(q.expS, q.expC) for q in quasis]
+    big = lcm(*(h.denominator for pair in halves for h in pair))
+    cols, scale = [], big ** (n * (n - 1) // 2)
+    for q, (h0, h1) in zip(quasis, halves):
+        col, d = _column(q.poly, h0, h1, n, big)
+        cols.append(col)
+        scale *= d
+    mat = [[EtaPoly(col[i]) for col in cols] for i in range(n)]
+    raw = RawQuasi(exp_s, exp_c, det_poly_matrix(mat))
+    return canonicalize(raw).scale_poly(Fraction(1, scale))
 
 
 def wronskian(t, inst=None):
     """Wronskian of a tuple of states (symbolic, or at instantiated (g, h)).
 
-    The empty tuple gives the constant 1.  States must be distinct.
+    t is a StateTuple, States or a spec string like "I1,II2" (see
+    as_state_tuple).  The empty tuple gives the constant 1.  States must be
+    distinct.
     """
     sts = as_state_tuple(t)
     return wronskian_of_quasis(make_state(s, inst) for s in sts)

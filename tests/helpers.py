@@ -1,11 +1,12 @@
 """Shared test utilities.
 
 Contains the independent numeric Wronskian oracle (Taylor-mode automatic
-differentiation in mpmath, never touching the engine's eta-space rule), a
-permutation-expansion determinant oracle, a coefficient-scaling
-proportionality oracle, random generators for states and generic rational
-points, and the closed-form reduction-ledger oracle used to cross-check the
-move engine.
+differentiation in mpmath, never touching the engine's eta-space rule), the
+Fraction form of the eta-space derivative rule (the engine uses an integer
+form), a check that a coefficient holds Fractions, a permutation-expansion
+determinant oracle, a coefficient-scaling proportionality oracle, random
+generators for states and generic rational points, and the closed-form
+reduction-ledger oracle used to cross-check the move engine.
 """
 
 from fractions import Fraction
@@ -14,10 +15,11 @@ import random
 
 import mpmath as mp
 
-from mijacobi.algebra import AffineExp, EtaPoly
+from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly, ParamRat
 from mijacobi.maya import dbar
-from mijacobi.states import State, StateTuple, StateType, is_generic
+from mijacobi.states import State, StateTuple, StateType, as_state_tuple, is_generic
 from mijacobi.states import random_tuple  # noqa: F401  (re-exported for the tests)
+from mijacobi.wronskian import RawQuasi
 
 
 # -- numeric oracle ----------------------------------------------------------
@@ -94,6 +96,41 @@ def quasi_value(q, x0):
     for coef in reversed(q.poly.coeffs):
         pv = pv * eta + mpf_of(coef)
     return mp.power(s, mpf_of(q.expS.c0)) * mp.power(c, mpf_of(q.expC.c0)) * pv
+
+
+# -- derivative oracle -------------------------------------------------------
+
+
+def _affine_value(e):
+    """An AffineExp as a Fraction when constant, else as a ParamPoly."""
+    if e.is_constant:
+        return e.c0
+    return ParamPoly({(1, 0): e.cg, (0, 1): e.ch, (0, 0): e.c0})
+
+
+def fraction_derivative(q):
+    """One x-derivative of q = s^a c^b Q by the Fraction rule
+
+        d/dx [s^a c^b Q] = s^(a-1) c^(b-1) [(c0 + c1 eta) Q - (1-eta^2) Q']
+
+    with c0 = (a-b)/2 and c1 = (a+b)/2, in EtaPoly arithmetic over Fractions
+    or ParamPolys: none of the engine's integer column step."""
+    half = Fraction(1, 2)
+    c0 = _affine_value(q.expS - q.expC) * half
+    c1 = _affine_value(q.expS + q.expC) * half
+    one_minus_eta_sq = EtaPoly((Fraction(1), Fraction(0), Fraction(-1)))
+    poly = EtaPoly((c0, c1)) * q.poly - one_minus_eta_sq * q.poly.deriv()
+    return RawQuasi(q.expS - 1, q.expC - 1, poly)
+
+
+def holds_fractions(x):
+    """Whether x is a Fraction, or a ParamPoly or ParamRat of Fractions: the
+    coefficient types of every public result."""
+    if isinstance(x, ParamRat):
+        return holds_fractions(x.num) and holds_fractions(x.den)
+    if isinstance(x, ParamPoly):
+        return all(type(v) is Fraction for v in x.terms.values())
+    return type(x) is Fraction
 
 
 # -- determinant oracle ------------------------------------------------------
@@ -204,7 +241,4 @@ def closed_form_tuple(t, target):
 
 
 def parse_states(spec):
-    from mijacobi.states import parse_state
-    if not spec:
-        return StateTuple()
-    return StateTuple([parse_state(tok) for tok in spec.split(",")])
+    return as_state_tuple(spec)

@@ -350,12 +350,12 @@ class TestPacking:
             top = max(terms, key=lambda key: (key[2], key[1], key[0]))
             terms[top] = -abs(terms[top]) or -1
             terms = {key: n for key, n in terms.items() if n}
-            den = rng.randint(1, 9)
             width = 43  # 2 bits above the coefficients' 41
-            e = _unpack(_pack(terms, width, le, lg), den, width, le, lg)
+            e = _unpack(_pack(terms, width, le, lg), width, le, lg)
             got = {(k, i, j): v for k, c in enumerate(e.coeffs)
                    for (i, j), v in c.terms.items()}
-            assert got == {key: F(n, den) for key, n in terms.items()}
+            assert got == terms
+            assert all(type(v) is int for v in got.values())
 
 
 class TestSturm:
@@ -409,6 +409,23 @@ class TestSturm:
 
 
 class TestCoefficientDomains:
+    def test_numerator_and_denominator(self):
+        p = G.scale(F(1, 6)) + H.scale(F(-3, 4)) + F(5, 2)
+        assert p.denominator == 12
+        assert p.numerator == G * 2 - H * 9 + 30
+        assert all(type(v) is int for v in p.numerator.terms.values())
+        assert p.numerator.scale(F(1, 12)) == p
+        assert (ParamPoly().numerator, ParamPoly().denominator) == (ParamPoly(), 1)
+
+    def test_int_coefficients_stay_ints(self):
+        a, b = (G * G - H * 3 + F(1, 2)).numerator, (G * 2 + 1).numerator
+        for r in (a + b, a - b, a * b, a.scale(3), a * 3, a + 2, 2 - a, -a):
+            assert r and all(type(v) is int for v in r.terms.values())
+        assert all(type(v) is F for v in a.scale(F(1, 2)).terms.values())
+        assert ParamRat(a, 2) == ParamRat(a.scale(F(1, 2)))
+        assert all(type(v) is F for v in ParamRat(a, 2).num.terms.values())
+        assert a.exact_div(ParamPoly._coerce(2)) == a.scale(F(1, 2))
+
     def test_constant_parampoly_hashes_as_fraction(self):
         assert hash(ParamPoly.const(2)) == hash(2)
         assert hash(ParamPoly()) == hash(F(0))

@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from mijacobi.algebra import ParamPoly
 from mijacobi.cli import main, parse_tuple_spec
 from mijacobi.maya import Ledger, ProportionalityReport
@@ -36,6 +38,11 @@ class TestParsing:
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "poly", "I1,XY2")
         assert code == 2 and "parse" in err
+
+    @pytest.mark.parametrize("spec", ["I1,", ",I1", "I-1", "N", "I1;II2", "IV1"])
+    def test_bad_spec_exit_code(self, capsys, spec):
+        code, out, err = run(capsys, "poly", spec)
+        assert code == 2 and "parse" in err and not out
 
     def test_duplicate_exit_code(self, capsys):
         code, _, err = run(capsys, "poly", "I1,I1")

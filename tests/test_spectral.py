@@ -30,9 +30,10 @@ from mijacobi.states import (
     make_state,
     potential,
 )
-from mijacobi.wronskian import differentiate, wronskian
+from mijacobi.wronskian import canonicalize, wronskian
 from helpers import (
     GENERIC_POINTS,
+    fraction_derivative,
     mpf_of,
     parse_states,
     quasi_taylor,
@@ -403,8 +404,7 @@ class TestDifferentiateRat:
         # d/dx of a plain quasi-polynomial through the rational rule
         gv, hv = GENERIC_POINTS[0]
         q = make_state(State(StateType.II, 2), inst=(gv, hv))
-        from mijacobi.wronskian import canonicalize, differentiate
-        d_poly = canonicalize(differentiate(q))
+        d_poly = canonicalize(fraction_derivative(q))
         d_rat = differentiate_rat(as_quasirat(q))
         diff = d_rat.sub(as_quasirat(d_poly))
         assert diff.is_zero()
@@ -412,12 +412,12 @@ class TestDifferentiateRat:
     @pytest.mark.parametrize("inst", [GENERIC_POINTS[1], None])
     def test_quotient_rule_with_denominator(self, inst):
         # f = Y/W with Y = W[I1, phi_1] and W = W[I1]: f' = (Y'W - YW')/W^2,
-        # assembled from differentiate and QuasiRat.mul/sub
+        # assembled from the Fraction derivative rule and QuasiRat.mul/sub
         t = parse_states("I1")
         w, y = wronskian(t, inst), wronskian(t.with_state(State(StateType.N, 1)), inst)
         f = QuasiRat.make(y.expS - w.expS, y.expC - w.expC, y.poly, w.poly)
         assert f.den.degree > 0
-        dy, dw = as_quasirat(differentiate(y)), as_quasirat(differentiate(w))
+        dy, dw = as_quasirat(fraction_derivative(y)), as_quasirat(fraction_derivative(w))
         inv_w2 = QuasiRat.make(-(w.expS + w.expS), -(w.expC + w.expC),
                                EtaPoly((F(1),)), w.poly * w.poly)
         ref = dy.mul(as_quasirat(w)).sub(as_quasirat(y).mul(dw)).mul(inv_w2)

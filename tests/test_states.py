@@ -18,7 +18,6 @@ from mijacobi.states import (
     make_state,
     pairing,
     parse_state,
-    pochhammer,
     potential,
     require_generic,
 )
@@ -27,19 +26,6 @@ from helpers import GENERIC_POINTS, random_rational, seeded
 G = ParamPoly.gen_g()
 H = ParamPoly.gen_h()
 ONE = ParamPoly.const(1)
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(G, 0) == ONE
-
-    def test_length_two(self):
-        alpha = G  # stands for any symbol
-        assert pochhammer(alpha + 1, 2) == G * G + G * 3 + 2
-
-    def test_numeric(self):
-        assert pochhammer(G, 3).eval_at(2, 0) == 24
-        assert pochhammer(F(2), 3) == 24
 
 
 class TestJacobi:

@@ -3,6 +3,7 @@
 import sys
 from fractions import Fraction as F
 from itertools import permutations
+from math import lcm
 
 import mpmath as mp
 import pytest
@@ -33,6 +34,8 @@ from mijacobi.wronskian import (
 from mijacobi.states import DuplicateStatesError
 from helpers import (
     GENERIC_POINTS,
+    fraction_derivative,
+    holds_fractions,
     leibniz_det,
     numeric_wronskian,
     quasi_value,
@@ -90,6 +93,29 @@ class TestDifferentiate:
             assert lhs.poly == rhs_poly
             assert lhs.expS == d1.expS + a2 and lhs.expC == d1.expC + b2
 
+    @pytest.mark.parametrize("inst", [None, GENERIC_POINTS[2]])
+    def test_matches_fraction_rule(self, inst):
+        def exp(cg, ch, c0):
+            e = AffineExp(cg, ch, c0)
+            return e if inst is None else AffineExp.const(e.eval_at(*inst))
+
+        iii2 = make_state(parse_state("III2"), inst).poly
+        cases = [
+            # sin exponent 2g - 1, as of a Wronskian: c0, c1 have denominator 2
+            RawQuasi(exp(2, 0, -1), exp(0, 1, 0), iii2),
+            RawQuasi(exp(1, 0, 0), exp(0, -1, 1), EtaPoly()),  # zero polynomial
+            RawQuasi(exp(0, 1, 2), exp(-1, 0, F(1, 3)), EtaPoly((F(3, 7),))),  # constant
+            wronskian([parse_state("I0"), parse_state("N1")], inst),
+            make_state(parse_state("II2"), inst),
+        ]
+        for q in cases:
+            for _ in range(2):
+                got, want = differentiate(q), fraction_derivative(q)
+                assert (got.expS, got.expC) == (want.expS, want.expC)
+                assert got.poly == want.poly
+                assert all(holds_fractions(c) for c in got.poly.coeffs)
+                q = got
+
 
 class TestCanonicalize:
     def test_edge_pair(self):
@@ -130,9 +156,21 @@ def param_entry(rng):
                          + rng.randint(-3, 3) for _ in range(rng.randint(0, 2))))
 
 
+def cleared(mat):
+    """mat with each row times the lcm of its denominators: the integer
+    matrices det_poly_matrix takes, with ints for Fraction coefficients and
+    int-coefficient ParamPolys for ParamPoly ones."""
+    out = []
+    for row in mat:
+        s = lcm(*(c.denominator for e in row for c in e.coeffs))
+        out.append([EtaPoly([c.numerator * (s // c.denominator) for c in e.coeffs])
+                    for e in row])
+    return out
+
+
 def fraction_matrix(rng, n):
-    """Row i takes its denominators from the i-th prime, so the row scales
-    are pairwise coprime."""
+    """Row i takes its denominators from the i-th prime, so each row clears
+    by its own scale."""
     return [[fraction_entry(rng, PRIMES[i]) for _ in range(n)] for i in range(n)]
 
 
@@ -157,21 +195,21 @@ class TestDetPolyMatrix:
     def test_fraction_matches_leibniz(self, n):
         rng = seeded(100 + n)
         for _ in range(3):
-            mat = fraction_matrix(rng, n)
+            mat = cleared(fraction_matrix(rng, n))
             assert det_poly_matrix(mat) == leibniz_det(mat)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_parampoly_matches_leibniz(self, n):
         rng = seeded(200 + n)
         for _ in range(2):
-            mat = param_matrix(rng, n)
+            mat = cleared(param_matrix(rng, n))
             assert det_poly_matrix(mat) == leibniz_det(mat)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_wide_parampoly_matches_leibniz(self, n):
         rng = seeded(250 + n)
         for _ in range(2):
-            mat = wide_param_matrix(rng, n)
+            mat = cleared(wide_param_matrix(rng, n))
             assert det_poly_matrix(mat) == leibniz_det(mat)
 
     def test_mixed_matches_leibniz(self):
@@ -179,6 +217,8 @@ class TestDetPolyMatrix:
         mat = [[param_entry(rng) if (i + j) % 2 else fraction_entry(rng, PRIMES[i])
                 for j in range(3)] for i in range(3)]
         assert any(isinstance(c, ParamPoly) for row in mat for e in row for c in e.coeffs)
+        mat = cleared(mat)
+        assert any(type(c) is int for row in mat for e in row for c in e.coeffs)
         assert det_poly_matrix(mat) == leibniz_det(mat)
 
     @pytest.mark.parametrize("make", [fraction_matrix, param_matrix, wide_param_matrix])
@@ -188,6 +228,7 @@ class TestDetPolyMatrix:
         mat[0][0] = EtaPoly.zero()
         while not mat[1][0]:
             mat[1][0] = make(rng, 1)[0][0]
+        mat = cleared(mat)
         det = det_poly_matrix(mat)
         assert det and det == leibniz_det(mat)
 
@@ -195,23 +236,31 @@ class TestDetPolyMatrix:
     def test_equal_rows_give_zero(self, make):
         mat = make(seeded(500), 4)
         mat[2] = list(mat[0])
-        assert det_poly_matrix(mat) == EtaPoly.zero()
+        assert det_poly_matrix(cleared(mat)) == EtaPoly.zero()
 
     def test_empty_matrix_is_one(self):
         assert det_poly_matrix([]) == EtaPoly((F(1),))
 
     def test_point_coefficients_are_fractions(self):
-        # integral entries: the result must still hold Fractions, not ints
-        mat = [[EtaPoly((F(2), F(1))), EtaPoly((F(3),))],
-               [EtaPoly((F(1),)), EtaPoly((F(0), F(5)))]]
+        # the determinant of an integer matrix is integral, and the Wronskian
+        # built on it must still hold Fractions, not ints
+        mat = [[EtaPoly((2, 1)), EtaPoly((3,))], [EtaPoly((1,)), EtaPoly((0, 5))]]
         det = det_poly_matrix(mat)
-        assert det == EtaPoly((F(-3), F(10), F(5)))
-        assert all(type(c) is F for c in det.coeffs)
-        det = det_poly_matrix(fraction_matrix(seeded(600), 5))
-        assert det and all(type(c) is F for c in det.coeffs)
+        assert det == EtaPoly((-3, 10, 5))
+        assert all(type(c) is int for c in det.coeffs)
+        det = det_poly_matrix(cleared(fraction_matrix(seeded(600), 5)))
+        assert det and all(type(c) is int for c in det.coeffs)
         t = [parse_state(x) for x in ("I1", "II2", "III1", "N0")]
         w = wronskian(t, inst=GENERIC_POINTS[0])
         assert all(type(c) is F for c in w.poly.coeffs)
+
+    def test_non_integral_coefficient_raises(self):
+        mat = cleared(param_matrix(seeded(650), 3))
+        mat[1][2] = EtaPoly((G.scale(F(1, 2)),))
+        with pytest.raises(ValueError):
+            det_poly_matrix(mat)
+        with pytest.raises(ValueError):
+            det_poly_matrix([[EtaPoly((F(1, 3),))]])
 
     def test_int_exact_division(self):
         assert _int_exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
@@ -255,10 +304,10 @@ class TestDetPolyMatrix:
         monkeypatch.setattr(module, "_int_exact_div",
                             lambda a, b: calls.append(b) or int_div(a, b))
         for make in (fraction_matrix, param_matrix):
-            mat = make(seeded(700), 2)
+            mat = cleared(make(seeded(700), 2))
             assert det_poly_matrix(mat) == leibniz_det(mat)
         assert calls == []
-        mat = param_matrix(seeded(701), 3)
+        mat = cleared(param_matrix(seeded(701), 3))
         assert det_poly_matrix(mat) == leibniz_det(mat)
         assert len(calls) == 1  # step 1 only: one entry, divided by pivot 0
 
@@ -276,6 +325,21 @@ class TestWronskian:
     def test_duplicates_rejected(self):
         with pytest.raises(DuplicateStatesError):
             wronskian([State(StateType.I, 1), State(StateType.I, 1)])
+
+    def test_spec_string_input(self):
+        assert wronskian("I1") == wronskian([parse_state("I1")])
+        pt = GENERIC_POINTS[0]
+        t = [parse_state(x) for x in ("I1", "II2")]
+        assert wronskian(" I1, II2 ", inst=pt) == wronskian(t, inst=pt)
+        assert wronskian("") == wronskian([])
+        with pytest.raises(ValueError):
+            wronskian("I1,XY2")
+
+    def test_non_state_items_raise(self):
+        with pytest.raises(TypeError):
+            wronskian(["I1", "II2"])
+        with pytest.raises(TypeError):
+            wronskian([parse_state("I1"), 2])
 
     def test_golden_intro_example(self):
         # W[I1, II2, III1]: the verified polynomial part.  The eta^5
@@ -320,7 +384,9 @@ class TestWronskian:
         assert w2.poly == EtaPoly(tuple(c * x for x in w1.poly.coeffs))
 
     def test_symbolic_matches_point_on_random_tuples(self):
-        # the point path eliminates over Z[eta] int lists, an independent ring
+        # both modes run one integer pipeline, so this checks that instantiation
+        # commutes with it (ints packed in (g, h) against plain ints); the
+        # independent oracles are fraction_route and TestNumericOracle
         rng = seeded(31)
         for _ in range(3):
             t = random_tuple(rng, 4, 3, min_size=4)
@@ -373,14 +439,14 @@ class TestComposition:
 
 
 def fraction_route(quasis):
-    """Wronskian by Fraction arithmetic: differentiate columns, Leibniz
-    determinant, canonicalize; none of the integer point route."""
+    """Wronskian by Fraction arithmetic: columns by the Fraction derivative
+    rule, Leibniz determinant, canonicalize; none of the integer route."""
     n = len(quasis)
     cols = []
     for q in quasis:
         cols.append([q])
         for _ in range(1, n):
-            cols[-1].append(differentiate(cols[-1][-1]))
+            cols[-1].append(fraction_derivative(cols[-1][-1]))
     det = leibniz_det([[col[i].poly for col in cols] for i in range(n)])
     off = F(n * (n - 1), 2)
     return canonicalize(RawQuasi(sum((q.expS for q in quasis), AffineExp()) - off,
@@ -393,6 +459,11 @@ def assert_point_result(got, want):
     assert all(type(c) is F for c in got.poly.coeffs)
 
 
+def assert_symbolic_result(got, want):
+    assert got == want
+    assert all(holds_fractions(c) for c in got.poly.coeffs)
+
+
 class TestIntegerPointRoute:
     def test_wronskians_as_inputs(self, monkeypatch):
         # Wronskian exponents (e.g. 2g - 1) have other denominators than g, h.
@@ -403,11 +474,24 @@ class TestIntegerPointRoute:
             t = random_tuple(rng, 5, 3, min_size=5)
             cases.append([wronskian(t[:2], inst=pt), wronskian(t[2:4], inst=pt),
                           make_state(t[4], inst=pt)])
-        want = [fraction_route(quasis) for quasis in cases]
-        # the integer route takes no Fraction derivative
+        sym = []
+        for _ in range(2):
+            t = random_tuple(rng, 4, 2, min_size=4)
+            sym.append([wronskian(t[:2]), wronskian(t[2:3]), make_state(t[3])])
+        want = [fraction_route(quasis) for quasis in cases + sym]
+        # neither mode calls differentiate: one integer route builds the columns
         monkeypatch.setattr(sys.modules["mijacobi.wronskian"], "differentiate", None)
         for quasis, w in zip(cases, want):
             assert_point_result(wronskian_of_quasis(quasis), w)
+        for quasis, w in zip(sym, want[len(cases):]):
+            assert_symbolic_result(wronskian_of_quasis(quasis), w)
+
+    def test_symbolic_matches_fraction_route(self):
+        rng = seeded(41)
+        for size in (1, 2, 3, 3):
+            t = random_tuple(rng, size, 2, min_size=size)
+            quasis = [make_state(s) for s in t]
+            assert_symbolic_result(wronskian(t), fraction_route(quasis))
 
     def test_one_by_one(self):
         pt = GENERIC_POINTS[1]
