@@ -21,7 +21,11 @@ Everything downstream is built from four value types, all exact over Q:
 Integer polynomials are also packed into single Python ints (Kronecker
 substitution; see _pack): each eta-coefficient, a polynomial in (g, h), of a
 symbolic determinant entry, and each whole polynomial in (eta, g, h) of a
-proportionality check.
+proportionality check.  A product of two EtaPolys is one product of packed
+ints in both modes: each factor is cleared of denominators once, packed in
+slots wider than any coefficient of the integer product (over eta alone at
+a point, over (eta, g, h) in symbolic mode) and the product is read back
+once, so no coefficient-by-coefficient Fraction arithmetic is done.
 
 There is no floating point anywhere in this module, and every value is
 immutable after construction; all operations are pure functions.
@@ -672,21 +676,28 @@ class EtaPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, EtaPoly):
-            a, b = self.coeffs, other.coeffs
-            if not a or not b:
-                return EtaPoly()
-            out = [None] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if not ca:
-                    continue
-                for j, cb in enumerate(b):
-                    if not cb:
-                        continue
-                    p = ca * cb
-                    out[i + j] = p if out[i + j] is None else out[i + j] + p
-            return EtaPoly(tuple(c if c is not None else _F0 for c in out))
-        return NotImplemented
+        """One product of packed ints (see _pack), read back once.
+
+        At a point (no ParamPoly coefficient) each factor is cleared to an
+        int list over eta and the result holds Fractions.  Otherwise (eta, g,
+        h) are packed, and the result's ParamPolys hold ints when both
+        factors hold only ints, else Fractions.
+        """
+        if not isinstance(other, EtaPoly):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return EtaPoly()
+        if any(type(c) is ParamPoly for c in a) or any(type(c) is ParamPoly for c in b):
+            return _param_mul(self, other)
+        da = lcm(*(c.denominator for c in a))
+        db = lcm(*(c.denominator for c in b))
+        na = [c.numerator * (da // c.denominator) for c in a]
+        nb = [c.numerator * (db // c.denominator) for c in b]
+        width = (sum(map(abs, na)) * max(map(abs, nb))).bit_length() + 2
+        den = da * db
+        return EtaPoly([Fraction(n, den) for n in
+                        _digits(_pack_list(na, width) * _pack_list(nb, width), width)])
 
     def scale(self, c):
         if not c:
@@ -813,7 +824,10 @@ def extract_edge_factors(p):
 # coefficient below 2^(width-1) in absolute value, and such a polynomial is
 # zero exactly when its image is.  Symbolic determinants pack only (g, h),
 # with le = 1 and keys (0, i, j), one int per eta-coefficient; proportional
-# packs whole polynomials in (eta, g, h).
+# and EtaPoly.__mul__ pack whole polynomials in (eta, g, h).  A coefficient of
+# a product a*b is a sum of products of one coefficient of each, so its size
+# is at most |a|_1 * |b|_inf (sum and maximum of the coefficients' sizes), and
+# slots of width bits(|a|_1 * |b|_inf) + 2 hold it.
 
 
 def _cleared(polys):
@@ -832,28 +846,66 @@ def _pack(terms, width, le, lg):
     return sum(n << width * (k + le * (i + lg * j)) for (k, i, j), n in terms.items())
 
 
-def _unpack(v, width, le, lg):
-    """EtaPoly with int-coefficient ParamPoly coefficients whose terms pack to v.
+def _pack_list(ns, width):
+    """The image of the int coefficient list ns over eta (le = lg = 1)."""
+    v = 0
+    for n in reversed(ns):
+        v = (v << width) + n
+    return v
 
-    v is read as balanced base-2^width digits, least significant first; each
-    digit in [2^(width-1), 2^width) stands for digit - 2^width and carries 1.
+
+def _digits(v, width):
+    """The balanced base-2^width digits of v, least significant first: a slot
+    in [2^(width-1), 2^width) stands for slot - 2^width and carries 1.
+
+    Short values are read by shifts, which cost quadratic time in the
+    length; above 8192 bits the slots of |v| are read from its bytes, in
+    linear time.
     """
-    sign = -1 if v < 0 else 1
-    bits = bin(abs(v))[2:]
-    half, full = 1 << (width - 1), 1 << width
-    coeffs = [{} for _ in range(le)]
-    digits = [int(bits[max(end - width, 0):end], 2)
-              for end in range(len(bits), 0, -width)]
-    carry = 0
-    for pos, d in enumerate(digits + [0]):
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    out = []
+    if v.bit_length() <= 8192:
+        while v:
+            d = v & mask
+            if d >= half:
+                d -= mask + 1
+            out.append(d)
+            v = (v - d) >> width
+        return out
+    sign, v = (-1 if v < 0 else 1), abs(v)
+    raw, carry = v.to_bytes((v.bit_length() + 7) >> 3, "little"), 0
+    for s in range(0, v.bit_length(), width):
+        d = int.from_bytes(raw[s >> 3:(s + width + 7) >> 3], "little") >> (s & 7) & mask
         d += carry
         carry = d >= half
-        if carry:
-            d -= full
+        out.append(sign * (d - mask - 1 if carry else d))
+    if carry:
+        out.append(sign)
+    return out
+
+
+def _unpack(v, width, le, lg, den=None):
+    """EtaPoly with ParamPoly coefficients whose integer terms pack to v,
+    divided by den: int terms when den is None, else Fractions."""
+    coeffs = [{} for _ in range(le)]
+    for pos, d in enumerate(_digits(v, width)):
         if d:
             k, ij = pos % le, pos // le
-            coeffs[k][(ij % lg, ij // lg)] = sign * d
+            coeffs[k][(ij % lg, ij // lg)] = d if den is None else Fraction(d, den)
     return EtaPoly(tuple(_raw_parampoly(c) for c in coeffs))
+
+
+def _param_mul(a, b):
+    """EtaPoly.__mul__ when a coefficient is a ParamPoly: (eta, g, h) packed."""
+    (ta,), sa = _cleared([a])
+    (tb,), sb = _cleared([b])
+    le = len(a.coeffs) + len(b.coeffs) - 1
+    lg = 1 + max(key[1] for key in ta) + max(key[1] for key in tb)
+    width = (sum(map(abs, ta.values())) * max(map(abs, tb.values()))).bit_length() + 2
+    v = _pack(ta, width, le, lg) * _pack(tb, width, le, lg)
+    ints = all(type(x) is int for c in a.coeffs + b.coeffs
+               for x in (c.terms.values() if type(c) is ParamPoly else (c,)))
+    return _unpack(v, width, le, lg, None if ints else sa * sb)
 
 
 def proportional(a, b):

@@ -11,10 +11,15 @@ verify-identity TUPLE single division-move identity check
 equivalent T1 T2      compare canonical forms of two tuples
 
 Tuples are comma-separated states like "I1,II2,III1" (types I, II, III, N
-with nonnegative indices); the empty string is the empty tuple.  Rationals on
-the command line are "p/q".  A point --g/--h must be generic; maya and
-equivalent read none and reject one.  Output is UTF-8 text on stdout (JSON
-with --json, LaTeX with --latex where supported); errors go to stderr.
+with nonnegative indices); the empty string is the empty tuple.  A tuple has
+at most MAX_STATES = 12 states, and every state index and --up-to is at most
+MAX_INDEX = 40; larger input is a parse error (exit 2).  The work grows
+steeply with both: symbolic poly I40 takes about 3 s and poly I80 about 45 s
+(Python 3.11), and poly I99999 does not finish in minutes.  The limits hold
+for the command line only; the API takes any size.  Rationals on the command
+line are "p/q".  A point --g/--h must be generic; maya and equivalent read
+none and reject one.  Output is UTF-8 text on stdout (JSON with --json,
+LaTeX with --latex where supported); errors go to stderr.
 
 Exit codes: 0 success, 2 parse error, 3 invalid tuple, 4 internal identity
 failure, 5 non-generic parameters.
@@ -39,11 +44,11 @@ from .maya import (
     verify_reduction,
 )
 from .spectral import (
-    check_nonsingular,
-    extra_eigenstate,
     permitted_spectrum,
-    verify_eigenfunction,
     _eigen_identity,
+    _extra_eigenstate,
+    _nonsingular,
+    _verify_eigenfunction,
 )
 from .states import (
     DuplicateStatesError,
@@ -56,6 +61,10 @@ from .states import (
 from .wronskian import wronskian
 
 
+MAX_STATES = 12
+MAX_INDEX = 40
+
+
 class TupleParseError(ValueError):
     pass
 
@@ -66,11 +75,17 @@ class IdentityMismatchError(RuntimeError):
 
 def parse_tuple_spec(text):
     try:
-        return as_state_tuple(text)
+        t = as_state_tuple(text)
     except DuplicateStatesError:
         raise
     except ValueError as e:
         raise TupleParseError(str(e)) from None
+    if len(t) > MAX_STATES:
+        raise TupleParseError("a tuple has at most %d states, got %d" % (MAX_STATES, len(t)))
+    for s in t:
+        if s.v > MAX_INDEX:
+            raise TupleParseError("state indices are at most %d, got %s" % (MAX_INDEX, s))
+    return t
 
 
 def parse_rational(text):
@@ -267,6 +282,8 @@ def cmd_spectrum(args):
     t = parse_tuple_spec(args.tuple)
     if args.up_to < 0:
         raise TupleParseError("--up-to must be nonnegative, got %d" % args.up_to)
+    if args.up_to > MAX_INDEX:
+        raise TupleParseError("--up-to is at most %d, got %d" % (MAX_INDEX, args.up_to))
     spectrum = permitted_spectrum(t, args.up_to)
     report = {
         "command": "spectrum",
@@ -284,8 +301,9 @@ def cmd_spectrum(args):
             raise TupleParseError("--verify for spectrum needs --g and --h")
         # a singular potential is a property of the tuple at this point,
         # not a failed identity, so only the eigenfunction checks gate exit 4
-        nonsingular = check_nonsingular(t, *inst)
-        checks = _verify_spectrum(t, spectrum, inst)
+        wt = wronskian(t, inst)
+        nonsingular = _nonsingular(wt)
+        checks = _verify_spectrum(t, wt, spectrum, inst)
         report["verify"] = {"nonsingular": nonsingular, **checks}
         lines.append("%-28s: %s" % ("nonsingular", "yes" if nonsingular else "no"))
         for name, ok in checks.items():
@@ -295,17 +313,17 @@ def cmd_spectrum(args):
     return _emit(args, report, lines)
 
 
-def _verify_spectrum(t, spectrum, inst):
+def _verify_spectrum(t, wt, spectrum, inst):
+    """The eigen checks of spectrum --verify, all on the one W[t] = wt."""
     checks = {}
-    wt = wronskian(t, inst)
     for lab, ev in spectrum:
         if lab.kind == "bound" and lab.index <= 2:
-            ok, _ = verify_eigenfunction(t, lab.index, inst=inst)
+            ok, _ = _verify_eigenfunction(t, lab.index, inst, wt, 1)
             checks["eigenfunction %s" % lab.label()] = ok
         elif lab.kind == "extra":
             for i, s in enumerate(t):
                 if s.type is StateType.III and s.v == lab.index:
-                    f, ev2 = extra_eigenstate(t, i, inst=inst)
+                    f, ev2 = _extra_eigenstate(t, i, inst, wt, 1)
                     ok = _eigen_identity(wt, f, ev2.eval_at(*inst), inst)
                     checks["extra state %s" % lab.label()] = ok
                     break

@@ -216,19 +216,24 @@ def _eigen_identity(w, f, ev, inst):
     return not n
 
 
-def _warn_if_small(expS, expC, gv, hv):
+def _warn_if_small(expS, expC, gv, hv, stacklevel):
+    """Warn if an exponent is below 3/2; stacklevel is that of a
+    warnings.warn call made by the caller."""
     threshold = Fraction(3, 2)
     vs, vc = expS.eval_at(gv, hv), expC.eval_at(gv, hv)
     if vs < threshold or vc < threshold:
         warnings.warn(
             "eigenfunction exponents (%s, %s) are below 3/2; the parameters "
             "may be too small for the full transformation chain" % (vs, vc),
-            RuntimeWarning, stacklevel=3)
+            RuntimeWarning, stacklevel=stacklevel + 1)
 
 
-# larger tuples go to a point: symbolic checks of 2 states take 0.16 s (I1,II1,
-# n = 1) to 1.3 s (I2,II2, n = 2), of 3 states 0.9-1.7 s (I0,II1,N2;
-# I1,II1,III1) and 9.3 s (I2,II2,III2, n = 0) (Python 3.11, 2-core container)
+# larger tuples go to a point.  Symbolic checks with the cap lifted take
+# 0.03 s (I1,II1, n = 1) to 0.09 s (I2,II2, n = 2) for 2 states, 0.06-0.3 s
+# for 3 (I0,II1,N2; I1,II1,III1; I2,II2,III2, n = 0) and 0.4-0.6 s for 4
+# (I2,II1,III1,N1; I1,II2,III1,N2; I2,II0,II2,III1; n = 0) (Python 3.11,
+# 2-core container).  The cap changes which mode API callers get, so it stays
+# until a benchmark workload of symbolic eigen checks measures a new one.
 SYMBOLIC_SIZE_CAP = 2
 
 
@@ -250,16 +255,23 @@ def verify_eigenfunction(t, n, inst=None):
     tuples of at most SYMBOLIC_SIZE_CAP states when no point is given;
     otherwise exact at the given (or default) generic rational point.
     """
-    t = as_state_tuple(t)
+    return _verify_eigenfunction(as_state_tuple(t), n, inst, None, 2)
+
+
+def _verify_eigenfunction(t, n, inst, wt, stacklevel):
+    """verify_eigenfunction of the StateTuple t.  wt is W[t] at the point the
+    check resolves to, or None to compute it; stacklevel, that of a
+    warnings.warn call made by the caller, places a small-exponent warning."""
     phi = State(StateType.N, n)
     tn = t.with_state(phi)  # raises DuplicateStatesError for deleted levels
     inst = _resolve_instantiation(t, inst)
-    wt = wronskian(t, inst)
+    if wt is None:
+        wt = wronskian(t, inst)
     wtn = wronskian(tn, inst)
     f = QuasiRat.make(wtn.expS - wt.expS, wtn.expC - wt.expC, wtn.poly, wt.poly)
     ev = eigenvalue(phi)
     if inst:
-        _warn_if_small(f.expS, f.expC, *inst)
+        _warn_if_small(f.expS, f.expC, *inst, stacklevel + 1)
     return _eigen_identity(wt, f, ev.eval_at(*inst) if inst else ev, inst), ev
 
 
@@ -270,18 +282,24 @@ def extra_eigenstate(t, ell, inst=None):
     E_{-m-1} = -4(m+1)(g+h-m-1) as a ParamPoly.  Symbolic unless a point is
     given.
     """
-    t = as_state_tuple(t)
+    return _extra_eigenstate(as_state_tuple(t), ell, inst, None, 2)
+
+
+def _extra_eigenstate(t, ell, inst, wt, stacklevel):
+    """extra_eigenstate of the StateTuple t; wt and stacklevel as for
+    _verify_eigenfunction."""
     s = t[ell]
     if s.type is not StateType.III:
         raise ValueError("deleted state must be of type III, got %s" % s)
     if inst is not None:
         inst = require_generic(*inst)
     rest = t.without_index(ell)
-    wt = wronskian(t, inst)
+    if wt is None:
+        wt = wronskian(t, inst)
     wr = wronskian(rest, inst)
     f = QuasiRat.make(wr.expS - wt.expS, wr.expC - wt.expC, wr.poly, wt.poly)
     if inst:
-        _warn_if_small(f.expS, f.expC, *inst)
+        _warn_if_small(f.expS, f.expC, *inst, stacklevel + 1)
     return f, eigenvalue(State(StateType.III, s.v))
 
 
@@ -338,7 +356,9 @@ def check_nonsingular(t, gv, hv):
     the exponents and is not part of the check.
     """
     gv, hv = require_generic(gv, hv)
-    w = wronskian(t, inst=(gv, hv))
-    if w.poly.degree <= 0:
-        return True
-    return sturm_count(w.poly, Fraction(-1), Fraction(1)) == 0
+    return _nonsingular(wronskian(t, inst=(gv, hv)))
+
+
+def _nonsingular(w):
+    """check_nonsingular of the Wronskian w at a point."""
+    return w.poly.degree <= 0 or sturm_count(w.poly, Fraction(-1), Fraction(1)) == 0

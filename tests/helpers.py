@@ -3,8 +3,9 @@
 Contains the independent numeric Wronskian oracle (Taylor-mode automatic
 differentiation in mpmath, never touching the engine's eta-space rule), the
 Fraction form of the eta-space derivative rule (the engine uses an integer
-form), a check that a coefficient holds Fractions, a permutation-expansion
-determinant oracle, a coefficient-scaling proportionality oracle, random
+form), checks of coefficient types, the schoolbook EtaPoly product oracle
+(the engine packs products into ints), a permutation-expansion determinant
+oracle, a coefficient-scaling proportionality oracle, random
 generators for states and generic rational points, and the closed-form
 reduction-ledger oracle used to cross-check the move engine.
 """
@@ -131,6 +132,33 @@ def holds_fractions(x):
     if isinstance(x, ParamPoly):
         return all(type(v) is Fraction for v in x.terms.values())
     return type(x) is Fraction
+
+
+def coefficient_terms(p):
+    """The coefficients of the EtaPoly p, each ParamPoly replaced by the
+    coefficients of its terms."""
+    return [v for c in p.coeffs
+            for v in (c.terms.values() if isinstance(c, ParamPoly) else (c,))]
+
+
+# -- product oracle ----------------------------------------------------------
+
+
+def schoolbook_mul(a, b):
+    """Product of two EtaPolys by the coefficient-wise double loop over
+    Fractions or ParamPolys: none of the engine's packing."""
+    if not a or not b:
+        return EtaPoly()
+    out = [None] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ca in enumerate(a.coeffs):
+        if not ca:
+            continue
+        for j, cb in enumerate(b.coeffs):
+            if not cb:
+                continue
+            p = ca * cb
+            out[i + j] = p if out[i + j] is None else out[i + j] + p
+    return EtaPoly(tuple(c if c is not None else Fraction(0) for c in out))
 
 
 # -- determinant oracle ------------------------------------------------------

@@ -15,14 +15,22 @@ from mijacobi.algebra import (
     parampoly_gcd,
     proportional,
     sturm_count,
+    _digits,
     _pack,
     _unpack,
 )
-from helpers import random_rational, scaled_proportional, seeded
+from helpers import (
+    coefficient_terms,
+    random_rational,
+    scaled_proportional,
+    schoolbook_mul,
+    seeded,
+)
 
 G = ParamPoly.gen_g()
 H = ParamPoly.gen_h()
 ONE = ParamPoly.const(1)
+P0 = ParamPoly()
 
 
 def ppoly(terms):
@@ -228,6 +236,69 @@ class TestEtaPoly:
         assert q == EtaPoly((-H - G * H, -G * H)) and r == EtaPoly((G + H + G * H,))
 
 
+def coefficient_types(p):
+    return set(map(type, coefficient_terms(p)))
+
+
+class TestEtaPolyProduct:
+    """EtaPoly.__mul__ (one packed integer product) against the schoolbook
+    oracle, on the inputs where packing could go wrong."""
+
+    def check(self, a, b):
+        p = a * b
+        assert p == schoolbook_mul(a, b) == b * a
+        assert hash(p) == hash(schoolbook_mul(a, b))
+        return p
+
+    def test_zero_and_constant_factors(self):
+        a = EtaPoly((F(1, 3), F(0), F(-5, 2)))
+        for z in (EtaPoly(), EtaPoly((G * 0,))):
+            assert not a * z and not z * a
+        assert self.check(a, EtaPoly.const(F(-7, 4))) == a.scale(F(-7, 4))
+        assert self.check(EtaPoly((G + 1,)), EtaPoly.const(F(2))) == EtaPoly((G * 2 + 2,))
+
+    def test_interior_zeros(self):
+        a = EtaPoly((F(1), F(0), F(0), F(3, 7)))
+        b = EtaPoly((F(0), F(-2), F(0), F(0), F(1, 5)))
+        p = self.check(a, b)
+        assert p.coeffs[0] == 0 and p.degree == 7
+        self.check(EtaPoly((G, P0, P0, H)), EtaPoly((P0, H - G)))
+
+    def test_products_at_the_slot_bound(self):
+        # every coefficient product has one sign, so the middle coefficients
+        # reach ||a||_1 * ||b||_inf, the bound the slot width is built on
+        for m in (1, 2 ** 31 - 1, 2 ** 64, 3 ** 40):
+            a = EtaPoly([F(-m)] * 4)
+            b = EtaPoly([F(m)] * 4)
+            p = self.check(a, b)
+            assert p.coeff(3) == -4 * m * m
+            self.check(a, -b)
+            self.check(EtaPoly([ParamPoly.const(-m) * G] * 3), EtaPoly([G * m, H * m]))
+
+    def test_fraction_times_parampoly_factor(self):
+        a = EtaPoly((F(1, 2), F(-3), F(5, 6)))
+        b = EtaPoly((G - F(1, 3), H + 1, G * H))
+        p = self.check(a, b)
+        assert all(isinstance(c, ParamPoly) for c in p.coeffs)
+
+    def test_sparse_high_degree_operand(self):
+        a = EtaPoly((G ** 12 * H ** 9 + F(1, 3), P0, G - H))
+        b = EtaPoly((G + H, F(2), H ** 5))
+        self.check(a, b)
+
+    def test_coefficient_types(self):
+        # at a point: Fractions, also from int coefficients
+        assert coefficient_types(EtaPoly((1, 2)) * EtaPoly((3, F(1, 2)))) == {F}
+        assert coefficient_types(EtaPoly((F(1), F(2))) * EtaPoly((F(3),))) == {F}
+        # symbolic: ints from int-only operands, Fractions once either holds one
+        ia, ib = EtaPoly(((G * 2 - H).numerator, 3)), EtaPoly((G.numerator, H.numerator))
+        assert coefficient_types(ia * ib) == {int}
+        for a, b in ((ia, EtaPoly((G, H))), (ia, EtaPoly((F(1), F(2)))),
+                     (EtaPoly((G * F(1, 2),)), ib)):
+            assert coefficient_types(a * b) == {F}
+            assert coefficient_types(b * a) == {F}
+
+
 class TestEdgeFactors:
     def test_constructed(self):
         one_m = EtaPoly((F(1), F(-1)))
@@ -356,6 +427,26 @@ class TestPacking:
                    for (i, j), v in c.terms.items()}
             assert got == terms
             assert all(type(v) is int for v in got.values())
+
+    def test_digits_round_trip(self):
+        # short values are read by shifts, those above 8192 bits by bytes
+        rng = seeded(19)
+        for width in (3, 7, 8, 9, 16, 61, 64, 130):
+            for count in [rng.randint(1, 9) for _ in range(15)] + [8192 // width + 2] * 5:
+                bound = (1 << (width - 1)) - 1
+                ds = [rng.choice((-bound, bound, 0, rng.randint(-bound, bound)))
+                      for _ in range(count)]
+                ds[-1] = ds[-1] or rng.choice((-1, 1))
+                v = sum(d << width * k for k, d in enumerate(ds))
+                assert _digits(v, width) == ds
+                assert _digits(-v, width) == [-d for d in ds]
+        assert _digits(0, 5) == []
+
+    def test_unpack_divides_by_den(self):
+        terms = {(0, 0, 0): 3, (1, 1, 0): -4, (0, 0, 2): 6}
+        e = _unpack(_pack(terms, 6, 2, 2), 6, 2, 2, 4)
+        assert e == EtaPoly((F(3, 4) + H * H * F(3, 2), -G))
+        assert coefficient_types(e) == {F}
 
 
 class TestSturm:

@@ -6,16 +6,20 @@ from fractions import Fraction as F
 import pytest
 
 from mijacobi.algebra import ParamPoly
-from mijacobi.cli import main, parse_tuple_spec
-from mijacobi.maya import Ledger, ProportionalityReport
-from mijacobi.states import StateType
+from mijacobi.cli import MAX_INDEX, MAX_STATES, main, parse_tuple_spec
+from mijacobi.maya import Ledger, ProportionalityReport, tuple_to_diagrams
+from mijacobi.states import DEFAULT_GENERIC_POINT, StateType, as_state_tuple
+from mijacobi.wronskian import wronskian
 
 G = ParamPoly.gen_g()
 H = ParamPoly.gen_h()
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # argparse rejected the command line
+        code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -74,6 +78,48 @@ class TestParsing:
     def test_non_generic_point_checked_without_verify(self, capsys):
         code, _, err = run(capsys, "--g", "1/2", "--h", "5/3", "reduce", "I1")
         assert code == 5 and "non-generic" in err
+
+
+class TestInputContract:
+    def test_index_limit(self, capsys):
+        assert run(capsys, "maya", "I%d" % MAX_INDEX)[0] == 0
+        code, out, err = run(capsys, "maya", "II1,I%d" % (MAX_INDEX + 1))
+        assert code == 2 and "at most %d" % MAX_INDEX in err and not out
+
+    def test_size_limit(self, capsys):
+        spec = ",".join("N%d" % k for k in range(MAX_STATES))
+        assert run(capsys, "maya", spec)[0] == 0
+        code, out, err = run(capsys, "maya", spec + ",I0")
+        assert code == 2 and "at most %d states" % MAX_STATES in err and not out
+
+    def test_up_to_limit(self, capsys):
+        assert run(capsys, "spectrum", "I1", "--up-to", str(MAX_INDEX))[0] == 0
+        code, out, err = run(capsys, "spectrum", "I1", "--up-to", str(MAX_INDEX + 1))
+        assert code == 2 and "--up-to" in err and not out
+
+    def test_api_is_unbounded(self):
+        w = wronskian("I%d" % (MAX_INDEX + 1), DEFAULT_GENERIC_POINT)
+        assert w.poly.degree == MAX_INDEX + 1
+        t = as_state_tuple(",".join("N%d" % k for k in range(MAX_STATES + 1)))
+        assert len(tuple_to_diagrams(t).first.right_black) == MAX_STATES + 1
+
+    @pytest.mark.parametrize("argv", [
+        ["poly", "I1,,II2"], ["poly", "I1.5"], ["poly", "i1"], ["poly", "III-1"],
+        ["maya", "I 1"], ["poly", "N" + "9" * 5000], ["reduce", "I1,I1"],
+        ["spectrum", "N2,III0,N2"], ["poly", "I%d" % (MAX_INDEX + 1)],
+        ["maya", ",".join("I%d" % k for k in range(MAX_STATES + 1))],
+        ["spectrum", "I1", "--up-to", "10000000000"], ["spectrum", "I1", "--up-to", "1.5"],
+        ["--g", "3/2", "--h", "52/7", "poly", "I1"],
+        ["--g", "2", "--h", "3", "reduce", "I1", "--verify"],
+        ["--g", "3.7", "--h", "7.3", "spectrum", "I1", "--verify"],
+        ["--g", "0.5", "--h", "52/7", "poly", "I1"], ["--g", "nan", "--h", "1/3", "poly", "I1"],
+        ["--g", "inf", "--h", "1/3", "poly", "I1"], ["--g", "0x1p-2", "--h", "1/3", "poly", "I1"],
+        ["--g", "1/0", "--h", "1/3", "poly", "I1"], ["--g", "37/10", "poly", "I1"],
+        ["--g", "37/10", "--h", "52/7", "verify-identity", "I1,I1"],
+    ])
+    def test_bad_input_exits_without_traceback(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code in (2, 3, 5) and err and "Traceback" not in err
 
 
 class TestPoly:
@@ -207,6 +253,23 @@ class TestSpectrum:
                                      "--verify")
             assert code == 4 and "identity failure" in err and not out, target
             assert "'%s': False" % failed in err and "'%s': True" % passed in err
+
+
+    def test_verify_computes_w_t_once(self, capsys, monkeypatch):
+        t = as_state_tuple("I1,II2,III1")
+        calls = []
+
+        def counted(tt, inst=None):
+            calls.append(as_state_tuple(tt))
+            return wronskian(tt, inst)
+
+        argv = ("--g", "37/10", "--h", "52/7", "spectrum", "I1,II2,III1",
+                "--up-to", "2", "--verify")
+        plain = run(capsys, *argv)
+        for target in ("mijacobi.spectral.wronskian", "mijacobi.cli.wronskian"):
+            monkeypatch.setattr(target, counted)
+        assert run(capsys, *argv) == plain and plain[0] == 0
+        assert calls.count(t) == 1 and len(calls) == 5  # W[T], 3 bound, 1 extra
 
 
 class TestVerifyIdentityCommand:

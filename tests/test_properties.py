@@ -1,6 +1,6 @@
 """Property tests: a symbolic Wronskian instantiates to the Wronskian at the
-point, and public results hold Fractions even though the integer pipeline
-computes on ints."""
+point, public results hold Fractions even though the integer pipeline
+computes on ints, and the packed EtaPoly product equals the schoolbook one."""
 
 from fractions import Fraction as F
 
@@ -9,7 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from mijacobi.algebra import AffineExp, ParamPoly  # noqa: E402
+from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly  # noqa: E402
 from mijacobi.maya import verify_move_identity  # noqa: E402
 from mijacobi.states import (  # noqa: E402
     State,
@@ -19,7 +19,7 @@ from mijacobi.states import (  # noqa: E402
     jacobi_poly,
 )
 from mijacobi.wronskian import wronskian  # noqa: E402
-from helpers import holds_fractions  # noqa: E402
+from helpers import coefficient_terms, holds_fractions, schoolbook_mul  # noqa: E402
 
 G = ParamPoly.gen_g()
 H = ParamPoly.gen_h()
@@ -67,3 +67,35 @@ def test_move_identity_constant_holds_fractions(t, which, direction, pt):
     rep = verify_move_identity(t, which, direction, instantiate=pt)
     assert rep.proportional
     assert holds_fractions(rep.constant)
+
+
+# EtaPoly factors for the product: at a point (Fractions, with zeros and
+# coefficients up to 2^80 in size), and symbolic (ParamPolys of int or
+# Fraction terms, possibly next to plain Fractions)
+point_coeffs = st.one_of(st.just(F(0)), st.builds(F, st.integers(-99, 99), st.integers(1, 12)),
+                         st.integers(-2 ** 80, 2 ** 80).map(F))
+int_terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                            st.integers(-2 ** 40, 2 ** 40), max_size=4)
+param_coeffs = st.one_of(
+    int_terms.map(lambda t: ParamPoly(t).numerator),
+    st.builds(lambda t, d: ParamPoly(t).scale(F(1, d)), int_terms, st.integers(1, 9)))
+point_polys = st.lists(point_coeffs, max_size=6).map(EtaPoly)
+symbolic_polys = st.lists(st.one_of(param_coeffs, point_coeffs), max_size=5).map(EtaPoly)
+
+
+@settings(derandomized, max_examples=100)
+@given(point_polys, point_polys)
+def test_point_product_matches_schoolbook(a, b):
+    p = a * b
+    assert p == schoolbook_mul(a, b)
+    assert all(type(c) is F for c in p.coeffs)
+
+
+@settings(derandomized, max_examples=100)
+@given(st.one_of(symbolic_polys, point_polys), symbolic_polys)
+def test_symbolic_product_matches_schoolbook(a, b):
+    p = a * b
+    assert p == schoolbook_mul(a, b)
+    if any(isinstance(c, ParamPoly) for c in a.coeffs + b.coeffs):
+        ints = all(type(v) is int for v in coefficient_terms(a) + coefficient_terms(b))
+        assert all(type(v) is (int if ints else F) for v in coefficient_terms(p))

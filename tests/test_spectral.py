@@ -180,6 +180,15 @@ class TestVerifyEigenfunction:
             ok, _ = verify_eigenfunction(StateTuple(), 0, inst=(F(7, 10), F(3, 7)))
         assert ok
 
+    def test_warnings_point_at_the_caller(self):
+        pt = (F(7, 10), F(3, 7))
+        with pytest.warns(RuntimeWarning) as rec:
+            verify_eigenfunction(StateTuple(), 0, inst=pt)
+        assert [w.filename for w in rec] == [__file__]
+        with pytest.warns(RuntimeWarning) as rec:
+            extra_eigenstate(parse_states("III1"), 0, inst=pt)
+        assert [w.filename for w in rec] == [__file__]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_random_small_tuples(self):
         rng = seeded(41)
