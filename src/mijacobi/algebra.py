@@ -11,12 +11,16 @@ Everything downstream is built from four value types, all exact over Q:
   ParamRat   quotient of two ParamPolys, gcd-reduced, denominator scaled to
              have leading rational 1 under the term order; the value type
              of a symbolic proportionality constant, with no arithmetic.
-  AffineExp  cg*g + ch*h + c0 with integer cg, ch; used for the sin/cos
-             exponents of quasi-polynomials and for move-ledger prefactors.
+  AffineExp  cg*g + ch*h + c0 with integer cg, ch and c0 always a
+             Fraction; used for the sin/cos exponents of quasi-polynomials
+             and for move-ledger prefactors.
   EtaPoly    polynomial in eta = cos(2x).  Coefficients are Fractions for
              instantiated parameters and ParamPolys for symbolic work.  With
              Fraction coefficients it is the one univariate type over Q: the
-             gcd of ParamPolys and Sturm counting run on it too.
+             gcd of ParamPolys and Sturm counting run on it too.  Its
+             arithmetic keeps ints ints, as ParamPoly's does, so integer
+             identities (the eigen checks) run on int coefficients at a
+             point and on int-coefficient ParamPolys symbolically.
 
 Integer polynomials are also packed into single Python ints (Kronecker
 substitution; see _pack): each eta-coefficient, a polynomial in (g, h), of a
@@ -25,7 +29,10 @@ proportionality check.  A product of two EtaPolys is one product of packed
 ints in both modes: each factor is cleared of denominators once, packed in
 slots wider than any coefficient of the integer product (over eta alone at
 a point, over (eta, g, h) in symbolic mode) and the product is read back
-once, so no coefficient-by-coefficient Fraction arithmetic is done.
+once, so no coefficient-by-coefficient Fraction arithmetic is done.  The
+product is int-preserving: it holds ints when both factors hold only ints
+(int coefficients, or ParamPolys of int terms), and Fractions once either
+factor holds a Fraction, so no public result changes type.
 
 There is no floating point anywhere in this module, and every value is
 immutable after construction; all operations are pure functions.
@@ -46,11 +53,13 @@ class ZeroPolynomialError(ValueError):
 
 
 def _exact_point(gv, hv):
-    """(gv, hv) as Fractions; TypeError unless each is an int or a Fraction."""
+    """(gv, hv) as Fractions, a Fraction returned as it is; TypeError unless
+    each is an int or a Fraction."""
     if not (isinstance(gv, (int, Fraction)) and isinstance(hv, (int, Fraction))):
         raise TypeError("parameter values must be ints or Fractions, got %r, %r"
                         % (gv, hv))
-    return Fraction(gv), Fraction(hv)
+    return (gv if type(gv) is Fraction else Fraction(gv),
+            hv if type(hv) is Fraction else Fraction(hv))
 
 
 def _grlex(key):
@@ -527,11 +536,12 @@ class AffineExp:
     c0: Fraction = _F0
 
     def __post_init__(self):
-        object.__setattr__(self, "c0", Fraction(self.c0))
+        if type(self.c0) is not Fraction:
+            object.__setattr__(self, "c0", Fraction(self.c0))
 
     @classmethod
     def const(cls, v):
-        return cls(0, 0, Fraction(v))
+        return cls(0, 0, v)
 
     @property
     def is_constant(self):
@@ -679,9 +689,9 @@ class EtaPoly:
         """One product of packed ints (see _pack), read back once.
 
         At a point (no ParamPoly coefficient) each factor is cleared to an
-        int list over eta and the result holds Fractions.  Otherwise (eta, g,
-        h) are packed, and the result's ParamPolys hold ints when both
-        factors hold only ints, else Fractions.
+        int list over eta; otherwise (eta, g, h) are packed.  In both modes
+        the result holds ints when both factors hold only ints (int
+        coefficients, or ParamPolys of int terms), else Fractions.
         """
         if not isinstance(other, EtaPoly):
             return NotImplemented
@@ -695,9 +705,11 @@ class EtaPoly:
         na = [c.numerator * (da // c.denominator) for c in a]
         nb = [c.numerator * (db // c.denominator) for c in b]
         width = (sum(map(abs, na)) * max(map(abs, nb))).bit_length() + 2
+        digits = _digits(_pack_list(na, width) * _pack_list(nb, width), width)
+        if all(type(c) is int for c in a) and all(type(c) is int for c in b):
+            return EtaPoly(digits)
         den = da * db
-        return EtaPoly([Fraction(n, den) for n in
-                        _digits(_pack_list(na, width) * _pack_list(nb, width), width)])
+        return EtaPoly([Fraction(n, den) for n in digits])
 
     def scale(self, c):
         if not c:

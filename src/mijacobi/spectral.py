@@ -19,10 +19,14 @@ Maya diagram: left white beads give the extra levels, right black beads the
 deleted bound levels.
 
 The eigenfunction checks do not form H_T f as a quotient: for f = Y/W,
-W^2 (H_T - E) f is built from Y, W and their derivatives by the same rule
-and leaves one polynomial in eta (see _eigen_identity), which is zero
-exactly when the eigen-equation holds.  QuasiRat, apply_hamiltonian and
-deformed_potential keep the quotient route as public API.
+W^2 (H_T - E) f is built from Y, W and their first two derivatives and
+leaves one polynomial in eta (see _eigen_identity), which is zero exactly
+when the eigen-equation holds.  The derivatives are one integer column per
+side from the Wronskian's own derivative rule (wronskian._quasi_column), so
+the identity is decided on ints at a point and on int-coefficient ParamPolys
+in symbolic mode, scaled by a known nonzero integer instead of divided.
+QuasiRat, apply_hamiltonian and deformed_potential keep the quotient route,
+through differentiate, as public API.
 
 Everything here is exact; no tolerances appear anywhere.  Eigenfunction
 checks are symbolic in (g, h) for tuples of at most SYMBOLIC_SIZE_CAP states
@@ -35,6 +39,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     AffineExp,
@@ -55,7 +60,7 @@ from .states import (
     require_generic,
 )
 from .maya import tuple_to_diagrams
-from .wronskian import RawQuasi, differentiate, wronskian
+from .wronskian import RawQuasi, _quasi_column, differentiate, wronskian
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +195,8 @@ def apply_hamiltonian(pot, f):
 
 
 def _eigen_identity(w, f, ev, inst):
-    """Whether f solves H_T f = ev f, decided as one polynomial identity in
-    eta: no quotient is formed and nothing is divided.
+    """Whether f solves H_T f = ev f, decided as one integer polynomial
+    identity in eta: no quotient is formed and nothing is divided.
 
     w = s^a c^b P is the canonical W[T] and f = s^al c^be Q/P the QuasiRat
     built over it (its den, P, is not read).  So f = Y/w with
@@ -200,19 +205,33 @@ def _eigen_identity(w, f, ev, inst):
         w^2 (H_T - ev) f = -Y'' w + 2 Y' w' - Y w'' + (U - ev) Y w.
 
     Each term is s^(2a+al-2) c^(2b+be-2) times an eta-polynomial; with Y1,
-    Y2, W1, W2 the eta-parts of Y', Y'', w', w'' from differentiate and
-    v = (U - ev) s^2 c^2, their sum is N = (v Q - Y2) P + 2 Y1 W1 - Q W2, of
-    degree at most deg Q + deg P + 2.  f is an eigenfunction iff N = 0.
+    Y2, W1, W2 the eta-parts of Y', Y'', w', w'' and v = (U - ev) s^2 c^2,
+    their sum is N = (v Q - Y2) P + 2 Y1 W1 - Q W2, of degree at most
+    deg Q + deg P + 2, and f is an eigenfunction iff N = 0.
+
+    N is decided on integers: one derivative column per side
+    (wronskian._quasi_column) gives P' = d_P P, W1' = b_w d_P W1,
+    W2' = b_w^2 d_P W2 and likewise Q', Y1', Y2' with b_y and d_Q, all ints
+    at a point and int-coefficient ParamPolys in symbolic mode, and v is
+    cleared once to v' = k v.  Then
+
+        (v' Q' b_y^2 - k Y2') P' b_w^2 + 2 k b_y b_w Y1' W1' - k b_y^2 Q' W2'
+            = K N,   K = k b_y^2 b_w^2 d_P d_Q,
+
+    and K is not zero, so the integer left side is zero exactly when N is.
     """
     g, h = (P_G, P_H) if inst is None else inst
-    p, q = w.poly, f.num
-    w1 = differentiate(w)
-    y1 = differentiate(RawQuasi(w.expS + f.expS, w.expC + f.expC, q))
-    # v = g(g-1)(1+eta)/2 + h(h-1)(1-eta)/2 - ((g+h)^2 + ev)(1-eta^2)/4
+    bw, (p, w1, w2), dp = _quasi_column(w.expS, w.expC, w.poly, 3)
+    by, (q, y1, y2), dq = _quasi_column(w.expS + f.expS, w.expC + f.expC, f.num, 3)
+    p, w1, w2, q, y1, y2 = map(EtaPoly, (p, w1, w2, q, y1, y2))
+    # 4v = g(g-1)2(1+eta) + h(h-1)2(1-eta) - ((g+h)^2 + ev)(1-eta^2)
     ug, uh, us = g * (g - 1) * 2, h * (h - 1) * 2, (g + h) * (g + h) + ev
-    v = EtaPoly((ug + uh - us, ug - uh, us)).scale(Fraction(1, 4))
-    n = ((v * q - differentiate(y1).poly) * p + (y1.poly * w1.poly).scale(2)
-         - q * differentiate(w1).poly)
+    v4 = (ug + uh - us, ug - uh, us)
+    den = lcm(*(c.denominator for c in v4))
+    v = EtaPoly([c.numerator * (den // c.denominator) for c in v4])
+    k, by2 = 4 * den, by * by
+    n = (((v * q).scale(by2) - y2.scale(k)) * p).scale(bw * bw)
+    n = n + (y1 * w1).scale(2 * k * by * bw) - (q * w2).scale(k * by2)
     return not n
 
 
@@ -228,12 +247,14 @@ def _warn_if_small(expS, expC, gv, hv, stacklevel):
             RuntimeWarning, stacklevel=stacklevel + 1)
 
 
-# larger tuples go to a point.  Symbolic checks with the cap lifted take
-# 0.03 s (I1,II1, n = 1) to 0.09 s (I2,II2, n = 2) for 2 states, 0.06-0.3 s
-# for 3 (I0,II1,N2; I1,II1,III1; I2,II2,III2, n = 0) and 0.4-0.6 s for 4
-# (I2,II1,III1,N1; I1,II2,III1,N2; I2,II0,II2,III1; n = 0) (Python 3.11,
-# 2-core container).  The cap changes which mode API callers get, so it stays
-# until a benchmark workload of symbolic eigen checks measures a new one.
+# Eigen checks of at most SYMBOLIC_SIZE_CAP states run symbolic when no point
+# is given; larger tuples go to a point.  Symbolic checks with the cap lifted
+# take 0.014 s (I1,II1, n = 1) to 0.05 s (I2,II2, n = 2) for 2 states,
+# 0.02-0.13 s for 3 (I0,II1,N2; I1,II1,III1; I2,II2,III2, n = 0) and
+# 0.25-0.36 s for 4 (I2,II1,III1,N1; I1,II2,III1,N2; I2,II0,II2,III1; n = 0)
+# (CPU time, best of 3, Python 3.11, 2-core container).  The cap changes
+# which mode API callers get, so it stays until a benchmark workload of
+# symbolic eigen checks measures a new one.
 SYMBOLIC_SIZE_CAP = 2
 
 

@@ -71,10 +71,13 @@ class RawQuasi:
 
 def _half_split(a, b):
     """Coefficients of (a(1+eta) - b(1-eta))/2 = (a-b)/2 + (a+b)/2 * eta."""
-    half = Fraction(1, 2)
     if a.is_constant and b.is_constant:
-        return (a.c0 - b.c0) * half, (a.c0 + b.c0) * half
+        x, y = a.c0, b.c0
+        nx, ny = x.numerator * y.denominator, y.numerator * x.denominator
+        den = 2 * x.denominator * y.denominator
+        return Fraction(nx - ny, den), Fraction(nx + ny, den)
     pa, pb = a.as_parampoly(), b.as_parampoly()
+    half = Fraction(1, 2)
     return (pa - pb) * half, (pa + pb) * half
 
 
@@ -108,14 +111,21 @@ def _column(poly, h0, h1, n, big):
     return col, d
 
 
+def _quasi_column(exp_s, exp_c, poly, n):
+    """(big, col, d): _column of s^exp_s c^exp_c poly for n rows, with big the
+    lcm of the denominators of its two halves (see _half_split)."""
+    h0, h1 = _half_split(exp_s, exp_c)
+    big = lcm(h0.denominator, h1.denominator)
+    col, d = _column(poly, h0, h1, n, big)
+    return big, col, d
+
+
 def differentiate(q):
     """One x-derivative of a QuasiPoly or RawQuasi; exponents drop by one.
 
     It is one step of _column, divided once by big*d.
     """
-    h0, h1 = _half_split(q.expS, q.expC)
-    big = lcm(h0.denominator, h1.denominator)
-    (_, p), d = _column(q.poly, h0, h1, 2, big)
+    big, (_, p), d = _quasi_column(q.expS, q.expC, q.poly, 2)
     return RawQuasi(q.expS - 1, q.expC - 1, EtaPoly(p).scale(Fraction(1, big * d)))
 
 
@@ -264,9 +274,11 @@ def det_poly_matrix(mat):
 def wronskian_of_quasis(quasis):
     """Wronskian of arbitrary quasi-polynomials, canonicalized.
 
-    All columns of _column share big, the lcm over all inputs, so row i of
-    the integer matrix carries big^i and column j its d_j: the canonicalized
-    integer determinant is divided once by big^(n(n-1)/2) * prod_j d_j.
+    Column j comes from _quasi_column with its own big_j; its row i is
+    scaled by (big/big_j)^i, with big the lcm over all inputs, so row i of
+    the integer matrix carries big^i and column j its d_j: the
+    canonicalized integer determinant is divided once by
+    big^(n(n-1)/2) * prod_j d_j.
     """
     quasis = list(quasis)
     n = len(quasis)
@@ -275,14 +287,15 @@ def wronskian_of_quasis(quasis):
     off = Fraction(n * (n - 1), 2)
     exp_s = sum((q.expS for q in quasis), AffineExp()) - off
     exp_c = sum((q.expC for q in quasis), AffineExp()) - off
-    halves = [_half_split(q.expS, q.expC) for q in quasis]
-    big = lcm(*(h.denominator for pair in halves for h in pair))
-    cols, scale = [], big ** (n * (n - 1) // 2)
-    for q, (h0, h1) in zip(quasis, halves):
-        col, d = _column(q.poly, h0, h1, n, big)
-        cols.append(col)
+    cols = [_quasi_column(q.expS, q.expC, q.poly, n) for q in quasis]
+    big = lcm(*(b for b, _, _ in cols))
+    scale = big ** (n * (n - 1) // 2)
+    mat = [[] for _ in range(n)]
+    for b, col, d in cols:
+        r = big // b
+        for i, p in enumerate(col):
+            mat[i].append(EtaPoly(p if r == 1 else [c * r ** i for c in p]))
         scale *= d
-    mat = [[EtaPoly(col[i]) for col in cols] for i in range(n)]
     raw = RawQuasi(exp_s, exp_c, det_poly_matrix(mat))
     return canonicalize(raw).scale_poly(Fraction(1, scale))
 

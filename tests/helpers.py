@@ -3,11 +3,13 @@
 Contains the independent numeric Wronskian oracle (Taylor-mode automatic
 differentiation in mpmath, never touching the engine's eta-space rule), the
 Fraction form of the eta-space derivative rule (the engine uses an integer
-form), checks of coefficient types, the schoolbook EtaPoly product oracle
-(the engine packs products into ints), a permutation-expansion determinant
-oracle, a coefficient-scaling proportionality oracle, random
-generators for states and generic rational points, and the closed-form
-reduction-ledger oracle used to cross-check the move engine.
+form), the Fraction form of the eigen identity (the engine decides it on
+integer columns), checks of coefficient types, the schoolbook EtaPoly
+product oracle (the engine packs products into ints), a
+permutation-expansion determinant oracle, a coefficient-scaling
+proportionality oracle, random generators for states and generic rational
+points, and the closed-form reduction-ledger oracle used to cross-check the
+move engine.
 """
 
 from fractions import Fraction
@@ -16,11 +18,11 @@ import random
 
 import mpmath as mp
 
-from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly, ParamRat
+from mijacobi.algebra import AffineExp, EtaPoly, P_G, P_H, ParamPoly, ParamRat
 from mijacobi.maya import dbar
 from mijacobi.states import State, StateTuple, StateType, as_state_tuple, is_generic
 from mijacobi.states import random_tuple  # noqa: F401  (re-exported for the tests)
-from mijacobi.wronskian import RawQuasi
+from mijacobi.wronskian import RawQuasi, differentiate
 
 
 # -- numeric oracle ----------------------------------------------------------
@@ -139,6 +141,31 @@ def coefficient_terms(p):
     coefficients of its terms."""
     return [v for c in p.coeffs
             for v in (c.terms.values() if isinstance(c, ParamPoly) else (c,))]
+
+
+# -- eigen identity oracle ---------------------------------------------------
+
+
+def eigen_identity_reference(w, f, ev, inst):
+    """Whether f = Y/w solves H_T f = ev f, by the eigen identity over
+    Fractions or ParamPolys of Fractions: the engine's former
+    spectral._eigen_identity, before it moved to integer columns.
+
+    With Y = s^(a+al) c^(b+be) Q for f = s^al c^be Q/P over w = s^a c^b P,
+    Y1, Y2, W1, W2 the eta-parts of Y', Y'', w', w'' from differentiate and
+    v = (U - ev) s^2 c^2, it decides N = (v Q - Y2) P + 2 Y1 W1 - Q W2 = 0
+    with EtaPoly add, sub and scale.
+    """
+    g, h = (P_G, P_H) if inst is None else inst
+    p, q = w.poly, f.num
+    w1 = differentiate(w)
+    y1 = differentiate(RawQuasi(w.expS + f.expS, w.expC + f.expC, q))
+    # v = g(g-1)(1+eta)/2 + h(h-1)(1-eta)/2 - ((g+h)^2 + ev)(1-eta^2)/4
+    ug, uh, us = g * (g - 1) * 2, h * (h - 1) * 2, (g + h) * (g + h) + ev
+    v = EtaPoly((ug + uh - us, ug - uh, us)).scale(Fraction(1, 4))
+    n = ((v * q - differentiate(y1).poly) * p + (y1.poly * w1.poly).scale(2)
+         - q * differentiate(w1).poly)
+    return not n
 
 
 # -- product oracle ----------------------------------------------------------

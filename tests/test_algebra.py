@@ -287,14 +287,21 @@ class TestEtaPolyProduct:
         self.check(a, b)
 
     def test_coefficient_types(self):
-        # at a point: Fractions, also from int coefficients
-        assert coefficient_types(EtaPoly((1, 2)) * EtaPoly((3, F(1, 2)))) == {F}
-        assert coefficient_types(EtaPoly((F(1), F(2))) * EtaPoly((F(3),))) == {F}
+        # at a point: ints from int-only operands, Fractions once either
+        # holds one, also one of denominator 1
+        ints = EtaPoly((1, -2, 0, 5)) * EtaPoly((3, 4))
+        assert coefficient_types(ints) == {int} and ints == EtaPoly((3, -2, -8, 15, 20))
+        for a, b in ((EtaPoly((1, 2)), EtaPoly((3, F(1, 2)))),
+                     (EtaPoly((1, 2)), EtaPoly((F(3),))),
+                     (EtaPoly((F(1), F(2))), EtaPoly((F(3),)))):
+            assert coefficient_types(a * b) == {F}
+            assert coefficient_types(b * a) == {F}
         # symbolic: ints from int-only operands, Fractions once either holds one
         ia, ib = EtaPoly(((G * 2 - H).numerator, 3)), EtaPoly((G.numerator, H.numerator))
         assert coefficient_types(ia * ib) == {int}
+        assert coefficient_types(EtaPoly((1, 2)) * ib) == {int}
         for a, b in ((ia, EtaPoly((G, H))), (ia, EtaPoly((F(1), F(2)))),
-                     (EtaPoly((G * F(1, 2),)), ib)):
+                     (EtaPoly((G * F(1, 2),)), ib), (EtaPoly((1, 2)), EtaPoly((G,)))):
             assert coefficient_types(a * b) == {F}
             assert coefficient_types(b * a) == {F}
 

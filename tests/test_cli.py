@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from mijacobi.algebra import ParamPoly
-from mijacobi.cli import MAX_INDEX, MAX_STATES, main, parse_tuple_spec
+from mijacobi.cli import MAX_INDEX, MAX_RANDOM, MAX_STATES, main, parse_tuple_spec
 from mijacobi.maya import Ledger, ProportionalityReport, tuple_to_diagrams
 from mijacobi.states import DEFAULT_GENERIC_POINT, StateType, as_state_tuple
 from mijacobi.wronskian import wronskian
@@ -96,6 +96,17 @@ class TestInputContract:
         assert run(capsys, "spectrum", "I1", "--up-to", str(MAX_INDEX))[0] == 0
         code, out, err = run(capsys, "spectrum", "I1", "--up-to", str(MAX_INDEX + 1))
         assert code == 2 and "--up-to" in err and not out
+
+    def test_random_limit(self, capsys, monkeypatch):
+        code, out, err = run(capsys, "verify-identity", "--random", str(MAX_RANDOM + 1))
+        assert code == 2 and "--random is at most %d" % MAX_RANDOM in err and not out
+        assert "Traceback" not in err
+        monkeypatch.setattr("mijacobi.cli.MAX_RANDOM", 3)
+        argv = ("--g", "37/10", "--h", "52/7", "verify-identity", "--random")
+        code, out, _ = run(capsys, *argv, "3")
+        assert code == 0 and "3/3 random move identities verified" in out
+        code, out, err = run(capsys, *argv, "4")
+        assert code == 2 and "--random is at most 3" in err and not out
 
     def test_api_is_unbounded(self):
         w = wronskian("I%d" % (MAX_INDEX + 1), DEFAULT_GENERIC_POINT)

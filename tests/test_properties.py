@@ -1,6 +1,8 @@
 """Property tests: a symbolic Wronskian instantiates to the Wronskian at the
 point, public results hold Fractions even though the integer pipeline
-computes on ints, and the packed EtaPoly product equals the schoolbook one."""
+computes on ints, the packed EtaPoly product equals the schoolbook one, the
+integer eigen identity decides as its Fraction form does, and equal values
+hash equal."""
 
 from fractions import Fraction as F
 
@@ -11,15 +13,22 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly  # noqa: E402
 from mijacobi.maya import verify_move_identity  # noqa: E402
+from mijacobi.spectral import QuasiRat, _eigen_identity  # noqa: E402
 from mijacobi.states import (  # noqa: E402
     State,
     StateType,
+    as_state_tuple,
     eigenvalue,
     is_generic,
     jacobi_poly,
 )
 from mijacobi.wronskian import wronskian  # noqa: E402
-from helpers import coefficient_terms, holds_fractions, schoolbook_mul  # noqa: E402
+from helpers import (  # noqa: E402
+    coefficient_terms,
+    eigen_identity_reference,
+    holds_fractions,
+    schoolbook_mul,
+)
 
 G = ParamPoly.gen_g()
 H = ParamPoly.gen_h()
@@ -99,3 +108,66 @@ def test_symbolic_product_matches_schoolbook(a, b):
     if any(isinstance(c, ParamPoly) for c in a.coeffs + b.coeffs):
         ints = all(type(v) is int for v in coefficient_terms(a) + coefficient_terms(b))
         assert all(type(v) is (int if ints else F) for v in coefficient_terms(p))
+
+
+# -- the eigen identity on integer columns against its Fraction form ----------
+
+
+def eigenstates(t, inst):
+    """(W[t], f, E) for every bound level n <= 2 that t does not delete and
+    every extra state of a type III member of t, with f = W[top]/W[t]."""
+    t = as_state_tuple(t)
+    wt = wronskian(t, inst)
+
+    def over_wt(top):
+        w = wronskian(top, inst)
+        return QuasiRat.make(w.expS - wt.expS, w.expC - wt.expC, w.poly, wt.poly)
+
+    for n in range(3):
+        phi = State(StateType.N, n)
+        if phi not in t:
+            yield wt, over_wt(t.with_state(phi)), eigenvalue(phi)
+    for i, s in enumerate(t):
+        if s.type is StateType.III:
+            yield wt, over_wt(t.without_index(i)), eigenvalue(s)
+
+
+def check_eigen_identity(t, pt):
+    for wt, f, ev in eigenstates(t, pt):
+        e = ev if pt is None else ev.eval_at(*pt)
+        for energy, holds in ((e, True), (e + 1, False)):
+            assert _eigen_identity(wt, f, energy, pt) is holds, (t, energy)
+            assert eigen_identity_reference(wt, f, energy, pt) is holds, (t, energy)
+
+
+@derandomized
+@given(tuples, points)
+def test_eigen_identity_matches_fraction_form_at_a_point(t, pt):
+    check_eigen_identity(t, pt)
+
+
+@settings(derandomized, max_examples=10)
+@given(st.lists(states, min_size=1, max_size=2, unique=True))
+def test_eigen_identity_matches_fraction_form_symbolically(t):
+    check_eigen_identity(t, None)
+
+
+# -- equal values hash equal ---------------------------------------------------
+
+@derandomized
+@given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-50, 50), st.integers(1, 12))
+def test_equal_affine_exps_hash_equal(cg, ch, n, d):
+    for c0 in (n, F(n, d)):
+        for built in ([AffineExp(cg, ch, c0), AffineExp(cg, ch, F(c0)), AffineExp(cg, ch) + c0],
+                      [AffineExp.const(c0), AffineExp(0, 0, F(c0)), AffineExp() + c0]):
+            for e in built:
+                assert type(e.c0) is F
+                assert e == built[0] and hash(e) == hash(built[0])
+
+
+@derandomized
+@given(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=6))
+def test_equal_eta_polys_hash_equal(ns):
+    a = EtaPoly(ns)
+    for b in (EtaPoly([F(n) for n in ns]), EtaPoly([ParamPoly.const(n) for n in ns])):
+        assert a == b and hash(a) == hash(b)

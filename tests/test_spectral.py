@@ -210,16 +210,28 @@ class TestVerifyEigenfunction:
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestEigenIdentity:
-    def test_wrong_eigenvalue_fails_at_a_point(self):
+    def test_wrong_eigenvalue_fails_at_a_point(self, monkeypatch):
+        # every level of spectrum --up-to 2; the identity reads integer
+        # derivative columns, never the one-step differentiate that the
+        # quotient route keeps
+        def refuse(q):
+            raise AssertionError("differentiate called")
+
+        monkeypatch.setattr("mijacobi.spectral.differentiate", refuse)
         pt = GENERIC_POINTS[0]
         t = parse_states("I1,II2,III1")
         wt = wronskian(t, pt)
-        f, ev = bound_eigenstate(t, 1, pt)
-        assert _eigen_identity(wt, f, ev.eval_at(*pt), pt)
-        assert not _eigen_identity(wt, f, ev.eval_at(*pt) + 1, pt)
-        f, ev = extra_eigenstate(t, 2, pt)
-        assert _eigen_identity(wt, f, ev.eval_at(*pt), pt)
-        assert not _eigen_identity(wt, f, ev.eval_at(*pt) + 1, pt)
+        cases = []
+        for lab, _ in permitted_spectrum(t, 2):
+            if lab.kind == "bound":
+                assert verify_eigenfunction(t, lab.index, inst=pt)[0]
+                cases.append(bound_eigenstate(t, lab.index, pt))
+            else:
+                cases.append(extra_eigenstate(t, 2, pt))
+        assert len(cases) == 4  # E_-2, E_0, E_1, E_2
+        for f, ev in cases:
+            assert _eigen_identity(wt, f, ev.eval_at(*pt), pt)
+            assert not _eigen_identity(wt, f, ev.eval_at(*pt) + 1, pt)
 
     def test_wrong_eigenvalue_fails_symbolically(self):
         # bound states (n) and extra states (the III member at index ell)
