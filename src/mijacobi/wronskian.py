@@ -12,17 +12,16 @@ Q_{i,j}(eta), so
 
     W = s^(sum a_j - N(N-1)/2) c^(sum b_j - N(N-1)/2) det(Q_{i,j}).
 
-The Wronskian is one integer pipeline in both modes: each input is cleared
-of denominators once, its derivatives follow an integer form of the rule
-above (see _column), one fraction-free Bareiss elimination over Z[eta] on
-dense lists of ints takes the determinant, and the (1 -/+ eta) factors come
-off the integer determinant, which is then divided once by the scales.  The
-entries are ints at an instantiated point and int-coefficient ParamPolys in
-symbolic mode, where each eta-coefficient, a polynomial in (g, h), is packed
-into one int by Kronecker substitution.  The exponents then hold all the
-(1 -/+ eta) factors.  The eta-polynomial left over is the object of
-interest: for tuples of well states it is a (multi-indexed) Jacobi-type
-polynomial.
+The Wronskian is one integer pipeline in both modes: inputs are cleared of
+denominators once, derivatives follow an integer form of the rule above
+(_step), a lazy fraction-free elimination over Z[eta] (_lazy_det: one row
+of minors, differentiated as it goes, in n(n-1)/2 combines where Bareiss
+on the n derivative rows takes (n-1)n(2n-1)/6) takes the determinant, and
+its (1 -/+ eta) factors go into the exponents before one division by the
+scales.  Entries are ints at a point; in symbolic mode each
+eta-coefficient, a polynomial in (g, h), is packed into one int by
+Kronecker substitution.  The eta-polynomial left over is the object of
+interest: for tuples of well states a (multi-indexed) Jacobi-type one.
 """
 
 from __future__ import annotations
@@ -81,43 +80,48 @@ def _half_split(a, b):
     return (pa - pb) * half, (pa + pb) * half
 
 
-def _column(poly, h0, h1, n, big):
-    """(col, d): d*Q and the scaled eta-parts of the first n-1 derivatives of
-    a quasi-polynomial s^a c^b Q with h0 = (a-b)/2 and h1 = (a+b)/2.
+def _columns(quasis):
+    """(big, cols): cols[j] = (p, d, c0, c1) for quasis[j] = s^a c^b Q, with
+    p = d*Q as a list, d the lcm of Q's denominators, (c0, c1) = big times
+    the halves (a-b)/2 and (a+b)/2, big the lcm of all their denominators."""
+    halves = [_half_split(q.expS, q.expC) for q in quasis]
+    big = lcm(*(h.denominator for hs in halves for h in hs))
+    ds = [lcm(*(c.denominator for c in q.poly.coeffs)) for q in quasis]
+    return big, [([c.numerator * (d // c.denominator) for c in q.poly.coeffs], d,
+                  *(h.numerator * (big // h.denominator) for h in hs))
+                 for q, hs, d in zip(quasis, halves, ds)]
 
-    d is the lcm of the denominators of Q, and big a common multiple of those
-    of h0 and h1.  With c0 = big*h0 and c1 = big*h1, big times the eta-part
-    of the derivative of s^a c^b P is c0*P + c1*eta*P - big*(1-eta^2)*P',
-    and a derivative lowers a and b by 1, so c1 by big.  Entry i of col is
-    big^i * d times the eta-part of the i-th derivative.  Every entry is
-    integral: ints at an instantiated point, int-coefficient ParamPolys
-    (c0, c1 affine in (g, h)) in symbolic mode.
-    """
-    d = lcm(*(c.denominator for c in poly.coeffs))
-    p = [c.numerator * (d // c.denominator) for c in poly.coeffs]
-    c0, c1 = (h.numerator * (big // h.denominator) for h in (h0, h1))
+
+def _step(p, c0, c1, big):
+    """c0*P + c1*eta*P - big*(1-eta^2)*P' for the dense list p of P."""
+    nxt = [0] * (len(p) + 1)
+    for k, c in enumerate(p):
+        nxt[k] += c0 * c
+        nxt[k + 1] += (c1 + big * k) * c
+        if k:
+            nxt[k - 1] -= big * k * c
+    while nxt and not nxt[-1]:
+        nxt.pop()
+    return nxt
+
+
+def _column(p, c0, c1, n, big):
+    """The first n rows of the integer derivative column of s^a c^b Q from its
+    (p, c0, c1) of _columns: big times the eta-part of (s^a c^b P)' is
+    _step(P), and a derivative lowers a and b, so c1 by big.  Entry i is
+    big^i * d times the eta-part of the i-th derivative, all integral."""
     col = [p]
     for _ in range(1, n):
-        nxt = [0] * (len(p) + 1)
-        for k, c in enumerate(p):
-            nxt[k] += c0 * c
-            nxt[k + 1] += (c1 + big * k) * c
-            if k:
-                nxt[k - 1] -= big * k * c
-        while nxt and not nxt[-1]:
-            nxt.pop()
-        p, c1 = nxt, c1 - big
+        p, c1 = _step(p, c0, c1, big), c1 - big
         col.append(p)
-    return col, d
+    return col
 
 
 def _quasi_column(exp_s, exp_c, poly, n):
     """(big, col, d): _column of s^exp_s c^exp_c poly for n rows, with big the
     lcm of the denominators of its two halves (see _half_split)."""
-    h0, h1 = _half_split(exp_s, exp_c)
-    big = lcm(h0.denominator, h1.denominator)
-    col, d = _column(poly, h0, h1, n, big)
-    return big, col, d
+    big, [(p, d, c0, c1)] = _columns([RawQuasi(exp_s, exp_c, poly)])
+    return big, _column(p, c0, c1, n, big), d
 
 
 def differentiate(q):
@@ -232,28 +236,10 @@ def _bareiss(m):
     return sign, m[n - 1][n - 1]
 
 
-def det_poly_matrix(mat):
-    """Exact determinant of a square EtaPoly matrix of integer coefficients,
-    by Bareiss elimination over Z[eta] on dense lists of ints.
-
-    Int coefficients (an instantiated Wronskian matrix) are eliminated as
-    they are.  Otherwise the coefficients are int-coefficient ParamPolys
-    (symbolic mode), and each eta-coefficient, a polynomial in (g, h), is
-    packed into one int (see algebra._pack) with a g-degree bound and a slot
-    width that hold for the coefficients of every minor: the width is 2 bits
-    above the Hadamard-type bound prod_rows max(1, sqrt(sum_j |e_ij|_1^2)).
-    So a packed coefficient of a minor is zero exactly when its polynomial
-    is, and the result unpacks uniquely; packing is a ring homomorphism, so
-    each exact division returns the packed minor.  The determinant has
-    integer coefficients of the same kind; ValueError for a non-integral
-    coefficient.
-    """
-    n = len(mat)
-    if n == 0:
-        return EtaPoly.const(1)
-    if all(type(c) is int for row in mat for e in row for c in e.coeffs):
-        sign, det = _bareiss([[list(e.coeffs) for e in row] for row in mat])
-        return EtaPoly([sign * c for c in det])
+def _packing(mat):
+    """(rows, width, lg): the integer terms {(k, i, j): n} of each entry, a
+    slot width 2 bits above prod_rows max(1, sqrt(sum_j |e_ij|_1^2)) and
+    1 + _degree_bound, bounds that hold for every minor of mat."""
     rows, h2 = [], 1
     for row in mat:
         terms, s = _cleared(row)
@@ -261,8 +247,27 @@ def det_poly_matrix(mat):
             raise ValueError("det_poly_matrix needs integer coefficients")
         rows.append(terms)
         h2 *= max(1, sum(sum(map(abs, t.values())) ** 2 for t in terms))
-    width = (h2.bit_length() + 1) // 2 + 2
-    lg = 1 + _degree_bound(rows)
+    return rows, (h2.bit_length() + 1) // 2 + 2, 1 + _degree_bound(rows)
+
+
+def det_poly_matrix(mat):
+    """Exact determinant of a square EtaPoly matrix of integer coefficients,
+    by Bareiss elimination over Z[eta] on dense lists of ints.
+
+    The general determinant, and the reference of _lazy_det.  Int
+    coefficients are eliminated as they are; symbolic ones are packed, each
+    eta-coefficient into one int (algebra._pack), with the bounds of
+    _packing: a packed coefficient of a minor is zero exactly when its
+    polynomial is, and the result unpacks uniquely.  Packing is a ring
+    homomorphism, so each exact division returns the packed minor.
+    """
+    n = len(mat)
+    if n == 0:
+        return EtaPoly.const(1)
+    if all(type(c) is int for row in mat for e in row for c in e.coeffs):
+        sign, det = _bareiss([[list(e.coeffs) for e in row] for row in mat])
+        return EtaPoly([sign * c for c in det])
+    rows, width, lg = _packing(mat)
     m = [[[_pack({(0, i, j): v for (k, i, j), v in t.items() if k == e}, width, 1, lg)
            for e in range(1 + max((k for k, _, _ in t), default=-1))] for t in row]
          for row in rows]
@@ -271,15 +276,50 @@ def det_poly_matrix(mat):
                          for c in det))
 
 
-def wronskian_of_quasis(quasis):
-    """Wronskian of arbitrary quasi-polynomials, canonicalized.
+def _matrix(cols, big):
+    """The explicit n x n integer derivative matrix of _columns' cols."""
+    return [[EtaPoly(e) for e in row]
+            for row in zip(*(_column(p, c0, c1, len(cols), big) for p, _, c0, c1 in cols))]
 
-    Column j comes from _quasi_column with its own big_j; its row i is
-    scaled by (big/big_j)^i, with big the lcm over all inputs, so row i of
-    the integer matrix carries big^i and column j its d_j: the
-    canonicalized integer determinant is divided once by
-    big^(n(n-1)/2) * prod_j d_j.
-    """
+
+def _lazy_det(cols, big):
+    """det_poly_matrix(_matrix(cols, big)) from one row of minors u_j =
+    det(rows 0..k; columns 0..k-1, j), columns sorted to ascending eta-degree.
+
+    D u_j (_step with column j's own c0, c1) is the minor with row k one
+    derivative further, up to a term (C0 + C1*eta)*u_j shared by level k that
+    cancels in u_k*D u_j - D u_k*u_j = prev * (next u_j) (Sylvester; prev is
+    the previous pivot, none at k = 0).  A zero pivot makes columns 0..k
+    dependent: the determinant is zero.  Symbolic entries are packed with the
+    bounds _packing gives the explicit matrix, whose minors the u_j are."""
+    packed = not all(type(x) is int for p, _, c0, c1 in cols for x in (*p, c0, c1))
+    if packed:
+        _, width, lg = _packing(_matrix(cols, big))
+
+        def pack(c):
+            return c if type(c) is int else _pack({(0, *ij): v for ij, v in c.terms.items()},
+                                                  width, 1, lg)
+        cols = [([pack(c) for c in p], d, pack(c0), pack(c1)) for p, d, c0, c1 in cols]
+    order = sorted(range(len(cols)), key=lambda j: len(cols[j][0]))
+    sign = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    u, cs, prev = [cols[j][0] for j in order], [cols[j][2:] for j in order], None
+    for k in range(len(u) - 1):
+        if not u[k]:
+            return EtaPoly()
+        lead = _step(u[k], *cs[k], big)
+        for j in range(k + 1, len(u)):
+            num = _int_combine(u[k], _step(u[j], *cs[j], big), lead, u[j])
+            u[j] = num if prev is None else _int_exact_div(num, prev)
+        prev = u[k]
+    det = [sign * c for c in u[-1]]
+    return EtaPoly(tuple(_unpack(c, width, 1, lg).coeff(0) if c else P_ZERO for c in det)
+                   if packed else det)
+
+
+def _wronskian(quasis, det):
+    """Canonical Wronskian of quasis from det(cols, big), the determinant of
+    _matrix(cols, big) for (big, cols) = _columns(quasis), whose row i carries
+    big^i and column j its d_j: it is divided by big^(n(n-1)/2) * prod d_j."""
     quasis = list(quasis)
     n = len(quasis)
     if n == 0:
@@ -287,17 +327,16 @@ def wronskian_of_quasis(quasis):
     off = Fraction(n * (n - 1), 2)
     exp_s = sum((q.expS for q in quasis), AffineExp()) - off
     exp_c = sum((q.expC for q in quasis), AffineExp()) - off
-    cols = [_quasi_column(q.expS, q.expC, q.poly, n) for q in quasis]
-    big = lcm(*(b for b, _, _ in cols))
+    big, cols = _columns(quasis)
     scale = big ** (n * (n - 1) // 2)
-    mat = [[] for _ in range(n)]
-    for b, col, d in cols:
-        r = big // b
-        for i, p in enumerate(col):
-            mat[i].append(EtaPoly(p if r == 1 else [c * r ** i for c in p]))
+    for _, d, _, _ in cols:
         scale *= d
-    raw = RawQuasi(exp_s, exp_c, det_poly_matrix(mat))
-    return canonicalize(raw).scale_poly(Fraction(1, scale))
+    return canonicalize(RawQuasi(exp_s, exp_c, det(cols, big))).scale_poly(Fraction(1, scale))
+
+
+def wronskian_of_quasis(quasis):
+    """Wronskian of arbitrary quasi-polynomials, canonicalized."""
+    return _wronskian(quasis, _lazy_det)
 
 
 def wronskian(t, inst=None):
@@ -332,9 +371,9 @@ def shift_quasi(q, dg, dh):
 def wronskian_compose_check(base, f, g2, inst=None):
     """Check W[base,f,g]*W[base] = W[W[base,f], W[base,g]] exactly.
 
-    Both sides are computed independently at an instantiated generic point
-    (the default one if none is given); the outer Wronskian on the right is
-    formed by differentiating the two inner Wronskians as quasi-polynomials.
+    Both sides are computed at an instantiated generic point (the default
+    if none is given): W[base,f,g] by det_poly_matrix on the explicit matrix,
+    so _lazy_det, which rests on this identity, never checks it alone.
     Returns True iff the two sides agree exactly.
     """
     if inst is None:
@@ -344,7 +383,8 @@ def wronskian_compose_check(base, f, g2, inst=None):
     as_state_tuple(sts + [f, g2])  # distinctness check
     qb = [make_state(s, inst) for s in sts]
     qf, qg = make_state(f, inst), make_state(g2, inst)
-    lhs = wronskian_of_quasis(qb + [qf, qg]).mul(wronskian_of_quasis(qb))
+    lhs = _wronskian(qb + [qf, qg], lambda cols, big: det_poly_matrix(_matrix(cols, big)))
+    lhs = lhs.mul(wronskian_of_quasis(qb))
     u = wronskian_of_quasis(qb + [qf])
     v = wronskian_of_quasis(qb + [qg])
     rhs = wronskian_of_quasis([u, v])

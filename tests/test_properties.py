@@ -1,5 +1,7 @@
 """Property tests: a symbolic Wronskian instantiates to the Wronskian at the
-point, public results hold Fractions even though the integer pipeline
+point, the lazy Wronskian determinant equals Bareiss on the explicit
+derivative matrix, Wronskians have the closed-form degree and leading
+coefficient, public results hold Fractions even though the integer pipeline
 computes on ints, the packed EtaPoly product equals the schoolbook one, the
 integer eigen identity decides as its Fraction form does, and equal values
 hash equal."""
@@ -15,14 +17,24 @@ from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly  # noqa: E402
 from mijacobi.maya import verify_move_identity  # noqa: E402
 from mijacobi.spectral import QuasiRat, _eigen_identity  # noqa: E402
 from mijacobi.states import (  # noqa: E402
+    QuasiPoly,
     State,
     StateType,
     as_state_tuple,
     eigenvalue,
     is_generic,
     jacobi_poly,
+    make_state,
 )
-from mijacobi.wronskian import wronskian  # noqa: E402
+from mijacobi.wronskian import (  # noqa: E402
+    WronskianZeroError,
+    _columns,
+    _lazy_det,
+    _matrix,
+    det_poly_matrix,
+    wronskian,
+    wronskian_of_quasis,
+)
 from helpers import (  # noqa: E402
     coefficient_terms,
     eigen_identity_reference,
@@ -51,6 +63,92 @@ def test_symbolic_wronskian_instantiates_to_point_wronskian(t, pt):
     assert at.poly == sym.poly.instantiate(*pt)
     assert at.expS == AffineExp.const(sym.expS.eval_at(*pt))
     assert at.expC == AffineExp.const(sym.expC.eval_at(*pt))
+
+
+# -- the lazy Wronskian determinant and the closed form ------------------------
+
+
+@st.composite
+def wronskian_inputs(draw, max_size, symbolic):
+    """(quasis, zero): at most max_size quasi-polynomials of distinct states,
+    symbolic or at a generic point, in drawn order or in descending
+    eta-degree, possibly with a duplicate or a zero polynomial inserted,
+    which makes the Wronskian zero.  The size is drawn uniformly, so large
+    tuples are as common as small ones."""
+    inst = None if symbolic else draw(points)
+    extra = draw(st.sampled_from([None, "duplicate", "zero"]))
+    size = draw(st.integers(1, max_size - (extra is not None)))
+    t = draw(st.lists(states, min_size=size, max_size=size, unique=True))
+    qs = [make_state(s, inst) for s in t]
+    if draw(st.booleans()):
+        qs.sort(key=lambda q: -q.poly.degree)
+    if extra:
+        q = qs[draw(st.integers(0, len(qs) - 1))]
+        qs.insert(draw(st.integers(0, len(qs))),
+                  q if extra == "duplicate" else QuasiPoly(q.expS, q.expC, EtaPoly()))
+    return qs, extra is not None
+
+
+def check_lazy_det(qs, zero):
+    big, cols = _columns(qs)
+    det, ref = _lazy_det(cols, big), det_poly_matrix(_matrix(cols, big))
+    assert det == ref and coefficient_terms(det) == coefficient_terms(ref)
+    assert all(type(v) is int for v in coefficient_terms(det))
+    assert bool(det) is not zero
+    if zero:
+        with pytest.raises(WronskianZeroError):
+            wronskian_of_quasis(qs)
+
+
+@settings(derandomized, max_examples=100)
+@given(wronskian_inputs(8, symbolic=False))
+def test_lazy_det_matches_bareiss_at_a_point(inputs):
+    check_lazy_det(*inputs)
+
+
+@settings(derandomized, max_examples=30)
+@given(wronskian_inputs(4, symbolic=True))
+def test_lazy_det_matches_bareiss_symbolically(inputs):
+    check_lazy_det(*inputs)
+
+
+def check_closed_form(t, inst):
+    """The raw determinant det(Q_ij) of columns s^a_j c^b_j Q_j has degree
+    sum deg Q_j + n(n-1)/2 and leading coefficient
+    prod lc(Q_j) * prod_{j<k} (mu_k - mu_j), mu_j = (a_j + b_j)/2 + deg Q_j,
+    in the caller's column order.  The canonical Wronskian holds
+    (1-eta)^k- (1+eta)^k+ of it in its exponents, times 2^(k- + k+)."""
+    qs = [make_state(s, inst) for s in t]
+    n = len(qs)
+    w = wronskian_of_quasis(qs)
+    off = F(n * (n - 1), 2)
+    ks = w.expS - (sum((q.expS for q in qs), AffineExp()) - off)
+    kc = w.expC - (sum((q.expC for q in qs), AffineExp()) - off)
+    assert ks.is_constant and kc.is_constant
+    k_minus, k_plus = ks.c0 / 2, kc.c0 / 2
+    assert k_minus.denominator == k_plus.denominator == 1
+    mu = [(q.expS + q.expC).as_parampoly() * F(1, 2) + q.poly.degree for q in qs]
+    lc = ParamPoly.const(1)
+    for j, q in enumerate(qs):
+        lc = lc * q.poly.lc
+        for k in range(j + 1, n):
+            lc = lc * (mu[k] - mu[j])
+    assert w.poly.degree + k_minus + k_plus == sum(q.poly.degree for q in qs) + off
+    assert lc == w.poly.lc * F((-1) ** int(k_minus), 2 ** int(k_minus + k_plus))
+
+
+@settings(derandomized, max_examples=60)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.builds(State, st.sampled_from(list(StateType)), st.integers(0, 4)),
+    min_size=n, max_size=n, unique=True)), points)
+def test_closed_form_degree_and_leading_coefficient_at_a_point(t, pt):
+    check_closed_form(t, pt)
+
+
+@settings(derandomized, max_examples=15)
+@given(tuples)
+def test_closed_form_degree_and_leading_coefficient_symbolically(t):
+    check_closed_form(t, None)
 
 
 @derandomized

@@ -20,8 +20,11 @@ from mijacobi.states import (
 from mijacobi.wronskian import (
     RawQuasi,
     WronskianZeroError,
+    _columns,
     _degree_bound,
     _int_exact_div,
+    _lazy_det,
+    _matrix,
     canonicalize,
     compare_quasi,
     det_poly_matrix,
@@ -403,6 +406,50 @@ class TestWronskian:
         assert inst.expC == AffineExp.const(sym.expC.eval_at(gv, hv))
 
 
+class TestLazyKernel:
+    """_lazy_det against det_poly_matrix on the explicit derivative matrix."""
+
+    # one state per eta-degree 0..7 at a generic point
+    BY_DEGREE = ["N0", "I1", "II2", "III3", "N4", "I5", "II6", "III7"]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_combine_and_division_counts(self, monkeypatch, n):
+        # n(n-1)/2 combines and (n-1)(n-2)/2 divisions; Bareiss on the explicit
+        # matrix makes 140 and 91 at n = 8
+        module = sys.modules["mijacobi.wronskian"]
+        calls = {"_int_combine": 0, "_int_exact_div": 0}
+        for name in calls:
+            def counted(*args, name=name, f=getattr(module, name)):
+                calls[name] += 1
+                return f(*args)
+            monkeypatch.setattr(module, name, counted)
+        wronskian(",".join(self.BY_DEGREE[:n]), inst=GENERIC_POINTS[0])
+        assert calls == {"_int_combine": n * (n - 1) // 2,
+                         "_int_exact_div": (n - 1) * (n - 2) // 2}
+
+    @pytest.mark.parametrize("n, inst", [(n, GENERIC_POINTS[2]) for n in (2, 3, 6, 7)]
+                             + [(2, None), (3, None)])
+    def test_descending_degrees(self, n, inst):
+        # the reversal of n columns of distinct degrees is an odd permutation
+        # for these n, so a lost sign shows
+        qs = [make_state(parse_state(s), inst) for s in reversed(self.BY_DEGREE[:n])]
+        assert [q.poly.degree for q in qs] == list(range(n - 1, -1, -1))
+        big, cols = _columns(qs)
+        det = _lazy_det(cols, big)
+        assert det and det == det_poly_matrix(_matrix(cols, big))
+
+    def test_dependent_columns_give_zero(self):
+        # a zero pivot needs no row swap: the leading columns are dependent
+        qs = [make_state(parse_state(s), GENERIC_POINTS[0]) for s in ("I1", "N2", "II0")]
+        for extra in (qs[1], qs[1].scale_poly(F(-3, 7)),
+                      QuasiPoly(qs[1].expS, qs[1].expC, EtaPoly())):
+            big, cols = _columns(qs[:2] + [extra])
+            assert not _lazy_det(cols, big)
+            assert not det_poly_matrix(_matrix(cols, big))
+            with pytest.raises(WronskianZeroError):
+                wronskian_of_quasis(qs[:2] + [extra])
+
+
 class TestShiftQuasi:
     def test_exponent_shift(self):
         q = shift_quasi(make_state(parse_state("I0")), -1, 1)
@@ -436,6 +483,25 @@ class TestComposition:
             pt = rng.choice(GENERIC_POINTS)
             assert wronskian_compose_check(base, f, g2, inst=pt)
             done += 1
+
+    def test_mutated_kernel_fails(self, monkeypatch):
+        # the left side comes from det_poly_matrix on the explicit matrix, so a
+        # lazy kernel that adds where it should subtract is caught; patching
+        # _int_combine only inside the kernel leaves det_poly_matrix intact
+        module = sys.modules["mijacobi.wronskian"]
+        combine, kernel = module._int_combine, module._lazy_det
+
+        def mutated(cols, big):
+            with monkeypatch.context() as m:
+                m.setattr(module, "_int_combine",
+                          lambda pivot, x, lead, y: combine(pivot, x, [-c for c in lead], y))
+                return kernel(cols, big)
+
+        base, f, g2 = [parse_state("I1")], parse_state("III1"), parse_state("N2")
+        pt = random_generic_point(seeded(41))
+        assert wronskian_compose_check(base, f, g2, inst=pt)
+        monkeypatch.setattr(module, "_lazy_det", mutated)
+        assert not wronskian_compose_check(base, f, g2, inst=pt)
 
 
 def fraction_route(quasis):
