@@ -17,10 +17,10 @@ MAX_INDEX = 40; larger input is a parse error (exit 2).  The work grows
 steeply with both: symbolic poly I40 takes about 3 s and poly I80 about 45 s
 (Python 3.11), and poly I99999 does not finish in minutes.  verify-identity
 --random K checks at most MAX_RANDOM = 1000 identities: a symbolic one takes
-0.24 s on average (at most 2.7 s over 100 draws, Python 3.11), so K = 1000
-runs about 4 minutes, and K above it is a parse error (exit 2).  The limits
+0.1 s on average (at most 3.0 s over 200 draws, Python 3.11), so K = 1000
+runs about 2 minutes, and K above it is a parse error (exit 2).  The limits
 hold for the command line only; the API takes any size.  Rationals on the
-command line are "p/q".  A point --g/--h must be generic; maya and
+command line are "p/q" or decimals.  A point --g/--h must be generic; maya and
 equivalent read none and reject one.  Output is UTF-8 text on stdout (JSON
 with --json, LaTeX with --latex where supported); errors go to stderr.
 
@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -93,6 +94,10 @@ def parse_tuple_spec(text):
 
 
 def parse_rational(text):
+    """A signed "p/q", integer or decimal; not Fraction's exponents, where
+    "1e5000" overflows the int conversion limit and larger ones run long."""
+    if not re.fullmatch(r"\s*[-+]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*", text):
+        raise TupleParseError("bad rational %r: expected p/q or a decimal" % text)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:

@@ -240,8 +240,8 @@ class ProportionalityReport:
 
 
 # larger tuples go to a point: the symbolic 5-state W[I2,II0,II2,III4,N4] takes
-# 1.1-1.6 s, the 6-state W[I2,II0,II2,III4,N4,N2] 11.5 s (Python 3.11, 2-core
-# container)
+# 0.6-0.9 s, the 6-state W[I2,II0,II2,III4,N4,N2] 5.9-6.9 s (CPU time, Python
+# 3.11, 2-core container)
 SYMBOLIC_SIZE_CAP = 5
 
 

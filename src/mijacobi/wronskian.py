@@ -20,15 +20,17 @@ on the n derivative rows takes (n-1)n(2n-1)/6) takes the determinant, and
 its (1 -/+ eta) factors go into the exponents before one division by the
 scales.  Entries are ints at a point; in symbolic mode each
 eta-coefficient, a polynomial in (g, h), is packed into one int by
-Kronecker substitution.  The eta-polynomial left over is the object of
-interest: for tuples of well states a (multi-indexed) Jacobi-type one.
+Kronecker substitution in slots bounded from the columns.  det_poly_matrix,
+integer Bareiss on the explicit matrix, is the kernel's reference.  The
+eta-polynomial left over is the object of interest: for tuples of well
+states a (multi-indexed) Jacobi-type one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .algebra import (
     AffineExp,
@@ -37,7 +39,6 @@ from .algebra import (
     extract_edge_factors,
     proportional,
     _F1,
-    _cleared,
     _pack,
     _unpack,
 )
@@ -184,38 +185,17 @@ def _int_exact_div(a, b):
     return out
 
 
-def _degree_bound(rows):
-    """Bound on the g-degree of every minor of a square matrix of integer
-    terms {(k, i, j): n}.
-
-    It is the largest sum of the entries' maximum g-degrees along a
-    permutation, found by a pass over the rows that keeps the best sum for
-    each set of columns used.  Degrees are nonnegative, so this also bounds
-    every smaller minor, and it is at most the row and the column sums.
+def det_poly_matrix(mat):
+    """Determinant of a square EtaPoly matrix of int coefficients (ValueError
+    on any other) by Bareiss elimination over Z[eta]: the integer reference
+    of _lazy_det, and the left side of wronskian_compose_check.  Step k sets
+    each entry below and right of the pivot to (pivot*x - lead*y) / prev,
+    prev the previous pivot (none at k = 0), an exact quotient (Sylvester).
     """
-    best = {0: 0}
-    for row in rows:
-        degs = [max((key[1] for key in t), default=0) for t in row]
-        nxt = {}
-        for used, total in best.items():
-            for j, d in enumerate(degs):
-                if not used >> j & 1:
-                    nxt[used | 1 << j] = max(nxt.get(used | 1 << j, 0), total + d)
-        best = nxt
-    return best.popitem()[1]
-
-
-def _bareiss(m):
-    """Fraction-free elimination of the square matrix m of dense int
-    coefficient lists, in place.
-
-    Returns (sign, d) with det = sign * d.  Step k replaces each entry below
-    and right of the pivot by (pivot*x - lead*y) / prev, where prev is the
-    previous pivot; the quotient is exact (Sylvester's identity), and the
-    first step has no previous pivot to divide by.
-    """
-    n = len(m)
-    sign, prev = 1, None
+    if any(type(c) is not int for row in mat for e in row for c in e.coeffs):
+        raise ValueError("det_poly_matrix needs int coefficients")
+    m = [[list(e.coeffs) for e in row] for row in mat]
+    n, sign, prev = len(m), 1, None
     for k in range(n - 1):
         if not m[k][k]:
             for i in range(k + 1, n):
@@ -224,7 +204,7 @@ def _bareiss(m):
                     sign = -sign
                     break
             else:
-                return 1, m[k][k]  # column k is zero from row k down
+                return EtaPoly()  # column k is zero from row k down
         row_k = m[k]
         pivot = row_k[k]
         for row_i in m[k + 1:]:
@@ -233,53 +213,35 @@ def _bareiss(m):
                 num = _int_combine(pivot, row_i[j], lead, row_k[j])
                 row_i[j] = num if prev is None else _int_exact_div(num, prev)
         prev = pivot
-    return sign, m[n - 1][n - 1]
-
-
-def _packing(mat):
-    """(rows, width, lg): the integer terms {(k, i, j): n} of each entry, a
-    slot width 2 bits above prod_rows max(1, sqrt(sum_j |e_ij|_1^2)) and
-    1 + _degree_bound, bounds that hold for every minor of mat."""
-    rows, h2 = [], 1
-    for row in mat:
-        terms, s = _cleared(row)
-        if s != 1:
-            raise ValueError("det_poly_matrix needs integer coefficients")
-        rows.append(terms)
-        h2 *= max(1, sum(sum(map(abs, t.values())) ** 2 for t in terms))
-    return rows, (h2.bit_length() + 1) // 2 + 2, 1 + _degree_bound(rows)
-
-
-def det_poly_matrix(mat):
-    """Exact determinant of a square EtaPoly matrix of integer coefficients,
-    by Bareiss elimination over Z[eta] on dense lists of ints.
-
-    The general determinant, and the reference of _lazy_det.  Int
-    coefficients are eliminated as they are; symbolic ones are packed, each
-    eta-coefficient into one int (algebra._pack), with the bounds of
-    _packing: a packed coefficient of a minor is zero exactly when its
-    polynomial is, and the result unpacks uniquely.  Packing is a ring
-    homomorphism, so each exact division returns the packed minor.
-    """
-    n = len(mat)
-    if n == 0:
-        return EtaPoly.const(1)
-    if all(type(c) is int for row in mat for e in row for c in e.coeffs):
-        sign, det = _bareiss([[list(e.coeffs) for e in row] for row in mat])
-        return EtaPoly([sign * c for c in det])
-    rows, width, lg = _packing(mat)
-    m = [[[_pack({(0, i, j): v for (k, i, j), v in t.items() if k == e}, width, 1, lg)
-           for e in range(1 + max((k for k, _, _ in t), default=-1))] for t in row]
-         for row in rows]
-    sign, det = _bareiss(m)
-    return EtaPoly(tuple(_unpack(sign * c, width, 1, lg).coeff(0) if c else P_ZERO
-                         for c in det))
+    return EtaPoly([sign * c for c in m[-1][-1]]) if m else EtaPoly.const(1)
 
 
 def _matrix(cols, big):
     """The explicit n x n integer derivative matrix of _columns' cols."""
     return [[EtaPoly(e) for e in row]
             for row in zip(*(_column(p, c0, c1, len(cols), big) for p, _, c0, c1 in cols))]
+
+
+def _column_bounds(p, c0, c1, n, big):
+    """(norms, deg): entry i of _column(p, c0, c1, n, big) has l1 norm (the sum
+    of all |coefficients| in eta, g and h) at most norms[i], by _step run on
+    the eta-coefficients' norms with |c*x|_1 <= |c|_1*|x|_1 (c1 + big*k
+    differs from c1 in its constant only), and g-degree at most deg + i, as
+    c0 and c1 are affine in (g, h)."""
+    def l1(c):
+        return abs(c) if type(c) is int else sum(map(abs, c.terms.values()))
+    k1 = c1 if type(c1) is int else c1.terms.get((0, 0), 0)
+    a0, r1, x = l1(c0), l1(c1) - abs(k1), [l1(c) for c in p]
+    norms = [sum(x)]
+    for _ in range(1, n):
+        nxt = [0] * (len(x) + 1)
+        for k, v in enumerate(x):
+            nxt[k] += a0 * v
+            nxt[k + 1] += (r1 + abs(k1 + big * k)) * v
+            nxt[k - 1] += big * k * v  # zero at k = 0
+        x, k1 = nxt, k1 - big
+        norms.append(sum(x))
+    return norms, max((i for c in p if type(c) is not int for i, _ in c.terms), default=0)
 
 
 def _lazy_det(cols, big):
@@ -290,24 +252,37 @@ def _lazy_det(cols, big):
     derivative further, up to a term (C0 + C1*eta)*u_j shared by level k that
     cancels in u_k*D u_j - D u_k*u_j = prev * (next u_j) (Sylvester; prev is
     the previous pivot, none at k = 0).  A zero pivot makes columns 0..k
-    dependent: the determinant is zero.  Symbolic entries are packed with the
-    bounds _packing gives the explicit matrix, whose minors the u_j are."""
+    dependent: the determinant is zero.
+
+    Symbolic eta-coefficients are packed into ints (algebra._pack, a ring
+    homomorphism) in slots bounded from the columns (_column_bounds).  Every
+    minor has g-degree below lg = 1 + sum_j deg_j + n(n-1)/2, the sum along
+    any permutation.  On the torus |eta| = |g| = |h| = 1 entry (i, j) is at
+    most its l1 bound N_ij, so a minor is at most prod_i max(1, sqrt(sum_j
+    N_ij^2)) (Hadamard), and so is each coefficient, a mean over the torus:
+    slots 2 bits wider hold them, a packed minor is zero exactly when its
+    polynomial is, and the determinant unpacks uniquely.
+    """
+    n = len(cols)
     packed = not all(type(x) is int for p, _, c0, c1 in cols for x in (*p, c0, c1))
     if packed:
-        _, width, lg = _packing(_matrix(cols, big))
+        bounds = [_column_bounds(p, c0, c1, n, big) for p, _, c0, c1 in cols]
+        h2 = prod(max(1, sum(norms[i] ** 2 for norms, _ in bounds)) for i in range(n))
+        width = (h2.bit_length() + 1) // 2 + 2
+        lg = 1 + sum(deg for _, deg in bounds) + n * (n - 1) // 2
 
         def pack(c):
             return c if type(c) is int else _pack({(0, *ij): v for ij, v in c.terms.items()},
                                                   width, 1, lg)
         cols = [([pack(c) for c in p], d, pack(c0), pack(c1)) for p, d, c0, c1 in cols]
-    order = sorted(range(len(cols)), key=lambda j: len(cols[j][0]))
+    order = sorted(range(n), key=lambda j: len(cols[j][0]))
     sign = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
     u, cs, prev = [cols[j][0] for j in order], [cols[j][2:] for j in order], None
-    for k in range(len(u) - 1):
+    for k in range(n - 1):
         if not u[k]:
             return EtaPoly()
         lead = _step(u[k], *cs[k], big)
-        for j in range(k + 1, len(u)):
+        for j in range(k + 1, n):
             num = _int_combine(u[k], _step(u[j], *cs[j], big), lead, u[j])
             u[j] = num if prev is None else _int_exact_div(num, prev)
         prev = u[k]

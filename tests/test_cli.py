@@ -127,6 +127,7 @@ class TestInputContract:
         ["--g", "inf", "--h", "1/3", "poly", "I1"], ["--g", "0x1p-2", "--h", "1/3", "poly", "I1"],
         ["--g", "1/0", "--h", "1/3", "poly", "I1"], ["--g", "37/10", "poly", "I1"],
         ["--g", "37/10", "--h", "52/7", "verify-identity", "I1,I1"],
+        ["--g", "1e5000", "--h", "52/7", "poly", "I1"],
     ])
     def test_bad_input_exits_without_traceback(self, capsys, argv):
         code, _, err = run(capsys, *argv)

@@ -1,6 +1,8 @@
 """Property tests: a symbolic Wronskian instantiates to the Wronskian at the
-point, the lazy Wronskian determinant equals Bareiss on the explicit
-derivative matrix, Wronskians have the closed-form degree and leading
+point, the lazy Wronskian determinant equals the explicit derivative
+matrix's determinant (by Bareiss at a point, by the Leibniz sum in symbolic
+mode), the column bounds of the symbolic packing hold for every entry of
+that matrix, Wronskians have the closed-form degree and leading
 coefficient, public results hold Fractions even though the integer pipeline
 computes on ints, the packed EtaPoly product equals the schoolbook one, the
 integer eigen identity decides as its Fraction form does, and equal values
@@ -28,6 +30,7 @@ from mijacobi.states import (  # noqa: E402
 )
 from mijacobi.wronskian import (  # noqa: E402
     WronskianZeroError,
+    _column_bounds,
     _columns,
     _lazy_det,
     _matrix,
@@ -39,6 +42,7 @@ from helpers import (  # noqa: E402
     coefficient_terms,
     eigen_identity_reference,
     holds_fractions,
+    leibniz_det,
     schoolbook_mul,
 )
 
@@ -89,10 +93,10 @@ def wronskian_inputs(draw, max_size, symbolic):
     return qs, extra is not None
 
 
-def check_lazy_det(qs, zero):
+def check_lazy_det(qs, zero, reference):
     big, cols = _columns(qs)
-    det, ref = _lazy_det(cols, big), det_poly_matrix(_matrix(cols, big))
-    assert det == ref and coefficient_terms(det) == coefficient_terms(ref)
+    det = _lazy_det(cols, big)
+    assert det == reference(_matrix(cols, big))
     assert all(type(v) is int for v in coefficient_terms(det))
     assert bool(det) is not zero
     if zero:
@@ -103,13 +107,31 @@ def check_lazy_det(qs, zero):
 @settings(derandomized, max_examples=100)
 @given(wronskian_inputs(8, symbolic=False))
 def test_lazy_det_matches_bareiss_at_a_point(inputs):
-    check_lazy_det(*inputs)
+    check_lazy_det(*inputs, det_poly_matrix)
 
 
 @settings(derandomized, max_examples=30)
 @given(wronskian_inputs(4, symbolic=True))
-def test_lazy_det_matches_bareiss_symbolically(inputs):
-    check_lazy_det(*inputs)
+def test_lazy_det_matches_leibniz_symbolically(inputs):
+    check_lazy_det(*inputs, leibniz_det)
+
+
+@settings(derandomized, max_examples=30)
+@given(wronskian_inputs(4, symbolic=True))
+def test_column_bounds_hold_for_every_entry(inputs):
+    # entry (i, j) has g-degree at most deg_j + i (deg_j exact at i = 0) and
+    # l1 norm at most norms_j[i]: the bounds the symbolic packing rests on
+    big, cols = _columns(inputs[0])
+    mat = _matrix(cols, big)
+    for j, (p, _, c0, c1) in enumerate(cols):
+        norms, deg = _column_bounds(p, c0, c1, len(cols), big)
+        for i, row in enumerate(mat):
+            terms = [t for c in row[j].coeffs
+                     for t in (c.terms.items() if isinstance(c, ParamPoly) else [((0, 0), c)])]
+            assert sum(abs(v) for _, v in terms) <= norms[i]
+            assert max((gi for (gi, _), _ in terms), default=0) <= deg + i
+            if i == 0 and p:
+                assert max(gi for (gi, _), _ in terms) == deg
 
 
 def check_closed_form(t, inst):
