@@ -8,9 +8,12 @@ Everything downstream is built from four value types, all exact over Q:
              with g > h.  Public values hold Fractions.  Arithmetic keeps
              int coefficients ints, so the integer Wronskian pipeline runs
              on int-coefficient ParamPolys until its one final division.
-  ParamRat   quotient of two ParamPolys, gcd-reduced, denominator scaled to
+  ParamRat   quotient of two ParamPolys, reduced, denominator scaled to
              have leading rational 1 under the term order; the value type
              of a symbolic proportionality constant, with no arithmetic.
+             ParamRat(num, den) reduces by parampoly_gcd; the move
+             identities read the same normal form off known factors
+             (_factored_ratio), with no gcd.
   AffineExp  cg*g + ch*h + c0 with integer cg, ch and c0 always a
              Fraction; used for the sin/cos exponents of quasi-polynomials
              and for move-ledger prefactors.
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -357,6 +360,10 @@ P_H = ParamPoly.gen_h()
 # ---------------------------------------------------------------------------
 # bivariate gcd (content / primitive-part pseudo-remainder sequence)
 # ---------------------------------------------------------------------------
+# It reduces ParamRat(num, den) for API callers.  No engine path calls it:
+# the symbolic constants of the move identities are built from the
+# closed-form factors of the Wronskians' leading coefficients instead
+# (_factored_ratio).
 # Q[g, h] is read as (Q[h])[g]: a list over g-degree of rows, each row an
 # EtaPoly with Fraction coefficients whose variable is h.  The list has no
 # trailing zero rows; [] is the zero polynomial.
@@ -456,8 +463,11 @@ class ParamRat:
 
     Canonical form: num/den with gcd(num, den) = 1 and the denominator's
     graded-lex leading coefficient equal to 1, so equality is structural.
-    It is a reported value only, with no arithmetic; EtaPoly coefficients
-    are never ParamRats.
+    ParamRat(num, den) reaches it by parampoly_gcd, as proportional does;
+    the symbolic move identities of maya build the same form from the
+    known factors of both sides instead (_factored_ratio).  It is a
+    reported value only, with no arithmetic; EtaPoly coefficients are never
+    ParamRats.
     """
 
     __slots__ = ("num", "den")
@@ -920,14 +930,24 @@ def _param_mul(a, b):
     return _unpack(v, width, le, lg, None if ints else sa * sb)
 
 
-def proportional(a, b):
-    """Constant c with a = c*b, or None if the polynomials are not proportional.
+def _products_equal(x, y, u, v):
+    """Whether x*y == u*v for nonzero integer terms {(k, i, j): n}, decided on
+    one product of packed ints per side, in slots wider than any coefficient
+    of x*y - u*v."""
+    def top(t, axis):
+        return max(key[axis] for key in t)
+    le = 1 + max(top(x, 0) + top(y, 0), top(u, 0) + top(v, 0))
+    lg = 1 + max(top(x, 1) + top(y, 1), top(u, 1) + top(v, 1))
+    bound = (sum(map(abs, y.values())) * max(map(abs, x.values()))
+             + sum(map(abs, v.values())) * max(map(abs, u.values())))
+    width = bound.bit_length() + 2
+    return (_pack(x, width, le, lg) * _pack(y, width, le, lg)
+            == _pack(u, width, le, lg) * _pack(v, width, le, lg))
 
-    Decides lb*a == la*b for the leading coefficients la, lb by comparing two
-    products of packed ints, in slots wider than any coefficient of
-    lb*a - la*b.  c is la/lb: a Fraction when both leading coefficients are
-    Fractions (instantiated inputs), otherwise a reduced ParamRat.
-    """
+
+def _proportional(a, b):
+    """(la, lb), the leading coefficients of a and b, if lb*a == la*b, else
+    None: the decision of proportional, without building its constant."""
     if not a or not b:
         raise ZeroPolynomialError("proportionality test requires nonzero inputs")
     if a.degree != b.degree:
@@ -937,17 +957,77 @@ def proportional(a, b):
     (tb,), _ = _cleared([b])
     tla = {(0, i, j): n for (k, i, j), n in ta.items() if k == d}
     tlb = {(0, i, j): n for (k, i, j), n in tb.items() if k == d}
-    lg = 1 + max(key[1] for key in ta) + max(key[1] for key in tb)
-    bound = (sum(map(abs, tlb.values())) * max(map(abs, ta.values()))
-             + sum(map(abs, tla.values())) * max(map(abs, tb.values())))
-    width = bound.bit_length() + 2
-    if (_pack(ta, width, d + 1, lg) * _pack(tlb, width, d + 1, lg)
-            != _pack(tb, width, d + 1, lg) * _pack(tla, width, d + 1, lg)):
+    if not _products_equal(ta, tlb, tb, tla):
         return None
-    la, lb = a.lc, b.lc
+    return a.lc, b.lc
+
+
+def proportional(a, b):
+    """Constant c with a = c*b, or None if the polynomials are not proportional.
+
+    Decides lb*a == la*b for the leading coefficients la, lb by comparing two
+    products of packed ints (_proportional).  c is la/lb: a Fraction when
+    both leading coefficients are Fractions (instantiated inputs), otherwise
+    ParamRat(la, lb), reduced by parampoly_gcd.  The symbolic move identities
+    of maya build the same ParamRat from known factors instead
+    (_factored_ratio).
+    """
+    pair = _proportional(a, b)
+    if pair is None:
+        return None
+    la, lb = pair
     if isinstance(la, Fraction) and isinstance(lb, Fraction):
         return la / lb
     return ParamRat(la, lb)
+
+
+def _factored_ratio(la, lb, a_factors, b_factors):
+    """la/lb as proportional reports it, read off from factor lists with no gcd.
+
+    la and lb are nonzero ParamPolys or Fractions, each a rational constant
+    times the product of its list of integer factors (cg, ch, c0) =
+    cg*g + ch*h + c0.  Constant factors are dropped, the others are made
+    primitive with a positive graded-lex leading coefficient (cg, or ch
+    when cg = 0), and equal factors cancel between the two lists.  Divided
+    by their leading coefficients the factors are monic, and distinct monic
+    affine forms are coprime irreducibles, so num = lc(la)/lc(lb) times the
+    monic product of what is left of a_factors, over den = that of
+    b_factors, is already ParamRat's normal form.  The lists are not
+    trusted: num*lb == den*la is checked on packed ints, and ValueError is
+    raised if it fails.
+    """
+    if isinstance(la, Fraction) and isinstance(lb, Fraction):
+        return la / lb
+    la, lb = ParamPoly._coerce(la), ParamPoly._coerce(lb)
+    count = {}
+    for factors, sign in ((a_factors, 1), (b_factors, -1)):
+        for cg, ch, c0 in factors:
+            lead = cg or ch
+            if lead:
+                d = gcd(cg, ch, c0) * (1 if lead > 0 else -1)
+                key = (cg // d, ch // d, c0 // d)
+                count[key] = count.get(key, 0) + sign
+    # integer products of the primitive forms and of their leading coefficients
+    num = den = _raw_parampoly({(0, 0): 1})
+    lc_num = lc_den = 1
+    for (cg, ch, c0), e in count.items():
+        if not e:
+            continue
+        f = _raw_parampoly({k: v for k, v in (((1, 0), cg), ((0, 1), ch), ((0, 0), c0)) if v})
+        for _ in range(abs(e)):
+            if e > 0:
+                num, lc_num = num * f, lc_num * (cg or ch)
+            else:
+                den, lc_den = den * f, lc_den * (cg or ch)
+    num = num.scale(la.leading_coeff() / (lb.leading_coeff() * lc_num))
+    den = den.scale(Fraction(1, lc_den))
+    (tn, td), _ = _cleared([EtaPoly((num,)), EtaPoly((den,))])
+    (ta, tb), _ = _cleared([EtaPoly((la,)), EtaPoly((lb,))])
+    if not _products_equal(tn, tb, td, ta):
+        raise ValueError("the factor lists do not give la/lb: %s / %s" % (la, lb))
+    r = ParamRat.__new__(ParamRat)
+    r.num, r.den = num, den
+    return r
 
 
 def sturm_count(p, lo, hi):

@@ -38,7 +38,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AffineExp
+from .algebra import AffineExp, _factored_ratio, _proportional
 from .states import (
     DEFAULT_GENERIC_POINT,
     State,
@@ -245,8 +245,41 @@ class ProportionalityReport:
 SYMBOLIC_SIZE_CAP = 5
 
 
+def _lc_factors(t, dg=0, dh=0):
+    """Affine forms (cg, ch, c0) = cg*g + ch*h + c0 in (g, h) whose product is
+    lc(W[t]) at (g + dg, h + dh) up to a nonzero rational constant, for
+    symbolic t.
+
+    A state s^a c^b P_v^(alpha, beta) has a = g or 1 - g and b = h or 1 - h
+    (states._exponents) and alpha + beta = a + b - 1 for all four types, so
+    lc(P_v) = (v + alpha + beta + 1)_v / (2^v v!) contributes a + b - 1 + v + i
+    for i = 1..v; the determinant contributes mu_k - mu_j for j < k,
+    mu = (a + b)/2 + v (doubled here; see the closed form checked in
+    tests/test_properties.py).
+    """
+    sums = []
+    for s in t:
+        cg = 1 if s.type in (StateType.N, StateType.I) else -1
+        ch = 1 if s.type in (StateType.N, StateType.II) else -1
+        sums.append((cg, ch, (2 - cg - ch) // 2 + cg * dg + ch * dh, s.v))
+    out = []
+    for j, (cg, ch, c0, v) in enumerate(sums):
+        out += [(cg, ch, c0 + v - 1 + i) for i in range(1, v + 1)]
+        out += [(cg_k - cg, ch_k - ch, c0_k - c0 + 2 * (v_k - v))
+                for cg_k, ch_k, c0_k, v_k in sums[j + 1:]]
+    return out
+
+
 def _check_ledger_identity(t_before, t_after, ledger, instantiate):
-    """Compare W[t_before](g,h) against prefactor * W[t_after](g+dg, h+dh)."""
+    """Compare W[t_before](g,h) against prefactor * W[t_after](g+dg, h+dh).
+
+    Both modes decide proportionality on packed ints (algebra._proportional)
+    once the exponents agree.  At a point the constant is the Fraction
+    la/lb of compare_quasi.  Symbolically it is the reduced ParamRat la/lb
+    read off, with no gcd, from the closed-form factors of both leading
+    coefficients (_lc_factors, the right side's shifted by the ledger) and
+    checked against la and lb (algebra._factored_ratio).
+    """
     symbolic = instantiate is None and max(len(t_before), len(t_after)) <= SYMBOLIC_SIZE_CAP
     if symbolic:
         lhs = wronskian(t_before)
@@ -255,6 +288,10 @@ def _check_ledger_identity(t_before, t_after, ledger, instantiate):
                         moved.poly)
         point = None
         mode = "symbolic"
+        pair = (_proportional(lhs.poly, rhs.poly)
+                if (lhs.expS, lhs.expC) == (rhs.expS, rhs.expC) else None)
+        const = None if pair is None else _factored_ratio(
+            *pair, _lc_factors(t_before), _lc_factors(t_after, ledger.dg, ledger.dh))
     else:
         gv, hv = point = require_generic(
             *(DEFAULT_GENERIC_POINT if instantiate is None else instantiate))
@@ -264,7 +301,7 @@ def _check_ledger_identity(t_before, t_after, ledger, instantiate):
                         moved.expC + ledger.prefC.eval_at(gv, hv),
                         moved.poly)
         mode = "instantiated"
-    const = compare_quasi(lhs, rhs)
+        const = compare_quasi(lhs, rhs)
     detail = "" if const is not None else (
         "exponent or polynomial mismatch: lhs %s / rhs %s" % (lhs, rhs))
     return ProportionalityReport(const is not None, const, t_before, t_after,

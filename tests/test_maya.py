@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from mijacobi.algebra import AffineExp
+import mijacobi.algebra as algebra
+from mijacobi.algebra import AffineExp, ParamRat, _factored_ratio
+from mijacobi.cli import paramrat_json
 from mijacobi.maya import (
     Ledger,
     MayaDiagram,
@@ -18,10 +20,11 @@ from mijacobi.maya import (
     tuple_to_diagrams,
     verify_move_identity,
     verify_reduction,
+    _lc_factors,
 )
 from mijacobi.spectral import check_nonsingular
-from mijacobi.states import NonGenericParametersError, StateTuple
-from mijacobi.wronskian import wronskian
+from mijacobi.states import NonGenericParametersError, StateTuple, as_state_tuple
+from mijacobi.wronskian import shift_quasi, wronskian
 from helpers import (
     GENERIC_POINTS,
     closed_form_ledger,
@@ -261,6 +264,91 @@ class TestVerifyIdentities:
                                instantiate=(4, F(52, 7)))
         assert rep.proportional and rep.point == (F(4), F(52, 7))
         assert all(type(v) is F for v in rep.point)
+
+
+def move_constant_inputs(t, which, direction):
+    """(la, lb, a_factors, b_factors) of a symbolic move identity, as
+    _check_ledger_identity passes them to _factored_ratio."""
+    t = as_state_tuple(t)
+    pair = move_division(tuple_to_diagrams(t), which, direction)
+    after, led = diagrams_to_tuple(pair), pair.ledger
+    lb = shift_quasi(wronskian(after), led.dg, led.dh).poly.lc
+    return (wronskian(t).poly.lc, lb, _lc_factors(t),
+            _lc_factors(after, led.dg, led.dh))
+
+
+def _first_nonconstant(factors):
+    return next(i for i, (cg, ch, _) in enumerate(factors) if cg or ch)
+
+
+def _drop(a, b):
+    i = _first_nonconstant(a)
+    return a[:i] + a[i + 1:], b
+
+
+def _repeat(a, b):
+    return a + [a[_first_nonconstant(a)]], b
+
+
+def _shift_constant(a, b):
+    i = _first_nonconstant(a)
+    cg, ch, c0 = a[i]
+    return a[:i] + [(cg, ch, c0 + 1)] + a[i + 1:], b
+
+
+def _move_across(a, b):
+    i = _first_nonconstant(a)
+    return a[:i] + a[i + 1:], b + [a[i]]
+
+
+class TestFactoredConstant:
+    """The symbolic constant read off the closed-form factors of both
+    leading coefficients, with no gcd."""
+
+    # golden constants of bench/golden/symbolic-move.json, with non-constant
+    # denominators
+    PINNED = [
+        (("II2,III0,III2", "first", "right"),
+         {"num": [[0, 0, "1/8"]],
+          "den": [[0, 0, "15/2"], [0, 1, "-7"], [0, 2, "-3/2"], [0, 3, "1"],
+                  [1, 0, "-10"], [1, 1, "1"], [1, 2, "2"], [2, 0, "5/2"], [2, 1, "1"]]}),
+        (("I1,I2,II2", "first", "left"),
+         {"num": [[0, 0, "1/8"]],
+          "den": [[0, 0, "-245/8"], [0, 1, "21"], [0, 2, "-7/2"], [1, 0, "35/4"],
+                  [1, 1, "-6"], [1, 2, "1"]]}),
+    ]
+
+    @pytest.mark.parametrize("move, constant", PINNED, ids=["II2,III0,III2", "I1,I2,II2"])
+    def test_pinned_constants(self, move, constant):
+        rep = verify_move_identity(*move)
+        assert rep.mode == "symbolic" and rep.proportional
+        assert paramrat_json(rep.constant) == constant
+
+    @pytest.mark.parametrize("corrupt", [_drop, _repeat, _shift_constant, _move_across])
+    def test_corrupted_factor_list_raises(self, corrupt):
+        la, lb, a, b = move_constant_inputs("II2,III0,III2", "first", "right")
+        with pytest.raises(ValueError):
+            _factored_ratio(la, lb, *corrupt(a, b))
+
+    def test_no_gcd_in_symbolic_identities(self, monkeypatch):
+        calls = []
+        gcd = algebra.parampoly_gcd
+
+        def counting(a, b):
+            calls.append(1)
+            return gcd(a, b)
+
+        monkeypatch.setattr(algebra, "parampoly_gcd", counting)
+        for (t, which, direction), _ in self.PINNED:
+            rep = verify_move_identity(t, which, direction)
+            assert rep.mode == "symbolic" and not rep.constant.den.is_one
+        for target in ReductionTarget:
+            rep = verify_reduction("I1,II1,III1", target)
+            assert rep.mode == "symbolic" and not rep.constant.den.is_one
+        assert calls == []
+        la, lb, _, _ = move_constant_inputs(*self.PINNED[0][0])
+        ParamRat(la, lb)  # the API's gcd route is what the count would see
+        assert calls == [1]
 
 
 class TestCanonicalForm:

@@ -3,20 +3,26 @@ point, the lazy Wronskian determinant equals the explicit derivative
 matrix's determinant (by Bareiss at a point, by the Leibniz sum in symbolic
 mode), the column bounds of the symbolic packing hold for every entry of
 that matrix, Wronskians have the closed-form degree and leading
-coefficient, public results hold Fractions even though the integer pipeline
-computes on ints, the packed EtaPoly product equals the schoolbook one, the
-integer eigen identity decides as its Fraction form does, and equal values
-hash equal."""
+coefficient, the symbolic move constants read off those closed-form factors
+equal the gcd-reduced ones, public results hold Fractions even though the
+integer pipeline computes on ints, the packed EtaPoly product equals the
+schoolbook one, the integer eigen identity decides as its Fraction form
+does, and equal values hash equal.
+
+Symbolic properties run without hypothesis's shrink phase (no_shrink): a
+symbolic counterexample can be a huge polynomial, and shrinking it would
+take minutes where reporting the first failing example takes seconds."""
 
 from fractions import Fraction as F
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
-from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly  # noqa: E402
-from mijacobi.maya import verify_move_identity  # noqa: E402
+import mijacobi.maya as maya  # noqa: E402
+from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly, ParamRat, _factored_ratio  # noqa: E402
+from mijacobi.maya import verify_move_identity, verify_reduction  # noqa: E402
 from mijacobi.spectral import QuasiRat, _eigen_identity  # noqa: E402
 from mijacobi.states import (  # noqa: E402
     QuasiPoly,
@@ -50,6 +56,7 @@ G = ParamPoly.gen_g()
 H = ParamPoly.gen_h()
 
 derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+no_shrink = settings(derandomized, phases=[Phase.explicit, Phase.generate])
 
 states = st.builds(State, st.sampled_from(list(StateType)), st.integers(0, 2))
 tuples = st.lists(states, min_size=1, max_size=3, unique=True)
@@ -60,7 +67,7 @@ points = st.tuples(rationals, rationals).filter(lambda p: is_generic(*p))
 params = st.sampled_from([2, F(-3, 2), G, G + 1, G - F(1, 2), H * 2 - 3, G + H])
 
 
-@derandomized
+@no_shrink
 @given(tuples, points)
 def test_symbolic_wronskian_instantiates_to_point_wronskian(t, pt):
     sym, at = wronskian(t), wronskian(t, inst=pt)
@@ -110,13 +117,13 @@ def test_lazy_det_matches_bareiss_at_a_point(inputs):
     check_lazy_det(*inputs, det_poly_matrix)
 
 
-@settings(derandomized, max_examples=30)
+@settings(no_shrink, max_examples=30)
 @given(wronskian_inputs(4, symbolic=True))
 def test_lazy_det_matches_leibniz_symbolically(inputs):
     check_lazy_det(*inputs, leibniz_det)
 
 
-@settings(derandomized, max_examples=30)
+@settings(no_shrink, max_examples=30)
 @given(wronskian_inputs(4, symbolic=True))
 def test_column_bounds_hold_for_every_entry(inputs):
     # entry (i, j) has g-degree at most deg_j + i (deg_j exact at i = 0) and
@@ -167,13 +174,45 @@ def test_closed_form_degree_and_leading_coefficient_at_a_point(t, pt):
     check_closed_form(t, pt)
 
 
-@settings(derandomized, max_examples=15)
+@settings(no_shrink, max_examples=15)
 @given(tuples)
 def test_closed_form_degree_and_leading_coefficient_symbolically(t):
     check_closed_form(t, None)
 
 
-@derandomized
+ROUTES = ([(which, d) for which in ("first", "second") for d in ("left", "right")]
+          + [(target, None) for target in ("IN", "I3", "2N", "23")])
+
+
+# N1,I2: a mu difference with no g term; III0,III2: a constant one
+@settings(no_shrink, max_examples=20)
+@given(st.lists(st.builds(State, st.sampled_from(list(StateType)), st.integers(0, 3)),
+                min_size=1, max_size=4, unique=True),
+       st.sampled_from(ROUTES))
+@example([State(StateType.I, 2), State(StateType.N, 1)], ("second", "right"))
+@example([State(StateType.III, 0), State(StateType.III, 2)], ("first", "left"))
+@example([State(StateType.II, 1), State(StateType.III, 1)], ("IN", None))
+def test_factored_constant_matches_gcd_route(t, route):
+    # the symbolic constant read off the closed-form factors has the terms
+    # of ParamRat(la, lb), reduced by parampoly_gcd
+    seen = []
+
+    def recording(la, lb, a, b):
+        seen.append((la, lb, _factored_ratio(la, lb, a, b)))
+        return seen[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maya, "_factored_ratio", recording)
+        rep = (verify_move_identity(t, *route) if route[1]
+               else verify_reduction(t, route[0]))
+    assert rep.proportional
+    assert len(seen) == (rep.mode == "symbolic")
+    for la, lb, r in seen:
+        ref = ParamRat(la, lb)
+        assert r.num.terms == ref.num.terms and r.den.terms == ref.den.terms
+
+
+@no_shrink
 @given(tuples, points)
 def test_wronskian_coefficients_are_fractions(t, pt):
     for w in (wronskian(t), wronskian(t, inst=pt)):
@@ -181,14 +220,14 @@ def test_wronskian_coefficients_are_fractions(t, pt):
         assert type(w.expS.c0) is F and type(w.expC.c0) is F
 
 
-@derandomized
+@no_shrink
 @given(states, st.integers(0, 4), params, params)
 def test_eigenvalue_and_jacobi_hold_fractions(s, n, alpha, beta):
     assert holds_fractions(eigenvalue(s))
     assert all(holds_fractions(c) for c in jacobi_poly(n, alpha, beta).coeffs)
 
 
-@settings(derandomized, max_examples=10)
+@settings(no_shrink, max_examples=10)
 @given(st.lists(states, min_size=1, max_size=2, unique=True),
        st.sampled_from(["first", "second"]), st.sampled_from(["left", "right"]),
        st.none() | points)
@@ -220,7 +259,7 @@ def test_point_product_matches_schoolbook(a, b):
     assert all(type(c) is F for c in p.coeffs)
 
 
-@settings(derandomized, max_examples=100)
+@settings(no_shrink, max_examples=100)
 @given(st.one_of(symbolic_polys, point_polys), symbolic_polys)
 def test_symbolic_product_matches_schoolbook(a, b):
     p = a * b
@@ -266,7 +305,7 @@ def test_eigen_identity_matches_fraction_form_at_a_point(t, pt):
     check_eigen_identity(t, pt)
 
 
-@settings(derandomized, max_examples=10)
+@settings(no_shrink, max_examples=10)
 @given(st.lists(states, min_size=1, max_size=2, unique=True))
 def test_eigen_identity_matches_fraction_form_symbolically(t):
     check_eigen_identity(t, None)
