@@ -15,8 +15,8 @@ Everything downstream is built from four value types, all exact over Q:
              identities read the same normal form off known factors
              (_factored_ratio), with no gcd.
   AffineExp  cg*g + ch*h + c0 with integer cg, ch and c0 always a
-             Fraction; used for the sin/cos exponents of quasi-polynomials
-             and for move-ledger prefactors.
+             Fraction; the form of the parameters (g, h) themselves, of
+             the sin/cos exponents and of move-ledger prefactors.
   EtaPoly    polynomial in eta = cos(2x).  Coefficients are Fractions for
              instantiated parameters and ParamPolys for symbolic work.  With
              Fraction coefficients it is the one univariate type over Q: the
@@ -55,14 +55,20 @@ class ZeroPolynomialError(ValueError):
     """Raised when an operation requires a nonzero polynomial."""
 
 
+def _exact(v):
+    """v as a Fraction, a Fraction returned as it is; TypeError unless v is an
+    int or a Fraction (a float would be read as its binary fraction)."""
+    if type(v) is Fraction:
+        return v
+    if not isinstance(v, int):
+        raise TypeError("values must be ints or Fractions, got %r" % (v,))
+    return Fraction(v)
+
+
 def _exact_point(gv, hv):
-    """(gv, hv) as Fractions, a Fraction returned as it is; TypeError unless
-    each is an int or a Fraction."""
-    if not (isinstance(gv, (int, Fraction)) and isinstance(hv, (int, Fraction))):
-        raise TypeError("parameter values must be ints or Fractions, got %r, %r"
-                        % (gv, hv))
-    return (gv if type(gv) is Fraction else Fraction(gv),
-            hv if type(hv) is Fraction else Fraction(hv))
+    """(gv, hv) as Fractions by _exact."""
+    return (gv if type(gv) is Fraction else _exact(gv),
+            hv if type(hv) is Fraction else _exact(hv))
 
 
 def _grlex(key):
@@ -79,7 +85,7 @@ class ParamPoly:
         clean = {}
         if terms:
             for key, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     clean[key] = c
         self.terms = clean
@@ -88,7 +94,7 @@ class ParamPoly:
 
     @classmethod
     def const(cls, c):
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def gen_g(cls):
@@ -546,8 +552,11 @@ class AffineExp:
     c0: Fraction = _F0
 
     def __post_init__(self):
-        if type(self.c0) is not Fraction:
-            object.__setattr__(self, "c0", Fraction(self.c0))
+        if type(self.c0) is not Fraction or type(self.cg) is not int \
+                or type(self.ch) is not int:
+            if not (isinstance(self.cg, int) and isinstance(self.ch, int)):
+                raise TypeError("cg and ch must be ints, got %r, %r" % (self.cg, self.ch))
+            object.__setattr__(self, "c0", _exact(self.c0))
 
     @classmethod
     def const(cls, v):
@@ -1040,7 +1049,7 @@ def sturm_count(p, lo, hi):
         raise ZeroPolynomialError("zero polynomial")
     if not all(isinstance(c, Fraction) for c in p.coeffs):
         raise TypeError("sturm_count requires instantiated rational coefficients")
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = _exact_point(lo, hi)
     if not lo < hi:
         raise ValueError("empty interval")
     f = _exact_quo(p, _gcd(p, p.deriv()))

@@ -17,11 +17,12 @@ MAX_INDEX = 40; larger input is a parse error (exit 2).  The work grows
 steeply with both: symbolic poly I40 takes about 3 s and poly I80 about 45 s
 (Python 3.11), and poly I99999 does not finish in minutes.  verify-identity
 --random K checks at most MAX_RANDOM = 1000 identities: a symbolic one takes
-0.1 s on average (at most 2.6 s over 200 draws, Python 3.11), so K = 1000
-runs about 2 minutes, and K above it is a parse error (exit 2).  The limits
+0.08 s on average (at most 1.9 s over 200 draws, Python 3.11), so K = 1000
+runs about 80 s, and K above it is a parse error (exit 2).  The limits
 hold for the command line only; the API takes any size.  Rationals on the
-command line are "p/q" or decimals.  A point --g/--h must be generic; maya and
-equivalent read none and reject one.  Output is UTF-8 text on stdout (JSON
+command line are "p/q" or decimals; a negative one is written --g=-7/3, since
+argparse reads --g -7/3 as a flag without its value (exit 2).  A point
+--g/--h must be generic; maya and equivalent read none and reject one.  Output is UTF-8 text on stdout (JSON
 with --json, LaTeX with --latex where supported); errors go to stderr.
 
 Exit codes: 0 success, 2 parse error, 3 invalid tuple, 4 internal identity

@@ -24,7 +24,8 @@ of the second division contributes shift (-1, +1) and prefactor exponents
 (1 - g', h') evaluated at the pre-move shifted parameters; one left move of
 the first division contributes (-1, -1) and (1 - g', 1 - h').  Right moves
 are the exact inverses: (+1, -1) with (g', 1 - h'), and (+1, +1) with
-(g', h').
+(g', h').  The verifiers build W[current] directly at the shifted
+parameters (g + dg, h + dh), symbols or a point, on one path in both modes.
 
 Iterating left moves of the second division until no type II state remains,
 and of the first division until no type III state remains, reduces any tuple
@@ -40,15 +41,15 @@ from fractions import Fraction
 
 from .algebra import AffineExp, _factored_ratio, _proportional
 from .states import (
-    DEFAULT_GENERIC_POINT,
     State,
     StateTuple,
     StateType,
     QuasiPoly,
     as_state_tuple,
-    require_generic,
+    _params,
+    _resolve_point,
 )
-from .wronskian import compare_quasi, shift_quasi, wronskian
+from .wronskian import wronskian
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,7 @@ def _lc_factors(t, dg=0, dh=0):
     symbolic t.
 
     A state s^a c^b P_v^(alpha, beta) has a = g or 1 - g and b = h or 1 - h
-    (states._exponents) and alpha + beta = a + b - 1 for all four types, so
+    (states.make_state) and alpha + beta = a + b - 1 for all four types, so
     lc(P_v) = (v + alpha + beta + 1)_v / (2^v v!) contributes a + b - 1 + v + i
     for i = 1..v; the determinant contributes mu_k - mu_j for j < k,
     mu = (a + b)/2 + v (doubled here; see the closed form checked in
@@ -271,39 +272,30 @@ def _lc_factors(t, dg=0, dh=0):
 
 
 def _check_ledger_identity(t_before, t_after, ledger, instantiate):
-    """Compare W[t_before](g,h) against prefactor * W[t_after](g+dg, h+dh).
-
-    Both modes decide proportionality on packed ints (algebra._proportional)
-    once the exponents agree.  At a point the constant is the Fraction
-    la/lb of compare_quasi.  Symbolically it is the reduced ParamRat la/lb
-    read off, with no gcd, from the closed-form factors of both leading
-    coefficients (_lc_factors, the right side's shifted by the ledger) and
-    checked against la and lb (algebra._factored_ratio).
+    """Compare W[t_before](g, h) against prefactor * W[t_after](g + dg, h + dh),
+    on one path: (g, h) is the symbols or the point of states._resolve_point,
+    the right side is built at (g + dg, h + dh), and only the prefactor is
+    evaluated at a point.  algebra._proportional decides on packed ints, and
+    algebra._factored_ratio gives la/lb: a Fraction at a point, symbolically
+    the reduced ParamRat read off the closed-form factors of both leading
+    coefficients (_lc_factors), checked against la and lb, with no gcd.
     """
-    symbolic = instantiate is None and max(len(t_before), len(t_after)) <= SYMBOLIC_SIZE_CAP
-    if symbolic:
-        lhs = wronskian(t_before)
-        moved = shift_quasi(wronskian(t_after), ledger.dg, ledger.dh)
-        rhs = QuasiPoly(moved.expS + ledger.prefS, moved.expC + ledger.prefC,
-                        moved.poly)
-        point = None
-        mode = "symbolic"
-        pair = (_proportional(lhs.poly, rhs.poly)
-                if (lhs.expS, lhs.expC) == (rhs.expS, rhs.expC) else None)
-        const = None if pair is None else _factored_ratio(
-            *pair, _lc_factors(t_before), _lc_factors(t_after, ledger.dg, ledger.dh))
-    else:
-        gv, hv = point = require_generic(
-            *(DEFAULT_GENERIC_POINT if instantiate is None else instantiate))
-        lhs = wronskian(t_before, inst=(gv, hv))
-        moved = wronskian(t_after, inst=(gv + ledger.dg, hv + ledger.dh))
-        rhs = QuasiPoly(moved.expS + ledger.prefS.eval_at(gv, hv),
-                        moved.expC + ledger.prefC.eval_at(gv, hv),
-                        moved.poly)
-        mode = "instantiated"
-        const = compare_quasi(lhs, rhs)
+    point = _resolve_point(max(len(t_before), len(t_after)), SYMBOLIC_SIZE_CAP,
+                           instantiate)
+    g, h = _params(point)
+    lhs = wronskian(t_before, point)
+    moved = wronskian(t_after, (g + ledger.dg, h + ledger.dh))
+    pref_s, pref_c = ledger.prefS, ledger.prefC
+    if point is not None:
+        pref_s, pref_c = pref_s.eval_at(*point), pref_c.eval_at(*point)
+    rhs = QuasiPoly(moved.expS + pref_s, moved.expC + pref_c, moved.poly)
+    pair = (_proportional(lhs.poly, rhs.poly)
+            if (lhs.expS, lhs.expC) == (rhs.expS, rhs.expC) else None)
+    const = None if pair is None else _factored_ratio(
+        *pair, _lc_factors(t_before), _lc_factors(t_after, ledger.dg, ledger.dh))
     detail = "" if const is not None else (
         "exponent or polynomial mismatch: lhs %s / rhs %s" % (lhs, rhs))
+    mode = "symbolic" if point is None else "instantiated"
     return ProportionalityReport(const is not None, const, t_before, t_after,
                                  ledger, mode, point, detail)
 

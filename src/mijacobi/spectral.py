@@ -45,19 +45,19 @@ from .algebra import (
     AffineExp,
     EtaPoly,
     ONE_MINUS_ETA_SQ,
-    P_G,
-    P_H,
     sturm_count,
     _F1,
 )
 from .states import (
-    DEFAULT_GENERIC_POINT,
     State,
     StateType,
     as_state_tuple,
     eigenvalue,
     potential,
     require_generic,
+    _params,
+    _resolve_point,
+    _value,
 )
 from .maya import tuple_to_diagrams
 from .wronskian import RawQuasi, _quasi_column, differentiate, wronskian
@@ -220,7 +220,7 @@ def _eigen_identity(w, f, ev, inst):
 
     and K is not zero, so the integer left side is zero exactly when N is.
     """
-    g, h = (P_G, P_H) if inst is None else inst
+    g, h = map(_value, _params(inst))
     bw, (p, w1, w2), dp = _quasi_column(w.expS, w.expC, w.poly, 3)
     by, (q, y1, y2), dq = _quasi_column(w.expS + f.expS, w.expC + f.expC, f.num, 3)
     p, w1, w2, q, y1, y2 = map(EtaPoly, (p, w1, w2, q, y1, y2))
@@ -258,14 +258,6 @@ def _warn_if_small(expS, expC, gv, hv, stacklevel):
 SYMBOLIC_SIZE_CAP = 2
 
 
-def _resolve_instantiation(t, inst):
-    if inst is not None:
-        return require_generic(*inst)
-    if len(t) <= SYMBOLIC_SIZE_CAP:
-        return None
-    return require_generic(*DEFAULT_GENERIC_POINT)
-
-
 def verify_eigenfunction(t, n, inst=None):
     """Check that W[t, phi_n]/W[t] is an eigenfunction of the deformed
     Hamiltonian with eigenvalue E_n = 4n(n+g+h).
@@ -285,7 +277,7 @@ def _verify_eigenfunction(t, n, inst, wt, stacklevel):
     warnings.warn call made by the caller, places a small-exponent warning."""
     phi = State(StateType.N, n)
     tn = t.with_state(phi)  # raises DuplicateStatesError for deleted levels
-    inst = _resolve_instantiation(t, inst)
+    inst = _resolve_point(len(t), SYMBOLIC_SIZE_CAP, inst)
     if wt is None:
         wt = wronskian(t, inst)
     wtn = wronskian(tn, inst)

@@ -43,7 +43,6 @@ from .algebra import (
     ParamPoly,
     P_G,
     P_H,
-    _F1,
     _exact_point,
 )
 
@@ -221,7 +220,7 @@ def jacobi_poly(n, alpha, beta):
     if isinstance(alpha, ParamPoly) or isinstance(beta, ParamPoly):
         alpha, beta, one = (ParamPoly._coerce(x) for x in (alpha, beta, 1))
     else:
-        alpha, beta, one = Fraction(alpha), Fraction(beta), 1
+        alpha, beta, one = *_exact_point(alpha, beta), 1
     d = lcm(alpha.denominator, beta.denominator)
     a, s = (x.numerator * (d // x.denominator) for x in (alpha, alpha + beta))
     tail = [one] * (n + 1)  # tail[k] = prod_{i=k+1..n} (a + d*i)
@@ -264,33 +263,44 @@ class QuasiPoly:
         return "s^(%s) c^(%s) [%s]" % (self.expS, self.expC, self.poly)
 
 
-def _exponents(state_type, inst):
-    one = _F1
+def _params(inst):
+    """The parameters (g, h) as a pair of AffineExps in both modes: the
+    symbols for inst None, constants for a rational point (ints or
+    Fractions, else TypeError), and an AffineExp pair as it is."""
     if inst is None:
-        eg, eh = AffineExp(1, 0), AffineExp(0, 1)
-        g, h = P_G, P_H
-    else:
-        g, h = _exact_point(*inst)
-        eg, eh = AffineExp.const(g), AffineExp.const(h)
-    half = Fraction(1, 2)
-    if state_type is StateType.N:
-        return eg, eh, g - half, h - half
-    if state_type is StateType.I:
-        return eg, (one - eh), g - half, half - h
-    if state_type is StateType.II:
-        return (one - eg), eh, half - g, h - half
-    return (one - eg), (one - eh), half - g, half - h
+        return AffineExp(1, 0), AffineExp(0, 1)
+    g, h = inst
+    if isinstance(g, AffineExp) and isinstance(h, AffineExp):
+        return g, h
+    g, h = _exact_point(g, h)
+    return AffineExp.const(g), AffineExp.const(h)
+
+
+def _value(x):
+    """The AffineExp x as a Fraction if constant, else as a ParamPoly."""
+    return x.c0 if x.is_constant else x.as_parampoly()
+
+
+def _resolve_point(n, cap, inst):
+    """The verifiers' mode: None (symbolic) if inst is None and n <= cap for
+    n the largest tuple size, else inst or DEFAULT_GENERIC_POINT, generic."""
+    if inst is None and n <= cap:
+        return None
+    return require_generic(*(DEFAULT_GENERIC_POINT if inst is None else inst))
 
 
 def make_state(s, inst=None):
-    """Build the state as a QuasiPoly, symbolic or at instantiated (g, h).
-
-    Instantiated states carry constant exponents and Fraction coefficients,
-    so the same downstream machinery serves both modes.
+    """The state s^a c^b P_v^(a - 1/2, b - 1/2) as a QuasiPoly, with a = g or
+    1 - g and b = h or 1 - h at the parameters (g, h) of inst: the symbols
+    for None, a rational point (gv, hv) of ints or Fractions (a float
+    raises TypeError), or a pair of AffineExps such as (g + dg, h + dh).
+    At a point the exponents are constant and the coefficients Fractions.
     """
-    expS, expC, alpha, beta = _exponents(s.type, inst)
-    poly = jacobi_poly(s.v, alpha, beta)
-    return QuasiPoly(expS, expC, poly)
+    g, h = _params(inst)
+    a = g if s.type in (StateType.N, StateType.I) else 1 - g
+    b = h if s.type in (StateType.N, StateType.II) else 1 - h
+    half = Fraction(1, 2)
+    return QuasiPoly(a, b, jacobi_poly(s.v, _value(a) - half, _value(b) - half))
 
 
 def eigenvalue(s):
@@ -333,10 +343,7 @@ def potential(inst=None):
     quotients, so a vanishing g(g-1) or h(h-1) drops its pole.
     """
     from .spectral import QuasiRat
-    if inst is None:
-        g, h = P_G, P_H
-    else:
-        g, h = _exact_point(*inst)
+    g, h = map(_value, _params(inst))
 
     def term(c, den):
         return QuasiRat.make(AffineExp(), AffineExp(), EtaPoly((c,)), den)

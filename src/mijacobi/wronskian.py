@@ -315,7 +315,9 @@ def wronskian_of_quasis(quasis):
 
 
 def wronskian(t, inst=None):
-    """Wronskian of a tuple of states (symbolic, or at instantiated (g, h)).
+    """Wronskian of a tuple of states at the parameters of inst: the symbols
+    for None, a rational point (gv, hv), or a pair of AffineExps such as
+    (g + dg, h + dh) (see make_state).
 
     t is a StateTuple, States or a spec string like "I1,II2" (see
     as_state_tuple).  The empty tuple gives the constant 1.  States must be

@@ -19,6 +19,7 @@ from mijacobi.algebra import (
     _pack,
     _unpack,
 )
+from mijacobi.states import State, StateType, jacobi_poly, make_state
 from helpers import (
     coefficient_terms,
     random_rational,
@@ -178,6 +179,36 @@ class TestFloatPointsRejected:
             with pytest.raises(TypeError):
                 evaluate(gv, hv)
         assert evaluate(F(7, 3), 2) == evaluate(F(7, 3), F(2))
+
+
+class TestFloatsRejectedAtConstructors:
+    # Each builds from an int or a Fraction and raises TypeError on the
+    # float of equal value: AffineExp(0, 0, 0.1).c0 would otherwise be
+    # 3602879701896397/36028797018963968, and AffineExp(0.5, 0, 1) would
+    # render as "1 + 0g".
+    QUARTIC = EtaPoly((F(1, 16), F(0), F(-1), F(0), F(1)))  # roots +-1/2, +-sqrt(3)/2
+
+    @pytest.mark.parametrize("build, exact", [
+        (lambda v: AffineExp(0, 0, v), F(1, 10)),
+        (lambda v: AffineExp(v, 0, 1), 1),
+        (lambda v: AffineExp(0, v), -2),
+        (lambda v: AffineExp.const(v), F(1, 10)),
+        (lambda v: ParamPoly({(0, 0): v, (1, 0): 1}), F(1, 10)),
+        (lambda v: ParamPoly.const(v), F(1, 10)),
+        (lambda v: jacobi_poly(2, v, F(1, 3)), F(1, 10)),
+        (lambda v: sturm_count(TestFloatsRejectedAtConstructors.QUARTIC, v, F(1)), F(-3, 4)),
+        (lambda v: sturm_count(TestFloatsRejectedAtConstructors.QUARTIC, F(-1), v), F(3, 4)),
+        (lambda v: make_state(State(StateType.I, 2), (v, F(52, 7))), F(1, 10)),
+    ], ids=["AffineExp-c0", "AffineExp-cg", "AffineExp-ch", "AffineExp.const", "ParamPoly",
+            "ParamPoly.const", "jacobi_poly", "sturm_count-lo", "sturm_count-hi", "make_state"])
+    def test_float_raises_exact_builds(self, build, exact):
+        build(exact)
+        with pytest.raises(TypeError):
+            build(float(exact))
+
+    def test_affine_pair_with_a_rational_raises(self):
+        with pytest.raises(TypeError):
+            make_state(State(StateType.I, 1), (AffineExp(1, 0), F(52, 7)))
 
 
 class TestAffineExp:

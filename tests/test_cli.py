@@ -70,6 +70,13 @@ class TestParsing:
         code, out, err = run(capsys, "verify-identity", "--random", "-1")
         assert code == 2 and "--random" in err and not out
 
+    def test_negative_point_needs_the_equals_form(self, capsys):
+        # argparse reads "-7/3" after "--g" as a flag, not as its value
+        code, out, err = run(capsys, "--g", "-7/3", "--h", "52/7", "poly", "I1")
+        assert code == 2 and not out and "expected one argument" in err
+        rep = run_json(capsys, "--g=-7/3", "--h=52/7", "poly", "I1")
+        assert rep["g"] == "-7/3" and rep["expS"] == {"g": 0, "h": 0, "c": "-7/3"}
+
     def test_point_rejected_by_commands_without_one(self, capsys):
         for argv in (["maya", "I1"], ["equivalent", "I1", "N2"]):
             code, out, err = run(capsys, "--g", "37/10", "--h", "52/7", *argv)

@@ -1,5 +1,6 @@
 """Maya encoding, division moves, ledgers, and reductions."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -349,6 +350,55 @@ class TestFactoredConstant:
         la, lb, _, _ = move_constant_inputs(*self.PINNED[0][0])
         ParamRat(la, lb)  # the API's gcd route is what the count would see
         assert calls == [1]
+
+
+class TestOnePath:
+    """Both modes build the right side at the shifted parameters and decide
+    with algebra._proportional: the oracles that shift a finished Wronskian
+    (shift_quasi, ParamPoly.shift) or compare two (compare_quasi,
+    proportional) are never called."""
+
+    ORACLES = ("shift_quasi", "compare_quasi", "proportional")
+
+    def count_oracle_calls(self, monkeypatch):
+        """Call counts of the oracles wherever a mijacobi module binds them."""
+        calls = dict.fromkeys(self.ORACLES + ("ParamPoly.shift",), 0)
+
+        def counting(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        for key, mod in list(sys.modules.items()):
+            if key == "mijacobi" or key.startswith("mijacobi."):
+                for name in self.ORACLES:
+                    if callable(getattr(mod, name, None)):
+                        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+        monkeypatch.setattr(algebra.ParamPoly, "shift",
+                            counting("ParamPoly.shift", algebra.ParamPoly.shift))
+        return calls
+
+    def test_symbolic_move_shifts_nothing(self, monkeypatch):
+        calls = self.count_oracle_calls(monkeypatch)
+        for which in ("first", "second"):
+            for direction in ("left", "right"):
+                rep = verify_move_identity("I1,II2,III1,N0", which, direction)
+                assert rep.mode == "symbolic" and rep.proportional
+        assert set(calls.values()) == {0}
+        sys.modules["mijacobi.wronskian"].shift_quasi(wronskian("I1"), 1, -1)
+        assert calls["shift_quasi"] == 1 and calls["ParamPoly.shift"] > 0
+
+    def test_point_reduction_compares_nothing(self, monkeypatch):
+        calls = self.count_oracle_calls(monkeypatch)
+        for target in ReductionTarget:
+            rep = verify_reduction("I1,II2,III1,N0,N2", target, instantiate=GENERIC_POINTS[0])
+            assert rep.mode == "instantiated" and rep.proportional
+            assert type(rep.constant) is F
+        assert set(calls.values()) == {0}
+        w = wronskian("I1", GENERIC_POINTS[0])
+        sys.modules["mijacobi.wronskian"].compare_quasi(w, w)
+        assert calls["compare_quasi"] == calls["proportional"] == 1
 
 
 class TestCanonicalForm:

@@ -4,7 +4,8 @@ matrix's determinant (by Bareiss at a point, by the Leibniz sum in symbolic
 mode), the column bounds of the symbolic packing hold for every entry of
 that matrix, Wronskians have the closed-form degree and leading
 coefficient, the symbolic move constants read off those closed-form factors
-equal the gcd-reduced ones, public results hold Fractions even though the
+equal the gcd-reduced ones, a Wronskian built at shifted parameters equals
+the shifted Wronskian (shift_quasi), public results hold Fractions even though the
 integer pipeline computes on ints, the packed EtaPoly product equals the
 schoolbook one, the integer eigen identity decides as its Fraction form
 does, and equal values hash equal.
@@ -41,6 +42,7 @@ from mijacobi.wronskian import (  # noqa: E402
     _lazy_det,
     _matrix,
     det_poly_matrix,
+    shift_quasi,
     wronskian,
     wronskian_of_quasis,
 )
@@ -188,13 +190,15 @@ ROUTES = ([(which, d) for which in ("first", "second") for d in ("left", "right"
 @settings(no_shrink, max_examples=20)
 @given(st.lists(st.builds(State, st.sampled_from(list(StateType)), st.integers(0, 3)),
                 min_size=1, max_size=4, unique=True),
-       st.sampled_from(ROUTES))
-@example([State(StateType.I, 2), State(StateType.N, 1)], ("second", "right"))
-@example([State(StateType.III, 0), State(StateType.III, 2)], ("first", "left"))
-@example([State(StateType.II, 1), State(StateType.III, 1)], ("IN", None))
-def test_factored_constant_matches_gcd_route(t, route):
-    # the symbolic constant read off the closed-form factors has the terms
-    # of ParamRat(la, lb), reduced by parampoly_gcd
+       st.sampled_from(ROUTES), st.none() | points)
+@example([State(StateType.I, 2), State(StateType.N, 1)], ("second", "right"), None)
+@example([State(StateType.III, 0), State(StateType.III, 2)], ("first", "left"), None)
+@example([State(StateType.II, 1), State(StateType.III, 1)], ("IN", None), None)
+@example([State(StateType.II, 1), State(StateType.III, 1)], ("IN", None), (F(37, 10), F(52, 7)))
+def test_factored_constant_matches_gcd_route(t, route, pt):
+    # _factored_ratio gives the constant once per identity in both modes: at
+    # a point the Fraction la/lb, symbolically the terms of ParamRat(la, lb),
+    # reduced by parampoly_gcd
     seen = []
 
     def recording(la, lb, a, b):
@@ -203,13 +207,32 @@ def test_factored_constant_matches_gcd_route(t, route):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(maya, "_factored_ratio", recording)
-        rep = (verify_move_identity(t, *route) if route[1]
-               else verify_reduction(t, route[0]))
+        rep = (verify_move_identity(t, *route, instantiate=pt) if route[1]
+               else verify_reduction(t, route[0], instantiate=pt))
     assert rep.proportional
-    assert len(seen) == (rep.mode == "symbolic")
-    for la, lb, r in seen:
+    [(la, lb, r)] = seen
+    assert r is rep.constant
+    if rep.mode == "symbolic":
         ref = ParamRat(la, lb)
         assert r.num.terms == ref.num.terms and r.den.terms == ref.den.terms
+    else:
+        assert type(r) is F and r == la / lb
+
+
+# shift_quasi, substituting into the finished Wronskian, is the oracle of the
+# Wronskian built at the shifted symbols, as the move identities build it
+@settings(no_shrink, max_examples=20)
+@given(st.lists(states, min_size=1, max_size=4, unique=True),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_wronskian_at_shifted_symbols_matches_shift_quasi(t, dg, dh):
+    w = wronskian(t, (AffineExp(1, 0, dg), AffineExp(0, 1, dh)))
+    assert w == shift_quasi(wronskian(t), dg, dh)
+
+
+@derandomized
+@given(tuples, points)
+def test_constant_affine_pair_matches_rational_point(t, pt):
+    assert wronskian(t, tuple(map(AffineExp.const, pt))) == wronskian(t, pt)
 
 
 @no_shrink
