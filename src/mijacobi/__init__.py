@@ -74,6 +74,7 @@ from .spectral import (
     extra_eigenstate,
     permitted_spectrum,
     verify_eigenfunction,
+    verify_spectrum,
 )
 
 __version__ = "0.1.0"

@@ -48,17 +48,10 @@ from .maya import (
     verify_move_identity,
     verify_reduction,
 )
-from .spectral import (
-    permitted_spectrum,
-    _eigen_identity,
-    _extra_eigenstate,
-    _nonsingular,
-    _verify_eigenfunction,
-)
+from .spectral import permitted_spectrum, verify_spectrum
 from .states import (
     DuplicateStatesError,
     NonGenericParametersError,
-    StateType,
     as_state_tuple,
     random_tuple,
     require_generic,
@@ -310,10 +303,9 @@ def cmd_spectrum(args):
         if inst is None:
             raise TupleParseError("--verify for spectrum needs --g and --h")
         # a singular potential is a property of the tuple at this point,
-        # not a failed identity, so only the eigenfunction checks gate exit 4
-        wt = wronskian(t, inst)
-        nonsingular = _nonsingular(wt)
-        checks = _verify_spectrum(t, wt, spectrum, inst)
+        # not a failed identity, so only the eigenfunction checks gate exit 4;
+        # bound levels are checked up to E_2
+        nonsingular, checks = verify_spectrum(t, min(args.up_to, 2), *inst)
         report["verify"] = {"nonsingular": nonsingular, **checks}
         lines.append("%-28s: %s" % ("nonsingular", "yes" if nonsingular else "no"))
         for name, ok in checks.items():
@@ -321,23 +313,6 @@ def cmd_spectrum(args):
         if not all(checks.values()):
             raise IdentityMismatchError("spectrum verification failed: %s" % checks)
     return _emit(args, report, lines)
-
-
-def _verify_spectrum(t, wt, spectrum, inst):
-    """The eigen checks of spectrum --verify, all on the one W[t] = wt."""
-    checks = {}
-    for lab, ev in spectrum:
-        if lab.kind == "bound" and lab.index <= 2:
-            ok, _ = _verify_eigenfunction(t, lab.index, inst, wt, 1)
-            checks["eigenfunction %s" % lab.label()] = ok
-        elif lab.kind == "extra":
-            for i, s in enumerate(t):
-                if s.type is StateType.III and s.v == lab.index:
-                    f, ev2 = _extra_eigenstate(t, i, inst, wt, 1)
-                    ok = _eigen_identity(wt, f, ev2.eval_at(*inst), inst)
-                    checks["extra state %s" % lab.label()] = ok
-                    break
-    return checks
 
 
 def cmd_verify_identity(args):

@@ -18,15 +18,19 @@ E_{-m-1} = -4(m+1)(g+h-m-1).  Which labels survive is read off the first
 Maya diagram: left white beads give the extra levels, right black beads the
 deleted bound levels.
 
-The eigenfunction checks do not form H_T f as a quotient: for f = Y/W,
-W^2 (H_T - E) f is built from Y, W and their first two derivatives and
-leaves one polynomial in eta (see _eigen_identity), which is zero exactly
-when the eigen-equation holds.  The derivatives are one integer column per
-side from the Wronskian's own derivative rule (wronskian._quasi_column), so
-the identity is decided on ints at a point and on int-coefficient ParamPolys
-in symbolic mode, scaled by a known nonzero integer instead of divided.
-QuasiRat, apply_hamiltonian and deformed_potential keep the quotient route,
-through differentiate, as public API.
+Every eigenfunction check takes one path: two Wronskians, W = W[T] and the
+numerator Y = W[T, phi_n] or W[T without III_m], go to _eigen_identity,
+which does not form H_T f as a quotient: for f = Y/W, W^2 (H_T - E) f is
+built from Y, W and their first two derivatives and leaves one polynomial
+in eta, which is zero exactly when the eigen-equation holds.  The
+derivatives are one integer column per side from the Wronskian's own
+derivative rule (wronskian._quasi_column), so the identity is decided on
+ints at a point and on int-coefficient ParamPolys in symbolic mode, scaled
+by a known nonzero integer instead of divided.  verify_eigenfunction runs
+it for one bound level; verify_spectrum, the checks of spectrum --verify,
+builds W[T] once and runs it for every permitted level.  QuasiRat,
+apply_hamiltonian and deformed_potential keep the quotient route, through
+differentiate, as public API.
 
 Everything here is exact; no tolerances appear anywhere.  Eigenfunction
 checks are symbolic in (g, h) for tuples of at most SYMBOLIC_SIZE_CAP states
@@ -194,18 +198,18 @@ def apply_hamiltonian(pot, f):
     return pot.mul(f).sub(fpp)
 
 
-def _eigen_identity(w, f, ev, inst):
-    """Whether f solves H_T f = ev f, decided as one integer polynomial
+def _eigen_identity(w, y, ev, inst):
+    """Whether f = y/w solves H_T f = ev f, decided as one integer polynomial
     identity in eta: no quotient is formed and nothing is divided.
 
-    w = s^a c^b P is the canonical W[T] and f = s^al c^be Q/P the QuasiRat
-    built over it (its den, P, is not read).  So f = Y/w with
-    Y = s^(a+al) c^(b+be) Q, and U_T = U - 2 (log w)'' gives
+    w = s^a c^b P is the canonical W[T] and y = s^a' c^b' Q the canonical
+    numerator Wronskian (W[T, phi_n] or W[T without III_m]).  U_T =
+    U - 2 (log w)'' gives
 
-        w^2 (H_T - ev) f = -Y'' w + 2 Y' w' - Y w'' + (U - ev) Y w.
+        w^2 (H_T - ev) f = -y'' w + 2 y' w' - y w'' + (U - ev) y w.
 
-    Each term is s^(2a+al-2) c^(2b+be-2) times an eta-polynomial; with Y1,
-    Y2, W1, W2 the eta-parts of Y', Y'', w', w'' and v = (U - ev) s^2 c^2,
+    Each term is s^(a+a'-2) c^(b+b'-2) times an eta-polynomial; with Y1,
+    Y2, W1, W2 the eta-parts of y', y'', w', w'' and v = (U - ev) s^2 c^2,
     their sum is N = (v Q - Y2) P + 2 Y1 W1 - Q W2, of degree at most
     deg Q + deg P + 2, and f is an eigenfunction iff N = 0.
 
@@ -222,7 +226,7 @@ def _eigen_identity(w, f, ev, inst):
     """
     g, h = map(_value, _params(inst))
     bw, (p, w1, w2), dp = _quasi_column(w.expS, w.expC, w.poly, 3)
-    by, (q, y1, y2), dq = _quasi_column(w.expS + f.expS, w.expC + f.expC, f.num, 3)
+    by, (q, y1, y2), dq = _quasi_column(y.expS, y.expC, y.poly, 3)
     p, w1, w2, q, y1, y2 = map(EtaPoly, (p, w1, w2, q, y1, y2))
     # 4v = g(g-1)2(1+eta) + h(h-1)2(1-eta) - ((g+h)^2 + ev)(1-eta^2)
     ug, uh, us = g * (g - 1) * 2, h * (h - 1) * 2, (g + h) * (g + h) + ev
@@ -235,11 +239,12 @@ def _eigen_identity(w, f, ev, inst):
     return not n
 
 
-def _warn_if_small(expS, expC, gv, hv, stacklevel):
-    """Warn if an exponent is below 3/2; stacklevel is that of a
-    warnings.warn call made by the caller."""
+def _warn_if_small(w, y, gv, hv, stacklevel):
+    """Warn if an exponent of y/w at (gv, hv) is below 3/2; stacklevel is
+    that of a warnings.warn call made by the caller."""
     threshold = Fraction(3, 2)
-    vs, vc = expS.eval_at(gv, hv), expC.eval_at(gv, hv)
+    vs = (y.expS - w.expS).eval_at(gv, hv)
+    vc = (y.expC - w.expC).eval_at(gv, hv)
     if vs < threshold or vc < threshold:
         warnings.warn(
             "eigenfunction exponents (%s, %s) are below 3/2; the parameters "
@@ -254,7 +259,8 @@ def _warn_if_small(expS, expC, gv, hv, stacklevel):
 # 0.25-0.36 s for 4 (I2,II1,III1,N1; I1,II2,III1,N2; I2,II0,II2,III1; n = 0)
 # (CPU time, best of 3, Python 3.11, 2-core container).  The cap changes
 # which mode API callers get, so it stays until a benchmark workload of
-# symbolic eigen checks measures a new one.
+# symbolic eigen checks measures a new one.  It applies to the verifiers
+# only: extra_eigenstate, like wronskian, builds what it is asked for.
 SYMBOLIC_SIZE_CAP = 2
 
 
@@ -268,51 +274,35 @@ def verify_eigenfunction(t, n, inst=None):
     tuples of at most SYMBOLIC_SIZE_CAP states when no point is given;
     otherwise exact at the given (or default) generic rational point.
     """
-    return _verify_eigenfunction(as_state_tuple(t), n, inst, None, 2)
-
-
-def _verify_eigenfunction(t, n, inst, wt, stacklevel):
-    """verify_eigenfunction of the StateTuple t.  wt is W[t] at the point the
-    check resolves to, or None to compute it; stacklevel, that of a
-    warnings.warn call made by the caller, places a small-exponent warning."""
+    t = as_state_tuple(t)
     phi = State(StateType.N, n)
     tn = t.with_state(phi)  # raises DuplicateStatesError for deleted levels
     inst = _resolve_point(len(t), SYMBOLIC_SIZE_CAP, inst)
-    if wt is None:
-        wt = wronskian(t, inst)
-    wtn = wronskian(tn, inst)
-    f = QuasiRat.make(wtn.expS - wt.expS, wtn.expC - wt.expC, wtn.poly, wt.poly)
+    wt, y = wronskian(t, inst), wronskian(tn, inst)
     ev = eigenvalue(phi)
     if inst:
-        _warn_if_small(f.expS, f.expC, *inst, stacklevel + 1)
-    return _eigen_identity(wt, f, ev.eval_at(*inst) if inst else ev, inst), ev
+        _warn_if_small(wt, y, *inst, 2)
+    return _eigen_identity(wt, y, ev.eval_at(*inst) if inst else ev, inst), ev
 
 
 def extra_eigenstate(t, ell, inst=None):
     """Eigenfunction W[t without t[ell]]/W[t] from deleting a type III state.
 
     t[ell] must be of type III with index m; the returned eigenvalue is
-    E_{-m-1} = -4(m+1)(g+h-m-1) as a ParamPoly.  Symbolic unless a point is
-    given.
+    E_{-m-1} = -4(m+1)(g+h-m-1) as a ParamPoly.  This is a constructor, like
+    wronskian: with no point it is symbolic in (g, h) at any tuple size, and
+    SYMBOLIC_SIZE_CAP, which picks the verifiers' mode, does not apply.
     """
-    return _extra_eigenstate(as_state_tuple(t), ell, inst, None, 2)
-
-
-def _extra_eigenstate(t, ell, inst, wt, stacklevel):
-    """extra_eigenstate of the StateTuple t; wt and stacklevel as for
-    _verify_eigenfunction."""
+    t = as_state_tuple(t)
     s = t[ell]
     if s.type is not StateType.III:
         raise ValueError("deleted state must be of type III, got %s" % s)
     if inst is not None:
         inst = require_generic(*inst)
-    rest = t.without_index(ell)
-    if wt is None:
-        wt = wronskian(t, inst)
-    wr = wronskian(rest, inst)
+    wt, wr = wronskian(t, inst), wronskian(t.without_index(ell), inst)
     f = QuasiRat.make(wr.expS - wt.expS, wr.expC - wt.expC, wr.poly, wt.poly)
     if inst:
-        _warn_if_small(f.expS, f.expC, *inst, stacklevel + 1)
+        _warn_if_small(wt, wr, *inst, 2)
     return f, eigenvalue(State(StateType.III, s.v))
 
 
@@ -375,3 +365,29 @@ def check_nonsingular(t, gv, hv):
 def _nonsingular(w):
     """check_nonsingular of the Wronskian w at a point."""
     return w.poly.degree <= 0 or sturm_count(w.poly, Fraction(-1), Fraction(1)) == 0
+
+
+def verify_spectrum(t, up_to, gv, hv):
+    """The checks of spectrum --verify at the generic point (gv, hv).
+
+    Returns (nonsingular, checks): check_nonsingular of t, and a dict from
+    "eigenfunction E_n" or "extra state E_-m-1" to whether the eigen
+    identity holds, one entry per level of permitted_spectrum(t, up_to) in
+    its order.  W[t] is built once; a bound level reads W[t, phi_n], an
+    extra level W[t without III_m].  A small exponent warns as
+    verify_eigenfunction does.
+    """
+    t = as_state_tuple(t)
+    inst = require_generic(gv, hv)
+    wt = wronskian(t, inst)
+    checks = {}
+    for lab, ev in permitted_spectrum(t, up_to):
+        if lab.kind == "bound":
+            name, top = "eigenfunction ", t.with_state(State(StateType.N, lab.index))
+        else:
+            i = t.states.index(State(StateType.III, lab.index))
+            name, top = "extra state ", t.without_index(i)
+        y = wronskian(top, inst)
+        _warn_if_small(wt, y, *inst, 2)
+        checks[name + lab.label()] = _eigen_identity(wt, y, ev.eval_at(*inst), inst)
+    return _nonsingular(wt), checks

@@ -20,7 +20,8 @@ import mpmath as mp
 
 from mijacobi.algebra import AffineExp, EtaPoly, P_G, P_H, ParamPoly, ParamRat
 from mijacobi.maya import dbar
-from mijacobi.states import State, StateTuple, StateType, as_state_tuple, is_generic
+from mijacobi.states import (QuasiPoly, State, StateTuple, StateType, as_state_tuple,
+                             is_generic)
 from mijacobi.states import random_tuple  # noqa: F401  (re-exported for the tests)
 from mijacobi.wronskian import RawQuasi, differentiate
 
@@ -144,6 +145,12 @@ def coefficient_terms(p):
 
 
 # -- eigen identity oracle ---------------------------------------------------
+
+
+def numerator_wronskian(w, f):
+    """The numerator Y = s^(a+al) c^(b+be) Q of f = s^al c^be Q/P built over
+    the canonical w = s^a c^b P, as spectral._eigen_identity reads it."""
+    return QuasiPoly(w.expS + f.expS, w.expC + f.expC, f.num)
 
 
 def eigen_identity_reference(w, f, ev, inst):

@@ -8,6 +8,7 @@ import pytest
 from mijacobi.algebra import ParamPoly
 from mijacobi.cli import MAX_INDEX, MAX_RANDOM, MAX_STATES, main, parse_tuple_spec
 from mijacobi.maya import Ledger, ProportionalityReport, tuple_to_diagrams
+from mijacobi.spectral import _eigen_identity
 from mijacobi.states import DEFAULT_GENERIC_POINT, StateType, as_state_tuple
 from mijacobi.wronskian import wronskian
 
@@ -260,17 +261,30 @@ class TestSpectrum:
 
 
     def test_failed_eigenfunction_check_exit_code(self, capsys, monkeypatch):
-        # verify_eigenfunction looks the identity up in spectral, the
-        # extra-state check in cli; each failure alone gives exit 4
+        # the stub fails the bound checks only (numerator W[T, phi_n], one
+        # state more than T) or the extra checks only (W[T without III_m],
+        # one less); each failure alone gives exit 4
+        sizes = {}
+
+        def sized(t, inst=None):
+            w = wronskian(t, inst)
+            sizes[id(w)] = len(as_state_tuple(t))
+            return w
+
         eigen, extra = "eigenfunction E_1", "extra state E_-2"
-        for target, failed, passed in (("mijacobi.spectral._eigen_identity", eigen, extra),
-                                       ("mijacobi.cli._eigen_identity", extra, eigen)):
+        for step, failed, passed in ((1, eigen, extra), (-1, extra, eigen)):
+            def stub(w, y, ev, inst):
+                if sizes[id(y)] - sizes[id(w)] == step:
+                    return False
+                return _eigen_identity(w, y, ev, inst)
+
             with monkeypatch.context() as m:
-                m.setattr(target, lambda *args: False)
+                m.setattr("mijacobi.spectral.wronskian", sized)
+                m.setattr("mijacobi.spectral._eigen_identity", stub)
                 code, out, err = run(capsys, "--g", "37/10", "--h", "52/7",
                                      "spectrum", "I1,II2,III1", "--up-to", "2",
                                      "--verify")
-            assert code == 4 and "identity failure" in err and not out, target
+            assert code == 4 and "identity failure" in err and not out, step
             assert "'%s': False" % failed in err and "'%s': True" % passed in err
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it, every
 module-level private function and private method is used somewhere in the
-package, no module uses floating point, and none memoises."""
+package, the CLI imports no private name, no module uses floating point, and
+none memoises."""
 
 import ast
 from collections import Counter
@@ -67,6 +68,30 @@ def test_unused_private_functions_found():
 def test_no_unused_private_functions():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert sources and unused_private_functions(sources) == []
+
+
+def private_imports(source):
+    """(line, name) of each _private name that source imports from a module
+    of the package, by a relative or a mijacobi import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "mijacobi"):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name.startswith("_") and not a.name.startswith("__")]
+    return sorted(found)
+
+
+def test_private_imports_found():
+    source = ("from __future__ import annotations\n"
+              "from .spectral import (\n    permitted_spectrum,\n    _eigen_identity,\n)\n"
+              "from mijacobi.states import _params as p, StateType\n"
+              "from fractions import _gcd\nfrom . import __version__\n")
+    assert private_imports(source) == [(2, "_eigen_identity"), (6, "_params")]
+
+
+def test_cli_imports_no_private_names():
+    assert private_imports((SRC / "cli.py").read_text()) == []
 
 
 FLOAT_NAMES = {"float", "sqrt", "log", "exp"}

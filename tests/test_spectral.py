@@ -1,7 +1,9 @@
 """Deformed Hamiltonians, eigenfunction checks, spectra, nonsingularity."""
 
+import json
 from fractions import Fraction as F
 from math import prod
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly, sturm_count
 from mijacobi.maya import move_division, tuple_to_diagrams
 from mijacobi.spectral import (
+    SYMBOLIC_SIZE_CAP,
     QuasiRat,
     SpectrumLabel,
     apply_hamiltonian,
@@ -18,11 +21,12 @@ from mijacobi.spectral import (
     extra_eigenstate,
     permitted_spectrum,
     verify_eigenfunction,
+    verify_spectrum,
     _eigen_identity,
 )
 from mijacobi.states import (
     DuplicateStatesError,
-    QuasiPoly,
+    NonGenericParametersError,
     State,
     StateTuple,
     StateType,
@@ -35,6 +39,7 @@ from helpers import (
     GENERIC_POINTS,
     fraction_derivative,
     mpf_of,
+    numerator_wronskian,
     parse_states,
     quasi_taylor,
     random_generic_point,
@@ -44,6 +49,9 @@ from helpers import (
 
 G = ParamPoly.gen_g()
 H = ParamPoly.gen_h()
+
+# The recorded results of the spectral-point benchmark workload.
+GOLDEN_SPECTRAL = Path(__file__).resolve().parents[1] / "bench" / "golden" / "spectral-point.json"
 
 
 def as_quasirat(q):
@@ -230,8 +238,9 @@ class TestEigenIdentity:
                 cases.append(extra_eigenstate(t, 2, pt))
         assert len(cases) == 4  # E_-2, E_0, E_1, E_2
         for f, ev in cases:
-            assert _eigen_identity(wt, f, ev.eval_at(*pt), pt)
-            assert not _eigen_identity(wt, f, ev.eval_at(*pt) + 1, pt)
+            y = numerator_wronskian(wt, f)
+            assert _eigen_identity(wt, y, ev.eval_at(*pt), pt)
+            assert not _eigen_identity(wt, y, ev.eval_at(*pt) + 1, pt)
 
     def test_wrong_eigenvalue_fails_symbolically(self):
         # bound states (n) and extra states (the III member at index ell)
@@ -240,8 +249,9 @@ class TestEigenIdentity:
             t = parse_states(spec)
             wt = wronskian(t)
             f, ev = bound_eigenstate(t, n) if ell is None else extra_eigenstate(t, ell)
-            assert _eigen_identity(wt, f, ev, None), spec
-            assert not _eigen_identity(wt, f, ev + 1, None), spec
+            y = numerator_wronskian(wt, f)
+            assert _eigen_identity(wt, y, ev, None), spec
+            assert not _eigen_identity(wt, y, ev + 1, None), spec
 
     def test_agrees_with_quotient_route(self):
         # the kept QuasiRat route, H f - E f by repeated differentiate_rat,
@@ -251,7 +261,7 @@ class TestEigenIdentity:
             wt, pot = wronskian(t, pt), deformed_potential(t, pt)
             for e in (ev.eval_at(*pt), ev.eval_at(*pt) + 1):
                 old = apply_hamiltonian(pot, f).sub(f.scale(e)).is_zero()
-                assert _eigen_identity(wt, f, e, pt) == old, (t, e)
+                assert _eigen_identity(wt, numerator_wronskian(wt, f), e, pt) == old, (t, e)
                 seen += old
         assert seen >= 12
 
@@ -281,9 +291,9 @@ class TestNumericEigenOracle:
         with mp.workprec(200):
             for t, pt, f, ev in eigen_cases(seeded(45), 5):
                 wt = wronskian(t, pt)
-                wf = QuasiPoly(wt.expS + f.expS, wt.expC + f.expC, f.num)
+                wf = numerator_wronskian(wt, f)
                 for e in (ev, ev + 1):
-                    exact = _eigen_identity(wt, f, e.eval_at(*pt), pt)
+                    exact = _eigen_identity(wt, wf, e.eval_at(*pt), pt)
                     for x0 in (mp.mpf("0.3"), mp.mpf("0.8"), mp.mpf("1.3")):
                         res, size = self.residual(wt, wf, e, pt, x0)
                         numeric = abs(res) <= size * mp.mpf(10) ** -30
@@ -323,6 +333,18 @@ class TestExtraEigenstate:
         with pytest.raises(ValueError):
             extra_eigenstate(parse_states("I1,N0"), 0)
 
+    def test_symbolic_above_the_verifiers_cap(self):
+        # a constructor, like wronskian: with no point it stays symbolic at
+        # any size; SYMBOLIC_SIZE_CAP picks only the verifiers' mode
+        t = parse_states("I1,II2,III1")
+        assert len(t) > SYMBOLIC_SIZE_CAP
+        f, ev = extra_eigenstate(t, 2)
+        assert not f.expS.is_constant and not f.expC.is_constant
+        assert all(isinstance(c, ParamPoly) for c in f.num.coeffs + f.den.coeffs)
+        assert f.den == wronskian(t).poly
+        y = wronskian(t.without_index(2))
+        assert f.num == y.poly and _eigen_identity(wronskian(t), y, ev, None)
+
     def test_random_tuples_with_type_iii(self):
         rng = seeded(42)
         done = 0
@@ -338,6 +360,38 @@ class TestExtraEigenstate:
                 ev_c = ev.eval_at(*pt)
                 assert apply_hamiltonian(pot, f).sub(f.scale(ev_c)).is_zero(), (t, i)
             done += 1
+
+
+class TestVerifySpectrum:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matches_golden_spectral_point(self):
+        # every recorded op: the nonsingular flag and each check's name,
+        # order and flag, as `spectrum T --up-to 2 --verify` gives them
+        ops = json.loads(GOLDEN_SPECTRAL.read_text())["ops"]
+        assert len(ops) == 400
+        for op in ops:
+            spec, want = op["spec"], op["result"]
+            nonsingular, checks = verify_spectrum(spec["tuple"], 2, *map(F, spec["point"]))
+            assert nonsingular is want["nonsingular"], spec
+            assert list(checks.items()) == list(want["checks"].items()), spec
+
+    def test_levels_follow_permitted_spectrum(self):
+        pt = GENERIC_POINTS[0]
+        t = parse_states("I1,II2,III1,N1")
+        nonsingular, checks = verify_spectrum(t, 3, *pt)
+        assert nonsingular == check_nonsingular(t, *pt)
+        assert list(checks) == ["extra state E_-2", "eigenfunction E_0",
+                                "eigenfunction E_2", "eigenfunction E_3"]
+        assert all(checks.values())
+
+    def test_non_generic_point_rejected(self):
+        with pytest.raises(NonGenericParametersError):
+            verify_spectrum("I1", 2, 3, 4)
+
+    def test_small_exponents_warn(self):
+        with pytest.warns(RuntimeWarning, match="below 3/2"):
+            _, checks = verify_spectrum("III0", 0, F(2, 3), F(3, 5))
+        assert checks == {"extra state E_-1": True, "eigenfunction E_0": True}
 
 
 class TestPermittedSpectrum:

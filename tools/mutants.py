@@ -5,9 +5,10 @@
 
 Run from anywhere; the checkout is the parent of this file's directory.
 Each mutation replaces one exact snippet of one source file.  For each
-mutation named (all by default) the script copies src/, tests/ and
-pyproject.toml into a fresh temporary directory, applies the mutation
-there, runs the mutation's pytest subset on the copy and reports:
+mutation named (all by default) the script copies src/, tests/,
+bench/golden/ (which tests/test_spectral.py reads) and pyproject.toml into
+a fresh temporary directory, applies the mutation there, runs the
+mutation's pytest subset on the copy and reports:
 
     killed    the subset failed, as it should
     SURVIVED  the subset passed: no test there notices the fault
@@ -54,6 +55,8 @@ class Mutant:
 
 MAYA = "src/mijacobi/maya.py"
 WRONSKIAN = "src/mijacobi/wronskian.py"
+SPECTRAL = "src/mijacobi/spectral.py"
+SPECTRAL_TESTS = ("tests/test_spectral.py", "tests/test_cli.py")
 
 MUTANTS = (
     # The move identity's right side is W[after] at (g + dg, h + dh).
@@ -83,6 +86,19 @@ MUTANTS = (
            "_int_combine(u[k], _step(u[j], *cs[j], big), lead, u[j])",
            "_int_combine(lead, u[j], u[k], _step(u[j], *cs[j], big))",
            ("tests/test_wronskian.py",)),
+    # The eigen identity and the checks of spectrum --verify.
+    Mutant("eigen-cross-term-sign", SPECTRAL,
+           "n = n + (y1 * w1).scale(2 * k * by * bw)",
+           "n = n - (y1 * w1).scale(2 * k * by * bw)",
+           SPECTRAL_TESTS),
+    Mutant("spectrum-deletes-first-type-iii", SPECTRAL,
+           "i = t.states.index(State(StateType.III, lab.index))",
+           "i = [s.type for s in t].index(StateType.III)",
+           SPECTRAL_TESTS),
+    Mutant("spectrum-bound-over-w-t", SPECTRAL,
+           'name, top = "eigenfunction ", t.with_state(State(StateType.N, lab.index))',
+           'name, top = "eigenfunction ", t',
+           SPECTRAL_TESTS),
 )
 
 
@@ -94,7 +110,7 @@ def run(mutant):
     """(verdict, seconds) of one mutation, run in a temporary copy."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tmp = Path(tmp)
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "bench/golden"):
             shutil.copytree(ROOT / name, tmp / name,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
