@@ -71,6 +71,15 @@ def _exact_point(gv, hv):
             hv if type(hv) is Fraction else _exact(hv))
 
 
+def _clear(values):
+    """(ns, d): d the lcm of the denominators of values (ints, Fractions or
+    ParamPolys) and ns the integral d*v of each value v, in order."""
+    values = list(values)
+    ds = [v.denominator for v in values]  # read once: a ParamPoly computes its lcm
+    d = lcm(*ds)
+    return [v.numerator * (d // dv) for v, dv in zip(values, ds)], d
+
+
 def _grlex(key):
     i, j = key
     return (i + j, i)
@@ -159,9 +168,8 @@ class ParamPoly:
     def numerator(self):
         """denominator * self with int coefficients, so that, as for a
         Fraction, self = numerator / denominator in lowest terms."""
-        d = self.denominator
-        return _raw_parampoly({k: c.numerator * (d // c.denominator)
-                               for k, c in self.terms.items()})
+        ns, _ = _clear(self.terms.values())
+        return _raw_parampoly(dict(zip(self.terms, ns)))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -719,10 +727,7 @@ class EtaPoly:
             return EtaPoly()
         if any(type(c) is ParamPoly for c in a) or any(type(c) is ParamPoly for c in b):
             return _param_mul(self, other)
-        da = lcm(*(c.denominator for c in a))
-        db = lcm(*(c.denominator for c in b))
-        na = [c.numerator * (da // c.denominator) for c in a]
-        nb = [c.numerator * (db // c.denominator) for c in b]
+        (na, da), (nb, db) = _clear(a), _clear(b)
         width = (sum(map(abs, na)) * max(map(abs, nb))).bit_length() + 2
         digits = _digits(_pack_list(na, width) * _pack_list(nb, width), width)
         if all(type(c) is int for c in a) and all(type(c) is int for c in b):
@@ -867,9 +872,9 @@ def _cleared(polys):
     terms = [{(k, i, j): v for k, c in enumerate(p.coeffs)
               for (i, j), v in (c.terms if isinstance(c, ParamPoly) else {(0, 0): c}).items()
               if v} for p in polys]
-    s = lcm(*(v.denominator for t in terms for v in t.values()))
-    return [{key: v.numerator * (s // v.denominator) for key, v in t.items()}
-            for t in terms], s
+    ns, s = _clear(v for t in terms for v in t.values())
+    it = iter(ns)
+    return [dict(zip(t, it)) for t in terms], s
 
 
 def _pack(terms, width, le, lg):

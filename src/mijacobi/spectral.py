@@ -43,7 +43,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .algebra import (
     AffineExp,
@@ -51,6 +50,7 @@ from .algebra import (
     ONE_MINUS_ETA_SQ,
     sturm_count,
     _F1,
+    _clear,
 )
 from .states import (
     State,
@@ -154,17 +154,6 @@ class QuasiRat:
     def scale(self, c):
         return QuasiRat.make(self.expS, self.expC, self.num.scale(c), self.den)
 
-    def shift_params(self, dg, dh):
-        return QuasiRat.make(self.expS.shifted(dg, dh), self.expC.shifted(dg, dh),
-                             self.num.shift_params(dg, dh),
-                             self.den.shift_params(dg, dh))
-
-    def eval_eta(self, v):
-        d = self.den.eval_at(v)
-        if not d:
-            raise ZeroDivisionError("denominator vanishes at eta=%s" % v)
-        return self.num.eval_at(v) / d
-
     def __str__(self):
         return "s^(%s) c^(%s) [%s] / [%s]" % (self.expS, self.expC, self.num, self.den)
 
@@ -231,8 +220,8 @@ def _eigen_identity(w, y, ev, inst):
     # 4v = g(g-1)2(1+eta) + h(h-1)2(1-eta) - ((g+h)^2 + ev)(1-eta^2)
     ug, uh, us = g * (g - 1) * 2, h * (h - 1) * 2, (g + h) * (g + h) + ev
     v4 = (ug + uh - us, ug - uh, us)
-    den = lcm(*(c.denominator for c in v4))
-    v = EtaPoly([c.numerator * (den // c.denominator) for c in v4])
+    ns, den = _clear(v4)
+    v = EtaPoly(ns)
     k, by2 = 4 * den, by * by
     n = (((v * q).scale(by2) - y2.scale(k)) * p).scale(bw * bw)
     n = n + (y1 * w1).scale(2 * k * by * bw) - (q * w2).scale(k * by2)

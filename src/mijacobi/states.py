@@ -32,7 +32,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .algebra import (
     AffineExp,
@@ -43,6 +43,7 @@ from .algebra import (
     ParamPoly,
     P_G,
     P_H,
+    _clear,
     _exact_point,
 )
 
@@ -204,8 +205,9 @@ def random_tuple(rng, max_size, max_index, min_size=0):
 def jacobi_poly(n, alpha, beta):
     """Jacobi polynomial P_n^(alpha, beta) in eta.
 
-    With d the lcm of the denominators of alpha and beta, a = d*alpha and
-    s = d*(alpha+beta), the cancelled hypergeometric sum is
+    With d the lcm of the denominators of alpha and alpha+beta (that is, of
+    alpha and beta), a = d*alpha and s = d*(alpha+beta), the cancelled
+    hypergeometric sum is
 
         P = sum_k (-1)^k C(n,k) 2^(n-k) prod_{i=k+1..n} (a + d*i)
                 * prod_{i=1..k} (s + d*(n+i)) * (1-eta)^k / (d^n n! 2^n).
@@ -221,8 +223,7 @@ def jacobi_poly(n, alpha, beta):
         alpha, beta, one = (ParamPoly._coerce(x) for x in (alpha, beta, 1))
     else:
         alpha, beta, one = *_exact_point(alpha, beta), 1
-    d = lcm(alpha.denominator, beta.denominator)
-    a, s = (x.numerator * (d // x.denominator) for x in (alpha, alpha + beta))
+    (a, s), d = _clear((alpha, alpha + beta))
     tail = [one] * (n + 1)  # tail[k] = prod_{i=k+1..n} (a + d*i)
     for k in range(n - 1, -1, -1):
         tail[k] = tail[k + 1] * (a + d * (k + 1))

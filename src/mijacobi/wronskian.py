@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .algebra import (
     AffineExp,
@@ -39,6 +39,7 @@ from .algebra import (
     extract_edge_factors,
     proportional,
     _F1,
+    _clear,
     _pack,
     _unpack,
 )
@@ -48,6 +49,7 @@ from .states import (
     as_state_tuple,
     make_state,
     require_generic,
+    _value,
 )
 
 
@@ -69,28 +71,16 @@ class RawQuasi:
     poly: EtaPoly
 
 
-def _half_split(a, b):
-    """Coefficients of (a(1+eta) - b(1-eta))/2 = (a-b)/2 + (a+b)/2 * eta."""
-    if a.is_constant and b.is_constant:
-        x, y = a.c0, b.c0
-        nx, ny = x.numerator * y.denominator, y.numerator * x.denominator
-        den = 2 * x.denominator * y.denominator
-        return Fraction(nx - ny, den), Fraction(nx + ny, den)
-    pa, pb = a.as_parampoly(), b.as_parampoly()
-    half = Fraction(1, 2)
-    return (pa - pb) * half, (pa + pb) * half
-
-
 def _columns(quasis):
     """(big, cols): cols[j] = (p, d, c0, c1) for quasis[j] = s^a c^b Q, with
-    p = d*Q as a list, d the lcm of Q's denominators, (c0, c1) = big times
-    the halves (a-b)/2 and (a+b)/2, big the lcm of all their denominators."""
-    halves = [_half_split(q.expS, q.expC) for q in quasis]
-    big = lcm(*(h.denominator for hs in halves for h in hs))
-    ds = [lcm(*(c.denominator for c in q.poly.coeffs)) for q in quasis]
-    return big, [([c.numerator * (d // c.denominator) for c in q.poly.coeffs], d,
-                  *(h.numerator * (big // h.denominator) for h in hs))
-                 for q, hs, d in zip(quasis, halves, ds)]
+    p = d*Q as a list, d the lcm of Q's denominators, c0 = D*(a-b) and
+    c1 = D*(a+b) for D the lcm of the denominators of all a-b and a+b, and
+    big = 2D, so that (c0, c1) is big times the halves (a-b)/2 and (a+b)/2
+    of the derivative rule."""
+    exps = [(_value(q.expS), _value(q.expC)) for q in quasis]
+    ns, den = _clear(x for a, b in exps for x in (a - b, a + b))
+    return 2 * den, [(*_clear(q.poly.coeffs), c0, c1)
+                     for q, c0, c1 in zip(quasis, ns[::2], ns[1::2])]
 
 
 def _step(p, c0, c1, big):
@@ -119,8 +109,8 @@ def _column(p, c0, c1, n, big):
 
 
 def _quasi_column(exp_s, exp_c, poly, n):
-    """(big, col, d): _column of s^exp_s c^exp_c poly for n rows, with big the
-    lcm of the denominators of its two halves (see _half_split)."""
+    """(big, col, d): _column of s^exp_s c^exp_c poly for n rows, with big
+    and d as _columns gives them for this one quasi-polynomial."""
     big, [(p, d, c0, c1)] = _columns([RawQuasi(exp_s, exp_c, poly)])
     return big, _column(p, c0, c1, n, big), d
 

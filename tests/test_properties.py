@@ -65,6 +65,9 @@ states = st.builds(State, st.sampled_from(list(StateType)), st.integers(0, 2))
 tuples = st.lists(states, min_size=1, max_size=3, unique=True)
 rationals = st.builds(F, st.integers(11, 80), st.sampled_from([3, 5, 6, 7, 10, 11, 12]))
 points = st.tuples(rationals, rationals).filter(lambda p: is_generic(*p))
+# (g + dg, h + dh), where every move identity builds its right side
+shifts = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(
+    lambda d: (AffineExp(1, 0, d[0]), AffineExp(0, 1, d[1])))
 # Jacobi parameters: ints, Fractions and (g, h)-polynomials with int or
 # Fraction constants, the mixes where int-preserving arithmetic could leak
 params = st.sampled_from([2, F(-3, 2), G, G + 1, G - F(1, 2), H * 2 - 3, G + H])
@@ -83,13 +86,13 @@ def test_symbolic_wronskian_instantiates_to_point_wronskian(t, pt):
 
 
 @st.composite
-def wronskian_inputs(draw, max_size, symbolic):
-    """(quasis, zero): at most max_size quasi-polynomials of distinct states,
-    symbolic or at a generic point, in drawn order or in descending
-    eta-degree, possibly with a duplicate or a zero polynomial inserted,
-    which makes the Wronskian zero.  The size is drawn uniformly, so large
-    tuples are as common as small ones."""
-    inst = None if symbolic else draw(points)
+def wronskian_inputs(draw, max_size, insts):
+    """(quasis, zero): at most max_size quasi-polynomials of distinct states
+    at parameters drawn from insts (see make_state), in drawn order or in
+    descending eta-degree, possibly with a duplicate or a zero polynomial
+    inserted, which makes the Wronskian zero.  The size is drawn uniformly,
+    so large tuples are as common as small ones."""
+    inst = draw(insts)
     extra = draw(st.sampled_from([None, "duplicate", "zero"]))
     size = draw(st.integers(1, max_size - (extra is not None)))
     t = draw(st.lists(states, min_size=size, max_size=size, unique=True))
@@ -115,19 +118,19 @@ def check_lazy_det(qs, zero, reference):
 
 
 @settings(derandomized, max_examples=100)
-@given(wronskian_inputs(8, symbolic=False))
+@given(wronskian_inputs(8, points))
 def test_lazy_det_matches_bareiss_at_a_point(inputs):
     check_lazy_det(*inputs, det_poly_matrix)
 
 
 @settings(no_shrink, max_examples=30)
-@given(wronskian_inputs(4, symbolic=True))
+@given(wronskian_inputs(4, st.none()))
 def test_lazy_det_matches_leibniz_symbolically(inputs):
     check_lazy_det(*inputs, leibniz_det)
 
 
 @settings(no_shrink, max_examples=30)
-@given(wronskian_inputs(4, symbolic=True))
+@given(wronskian_inputs(5, st.none() | shifts))
 def test_column_bounds_hold_for_every_entry(inputs):
     # entry (i, j) has g-degree at most deg_j + i (deg_j exact at i = 0) and
     # l1 norm at most norms_j[i]: the bounds the symbolic packing rests on

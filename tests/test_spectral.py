@@ -88,7 +88,7 @@ class TestDeformedPotential:
 
     def test_shape_invariance_symbolic(self):
         dp = deformed_potential(parse_states("I0"))
-        assert dp == potential().shift_params(1, -1)
+        assert dp == potential((AffineExp(1, 0, 1), AffineExp(0, 1, -1)))
 
     def test_three_state_denominator_root_free(self):
         dp = deformed_potential(parse_states("I1,II2,III1"),

@@ -4,22 +4,26 @@
     python3 tools/mutants.py [NAME ...]
 
 Run from anywhere; the checkout is the parent of this file's directory.
-Each mutation replaces one exact snippet of one source file.  For each
-mutation named (all by default) the script copies src/, tests/,
-bench/golden/ (which tests/test_spectral.py reads) and pyproject.toml into
-a fresh temporary directory, applies the mutation there, runs the
-mutation's pytest subset on the copy and reports:
+Each mutation replaces one exact snippet of one source file.  Each pytest
+run works on a fresh temporary copy of src/, tests/, bench/golden/ (which
+tests/test_spectral.py reads) and pyproject.toml.  First, as a control,
+each distinct pytest subset of the mutations named (all by default) runs
+once on an unmutated copy.  Then each mutation is applied to its own copy,
+its subset is run there, and the script reports:
 
-    killed    the subset failed, as it should
-    SURVIVED  the subset passed: no test there notices the fault
-    timeout   the subset ran past TIMEOUT seconds (counted as killed, but a
-              fault should make a test fail, not hang)
+    killed          the subset failed, as it should
+    SURVIVED        the subset passed: no test there notices the fault
+    timeout         the subset ran past TIMEOUT seconds (counted as killed,
+                    but a fault should make a test fail, not hang)
+    control failed  the subset already fails or hangs unmutated, so its
+                    failure would show nothing; the mutation is not run
 
 The checkout's own files are only read.  Each pytest run has its address
 space capped at MEMORY_CAP bytes, since a wrong packing width can make a
-symbolic test fill memory.  Exit status: 0 when no mutation survived, 1
-when one did, 2 when a mutation's snippet does not occur exactly once in
-its file (the mutation is stale and must be rewritten).
+symbolic test fill memory.  Exit status: 0 when every control passed and
+no mutation survived, 1 when one survived, 2 when a mutation's snippet
+does not occur exactly once in its file (the mutation is stale and must
+be rewritten), 3 when a control failed (this wins over 1).
 """
 
 import argparse
@@ -53,10 +57,12 @@ class Mutant:
         return text.replace(self.old, self.new)
 
 
+ALGEBRA = "src/mijacobi/algebra.py"
 MAYA = "src/mijacobi/maya.py"
 WRONSKIAN = "src/mijacobi/wronskian.py"
 SPECTRAL = "src/mijacobi/spectral.py"
 SPECTRAL_TESTS = ("tests/test_spectral.py", "tests/test_cli.py")
+WRONSKIAN_TESTS = ("tests/test_wronskian.py", "tests/test_properties.py")
 
 MUTANTS = (
     # The move identity's right side is W[after] at (g + dg, h + dh).
@@ -86,6 +92,18 @@ MUTANTS = (
            "_int_combine(u[k], _step(u[j], *cs[j], big), lead, u[j])",
            "_int_combine(lead, u[j], u[k], _step(u[j], *cs[j], big))",
            ("tests/test_wronskian.py",)),
+    # The symbolic packing bound: c1 drops by big with each derivative.
+    Mutant("column-bounds-c1-unshifted", WRONSKIAN,
+           "x, k1 = nxt, k1 - big", "x, k1 = nxt, k1",
+           WRONSKIAN_TESTS),
+    # The one clearing rule and the integer columns built with it.
+    Mutant("clear-scales-by-lcm", ALGEBRA,
+           "return [v.numerator * (d // dv) for v, dv in zip(values, ds)], d",
+           "return [v.numerator * d for v in values], d",
+           WRONSKIAN_TESTS),
+    Mutant("columns-big-is-lcm", WRONSKIAN,
+           "return 2 * den, [", "return den, [",
+           WRONSKIAN_TESTS),
     # The eigen identity and the checks of spectrum --verify.
     Mutant("eigen-cross-term-sign", SPECTRAL,
            "n = n + (y1 * w1).scale(2 * k * by * bw)",
@@ -106,28 +124,29 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
-def run(mutant):
-    """(verdict, seconds) of one mutation, run in a temporary copy."""
+def run(tests, mutant=None):
+    """(outcome, seconds) of the pytest subset tests on a temporary copy of
+    the checkout, with mutant applied if given: "passed", "failed" or
+    "timeout"."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tmp = Path(tmp)
         for name in ("src", "tests", "bench/golden"):
             shutil.copytree(ROOT / name, tmp / name,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
-        target = tmp / mutant.path
-        target.write_text(mutant.apply(target.read_text()))
+        if mutant is not None:
+            target = tmp / mutant.path
+            target.write_text(mutant.apply(target.read_text()))
         env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
         start = time.monotonic()
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                 *mutant.tests],
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
                 cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                 timeout=TIMEOUT, preexec_fn=_cap_memory)
         except subprocess.TimeoutExpired:
             return "timeout", time.monotonic() - start
-        verdict = "SURVIVED" if proc.returncode == 0 else "killed"
-        return verdict, time.monotonic() - start
+        return "passed" if proc.returncode == 0 else "failed", time.monotonic() - start
 
 
 def main(argv=None):
@@ -146,15 +165,30 @@ def main(argv=None):
         except LookupError as e:
             print("stale mutation: %s" % e, file=sys.stderr)
             return 2
-    survivors = []
-    for m in chosen:
-        verdict, seconds = run(m)
-        print("%-32s %-9s %6.1f s  %s" % (m.name, verdict, seconds, " ".join(m.tests)),
+    control = {}
+    for tests in dict.fromkeys(m.tests for m in chosen):
+        outcome, seconds = run(tests)
+        control[tests] = outcome == "passed"
+        print("%-32s %-14s %6.1f s  %s" % ("(control)", outcome, seconds, " ".join(tests)),
               flush=True)
-        if verdict == "SURVIVED":
-            survivors.append(m.name)
+    survivors, uncontrolled = [], []
+    for m in chosen:
+        if not control[m.tests]:
+            verdict, seconds = "control failed", 0.0
+            uncontrolled.append(m.name)
+        else:
+            outcome, seconds = run(m.tests, m)
+            verdict = {"passed": "SURVIVED", "failed": "killed"}.get(outcome, outcome)
+            if verdict == "SURVIVED":
+                survivors.append(m.name)
+        print("%-32s %-14s %6.1f s  %s" % (m.name, verdict, seconds, " ".join(m.tests)),
+              flush=True)
     print("%d mutation(s), %d survived%s" % (len(chosen), len(survivors),
                                            ": " + ", ".join(survivors) if survivors else ""))
+    if uncontrolled:
+        print("%d not run, their control failed: %s"
+              % (len(uncontrolled), ", ".join(uncontrolled)))
+        return 3
     return 1 if survivors else 0
 
 
