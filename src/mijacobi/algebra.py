@@ -73,11 +73,13 @@ def _exact_point(gv, hv):
 
 def _clear(values):
     """(ns, d): d the lcm of the denominators of values (ints, Fractions or
-    ParamPolys) and ns the integral d*v of each value v, in order."""
-    values = list(values)
-    ds = [v.denominator for v in values]  # read once: a ParamPoly computes its lcm
-    d = lcm(*ds)
-    return [v.numerator * (d // dv) for v, dv in zip(values, ds)], d
+    ParamPolys) and ns the integral d*v of each value v, in order.  A
+    ParamPoly is read through its terms: one lcm over every denominator."""
+    values = [v.terms if type(v) is ParamPoly else v for v in values]
+    d = lcm(*(c.denominator for v in values
+              for c in (v.values() if type(v) is dict else (v,))))
+    return [_raw_parampoly({k: c.numerator * (d // c.denominator) for k, c in v.items()})
+            if type(v) is dict else v.numerator * (d // v.denominator) for v in values], d
 
 
 def _grlex(key):
@@ -830,11 +832,24 @@ def extract_edge_factors(p):
     """Split p as (1-eta)^k_minus * (1+eta)^k_plus * core.
 
     The core is divisible by neither edge factor; divisibility is decided by
-    exact synthetic division by eta - 1, then by eta + 1, never numerically.
+    exact synthetic division by eta - 1, then by eta + 1, never numerically
+    (_edge_split).
     """
     if not p:
         raise ZeroPolynomialError("zero input")
-    cs, ks = p.coeffs, []
+    k_minus, k_plus, core = _edge_split(p.coeffs)
+    return k_minus, k_plus, EtaPoly(core)
+
+
+def _edge_split(cs):
+    """(k_minus, k_plus, core) with the nonzero coefficient list cs equal to
+    (1-eta)^k_minus (1+eta)^k_plus core and core(1), core(-1) nonzero.
+
+    Only sums, differences and zero tests of coefficients are taken, so cs
+    may hold Fractions, ints, ParamPolys or packed ints, provided every
+    quotient formed and its values at 1 and -1 fit the packing's slots.
+    """
+    ks = []
     for root in (1, -1):
         k = 0
         while len(cs) > 1:
@@ -847,8 +862,7 @@ def extract_edge_factors(p):
             cs, k = q, k + 1
         ks.append(k)
     # (1 - eta)^k = (-1)^k (eta - 1)^k
-    core = EtaPoly(cs) if ks[0] % 2 == 0 else EtaPoly([-c for c in cs])
-    return ks[0], ks[1], core
+    return ks[0], ks[1], cs if ks[0] % 2 == 0 else [-c for c in cs]
 
 
 # ---------------------------------------------------------------------------

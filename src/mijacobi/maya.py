@@ -39,17 +39,18 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AffineExp, _factored_ratio, _proportional
+from .algebra import AffineExp, _F1, _factored_ratio, _proportional
 from .states import (
     State,
     StateTuple,
     StateType,
     QuasiPoly,
     as_state_tuple,
+    _int_state,
     _params,
     _resolve_point,
 )
-from .wronskian import wronskian
+from .wronskian import _int_wronskian
 
 
 @dataclass(frozen=True)
@@ -275,26 +276,31 @@ def _check_ledger_identity(t_before, t_after, ledger, instantiate):
     """Compare W[t_before](g, h) against prefactor * W[t_after](g + dg, h + dh),
     on one path: (g, h) is the symbols or the point of states._resolve_point,
     the right side is built at (g + dg, h + dh), and only the prefactor is
-    evaluated at a point.  algebra._proportional decides on packed ints, and
-    algebra._factored_ratio gives la/lb: a Fraction at a point, symbolically
-    the reduced ParamRat read off the closed-form factors of both leading
+    evaluated at a point.  Both sides are integer cores over scales s_l and
+    s_r (wronskian._int_wronskian).  algebra._proportional decides on the
+    cores, and algebra._factored_ratio gives la*s_r/(s_l*lb) for their
+    leading coefficients la and lb: a Fraction at a point, symbolically the
+    reduced ParamRat read off the closed-form factors of both leading
     coefficients (_lc_factors), checked against la and lb, with no gcd.
     """
     point = _resolve_point(max(len(t_before), len(t_after)), SYMBOLIC_SIZE_CAP,
                            instantiate)
     g, h = _params(point)
-    lhs = wronskian(t_before, point)
-    moved = wronskian(t_after, (g + ledger.dg, h + ledger.dh))
+    shifted = (g + ledger.dg, h + ledger.dh)
+    lhs, s_l = _int_wronskian([_int_state(s, point) for s in t_before])
+    moved, s_r = _int_wronskian([_int_state(s, shifted) for s in t_after])
     pref_s, pref_c = ledger.prefS, ledger.prefC
     if point is not None:
         pref_s, pref_c = pref_s.eval_at(*point), pref_c.eval_at(*point)
     rhs = QuasiPoly(moved.expS + pref_s, moved.expC + pref_c, moved.poly)
     pair = (_proportional(lhs.poly, rhs.poly)
             if (lhs.expS, lhs.expC) == (rhs.expS, rhs.expC) else None)
-    const = None if pair is None else _factored_ratio(
-        *pair, _lc_factors(t_before), _lc_factors(t_after, ledger.dg, ledger.dh))
+    const = None if pair is None else _factored_ratio(  # lb * _F1: a Fraction at a point
+        pair[0] * Fraction(s_r, s_l), pair[1] * _F1,
+        _lc_factors(t_before), _lc_factors(t_after, ledger.dg, ledger.dh))
     detail = "" if const is not None else (
-        "exponent or polynomial mismatch: lhs %s / rhs %s" % (lhs, rhs))
+        "exponent or polynomial mismatch: lhs %s / rhs %s"
+        % (lhs.scale_poly(Fraction(1, s_l)), rhs.scale_poly(Fraction(1, s_r))))
     mode = "symbolic" if point is None else "instantiated"
     return ProportionalityReport(const is not None, const, t_before, t_after,
                                  ledger, mode, point, detail)

@@ -59,12 +59,13 @@ from .states import (
     eigenvalue,
     potential,
     require_generic,
+    _int_state,
     _params,
     _resolve_point,
     _value,
 )
 from .maya import tuple_to_diagrams
-from .wronskian import RawQuasi, _quasi_column, differentiate, wronskian
+from .wronskian import RawQuasi, _int_wronskian, _quasi_column, differentiate, wronskian
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,8 +215,8 @@ def _eigen_identity(w, y, ev, inst):
     and K is not zero, so the integer left side is zero exactly when N is.
     """
     g, h = map(_value, _params(inst))
-    bw, (p, w1, w2), dp = _quasi_column(w.expS, w.expC, w.poly, 3)
-    by, (q, y1, y2), dq = _quasi_column(y.expS, y.expC, y.poly, 3)
+    bw, (p, w1, w2), dp = _quasi_column(w, 3)
+    by, (q, y1, y2), dq = _quasi_column(y, 3)
     p, w1, w2, q, y1, y2 = map(EtaPoly, (p, w1, w2, q, y1, y2))
     # 4v = g(g-1)2(1+eta) + h(h-1)2(1-eta) - ((g+h)^2 + ev)(1-eta^2)
     ug, uh, us = g * (g - 1) * 2, h * (h - 1) * 2, (g + h) * (g + h) + ev
@@ -267,7 +268,8 @@ def verify_eigenfunction(t, n, inst=None):
     phi = State(StateType.N, n)
     tn = t.with_state(phi)  # raises DuplicateStatesError for deleted levels
     inst = _resolve_point(len(t), SYMBOLIC_SIZE_CAP, inst)
-    wt, y = wronskian(t, inst), wronskian(tn, inst)
+    states = [_int_state(s, inst) for s in tn]
+    (wt, _), (y, _) = _int_wronskian(states[:-1]), _int_wronskian(states)
     ev = eigenvalue(phi)
     if inst:
         _warn_if_small(wt, y, *inst, 2)
@@ -362,21 +364,25 @@ def verify_spectrum(t, up_to, gv, hv):
     Returns (nonsingular, checks): check_nonsingular of t, and a dict from
     "eigenfunction E_n" or "extra state E_-m-1" to whether the eigen
     identity holds, one entry per level of permitted_spectrum(t, up_to) in
-    its order.  W[t] is built once; a bound level reads W[t, phi_n], an
-    extra level W[t without III_m].  A small exponent warns as
+    its order.  Each state's integer Jacobi sum (states._int_state) is
+    built once and W[t] once; a bound level reads W[t, phi_n], an extra
+    level W[t without III_m], all as integer cores
+    (wronskian._int_wronskian).  A small exponent warns as
     verify_eigenfunction does.
     """
     t = as_state_tuple(t)
     inst = require_generic(gv, hv)
-    wt = wronskian(t, inst)
+    states = [_int_state(s, inst) for s in t]
+    wt, scale = _int_wronskian(states)
     checks = {}
     for lab, ev in permitted_spectrum(t, up_to):
         if lab.kind == "bound":
-            name, top = "eigenfunction ", t.with_state(State(StateType.N, lab.index))
+            phi = _int_state(State(StateType.N, lab.index), inst)
+            name, top = "eigenfunction ", states + [phi]
         else:
             i = t.states.index(State(StateType.III, lab.index))
-            name, top = "extra state ", t.without_index(i)
-        y = wronskian(top, inst)
+            name, top = "extra state ", states[:i] + states[i + 1:]
+        y, _ = _int_wronskian(top)
         _warn_if_small(wt, y, *inst, 2)
         checks[name + lab.label()] = _eigen_identity(wt, y, ev.eval_at(*inst), inst)
-    return _nonsingular(wt), checks
+    return _nonsingular(wt.scale_poly(Fraction(1, scale))), checks

@@ -32,7 +32,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from .algebra import (
     AffineExp,
@@ -45,6 +45,7 @@ from .algebra import (
     P_H,
     _clear,
     _exact_point,
+    _raw_parampoly,
 )
 
 
@@ -202,21 +203,9 @@ def random_tuple(rng, max_size, max_index, min_size=0):
     return StateTuple(sorted(seen, key=State.sort_key))
 
 
-def jacobi_poly(n, alpha, beta):
-    """Jacobi polynomial P_n^(alpha, beta) in eta.
-
-    With d the lcm of the denominators of alpha and alpha+beta (that is, of
-    alpha and beta), a = d*alpha and s = d*(alpha+beta), the cancelled
-    hypergeometric sum is
-
-        P = sum_k (-1)^k C(n,k) 2^(n-k) prod_{i=k+1..n} (a + d*i)
-                * prod_{i=1..k} (s + d*(n+i)) * (1-eta)^k / (d^n n! 2^n).
-
-    Everything before the one division at the end is an integer at an
-    instantiated point and an integer-coefficient ParamPoly in symbolic
-    mode.  alpha and beta may be ParamPolys (symbolic) or ints and Fractions
-    (instantiated).
-    """
+def _jacobi_sum(n, alpha, beta):
+    """(coeffs, D): the integer sum and the divisor of jacobi_poly(n, alpha,
+    beta) = coeffs / D."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if isinstance(alpha, ParamPoly) or isinstance(beta, ParamPoly):
@@ -235,7 +224,28 @@ def jacobi_poly(n, alpha, beta):
         for m in range(k + 1):
             # (1-eta)^k contributes (-1)^m C(k,m) at eta^m
             coeffs[m] = coeffs[m] + t * ((-1) ** m * comb(k, m))
-    inv = Fraction(1, d ** n * factorial(n) * 2 ** n)
+    return coeffs, d ** n * factorial(n) * 2 ** n
+
+
+def jacobi_poly(n, alpha, beta):
+    """Jacobi polynomial P_n^(alpha, beta) in eta.
+
+    With d the lcm of the denominators of alpha and alpha+beta (that is, of
+    alpha and beta), a = d*alpha and s = d*(alpha+beta), the cancelled
+    hypergeometric sum is
+
+        P = sum_k (-1)^k C(n,k) 2^(n-k) prod_{i=k+1..n} (a + d*i)
+                * prod_{i=1..k} (s + d*(n+i)) * (1-eta)^k / D,   D = d^n n! 2^n.
+
+    The sum (_jacobi_sum) is an integer at an instantiated point and an
+    integer-coefficient ParamPoly in symbolic mode, and this public value
+    divides it by D once: Fractions, or Fraction-valued ParamPolys.  The
+    Wronskian pipeline never divides: it takes the sum over D in lowest
+    terms as its integer state (_int_state).  alpha and beta may be
+    ParamPolys (symbolic) or ints and Fractions (instantiated).
+    """
+    coeffs, den = _jacobi_sum(n, alpha, beta)
+    inv = Fraction(1, den)
     return EtaPoly(tuple(inv * c for c in coeffs))
 
 
@@ -290,18 +300,37 @@ def _resolve_point(n, cap, inst):
     return require_generic(*(DEFAULT_GENERIC_POINT if inst is None else inst))
 
 
+def _int_state(s, inst):
+    """(a, b, p, d): make_state's s^a c^b P as P = p/d, p a list of ints or
+    int-coefficient ParamPolys: the Jacobi sum p' over its divisor D
+    (_jacobi_sum) divided by G = gcd(D, every integer in p').  That is what
+    clearing make_state's Fractions gives, with no Fraction built."""
+    g, h = _params(inst)
+    a = g if s.type in (StateType.N, StateType.I) else 1 - g
+    b = h if s.type in (StateType.N, StateType.II) else 1 - h
+    half = Fraction(1, 2)
+    p, den = _jacobi_sum(s.v, _value(a) - half, _value(b) - half)
+    while p and not p[-1]:
+        p.pop()
+    common = gcd(den, *(x for c in p for x in (c.terms.values() if type(c) is ParamPoly
+                                               else (c,))))
+    if common > 1:
+        p = [c // common if type(c) is int else
+             _raw_parampoly({k: x // common for k, x in c.terms.items()}) for c in p]
+    return a, b, p, den // common
+
+
 def make_state(s, inst=None):
     """The state s^a c^b P_v^(a - 1/2, b - 1/2) as a QuasiPoly, with a = g or
     1 - g and b = h or 1 - h at the parameters (g, h) of inst: the symbols
     for None, a rational point (gv, hv) of ints or Fractions (a float
     raises TypeError), or a pair of AffineExps such as (g + dg, h + dh).
     At a point the exponents are constant and the coefficients Fractions.
+    It is _int_state divided once by its d.
     """
-    g, h = _params(inst)
-    a = g if s.type in (StateType.N, StateType.I) else 1 - g
-    b = h if s.type in (StateType.N, StateType.II) else 1 - h
-    half = Fraction(1, 2)
-    return QuasiPoly(a, b, jacobi_poly(s.v, _value(a) - half, _value(b) - half))
+    a, b, p, d = _int_state(s, inst)
+    inv = Fraction(1, d)
+    return QuasiPoly(a, b, EtaPoly(tuple(inv * c for c in p)))
 
 
 def eigenvalue(s):

@@ -12,18 +12,21 @@ Q_{i,j}(eta), so
 
     W = s^(sum a_j - N(N-1)/2) c^(sum b_j - N(N-1)/2) det(Q_{i,j}).
 
-The Wronskian is one integer pipeline in both modes: inputs are cleared of
-denominators once, derivatives follow an integer form of the rule above
-(_step), a lazy fraction-free elimination over Z[eta] (_lazy_det: one row
-of minors, differentiated as it goes, in n(n-1)/2 combines where Bareiss
-on the n derivative rows takes (n-1)n(2n-1)/6) takes the determinant, and
-its (1 -/+ eta) factors go into the exponents before one division by the
-scales.  Entries are ints at a point; in symbolic mode each
-eta-coefficient, a polynomial in (g, h), is packed into one int by
-Kronecker substitution in slots bounded from the columns.  det_poly_matrix,
-integer Bareiss on the explicit matrix, is the kernel's reference.  The
-eta-polynomial left over is the object of interest: for tuples of well
-states a (multi-indexed) Jacobi-type one.
+The Wronskian is one integer pipeline in both modes (_int_wronskian), and
+Fractions appear only at its boundary.  States enter as integer Jacobi sums
+(states._int_state), other inputs are cleared of denominators once,
+derivatives follow an integer form of the rule above (_step), a lazy
+fraction-free elimination over Z[eta] (_lazy_det: one row of minors,
+differentiated as it goes, in n(n-1)/2 combines where Bareiss on the n
+derivative rows takes (n-1)n(2n-1)/6) takes the determinant, and its
+(1 -/+ eta) factors go into the exponents, still on integers: the public
+Wronskian is an integer core over one integer scale.  Entries are ints at a
+point; in symbolic mode each eta-coefficient, a polynomial in (g, h), is
+packed into one int by Kronecker substitution in slots bounded from the
+columns, and widened for the edge step by the bound _int_wronskian proves.
+det_poly_matrix, integer Bareiss on the explicit matrix, is the kernel's
+reference.  The eta-polynomial left over is the object of interest: for
+tuples of well states a (multi-indexed) Jacobi-type one.
 """
 
 from __future__ import annotations
@@ -38,17 +41,19 @@ from .algebra import (
     P_ZERO,
     extract_edge_factors,
     proportional,
-    _F1,
     _clear,
+    _digits,
+    _edge_split,
     _pack,
+    _pack_list,
     _unpack,
 )
 from .states import (
     DEFAULT_GENERIC_POINT,
     QuasiPoly,
     as_state_tuple,
-    make_state,
     require_generic,
+    _int_state,
     _value,
 )
 
@@ -71,16 +76,23 @@ class RawQuasi:
     poly: EtaPoly
 
 
-def _columns(quasis):
-    """(big, cols): cols[j] = (p, d, c0, c1) for quasis[j] = s^a c^b Q, with
-    p = d*Q as a list, d the lcm of Q's denominators, c0 = D*(a-b) and
-    c1 = D*(a+b) for D the lcm of the denominators of all a-b and a+b, and
-    big = 2D, so that (c0, c1) is big times the halves (a-b)/2 and (a+b)/2
-    of the derivative rule."""
-    exps = [(_value(q.expS), _value(q.expC)) for q in quasis]
+def _columns(states):
+    """(big, cols) for integer states (a, b, p, d), each s^a c^b (p/d) with p
+    a list of ints or int-coefficient ParamPolys (states._int_state):
+    cols[j] = (p, d, c0, c1) with c0 = D*(a-b) and c1 = D*(a+b) for D the
+    lcm of the denominators of all a-b and a+b, and big = 2D, so that
+    (c0, c1) is big times the halves (a-b)/2 and (a+b)/2 of the derivative
+    rule."""
+    exps = [(_value(a), _value(b)) for a, b, _, _ in states]
     ns, den = _clear(x for a, b in exps for x in (a - b, a + b))
-    return 2 * den, [(*_clear(q.poly.coeffs), c0, c1)
-                     for q, c0, c1 in zip(quasis, ns[::2], ns[1::2])]
+    return 2 * den, [(p, d, c0, c1) for (_, _, p, d), c0, c1
+                     in zip(states, ns[::2], ns[1::2])]
+
+
+def _int_quasis(quasis):
+    """The integer states (a, b, p, d) of quasi-polynomials s^a c^b Q, with
+    p = d*Q cleared of denominators once (_clear)."""
+    return [(q.expS, q.expC, *_clear(q.poly.coeffs)) for q in quasis]
 
 
 def _step(p, c0, c1, big):
@@ -108,10 +120,10 @@ def _column(p, c0, c1, n, big):
     return col
 
 
-def _quasi_column(exp_s, exp_c, poly, n):
-    """(big, col, d): _column of s^exp_s c^exp_c poly for n rows, with big
-    and d as _columns gives them for this one quasi-polynomial."""
-    big, [(p, d, c0, c1)] = _columns([RawQuasi(exp_s, exp_c, poly)])
+def _quasi_column(q, n):
+    """(big, col, d): _column of the quasi-polynomial q for n rows, with big
+    and d as _columns gives them for q alone."""
+    big, [(p, d, c0, c1)] = _columns(_int_quasis([q]))
     return big, _column(p, c0, c1, n, big), d
 
 
@@ -120,7 +132,7 @@ def differentiate(q):
 
     It is one step of _column, divided once by big*d.
     """
-    big, (_, p), d = _quasi_column(q.expS, q.expC, q.poly, 2)
+    big, (_, p), d = _quasi_column(q, 2)
     return RawQuasi(q.expS - 1, q.expC - 1, EtaPoly(p).scale(Fraction(1, big * d)))
 
 
@@ -129,8 +141,8 @@ def canonicalize(r):
 
     (1-eta)^k = 2^k sin^(2k) x and (1+eta)^k = 2^k cos^(2k) x, so each
     extracted factor raises the matching exponent by 2 and scales the core
-    by 2.  An integer poly (the integer determinant, of ints or of
-    int-coefficient ParamPolys) keeps integer coefficients.
+    by 2.  An integer poly (ints or int-coefficient ParamPolys) keeps
+    integer coefficients.  Wronskians fold theirs in _int_wronskian.
     """
     if not r.poly:
         raise WronskianZeroError("zero Wronskian")
@@ -235,8 +247,10 @@ def _column_bounds(p, c0, c1, n, big):
 
 
 def _lazy_det(cols, big):
-    """det_poly_matrix(_matrix(cols, big)) from one row of minors u_j =
-    det(rows 0..k; columns 0..k-1, j), columns sorted to ascending eta-degree.
+    """(det, slots): det_poly_matrix(_matrix(cols, big)) as the list of its
+    eta-coefficients, ints at a point (slots None) and packed in slots
+    (width, lg) in symbolic mode, from one row of minors u_j = det(rows
+    0..k; columns 0..k-1, j), columns sorted to ascending eta-degree.
 
     D u_j (_step with column j's own c0, c1) is the minor with row k one
     derivative further, up to a term (C0 + C1*eta)*u_j shared by level k that
@@ -251,7 +265,8 @@ def _lazy_det(cols, big):
     most its l1 bound N_ij, so a minor is at most prod_i max(1, sqrt(sum_j
     N_ij^2)) (Hadamard), and so is each coefficient, a mean over the torus:
     slots 2 bits wider hold them, a packed minor is zero exactly when its
-    polynomial is, and the determinant unpacks uniquely.
+    polynomial is, and the determinant unpacks uniquely.  _int_wronskian's
+    edge step rests on this bound H < 2^(width-2) on the determinant.
     """
     n = len(cols)
     packed = not all(type(x) is int for p, _, c0, c1 in cols for x in (*p, c0, c1))
@@ -270,38 +285,68 @@ def _lazy_det(cols, big):
     u, cs, prev = [cols[j][0] for j in order], [cols[j][2:] for j in order], None
     for k in range(n - 1):
         if not u[k]:
-            return EtaPoly()
+            return [], None
         lead = _step(u[k], *cs[k], big)
         for j in range(k + 1, n):
             num = _int_combine(u[k], _step(u[j], *cs[j], big), lead, u[j])
             u[j] = num if prev is None else _int_exact_div(num, prev)
         prev = u[k]
-    det = [sign * c for c in u[-1]]
-    return EtaPoly(tuple(_unpack(c, width, 1, lg).coeff(0) if c else P_ZERO for c in det)
-                   if packed else det)
+    return [sign * c for c in u[-1]], (width, lg) if packed else None
 
 
-def _wronskian(quasis, det):
-    """Canonical Wronskian of quasis from det(cols, big), the determinant of
-    _matrix(cols, big) for (big, cols) = _columns(quasis), whose row i carries
-    big^i and column j its d_j: it is divided by big^(n(n-1)/2) * prod d_j."""
-    quasis = list(quasis)
-    n = len(quasis)
+def _int_wronskian(states, det=None):
+    """(w, scale): the Wronskian of the integer states (a, b, p, d) of
+    _columns as w / scale, w a QuasiPoly canonical but for the int scale,
+    with an integer core: ints at a point, int-coefficient ParamPolys in
+    symbolic mode.  det(cols, big) is the determinant of _matrix(cols, big)
+    as _lazy_det (the default) gives it; row i carries big^i and column j
+    its d_j, so scale = big^(n(n-1)/2) * prod d_j.
+
+    The (1 -/+ eta) factors come off the integer determinant (_edge_split):
+    (1-eta)^k = 2^k sin^(2k) x and (1+eta)^k = 2^k cos^(2k) x raise an
+    exponent by 2k and the core by 2^k.  In symbolic mode they come off the
+    packed ints, moved first from the determinant's slots of width bits to
+    slots of w2 = width + deg + 2 bits, deg its eta-degree.  These hold
+    every value the step tests for zero or unpacks.  Fix (g, h) on the torus
+    |g| = |h| = 1.  There |det| <= H < 2^(width-2) for |eta| = 1 (_lazy_det),
+    so its Mahler measure M(det), at most the mean of |det| there, is at
+    most H.  M is multiplicative and M(eta -/+ 1) = 1, so each quotient q =
+    det / ((eta-1)^i (eta+1)^j) the step forms has M(q) = M(det) <= H, and
+    by Landau-Mignotte (von zur Gathen & Gerhard, 6.2) |q_m| <= C(deg q, m)
+    M(q).  So q(1), q(-1) and every coefficient of q and of 2^(i+j) q are
+    at most 2^deg H < 2^(w2-4) in size.  A (g, h)-coefficient is a mean
+    over the torus of such a value times a monomial, so it is as small: a
+    packed value is zero exactly when its polynomial is, and the core
+    unpacks uniquely.  Its g-degrees, those of sums of the determinant's
+    coefficients, stay below lg.
+    """
+    n = len(states)
     if n == 0:
-        return QuasiPoly(AffineExp(), AffineExp(), EtaPoly.const(_F1))
-    off = Fraction(n * (n - 1), 2)
-    exp_s = sum((q.expS for q in quasis), AffineExp()) - off
-    exp_c = sum((q.expC for q in quasis), AffineExp()) - off
-    big, cols = _columns(quasis)
-    scale = big ** (n * (n - 1) // 2)
-    for _, d, _, _ in cols:
-        scale *= d
-    return canonicalize(RawQuasi(exp_s, exp_c, det(cols, big))).scale_poly(Fraction(1, scale))
+        return QuasiPoly(AffineExp(), AffineExp(), EtaPoly.const(1)), 1
+    off = n * (n - 1) // 2
+    exp_s = sum((a for a, _, _, _ in states), AffineExp()) - off
+    exp_c = sum((b for _, b, _, _ in states), AffineExp()) - off
+    big, cols = _columns(states)
+    scale = big ** off * prod(d for _, d, _, _ in cols)
+    cs, slots = (det or _lazy_det)(cols, big)
+    if not cs:
+        raise WronskianZeroError("zero Wronskian")
+    if slots:
+        width, lg = slots
+        w2 = width + len(cs) + 1
+        cs = [_pack_list(_digits(c, width), w2) for c in cs]
+    k_minus, k_plus, core = _edge_split(cs)
+    core = [c << (k_minus + k_plus) for c in core]
+    if slots:
+        core = [_unpack(c, w2, 1, lg).coeff(0) if c else P_ZERO for c in core]
+    return QuasiPoly(exp_s + 2 * k_minus, exp_c + 2 * k_plus, EtaPoly(core)), scale
 
 
 def wronskian_of_quasis(quasis):
-    """Wronskian of arbitrary quasi-polynomials, canonicalized."""
-    return _wronskian(quasis, _lazy_det)
+    """Wronskian of arbitrary quasi-polynomials, canonicalized: each is
+    cleared of denominators once and goes through _int_wronskian."""
+    w, scale = _int_wronskian(_int_quasis(quasis))
+    return w.scale_poly(Fraction(1, scale))
 
 
 def wronskian(t, inst=None):
@@ -313,8 +358,8 @@ def wronskian(t, inst=None):
     as_state_tuple).  The empty tuple gives the constant 1.  States must be
     distinct.
     """
-    sts = as_state_tuple(t)
-    return wronskian_of_quasis(make_state(s, inst) for s in sts)
+    w, scale = _int_wronskian([_int_state(s, inst) for s in as_state_tuple(t)])
+    return w.scale_poly(Fraction(1, scale))
 
 
 def compare_quasi(a, b):
@@ -348,11 +393,9 @@ def wronskian_compose_check(base, f, g2, inst=None):
     require_generic(*inst)
     sts = list(as_state_tuple(base))
     as_state_tuple(sts + [f, g2])  # distinctness check
-    qb = [make_state(s, inst) for s in sts]
-    qf, qg = make_state(f, inst), make_state(g2, inst)
-    lhs = _wronskian(qb + [qf, qg], lambda cols, big: det_poly_matrix(_matrix(cols, big)))
-    lhs = lhs.mul(wronskian_of_quasis(qb))
-    u = wronskian_of_quasis(qb + [qf])
-    v = wronskian_of_quasis(qb + [qg])
-    rhs = wronskian_of_quasis([u, v])
+    lhs, scale = _int_wronskian(
+        [_int_state(s, inst) for s in sts + [f, g2]],
+        lambda cols, big: (det_poly_matrix(_matrix(cols, big)).coeffs, None))
+    lhs = lhs.scale_poly(Fraction(1, scale)).mul(wronskian(sts, inst))
+    rhs = wronskian_of_quasis([wronskian(sts + [f], inst), wronskian(sts + [g2], inst)])
     return lhs == rhs

@@ -4,7 +4,8 @@ Contains the independent numeric Wronskian oracle (Taylor-mode automatic
 differentiation in mpmath, never touching the engine's eta-space rule), the
 Fraction form of the eta-space derivative rule (the engine uses an integer
 form), the Fraction form of the eigen identity (the engine decides it on
-integer columns), checks of coefficient types, the schoolbook EtaPoly
+integer columns), the lazy determinant read back from its packing,
+checks of coefficient types, the schoolbook EtaPoly
 product oracle (the engine packs products into ints), a
 permutation-expansion determinant oracle, a coefficient-scaling
 proportionality oracle, random generators for states and generic rational
@@ -23,7 +24,17 @@ from mijacobi.maya import dbar
 from mijacobi.states import (QuasiPoly, State, StateTuple, StateType, as_state_tuple,
                              is_generic)
 from mijacobi.states import random_tuple  # noqa: F401  (re-exported for the tests)
-from mijacobi.wronskian import RawQuasi, differentiate
+from mijacobi.algebra import _unpack
+from mijacobi.wronskian import RawQuasi, _lazy_det, differentiate
+
+
+def lazy_det(cols, big):
+    """wronskian._lazy_det of cols as an EtaPoly, read back from its slots."""
+    det, slots = _lazy_det(cols, big)
+    if slots is None:
+        return EtaPoly(det)
+    return EtaPoly([_unpack(c, slots[0], 1, slots[1]).coeff(0) if c else ParamPoly()
+                    for c in det])
 
 
 # -- numeric oracle ----------------------------------------------------------

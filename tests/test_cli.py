@@ -9,8 +9,8 @@ from mijacobi.algebra import ParamPoly
 from mijacobi.cli import MAX_INDEX, MAX_RANDOM, MAX_STATES, main, parse_tuple_spec
 from mijacobi.maya import Ledger, ProportionalityReport, tuple_to_diagrams
 from mijacobi.spectral import _eigen_identity
-from mijacobi.states import DEFAULT_GENERIC_POINT, StateType, as_state_tuple
-from mijacobi.wronskian import wronskian
+from mijacobi.states import DEFAULT_GENERIC_POINT, State, StateType, _int_state, as_state_tuple
+from mijacobi.wronskian import _int_wronskian, wronskian
 
 G = ParamPoly.gen_g()
 H = ParamPoly.gen_h()
@@ -266,10 +266,10 @@ class TestSpectrum:
         # one less); each failure alone gives exit 4
         sizes = {}
 
-        def sized(t, inst=None):
-            w = wronskian(t, inst)
-            sizes[id(w)] = len(as_state_tuple(t))
-            return w
+        def sized(states, det=None):
+            w, scale = _int_wronskian(states, det)
+            sizes[id(w)] = len(states)
+            return w, scale
 
         eigen, extra = "eigenfunction E_1", "extra state E_-2"
         for step, failed, passed in ((1, eigen, extra), (-1, extra, eigen)):
@@ -279,7 +279,7 @@ class TestSpectrum:
                 return _eigen_identity(w, y, ev, inst)
 
             with monkeypatch.context() as m:
-                m.setattr("mijacobi.spectral.wronskian", sized)
+                m.setattr("mijacobi.spectral._int_wronskian", sized)
                 m.setattr("mijacobi.spectral._eigen_identity", stub)
                 code, out, err = run(capsys, "--g", "37/10", "--h", "52/7",
                                      "spectrum", "I1,II2,III1", "--up-to", "2",
@@ -289,20 +289,34 @@ class TestSpectrum:
 
 
     def test_verify_computes_w_t_once(self, capsys, monkeypatch):
+        # W[T] once, and each state's integer Jacobi sum once, shared by W[T]
+        # and the numerator Wronskians; no public Wronskian is built
         t = as_state_tuple("I1,II2,III1")
-        calls = []
+        sizes, built, public = [], [], []
 
-        def counted(tt, inst=None):
-            calls.append(as_state_tuple(tt))
+        def counted(states, det=None):
+            sizes.append(len(states))
+            return _int_wronskian(states, det)
+
+        def state(s, inst):
+            built.append(s)
+            return _int_state(s, inst)
+
+        def refused(tt, inst=None):
+            public.append(tt)
             return wronskian(tt, inst)
 
         argv = ("--g", "37/10", "--h", "52/7", "spectrum", "I1,II2,III1",
                 "--up-to", "2", "--verify")
         plain = run(capsys, *argv)
+        monkeypatch.setattr("mijacobi.spectral._int_wronskian", counted)
+        monkeypatch.setattr("mijacobi.spectral._int_state", state)
         for target in ("mijacobi.spectral.wronskian", "mijacobi.cli.wronskian"):
-            monkeypatch.setattr(target, counted)
+            monkeypatch.setattr(target, refused)
         assert run(capsys, *argv) == plain and plain[0] == 0
-        assert calls.count(t) == 1 and len(calls) == 5  # W[T], 3 bound, 1 extra
+        assert sorted(sizes) == [2, 3, 4, 4, 4] and sizes[0] == 3  # W[T], 1 extra, 3 bound
+        assert built == list(t) + [State(StateType.N, n) for n in range(3)]
+        assert public == []
 
 
 class TestVerifyIdentityCommand:

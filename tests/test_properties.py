@@ -1,5 +1,7 @@
 """Property tests: a symbolic Wronskian instantiates to the Wronskian at the
-point, the lazy Wronskian determinant equals the explicit derivative
+point, the integer states are the cleared Jacobi states, the integer core
+over its scale is the Wronskian and its symbolic form instantiates to the
+core at a point, the lazy Wronskian determinant equals the explicit derivative
 matrix's determinant (by Bareiss at a point, by the Leibniz sum in symbolic
 mode), the column bounds of the symbolic packing hold for every entry of
 that matrix, Wronskians have the closed-form degree and leading
@@ -22,7 +24,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 import mijacobi.maya as maya  # noqa: E402
-from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly, ParamRat, _factored_ratio  # noqa: E402
+from mijacobi.algebra import (  # noqa: E402
+    AffineExp,
+    EtaPoly,
+    ParamPoly,
+    ParamRat,
+    _clear,
+    _factored_ratio,
+)
 from mijacobi.maya import verify_move_identity, verify_reduction  # noqa: E402
 from mijacobi.spectral import QuasiRat, _eigen_identity  # noqa: E402
 from mijacobi.states import (  # noqa: E402
@@ -34,12 +43,15 @@ from mijacobi.states import (  # noqa: E402
     is_generic,
     jacobi_poly,
     make_state,
+    _int_state,
+    _value,
 )
 from mijacobi.wronskian import (  # noqa: E402
     WronskianZeroError,
     _column_bounds,
     _columns,
-    _lazy_det,
+    _int_quasis,
+    _int_wronskian,
     _matrix,
     det_poly_matrix,
     shift_quasi,
@@ -47,6 +59,7 @@ from mijacobi.wronskian import (  # noqa: E402
     wronskian_of_quasis,
 )
 from helpers import (  # noqa: E402
+    lazy_det,
     coefficient_terms,
     eigen_identity_reference,
     holds_fractions,
@@ -82,6 +95,49 @@ def test_symbolic_wronskian_instantiates_to_point_wronskian(t, pt):
     assert at.expC == AffineExp.const(sym.expC.eval_at(*pt))
 
 
+# -- the integer pipeline: states, cores and the packed edge step --------------
+
+# single-family tuples have the most edge factors: k- + k+ = n(n-1)
+same_family = st.sampled_from(list(StateType)).flatmap(lambda ty: st.lists(
+    st.integers(0, 3), min_size=1, max_size=4, unique=True).map(
+        lambda vs: [State(ty, v) for v in vs]))
+
+
+@no_shrink
+@given(states, st.none() | shifts | points)
+def test_int_state_is_the_cleared_jacobi_state(s, inst):
+    # p/d is make_state's polynomial, and (p, d) is what clearing the public
+    # Jacobi polynomial's Fractions gives: lowest terms, today's integers
+    a, b, p, d = _int_state(s, inst)
+    q = make_state(s, inst)
+    ref = jacobi_poly(s.v, _value(a) - F(1, 2), _value(b) - F(1, 2))
+    assert (a, b) == (q.expS, q.expC)
+    assert EtaPoly(p).scale(F(1, d)) == q.poly == ref
+    assert (p, d) == tuple(_clear(ref.coeffs))
+    assert all(type(v) is int for v in coefficient_terms(EtaPoly(p)))
+
+
+@no_shrink
+@given(tuples | same_family, st.none() | shifts | points)
+def test_int_wronskian_core_over_scale_is_the_wronskian(t, inst):
+    w, scale = _int_wronskian([_int_state(s, inst) for s in t])
+    assert type(scale) is int and scale > 0
+    assert all(type(v) is int for v in coefficient_terms(w.poly))
+    assert w.scale_poly(F(1, scale)) == wronskian_of_quasis([make_state(s, inst) for s in t])
+
+
+@settings(no_shrink, max_examples=30)
+@given(tuples | same_family, points)
+def test_symbolic_core_instantiates_to_point_core(t, pt):
+    # the point route never packs, so it checks the edge factors that the
+    # symbolic route takes off packed ints in widened slots
+    sym, s_sym = _int_wronskian([_int_state(s, None) for s in t])
+    at, s_at = _int_wronskian([_int_state(s, pt) for s in t])
+    assert sym.poly.instantiate(*pt).scale(F(s_at, s_sym)) == at.poly
+    assert at.expS == AffineExp.const(sym.expS.eval_at(*pt))
+    assert at.expC == AffineExp.const(sym.expC.eval_at(*pt))
+
+
 # -- the lazy Wronskian determinant and the closed form ------------------------
 
 
@@ -107,8 +163,8 @@ def wronskian_inputs(draw, max_size, insts):
 
 
 def check_lazy_det(qs, zero, reference):
-    big, cols = _columns(qs)
-    det = _lazy_det(cols, big)
+    big, cols = _columns(_int_quasis(qs))
+    det = lazy_det(cols, big)
     assert det == reference(_matrix(cols, big))
     assert all(type(v) is int for v in coefficient_terms(det))
     assert bool(det) is not zero
@@ -134,7 +190,7 @@ def test_lazy_det_matches_leibniz_symbolically(inputs):
 def test_column_bounds_hold_for_every_entry(inputs):
     # entry (i, j) has g-degree at most deg_j + i (deg_j exact at i = 0) and
     # l1 norm at most norms_j[i]: the bounds the symbolic packing rests on
-    big, cols = _columns(inputs[0])
+    big, cols = _columns(_int_quasis(inputs[0]))
     mat = _matrix(cols, big)
     for j, (p, _, c0, c1) in enumerate(cols):
         norms, deg = _column_bounds(p, c0, c1, len(cols), big)

@@ -21,7 +21,7 @@ from mijacobi.wronskian import (
     WronskianZeroError,
     _columns,
     _int_exact_div,
-    _lazy_det,
+    _int_quasis,
     _matrix,
     canonicalize,
     compare_quasi,
@@ -34,6 +34,7 @@ from mijacobi.wronskian import (
 )
 from mijacobi.states import DuplicateStatesError
 from helpers import (
+    lazy_det,
     GENERIC_POINTS,
     fraction_derivative,
     holds_fractions,
@@ -376,8 +377,8 @@ class TestLazyKernel:
         # for these n, so a lost sign shows
         qs = [make_state(parse_state(s), inst) for s in reversed(self.BY_DEGREE[:n])]
         assert [q.poly.degree for q in qs] == list(range(n - 1, -1, -1))
-        big, cols = _columns(qs)
-        det = _lazy_det(cols, big)
+        big, cols = _columns(_int_quasis(qs))
+        det = lazy_det(cols, big)
         assert det and det == (det_poly_matrix if inst else leibniz_det)(_matrix(cols, big))
 
     @pytest.mark.parametrize("n", range(1, 4))
@@ -393,8 +394,8 @@ class TestLazyKernel:
         q = raw(AffineExp(1, 0, F(1, 2)), AffineExp(0, 1, -1), (wide + top, G + 1, wide))
         qs = [make_state(parse_state(s)) for s in self.BY_DEGREE[:n - 1]]
         qs.insert(rng.randint(0, n - 1), q)
-        big, cols = _columns(qs)
-        det = _lazy_det(cols, big)
+        big, cols = _columns(_int_quasis(qs))
+        det = lazy_det(cols, big)
         assert det and det == leibniz_det(_matrix(cols, big))
 
     def test_mixed_columns_match_leibniz(self):
@@ -405,11 +406,11 @@ class TestLazyKernel:
                   (F(1, 3), F(-2, 5), F(7))),
               make_state(parse_state("N2")),
               raw(AffineExp.const(F(5, 7)), AffineExp.const(2), (F(-4, 9), F(1, 2)))]
-        big, cols = _columns(qs)
+        big, cols = _columns(_int_quasis(qs))
         entries = [x for p, _, c0, c1 in cols for x in (*p, c0, c1)]
         assert any(type(x) is int for x in entries)
         assert any(isinstance(x, ParamPoly) for x in entries)
-        det = _lazy_det(cols, big)
+        det = lazy_det(cols, big)
         assert det and det == leibniz_det(_matrix(cols, big))
 
     def test_dependent_columns_give_zero(self):
@@ -417,11 +418,31 @@ class TestLazyKernel:
         qs = [make_state(parse_state(s), GENERIC_POINTS[0]) for s in ("I1", "N2", "II0")]
         for extra in (qs[1], qs[1].scale_poly(F(-3, 7)),
                       QuasiPoly(qs[1].expS, qs[1].expC, EtaPoly())):
-            big, cols = _columns(qs[:2] + [extra])
-            assert not _lazy_det(cols, big)
+            big, cols = _columns(_int_quasis(qs[:2] + [extra]))
+            assert not lazy_det(cols, big)
             assert not det_poly_matrix(_matrix(cols, big))
             with pytest.raises(WronskianZeroError):
                 wronskian_of_quasis(qs[:2] + [extra])
+
+
+class TestPackedEdgeStep:
+    """The symbolic edge step on packed ints against canonicalize, which
+    splits the (g, h)-polynomials themselves: W[f] = f for one function."""
+
+    # (1-eta^3)(1-eta^5)(1-eta^7)(1+eta^3) has l1 norm at most 16, so the
+    # determinant's own slots are narrow; its core 2^4 (1+eta+eta^2)
+    # (1+...+eta^4)(1+...+eta^6)(1-eta+eta^2) has far larger coefficients,
+    # which only the widened slots hold
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_single_quasi_is_its_canonical_form(self, sign):
+        p = EtaPoly((1,))
+        for e, c in ((3, -1), (5, -1), (7, -1), (3, 1)):
+            p = p * EtaPoly((1,) + (0,) * (e - 1) + (c,))
+        poly = EtaPoly(tuple(c * (G - 2 * H) * sign for c in p.coeffs))
+        q = RawQuasi(AffineExp(1, 0, F(1, 2)), AffineExp(0, -1, 0), poly)
+        w = wronskian_of_quasis([q])
+        assert w == canonicalize(q)
+        assert (w.expS - q.expS, w.expC - q.expC) == (AffineExp.const(6), AffineExp.const(2))
 
 
 class TestShiftQuasi:

@@ -61,6 +61,7 @@ ALGEBRA = "src/mijacobi/algebra.py"
 MAYA = "src/mijacobi/maya.py"
 WRONSKIAN = "src/mijacobi/wronskian.py"
 SPECTRAL = "src/mijacobi/spectral.py"
+STATES = "src/mijacobi/states.py"
 SPECTRAL_TESTS = ("tests/test_spectral.py", "tests/test_cli.py")
 WRONSKIAN_TESTS = ("tests/test_wronskian.py", "tests/test_properties.py")
 
@@ -78,15 +79,16 @@ MUTANTS = (
            ("tests/test_maya.py",)),
     # The lazy-row determinant (_lazy_det).
     Mutant("lazy-explicit-route", WRONSKIAN,
-           "return _wronskian(quasis, _lazy_det)",
-           "return _wronskian(quasis, lambda cols, big: det_poly_matrix(_matrix(cols, big)))",
+           "cs, slots = (det or _lazy_det)(cols, big)",
+           "cs, slots = (det or (lambda cols, big: (det_poly_matrix(_matrix(cols, big)).coeffs,"
+           " None)))(cols, big)",
            ("tests/test_wronskian.py",)),
     Mutant("lazy-permutation-sign", WRONSKIAN,
            "sign = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])",
            "sign = 1",
            ("tests/test_wronskian.py",)),
     Mutant("lazy-zero-pivot", WRONSKIAN,
-           "        if not u[k]:\n            return EtaPoly()\n", "",
+           "        if not u[k]:\n            return [], None\n", "",
            ("tests/test_wronskian.py",)),
     Mutant("lazy-combine-sign", WRONSKIAN,
            "_int_combine(u[k], _step(u[j], *cs[j], big), lead, u[j])",
@@ -96,10 +98,26 @@ MUTANTS = (
     Mutant("column-bounds-c1-unshifted", WRONSKIAN,
            "x, k1 = nxt, k1 - big", "x, k1 = nxt, k1",
            WRONSKIAN_TESTS),
+    # The integer derivative rule: -big*(1-eta^2)*P' lowers eta by one.
+    Mutant("step-derivative-sign", WRONSKIAN,
+           "nxt[k - 1] -= big * k * c", "nxt[k - 1] += big * k * c",
+           WRONSKIAN_TESTS),
+    # The edge step: slots widened by deg + 2 bits, and (1-eta)^k = (-1)^k (eta-1)^k.
+    Mutant("reslot-headroom-dropped", WRONSKIAN,
+           "w2 = width + len(cs) + 1", "w2 = width",
+           WRONSKIAN_TESTS),
+    Mutant("edge-odd-k-minus-sign", ALGEBRA,
+           "return ks[0], ks[1], cs if ks[0] % 2 == 0 else [-c for c in cs]",
+           "return ks[0], ks[1], cs",
+           ("tests/test_algebra.py", "tests/test_wronskian.py")),
+    # The integer Jacobi sum of the states.
+    Mutant("jacobi-wrong-term", STATES,
+           "head = head * (s + d * (n + k))", "head = head * (s + d * (n + k + 1))",
+           ("tests/test_states.py", "tests/test_wronskian.py")),
     # The one clearing rule and the integer columns built with it.
     Mutant("clear-scales-by-lcm", ALGEBRA,
-           "return [v.numerator * (d // dv) for v, dv in zip(values, ds)], d",
-           "return [v.numerator * d for v in values], d",
+           "if type(v) is dict else v.numerator * (d // v.denominator) for v in values], d",
+           "if type(v) is dict else v.numerator * d for v in values], d",
            WRONSKIAN_TESTS),
     Mutant("columns-big-is-lcm", WRONSKIAN,
            "return 2 * den, [", "return den, [",
@@ -114,8 +132,8 @@ MUTANTS = (
            "i = [s.type for s in t].index(StateType.III)",
            SPECTRAL_TESTS),
     Mutant("spectrum-bound-over-w-t", SPECTRAL,
-           'name, top = "eigenfunction ", t.with_state(State(StateType.N, lab.index))',
-           'name, top = "eigenfunction ", t',
+           'name, top = "eigenfunction ", states + [phi]',
+           'name, top = "eigenfunction ", states',
            SPECTRAL_TESTS),
 )
 
