@@ -544,11 +544,6 @@ class ParamRat:
             return str(self.num)
         return "(%s)/(%s)" % (self.num, self.den)
 
-    def latex(self):
-        if self.den.is_one:
-            return self.num.latex()
-        return r"\frac{%s}{%s}" % (self.num.latex(), self.den.latex())
-
     def __repr__(self):
         return "ParamRat(%s)" % self
 
@@ -782,7 +777,7 @@ class EtaPoly:
         return EtaPoly(tuple(
             c if isinstance(c, Fraction) else c.eval_at(gv, hv) for c in self.coeffs))
 
-    def _render(self, latex=False):
+    def __str__(self):
         if not self.coeffs:
             return "0"
         parts = []
@@ -790,11 +785,7 @@ class EtaPoly:
             c = self.coeffs[k]
             if not c:
                 continue
-            if latex:
-                mono = "" if k == 0 else (r"\eta" if k == 1 else r"\eta^{%d}" % k)
-            else:
-                mono = "" if k == 0 else ("eta" if k == 1 else "eta^%d" % k)
-            cs = c.latex() if (latex and hasattr(c, "latex")) else str(c)
+            mono = "" if k == 0 else ("eta" if k == 1 else "eta^%d" % k)
             if isinstance(c, Fraction) and mono:
                 if c == 1:
                     parts.append(mono)
@@ -802,21 +793,15 @@ class EtaPoly:
                 if c == -1:
                     parts.append("-" + mono)
                     continue
-                parts.append("%s%s%s" % (cs, "" if latex else "*", mono))
+                parts.append("%s*%s" % (c, mono))
             elif mono:
-                parts.append("(%s)%s%s" % (cs, " " if latex else "*", mono))
+                parts.append("(%s)*%s" % (c, mono))
             else:
-                parts.append(cs if isinstance(c, Fraction) else "(%s)" % cs)
+                parts.append(str(c) if isinstance(c, Fraction) else "(%s)" % c)
         out = parts[0]
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
-
-    def __str__(self):
-        return self._render()
-
-    def latex(self):
-        return self._render(latex=True)
 
     def __repr__(self):
         return "EtaPoly(%s)" % self

@@ -14,11 +14,13 @@ Tuples are comma-separated states like "I1,II2,III1" (types I, II, III, N
 with nonnegative indices); the empty string is the empty tuple.  A tuple has
 at most MAX_STATES = 12 states, and every state index and --up-to is at most
 MAX_INDEX = 40; larger input is a parse error (exit 2).  The work grows
-steeply with both: symbolic poly I40 takes about 3 s and poly I80 about 45 s
-(Python 3.11), and poly I99999 does not finish in minutes.  verify-identity
---random K checks at most MAX_RANDOM = 1000 identities: a symbolic one takes
-0.08 s on average (at most 1.9 s over 200 draws, Python 3.11), so K = 1000
-runs about 80 s, and K above it is a parse error (exit 2).  The limits
+steeply with both: symbolic poly I40 takes about 2 s, the symbolic Wronskian
+of I80 (past the limit, through the API) about 110 s, and poly I99999 does
+not finish in minutes.  verify-identity --random K checks at most
+MAX_RANDOM = 1000 identities: a symbolic one takes 0.05-0.1 s on average
+(200 seed-0 draws, at most 2.5 s for one), so K = 1000 runs one to two
+minutes, and K above it is a parse error (exit 2).  Times are CPU time on
+Python 3.11 in a 2-core container.  The limits
 hold for the command line only; the API takes any size.  Rationals on the
 command line are "p/q" or decimals; a negative one is written --g=-7/3, since
 argparse reads --g -7/3 as a flag without its value (exit 2).  A point
@@ -138,10 +140,6 @@ def constant_json(c):
     return paramrat_json(c)
 
 
-def coeff_str(c):
-    return str(c)
-
-
 def coeff_latex(c):
     return c.latex() if hasattr(c, "latex") else str(c)
 
@@ -210,7 +208,7 @@ def cmd_poly(args):
     for k in range(w.poly.degree + 1):
         c = w.poly.coeff(k)
         if c:
-            lines.append("eta^%-2d : %s" % (k, coeff_str(c)))
+            lines.append("eta^%-2d : %s" % (k, c))
     latex = r"W\left[%s\right] = %s" % (tuple_latex(t), quasi_latex(w))
     return _emit(args, report, lines, latex)
 

@@ -19,13 +19,15 @@ meaning is fixed once and for all:
     W[original](x; g, h)  ~  (sin x)^prefS (cos x)^prefC
                               * W[current](x; g + dg, h + dh)
 
-with prefS, prefC affine expressions in the *original* (g, h).  One left move
-of the second division contributes shift (-1, +1) and prefactor exponents
-(1 - g', h') evaluated at the pre-move shifted parameters; one left move of
-the first division contributes (-1, -1) and (1 - g', 1 - h').  Right moves
-are the exact inverses: (+1, -1) with (g', 1 - h'), and (+1, +1) with
-(g', h').  The verifiers build W[current] directly at the shifted
-parameters (g + dg, h + dh), symbols or a point, on one path in both modes.
+with prefS, prefC affine expressions in the *original* (g, h).  With
+sigma = +1 for a right move and -1 for a left one, a move of the first
+division shifts (g, h) by (sigma, sigma) and a move of the second by
+(sigma, -sigma).  Each parameter x' = x + d0, at its pre-move shift d0,
+adds x' to its prefactor exponent if it steps up and 1 - x' if it steps
+down: a left move of the second division contributes shift (-1, +1) and
+exponents (1 - g', h'), and the right move is its exact inverse.  The
+verifiers build W[current] directly at the shifted parameters
+(g + dg, h + dh), symbols or a point, on one path in both modes.
 
 Iterating left moves of the second division until no type II state remains,
 and of the first division until no type III state remains, reduces any tuple
@@ -59,7 +61,6 @@ class MayaDiagram:
 
     left_white: tuple
     right_black: tuple
-    offset: int = 0
 
     def __post_init__(self):
         for name in ("left_white", "right_black"):
@@ -71,25 +72,15 @@ class MayaDiagram:
             object.__setattr__(self, name, val)
 
     def moved(self, direction):
-        """Diagram with the division moved one step left or right."""
-        lw, rb = set(self.left_white), set(self.right_black)
-        if direction == "left":
-            crossing_white = 0 in lw
-            new_lw = {p - 1 for p in lw if p >= 1}
-            new_rb = {p + 1 for p in rb}
-            if not crossing_white:
-                new_rb.add(0)
-            return MayaDiagram(tuple(sorted(new_lw)), tuple(sorted(new_rb)),
-                               self.offset - 1)
-        if direction == "right":
-            crossing_black = 0 in rb
-            new_rb = {p - 1 for p in rb if p >= 1}
-            new_lw = {p + 1 for p in lw}
-            if not crossing_black:
-                new_lw.add(0)
-            return MayaDiagram(tuple(sorted(new_lw)), tuple(sorted(new_rb)),
-                               self.offset + 1)
-        raise ValueError("direction must be 'left' or 'right'")
+        """Diagram with the division moved one step left or right; a left
+        move is the right move with the two sides swapped."""
+        mirror = _sigma(direction) < 0
+        lw, rb = self.left_white, self.right_black
+        if mirror:
+            lw, rb = rb, lw
+        lw = [p + 1 for p in lw] + ([] if 0 in rb else [0])
+        rb = [p - 1 for p in rb if p]
+        return MayaDiagram(rb, lw) if mirror else MayaDiagram(lw, rb)
 
 
 @dataclass(frozen=True)
@@ -132,31 +123,33 @@ def diagrams_to_tuple(pair):
     return StateTuple(states)
 
 
+def _sigma(direction):
+    """+1 for a right move, -1 for a left one."""
+    if direction not in ("left", "right"):
+        raise ValueError("direction must be 'left' or 'right'")
+    return 1 if direction == "right" else -1
+
+
 def move_division(pair, which, direction):
     """Move one division one step and update the ledger.
 
-    The prefactor increment is the move's exponent pair evaluated at the
-    pre-move shifted parameters (g + dg, h + dh), re-expressed in the
-    original (g, h).
+    With sigma = +1 for right and -1 for left, the first division steps
+    (g, h) by (sigma, sigma) and the second by (sigma, -sigma).  A parameter
+    x' = x + d0 (d0 its shift before the move) that steps up adds x' to its
+    prefactor exponent (prefS for g, prefC for h), and one that steps down
+    adds 1 - x'; both are affine in the original (g, h).
     """
-    led = pair.ledger
-    dg0, dh0 = led.dg, led.dh
-    if which == "second":
-        if direction == "left":
-            step, inc_s, inc_c = (-1, 1), AffineExp(-1, 0, 1 - dg0), AffineExp(0, 1, Fraction(dh0))
-        else:
-            step, inc_s, inc_c = (1, -1), AffineExp(1, 0, Fraction(dg0)), AffineExp(0, -1, 1 - dh0)
-        first, second = pair.first, pair.second.moved(direction)
-    elif which == "first":
-        if direction == "left":
-            step, inc_s, inc_c = (-1, -1), AffineExp(-1, 0, 1 - dg0), AffineExp(0, -1, 1 - dh0)
-        else:
-            step, inc_s, inc_c = (1, 1), AffineExp(1, 0, Fraction(dg0)), AffineExp(0, 1, Fraction(dh0))
-        first, second = pair.first.moved(direction), pair.second
-    else:
+    if which not in ("first", "second"):
         raise ValueError("which must be 'first' or 'second'")
-    ledger = Ledger(dg0 + step[0], dh0 + step[1], led.prefS + inc_s, led.prefC + inc_c)
-    return DiagramPair(first, second, ledger)
+    sg = _sigma(direction)
+    sh = sg if which == "first" else -sg
+    led = pair.ledger
+    cs, cc = (step * d0 + (step < 0) for step, d0 in ((sg, led.dg), (sh, led.dh)))
+    moved = getattr(pair, which).moved(direction)
+    first, second = (moved, pair.second) if which == "first" else (pair.first, moved)
+    return DiagramPair(first, second, Ledger(
+        led.dg + sg, led.dh + sh,
+        led.prefS + AffineExp(sg, 0, cs), led.prefC + AffineExp(0, sh, cc)))
 
 
 def dbar(indices):
@@ -205,22 +198,13 @@ def reduce_tuple(t, target):
     t = as_state_tuple(t)
     target = ReductionTarget(target)
     pair = tuple_to_diagrams(t)
-    if target.keeps_type_i:
-        gone = t.indices(StateType.II)
-        second_moves, second_dir = (max(gone) + 1 if gone else 0), "left"
-    else:
-        gone = t.indices(StateType.I)
-        second_moves, second_dir = (max(gone) + 1 if gone else 0), "right"
-    if target.keeps_type_n:
-        gone = t.indices(StateType.III)
-        first_moves, first_dir = (max(gone) + 1 if gone else 0), "left"
-    else:
-        gone = t.indices(StateType.N)
-        first_moves, first_dir = (max(gone) + 1 if gone else 0), "right"
-    for _ in range(second_moves):
-        pair = move_division(pair, "second", second_dir)
-    for _ in range(first_moves):
-        pair = move_division(pair, "first", first_dir)
+    for which, keeps_black in (("second", target.keeps_type_i),
+                               ("first", target.keeps_type_n)):
+        diagram = getattr(pair, which)
+        direction, gone = (("left", diagram.left_white) if keeps_black
+                           else ("right", diagram.right_black))
+        for _ in range(max(gone, default=-1) + 1):
+            pair = move_division(pair, which, direction)
     return diagrams_to_tuple(pair), pair.ledger
 
 
@@ -242,8 +226,8 @@ class ProportionalityReport:
 
 
 # larger tuples go to a point: the symbolic 5-state W[I2,II0,II2,III4,N4] takes
-# 0.6-0.9 s, the 6-state W[I2,II0,II2,III4,N4,N2] 5.9-6.9 s (CPU time, Python
-# 3.11, 2-core container)
+# 0.5-0.7 s, the 6-state W[I2,II0,II2,III4,N4,N2] 3.4-4.5 s (CPU time, best of
+# 3, three rounds, Python 3.11, 2-core container)
 SYMBOLIC_SIZE_CAP = 5
 
 
@@ -261,8 +245,7 @@ def _lc_factors(t, dg=0, dh=0):
     """
     sums = []
     for s in t:
-        cg = 1 if s.type in (StateType.N, StateType.I) else -1
-        ch = 1 if s.type in (StateType.N, StateType.II) else -1
+        cg, ch = s.type.signs
         sums.append((cg, ch, (2 - cg - ch) // 2 + cg * dg + ch * dh, s.v))
     out = []
     for j, (cg, ch, c0, v) in enumerate(sums):

@@ -41,8 +41,6 @@ from .algebra import (
     ONE_MINUS_ETA,
     ONE_PLUS_ETA,
     ParamPoly,
-    P_G,
-    P_H,
     _clear,
     _exact_point,
     _raw_parampoly,
@@ -86,6 +84,14 @@ class StateType(enum.Enum):
 
     def __str__(self):
         return self.value
+
+    @property
+    def signs(self):
+        """(sigma_g, sigma_h): the family's exponents are a = g and b = h
+        where the sign is +1, a = 1 - g and b = 1 - h where it is -1.  N is
+        (+, +), I (+, -), II (-, +) and III (-, -)."""
+        return (1 if self in (StateType.N, StateType.I) else -1,
+                1 if self in (StateType.N, StateType.II) else -1)
 
 
 _TYPE_ORDER = {StateType.I: 0, StateType.II: 1, StateType.III: 2, StateType.N: 3}
@@ -305,9 +311,7 @@ def _int_state(s, inst):
     int-coefficient ParamPolys: the Jacobi sum p' over its divisor D
     (_jacobi_sum) divided by G = gcd(D, every integer in p').  That is what
     clearing make_state's Fractions gives, with no Fraction built."""
-    g, h = _params(inst)
-    a = g if s.type in (StateType.N, StateType.I) else 1 - g
-    b = h if s.type in (StateType.N, StateType.II) else 1 - h
+    a, b = (x if sign > 0 else 1 - x for x, sign in zip(_params(inst), s.type.signs))
     half = Fraction(1, 2)
     p, den = _jacobi_sum(s.v, _value(a) - half, _value(b) - half)
     while p and not p[-1]:
@@ -334,32 +338,26 @@ def make_state(s, inst=None):
 
 
 def eigenvalue(s):
-    """Exact eigenvalue as a ParamPoly in (g, h)."""
-    v = s.v
-    if s.type is StateType.N:
-        # 4v(v + g + h)
-        return ParamPoly({(1, 0): 4 * v, (0, 1): 4 * v, (0, 0): 4 * v * v})
-    half = Fraction(1, 2)
-    if s.type is StateType.I:
-        return ((P_G + (v + half)) * (P_H - (v + half))).scale(-4)
-    if s.type is StateType.II:
-        return ((P_G - (v + half)) * (P_H + (v + half))).scale(-4)
-    return ((P_G + P_H - (v + 1)) * Fraction(v + 1)).scale(-4)
+    """Exact eigenvalue as a ParamPoly in (g, h): E = (a + b + 2v)^2 - (g + h)^2
+    for the exponents a = sg*g + [sg < 0] and b = sh*h + [sh < 0] of the sign
+    pair (sg, sh), that is (sg*g + sh*h + c)^2 - (g + h)^2 with
+    c = [sg < 0] + [sh < 0] + 2v."""
+    sg, sh = s.type.signs
+    c = (sg < 0) + (sh < 0) + 2 * s.v
+    return ParamPoly({(1, 1): 2 * sg * sh - 2, (1, 0): 2 * sg * c, (0, 1): 2 * sh * c,
+                      (0, 0): c * c})
 
 
 def pairing(j, jp):
     """Index-shift pairing of the four families.
 
-    1 on the diagonal, -1 for {I, II} and {III, N}, 0 otherwise.  Prepending
-    the index-0 state of family J0 to a Wronskian shifts every index n of a
-    family-J state to n - pairing(J0, J) after the parameter step.
+    1 on the diagonal, -1 for {I, II} and {III, N}, 0 otherwise: half the
+    dot product of the two sign pairs.  Prepending the index-0 state of
+    family J0 to a Wronskian shifts every index n of a family-J state to
+    n - pairing(J0, J) after the parameter step.
     """
-    if j is jp:
-        return 1
-    pair = {j, jp}
-    if pair == {StateType.I, StateType.II} or pair == {StateType.III, StateType.N}:
-        return -1
-    return 0
+    (sg, sh), (tg, th) = j.signs, jp.signs
+    return (sg * tg + sh * th) // 2
 
 
 def potential(inst=None):

@@ -103,10 +103,21 @@ class TestMoves:
                     back = move_division(move_division(pair, which, d1), which, d2)
                     assert back == pair
 
-    def test_offsets_track_moves(self):
+    def test_ledger_gives_division_positions(self):
+        # the first division sits at (dg + dh)/2 and the second at (dg - dh)/2
         pair = tuple_to_diagrams(parse_states("N0"))
         moved = move_division(pair, "first", "right")
-        assert moved.first.offset == 1 and moved.second.offset == 0
+        assert (moved.ledger.dg, moved.ledger.dh) == (1, 1)
+        rng = seeded(34)
+        for _ in range(20):
+            pair, pos = tuple_to_diagrams(random_tuple(rng, 4, 4)), {"first": 0, "second": 0}
+            for _ in range(8):
+                which, direction = rng.choice(["first", "second"]), rng.choice(["left", "right"])
+                pair = move_division(pair, which, direction)
+                pos[which] += 1 if direction == "right" else -1
+                dg, dh = pair.ledger.dg, pair.ledger.dh
+                assert (pos["first"], pos["second"]) == ((dg + dh) // 2, (dg - dh) // 2)
+                assert (dg + dh) % 2 == 0
 
 
 class TestDbar:

@@ -6,7 +6,8 @@ matrix's determinant (by Bareiss at a point, by the Leibniz sum in symbolic
 mode), the column bounds of the symbolic packing hold for every entry of
 that matrix, Wronskians have the closed-form degree and leading
 coefficient, the symbolic move constants read off those closed-form factors
-equal the gcd-reduced ones, a Wronskian built at shifted parameters equals
+equal the gcd-reduced ones, each division move steps the ledger as its case
+in the four-case table says and the opposite move undoes it, a Wronskian built at shifted parameters equals
 the shifted Wronskian (shift_quasi), public results hold Fractions even though the
 integer pipeline computes on ints, the packed EtaPoly product equals the
 schoolbook one, the integer eigen identity decides as its Fraction form
@@ -318,6 +319,35 @@ def test_move_identity_constant_holds_fractions(t, which, direction, pt):
     rep = verify_move_identity(t, which, direction, instantiate=pt)
     assert rep.proportional
     assert holds_fractions(rep.constant)
+
+
+# One move of each (which, direction): its (dg, dh) step and its (prefS,
+# prefC) increment at the pre-move shifted parameters g' = g + dg, h' = h + dh
+MOVE_CASES = {
+    ("second", "left"): ((-1, 1), lambda g1, h1: (1 - g1, h1)),
+    ("second", "right"): ((1, -1), lambda g1, h1: (g1, 1 - h1)),
+    ("first", "left"): ((-1, -1), lambda g1, h1: (1 - g1, 1 - h1)),
+    ("first", "right"): ((1, 1), lambda g1, h1: (g1, h1)),
+}
+moves = st.sampled_from(sorted(MOVE_CASES))
+
+
+@settings(derandomized, max_examples=100)
+@given(st.lists(states, max_size=4, unique=True), st.lists(moves, min_size=1, max_size=6),
+       moves)
+def test_move_matches_the_case_table_and_its_opposite_undoes_it(t, chain, move):
+    pair = maya.tuple_to_diagrams(as_state_tuple(t))
+    for which, direction in chain:  # a used ledger, not a fresh one
+        pair = maya.move_division(pair, which, direction)
+    which, direction = move
+    moved = maya.move_division(pair, which, direction)
+    (dg, dh), increments = MOVE_CASES[move]
+    before, after = pair.ledger, moved.ledger
+    assert (after.dg - before.dg, after.dh - before.dh) == (dg, dh)
+    assert (after.prefS - before.prefS, after.prefC - before.prefC) == increments(
+        AffineExp(1, 0, before.dg), AffineExp(0, 1, before.dh))
+    opposite = "right" if direction == "left" else "left"
+    assert maya.move_division(moved, which, opposite) == pair
 
 
 # EtaPoly factors for the product: at a point (Fractions, with zeros and

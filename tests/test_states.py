@@ -129,6 +129,15 @@ class TestEigenvalue:
     def test_ground_state(self):
         assert eigenvalue(State(StateType.N, 0)) == ParamPoly()
 
+    def test_type_n_formula(self):
+        for v in range(9):
+            assert eigenvalue(State(StateType.N, v)) == ((G + H + v) * F(v)).scale(4)
+
+    def test_type_i_formula(self):
+        for v in range(9):
+            expected = ((G + (v + F(1, 2))) * (H - (v + F(1, 2)))).scale(-4)
+            assert eigenvalue(State(StateType.I, v)) == expected
+
     def test_type_ii_formula(self):
         for v in range(4):
             expected = ((G - (v + F(1, 2))) * (H + (v + F(1, 2)))).scale(-4)

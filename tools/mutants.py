@@ -64,6 +64,7 @@ SPECTRAL = "src/mijacobi/spectral.py"
 STATES = "src/mijacobi/states.py"
 SPECTRAL_TESTS = ("tests/test_spectral.py", "tests/test_cli.py")
 WRONSKIAN_TESTS = ("tests/test_wronskian.py", "tests/test_properties.py")
+FAMILY_TESTS = ("tests/test_maya.py", "tests/test_states.py", "tests/test_spectral.py")
 
 MUTANTS = (
     # The move identity's right side is W[after] at (g + dg, h + dh).
@@ -77,6 +78,20 @@ MUTANTS = (
     Mutant("lc-factor-sign", MAYA,
            "(cg, ch, c0 + v - 1 + i)", "(cg, ch, c0 + v + 1 + i)",
            ("tests/test_maya.py",)),
+    # The family rule: one move formula from the sign of each step, and one
+    # eigenvalue formula from the sign pair.
+    Mutant("second-division-h-step-sign", MAYA,
+           'sh = sg if which == "first" else -sg', 'sh = sg if which == "first" else sg',
+           FAMILY_TESTS),
+    Mutant("step-down-adds-x-not-one-minus-x", MAYA,
+           "step * d0 + (step < 0)", "step * d0",
+           FAMILY_TESTS),
+    Mutant("moved-drops-new-bead-at-0", MAYA,
+           "lw = [p + 1 for p in lw] + ([] if 0 in rb else [0])", "lw = [p + 1 for p in lw]",
+           FAMILY_TESTS),
+    Mutant("eigenvalue-drops-2v", STATES,
+           "c = (sg < 0) + (sh < 0) + 2 * s.v", "c = (sg < 0) + (sh < 0)",
+           FAMILY_TESTS),
     # The lazy-row determinant (_lazy_det).
     Mutant("lazy-explicit-route", WRONSKIAN,
            "cs, slots = (det or _lazy_det)(cols, big)",
