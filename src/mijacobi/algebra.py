@@ -20,7 +20,8 @@ Everything downstream is built from four value types, all exact over Q:
   EtaPoly    polynomial in eta = cos(2x).  Coefficients are Fractions for
              instantiated parameters and ParamPolys for symbolic work.  With
              Fraction coefficients it is the one univariate type over Q: the
-             gcd of ParamPolys and Sturm counting run on it too.  Its
+             gcd of ParamPolys runs on it too, and root counting clears it
+             to ints (sturm_count, _root_free).  Its
              arithmetic keeps ints ints, as ParamPoly's does, so integer
              identities (the eigen checks) run on int coefficients at a
              point and on int-coefficient ParamPolys symbolically.
@@ -80,6 +81,18 @@ def _clear(values):
               for c in (v.values() if type(v) is dict else (v,))))
     return [_raw_parampoly({k: c.numerator * (d // c.denominator) for k, c in v.items()})
             if type(v) is dict else v.numerator * (d // v.denominator) for v in values], d
+
+
+def _lowest(values, den):
+    """(ns, d): the ints and int-coefficient ParamPolys values over the int den
+    in lowest terms, each value and den divided by k, the gcd of den and
+    every integer in values (a ParamPoly's terms)."""
+    k = gcd(den, *(x for v in values for x in (v.terms.values() if type(v) is ParamPoly
+                                               else (v,))))
+    if k == 1:
+        return values, den
+    return [v // k if type(v) is int else
+            _raw_parampoly({key: x // k for key, x in v.terms.items()}) for v in values], den // k
 
 
 def _grlex(key):
@@ -724,12 +737,15 @@ class EtaPoly:
             return EtaPoly()
         if any(type(c) is ParamPoly for c in a) or any(type(c) is ParamPoly for c in b):
             return _param_mul(self, other)
-        (na, da), (nb, db) = _clear(a), _clear(b)
+        if all(type(c) is int for c in a) and all(type(c) is int for c in b):
+            na, nb, den = a, b, None
+        else:
+            (na, da), (nb, db) = _clear(a), _clear(b)
+            den = da * db
         width = (sum(map(abs, na)) * max(map(abs, nb))).bit_length() + 2
         digits = _digits(_pack_list(na, width) * _pack_list(nb, width), width)
-        if all(type(c) is int for c in a) and all(type(c) is int for c in b):
+        if den is None:
             return EtaPoly(digits)
-        den = da * db
         return EtaPoly([Fraction(n, den) for n in digits])
 
     def scale(self, c):
@@ -882,11 +898,19 @@ def _pack(terms, width, le, lg):
 
 
 def _pack_list(ns, width):
-    """The image of the int coefficient list ns over eta (le = lg = 1)."""
-    v = 0
-    for n in reversed(ns):
-        v = (v << width) + n
-    return v
+    """The image of the int coefficient list ns over eta (le = lg = 1).
+
+    The halves are packed apart and joined, low + (high << width*len(low)),
+    so every shift and sum is about as long as its result: near-linear time
+    in the packed length, where a Horner loop is quadratic.
+    """
+    if len(ns) <= 16:
+        v = 0
+        for n in reversed(ns):
+            v = (v << width) + n
+        return v
+    mid = len(ns) // 2
+    return _pack_list(ns[:mid], width) + (_pack_list(ns[mid:], width) << width * mid)
 
 
 def _digits(v, width):
@@ -1046,8 +1070,9 @@ def _factored_ratio(la, lb, a_factors, b_factors):
 def sturm_count(p, lo, hi):
     """Number of distinct real roots of p in the open interval (lo, hi).
 
-    p must already be instantiated (plain Fraction coefficients); the count
-    is exact, via a Sturm sequence on the square-free part.
+    p must already be instantiated (plain Fraction coefficients).  The count
+    is exact and runs on integers: p is cleared of denominators once and
+    counted by _root_count.
     """
     if not p:
         raise ZeroPolynomialError("zero polynomial")
@@ -1056,25 +1081,96 @@ def sturm_count(p, lo, hi):
     lo, hi = _exact_point(lo, hi)
     if not lo < hi:
         raise ValueError("empty interval")
-    f = _exact_quo(p, _gcd(p, p.deriv()))
-    for pt in (lo, hi):
-        while f.degree > 0 and not f.eval_at(pt):
-            f = _exact_quo(f, EtaPoly((-pt, _F1)))
-    if f.degree < 1:
+    return _root_count(_clear(p.coeffs)[0], lo, hi)
+
+
+def _root_count(p, lo, hi):
+    """Distinct real roots in (lo, hi) of the nonzero int list p, for Fractions
+    lo < hi.  A root at an end u/v is divided out exactly (by v*eta - u, an
+    integer quotient by Gauss's lemma) while p vanishes there.  The rest is
+    counted by Sturm's theorem, the sign changes of _sturm_chain(p) at lo
+    less those at hi; p need not be square-free, since every member of the
+    chain is the same multiple of gcd(p, p') as in the chain of its
+    square-free part, and that gcd has no zero at either end.
+    """
+    ends = [(x.numerator, x.denominator) for x in (lo, hi)]
+    for u, v in ends:
+        while len(p) > 1 and not _scaled_value(p, u, v):
+            q, acc = [0] * (len(p) - 1), 0
+            for k in range(len(p) - 1, 0, -1):  # p_k = v*q_(k-1) - u*q_k
+                acc = q[k - 1] = (p[k] + u * acc) // v
+            p = q
+    if len(p) < 2:
         return 0
-    chain = [f, f.deriv()]
-    while chain[-1].degree > 0:
-        r = divmod(chain[-2], chain[-1])[1]
+    chain = _sturm_chain(p)
+    return _sign_changes(chain, *ends[0]) - _sign_changes(chain, *ends[1])
+
+
+def _sturm_chain(p):
+    """A Sturm chain of the int list p (degree >= 1) on ints: p, p', and then
+    the negated remainder of each pair up to a positive factor.  The
+    pseudo-remainder r of a by b is lc(b)^k rem(a, b), k = deg a - deg b + 1,
+    so the next member is -r, or r when lc(b)^k < 0; made primitive it stays
+    small (Collins' primitive PRS)."""
+    chain = [p, [k * c for k, c in enumerate(p) if k]]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        lb, db = b[-1], len(b) - 1
+        r = list(a)
+        for k in range(len(a) - 1, db - 1, -1):  # r = lb*r - r_k eta^(k-db) b
+            lead = r[k]
+            r = [lb * c for c in r[:k]]
+            for i, c in enumerate(b[:-1], k - db):
+                r[i] -= lead * c
+        while r and not r[-1]:
+            r.pop()
         if not r:
             break
-        chain.append(-r)
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+        if lb > 0 or (len(a) - db) % 2 == 0:
+            r = [-c for c in r]
+        k = gcd(*r)
+        chain.append([c // k for c in r])
+    return chain
 
 
-def _sign_changes(chain, x):
-    signs = []
-    for p in chain:
-        v = p.eval_at(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _scaled_value(p, u, v):
+    """v^deg(p) p(u/v) for the int list p: an int of the sign of p(u/v), v > 0."""
+    acc, pw = 0, 1
+    for c in reversed(p):
+        acc, pw = acc * u + c * pw, pw * v
+    return acc
+
+
+def _sign_changes(chain, u, v):
+    signs = [x > 0 for x in (_scaled_value(p, u, v) for p in chain) if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _root_free(p):
+    """Whether the nonzero int list p has no root with eta in (-1, 1).
+
+    eta = (1-x)/(1+x) maps x in (0, oo) onto eta in (-1, 1), so those roots
+    are the positive roots of q(x) = (1+x)^d p((1-x)/(1+x)), d = deg p,
+    with multiplicity.  By Descartes' rule of signs their number is the
+    count V of sign changes in q's coefficients less an even number: V = 0
+    means none and an odd V at least one.  Only an even V >= 2 leaves it
+    open, and _root_count decides it.  q is p shifted to p(2z - 1),
+    reversed, and shifted by one.
+    """
+    if len(p) < 2:
+        return True
+    q = [c << k for k, c in enumerate(_taylor_shift(p, -1))][::-1]
+    signs = [c > 0 for c in _taylor_shift(q, 1) if c]
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    if changes % 2:
+        return False
+    return changes == 0 or _root_count(p, -_F1, _F1) == 0
+
+
+def _taylor_shift(p, s):
+    """The coefficients of p(eta + s), by repeated synthetic division."""
+    p, n = list(p), len(p)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            p[j] += s * p[j + 1]
+    return p

@@ -50,6 +50,7 @@ from .states import (
     as_state_tuple,
     _int_state,
     _params,
+    _quasi,
     _resolve_point,
 )
 from .wronskian import _int_wronskian
@@ -257,8 +258,9 @@ def _lc_factors(t, dg=0, dh=0):
 
 def _check_ledger_identity(t_before, t_after, ledger, instantiate):
     """Compare W[t_before](g, h) against prefactor * W[t_after](g + dg, h + dh),
-    on one path: (g, h) is the symbols or the point of states._resolve_point,
-    the right side is built at (g + dg, h + dh), and only the prefactor is
+    on one path: (g, h) = (G/Q, H/Q) is the symbols or the point of
+    states._resolve_point as an integer point (states._params), the right
+    side is built at (G + dg*Q, H + dh*Q)/Q, and only the prefactor is
     evaluated at a point.  Both sides are integer cores over scales s_l and
     s_r (wronskian._int_wronskian).  algebra._proportional decides on the
     cores, and algebra._factored_ratio gives la*s_r/(s_l*lb) for their
@@ -268,10 +270,10 @@ def _check_ledger_identity(t_before, t_after, ledger, instantiate):
     """
     point = _resolve_point(max(len(t_before), len(t_after)), SYMBOLIC_SIZE_CAP,
                            instantiate)
-    g, h = _params(point)
-    shifted = (g + ledger.dg, h + ledger.dh)
-    lhs, s_l = _int_wronskian([_int_state(s, point) for s in t_before])
-    moved, s_r = _int_wronskian([_int_state(s, shifted) for s in t_after])
+    g, h, q = pt = _params(point)
+    shifted = (g + ledger.dg * q, h + ledger.dh * q, q)
+    lhs, s_l = _quasi(_int_wronskian([_int_state(s, pt) for s in t_before], q), q)
+    moved, s_r = _quasi(_int_wronskian([_int_state(s, shifted) for s in t_after], q), q)
     pref_s, pref_c = ledger.prefS, ledger.prefC
     if point is not None:
         pref_s, pref_c = pref_s.eval_at(*point), pref_c.eval_at(*point)

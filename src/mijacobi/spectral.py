@@ -24,13 +24,22 @@ which does not form H_T f as a quotient: for f = Y/W, W^2 (H_T - E) f is
 built from Y, W and their first two derivatives and leaves one polynomial
 in eta, which is zero exactly when the eigen-equation holds.  The
 derivatives are one integer column per side from the Wronskian's own
-derivative rule (wronskian._quasi_column), so the identity is decided on
+derivative rule (wronskian._state_column), so the identity is decided on
 ints at a point and on int-coefficient ParamPolys in symbolic mode, scaled
-by a known nonzero integer instead of divided.  verify_eigenfunction runs
-it for one bound level; verify_spectrum, the checks of spectrum --verify,
-builds W[T] once and runs it for every permitted level.  QuasiRat,
-apply_hamiltonian and deformed_potential keep the quotient route, through
-differentiate, as public API.
+by a known nonzero integer instead of divided.  It reads the integer point
+(G, H, Q) of states._params throughout: both Wronskians are integer states
+at Q, the potential enters as Q^2 times itself and the eigenvalue as
+Q^2 E (states._int_eigenvalue).  verify_eigenfunction runs it for one bound
+level; verify_spectrum, the checks of spectrum --verify, builds W[T] once
+and runs it for every permitted level.  QuasiRat, apply_hamiltonian and
+deformed_potential keep the quotient route, through differentiate, as
+public API.
+
+Nonsingularity (check_nonsingular, verify_spectrum) is decided on the
+integer core of W[T] at the point, never divided by its scale: Descartes'
+rule of signs on the core mapped from (-1, 1) to (0, oo) settles no root
+and an odd count, and an integer Sturm chain the rest
+(algebra._root_free).
 
 Everything here is exact; no tolerances appear anywhere.  Eigenfunction
 checks are symbolic in (g, h) for tuples of at most SYMBOLIC_SIZE_CAP states
@@ -48,9 +57,8 @@ from .algebra import (
     AffineExp,
     EtaPoly,
     ONE_MINUS_ETA_SQ,
-    sturm_count,
     _F1,
-    _clear,
+    _root_free,
 )
 from .states import (
     State,
@@ -59,13 +67,14 @@ from .states import (
     eigenvalue,
     potential,
     require_generic,
+    _int_eigenvalue,
     _int_state,
     _params,
+    _quasi,
     _resolve_point,
-    _value,
 )
 from .maya import tuple_to_diagrams
-from .wronskian import RawQuasi, _int_wronskian, _quasi_column, differentiate, wronskian
+from .wronskian import RawQuasi, _int_wronskian, _state_column, differentiate, wronskian
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,58 +197,62 @@ def apply_hamiltonian(pot, f):
     return pot.mul(f).sub(fpp)
 
 
-def _eigen_identity(w, y, ev, inst):
+def _eigen_identity(w, y, e, pt):
     """Whether f = y/w solves H_T f = ev f, decided as one integer polynomial
     identity in eta: no quotient is formed and nothing is divided.
 
-    w = s^a c^b P is the canonical W[T] and y = s^a' c^b' Q the canonical
-    numerator Wronskian (W[T, phi_n] or W[T without III_m]).  U_T =
-    U - 2 (log w)'' gives
+    pt = (G, H, Q) is the integer point of states._params, (g, h) =
+    (G/Q, H/Q), and e = Q^2 ev (states._int_eigenvalue).  w = s^a c^b P
+    is the canonical W[T] and y = s^a' c^b' R the canonical numerator
+    Wronskian (W[T, phi_n] or W[T without III_m]), both integer states at
+    Q (wronskian._int_wronskian) read as their integer cores P and R; a
+    constant factor does not change whether y/w is an eigenfunction.
+    U_T = U - 2 (log w)'' gives
 
         w^2 (H_T - ev) f = -y'' w + 2 y' w' - y w'' + (U - ev) y w.
 
     Each term is s^(a+a'-2) c^(b+b'-2) times an eta-polynomial; with Y1,
     Y2, W1, W2 the eta-parts of y', y'', w', w'' and v = (U - ev) s^2 c^2,
-    their sum is N = (v Q - Y2) P + 2 Y1 W1 - Q W2, of degree at most
-    deg Q + deg P + 2, and f is an eigenfunction iff N = 0.
+    their sum is N = (v R - Y2) P + 2 Y1 W1 - R W2, of degree at most
+    deg R + deg P + 2, and f is an eigenfunction iff N = 0.
 
     N is decided on integers: one derivative column per side
-    (wronskian._quasi_column) gives P' = d_P P, W1' = b_w d_P W1,
-    W2' = b_w^2 d_P W2 and likewise Q', Y1', Y2' with b_y and d_Q, all ints
-    at a point and int-coefficient ParamPolys in symbolic mode, and v is
-    cleared once to v' = k v.  Then
+    (wronskian._state_column) gives P, W1' = b_w W1, W2' = b_w^2 W2 and
+    likewise R, Y1', Y2' with b_y, all ints at a point and int-coefficient
+    ParamPolys in symbolic mode, and k v with k = 4Q^2 is
 
-        (v' Q' b_y^2 - k Y2') P' b_w^2 + 2 k b_y b_w Y1' W1' - k b_y^2 Q' W2'
-            = K N,   K = k b_y^2 b_w^2 d_P d_Q,
+        v' = 2G(G - Q)(1 + eta) + 2H(H - Q)(1 - eta)
+             - ((G + H)^2 + e)(1 - eta^2).
+
+    Then
+
+        (v' R b_y^2 - k Y2') P b_w^2 + 2 k b_y b_w Y1' W1' - k b_y^2 R W2'
+            = K N,   K = k b_y^2 b_w^2,
 
     and K is not zero, so the integer left side is zero exactly when N is.
     """
-    g, h = map(_value, _params(inst))
-    bw, (p, w1, w2), dp = _quasi_column(w, 3)
-    by, (q, y1, y2), dq = _quasi_column(y, 3)
-    p, w1, w2, q, y1, y2 = map(EtaPoly, (p, w1, w2, q, y1, y2))
-    # 4v = g(g-1)2(1+eta) + h(h-1)2(1-eta) - ((g+h)^2 + ev)(1-eta^2)
-    ug, uh, us = g * (g - 1) * 2, h * (h - 1) * 2, (g + h) * (g + h) + ev
-    v4 = (ug + uh - us, ug - uh, us)
-    ns, den = _clear(v4)
-    v = EtaPoly(ns)
-    k, by2 = 4 * den, by * by
-    n = (((v * q).scale(by2) - y2.scale(k)) * p).scale(bw * bw)
-    n = n + (y1 * w1).scale(2 * k * by * bw) - (q * w2).scale(k * by2)
+    g, h, q = pt
+    bw, (p, w1, w2), _ = _state_column(w, q, 3)
+    by, (r, y1, y2), _ = _state_column(y, q, 3)
+    p, w1, w2, r, y1, y2 = map(EtaPoly, (p, w1, w2, r, y1, y2))
+    ug, uh, us = 2 * g * (g - q), 2 * h * (h - q), (g + h) * (g + h) + e
+    v = EtaPoly((ug + uh - us, ug - uh, us))
+    k, by2 = 4 * q * q, by * by
+    n = (((v * r).scale(by2) - y2.scale(k)) * p).scale(bw * bw)
+    n = n + (y1 * w1).scale(2 * k * by * bw) - (r * w2).scale(k * by2)
     return not n
 
 
-def _warn_if_small(w, y, gv, hv, stacklevel):
-    """Warn if an exponent of y/w at (gv, hv) is below 3/2; stacklevel is
-    that of a warnings.warn call made by the caller."""
-    threshold = Fraction(3, 2)
-    vs = (y.expS - w.expS).eval_at(gv, hv)
-    vc = (y.expC - w.expC).eval_at(gv, hv)
-    if vs < threshold or vc < threshold:
+def _warn_if_small(w, y, q, stacklevel):
+    """Warn if an exponent of y/w is below 3/2, for integer states w and y at
+    the denominator q of a point; stacklevel is that of a warnings.warn call
+    made by the caller."""
+    ds, dc = y[0] - w[0], y[1] - w[1]
+    if 2 * ds < 3 * q or 2 * dc < 3 * q:
         warnings.warn(
             "eigenfunction exponents (%s, %s) are below 3/2; the parameters "
-            "may be too small for the full transformation chain" % (vs, vc),
-            RuntimeWarning, stacklevel=stacklevel + 1)
+            "may be too small for the full transformation chain"
+            % (Fraction(ds, q), Fraction(dc, q)), RuntimeWarning, stacklevel=stacklevel + 1)
 
 
 # Eigen checks of at most SYMBOLIC_SIZE_CAP states run symbolic when no point
@@ -268,12 +281,12 @@ def verify_eigenfunction(t, n, inst=None):
     phi = State(StateType.N, n)
     tn = t.with_state(phi)  # raises DuplicateStatesError for deleted levels
     inst = _resolve_point(len(t), SYMBOLIC_SIZE_CAP, inst)
-    states = [_int_state(s, inst) for s in tn]
-    (wt, _), (y, _) = _int_wronskian(states[:-1]), _int_wronskian(states)
-    ev = eigenvalue(phi)
+    pt = _params(inst)
+    states = [_int_state(s, pt) for s in tn]
+    wt, y = _int_wronskian(states[:-1], pt[2]), _int_wronskian(states, pt[2])
     if inst:
-        _warn_if_small(wt, y, *inst, 2)
-    return _eigen_identity(wt, y, ev.eval_at(*inst) if inst else ev, inst), ev
+        _warn_if_small(wt, y, pt[2], 2)
+    return _eigen_identity(wt, y, _int_eigenvalue(phi, pt), pt), eigenvalue(phi)
 
 
 def extra_eigenstate(t, ell, inst=None):
@@ -290,10 +303,15 @@ def extra_eigenstate(t, ell, inst=None):
         raise ValueError("deleted state must be of type III, got %s" % s)
     if inst is not None:
         inst = require_generic(*inst)
-    wt, wr = wronskian(t, inst), wronskian(t.without_index(ell), inst)
-    f = QuasiRat.make(wr.expS - wt.expS, wr.expC - wt.expC, wr.poly, wt.poly)
+    pt = _params(inst)
+    states = [_int_state(x, pt) for x in t]
+    wt = _int_wronskian(states, pt[2])
+    wr = _int_wronskian(states[:ell] + states[ell + 1:], pt[2])
     if inst:
-        _warn_if_small(wt, wr, *inst, 2)
+        _warn_if_small(wt, wr, pt[2], 2)
+    (wt, st), (wr, sr) = _quasi(wt, pt[2]), _quasi(wr, pt[2])
+    f = QuasiRat.make(wr.expS - wt.expS, wr.expC - wt.expC,
+                      wr.poly.scale(Fraction(1, sr)), wt.poly.scale(Fraction(1, st)))
     return f, eigenvalue(State(StateType.III, s.v))
 
 
@@ -347,15 +365,13 @@ def check_nonsingular(t, gv, hv):
 
     This is exactly the condition for the deformed potential to be free of
     interior singularities on (0, pi/2); endpoint behaviour is governed by
-    the exponents and is not part of the check.
+    the exponents and is not part of the check.  It is decided on the
+    Wronskian's integer core, never divided by its scale
+    (algebra._root_free): Descartes' rule of signs settles most tuples, and
+    an integer Sturm chain the rest.
     """
-    gv, hv = require_generic(gv, hv)
-    return _nonsingular(wronskian(t, inst=(gv, hv)))
-
-
-def _nonsingular(w):
-    """check_nonsingular of the Wronskian w at a point."""
-    return w.poly.degree <= 0 or sturm_count(w.poly, Fraction(-1), Fraction(1)) == 0
+    pt = _params(require_generic(gv, hv))
+    return _root_free(_int_wronskian([_int_state(s, pt) for s in as_state_tuple(t)], pt[2])[2])
 
 
 def verify_spectrum(t, up_to, gv, hv):
@@ -364,25 +380,28 @@ def verify_spectrum(t, up_to, gv, hv):
     Returns (nonsingular, checks): check_nonsingular of t, and a dict from
     "eigenfunction E_n" or "extra state E_-m-1" to whether the eigen
     identity holds, one entry per level of permitted_spectrum(t, up_to) in
-    its order.  Each state's integer Jacobi sum (states._int_state) is
+    its order.  Everything runs on the integer point (G, H, Q) of
+    states._params: each state's integer Jacobi sum (states._int_state) is
     built once and W[t] once; a bound level reads W[t, phi_n], an extra
-    level W[t without III_m], all as integer cores
-    (wronskian._int_wronskian).  A small exponent warns as
+    level W[t without III_m], all as integer states
+    (wronskian._int_wronskian), and Q^2 times its eigenvalue
+    (states._int_eigenvalue).  A small exponent warns as
     verify_eigenfunction does.
     """
     t = as_state_tuple(t)
-    inst = require_generic(gv, hv)
-    states = [_int_state(s, inst) for s in t]
-    wt, scale = _int_wronskian(states)
+    pt = _params(require_generic(gv, hv))
+    states = [_int_state(s, pt) for s in t]
+    wt = _int_wronskian(states, pt[2])
     checks = {}
-    for lab, ev in permitted_spectrum(t, up_to):
+    for lab, _ in permitted_spectrum(t, up_to):
         if lab.kind == "bound":
-            phi = _int_state(State(StateType.N, lab.index), inst)
-            name, top = "eigenfunction ", states + [phi]
+            s = State(StateType.N, lab.index)
+            name, top = "eigenfunction ", states + [_int_state(s, pt)]
         else:
-            i = t.states.index(State(StateType.III, lab.index))
+            s = State(StateType.III, lab.index)
+            i = t.states.index(s)
             name, top = "extra state ", states[:i] + states[i + 1:]
-        y, _ = _int_wronskian(top)
-        _warn_if_small(wt, y, *inst, 2)
-        checks[name + lab.label()] = _eigen_identity(wt, y, ev.eval_at(*inst), inst)
-    return _nonsingular(wt.scale_poly(Fraction(1, scale))), checks
+        y = _int_wronskian(top, pt[2])
+        _warn_if_small(wt, y, pt[2], 2)
+        checks[name + lab.label()] = _eigen_identity(wt, y, _int_eigenvalue(s, pt), pt)
+    return _root_free(wt[2]), checks

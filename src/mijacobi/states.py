@@ -24,6 +24,15 @@ States are built unnormalized, exactly in the form above.  Throughout we work
 either fully symbolically in (g, h) or at an instantiated rational point; the
 generic-parameter assumption (g +/- h not an integer, g and h not half-odd
 integers) is validated only at instantiation time.
+
+Both modes build states on integers, from one integer point (G, H, Q) with
+(g, h) = (G/Q, H/Q) (_params): at a point G and H are ints over the common
+denominator Q, and for the symbols they are g and h as int-coefficient
+ParamPolys over Q = 1.  A state's exponents are then a/Q and b/Q with
+a = G or Q - G and b = H or Q - H, and its Jacobi polynomial is the integer
+sum at the common denominator 2Q over its divisor in lowest terms
+(_int_state); the Wronskians take these integer states as they are, and
+only the public values (make_state) divide.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial
 
 from .algebra import (
     AffineExp,
@@ -40,9 +49,12 @@ from .algebra import (
     EtaPoly,
     ONE_MINUS_ETA,
     ONE_PLUS_ETA,
+    P_G,
+    P_H,
     ParamPoly,
     _clear,
     _exact_point,
+    _lowest,
     _raw_parampoly,
 )
 
@@ -209,16 +221,13 @@ def random_tuple(rng, max_size, max_index, min_size=0):
     return StateTuple(sorted(seen, key=State.sort_key))
 
 
-def _jacobi_sum(n, alpha, beta):
+def _jacobi_sum(n, a, s, d):
     """(coeffs, D): the integer sum and the divisor of jacobi_poly(n, alpha,
-    beta) = coeffs / D."""
+    beta) = coeffs / D, for a = d*alpha and s = d*(alpha + beta) both ints
+    or both int-coefficient ParamPolys, and d a positive int."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if isinstance(alpha, ParamPoly) or isinstance(beta, ParamPoly):
-        alpha, beta, one = (ParamPoly._coerce(x) for x in (alpha, beta, 1))
-    else:
-        alpha, beta, one = *_exact_point(alpha, beta), 1
-    (a, s), d = _clear((alpha, alpha + beta))
+    one = 1 if type(a) is int else _raw_parampoly({(0, 0): 1})
     tail = [one] * (n + 1)  # tail[k] = prod_{i=k+1..n} (a + d*i)
     for k in range(n - 1, -1, -1):
         tail[k] = tail[k + 1] * (a + d * (k + 1))
@@ -246,11 +255,17 @@ def jacobi_poly(n, alpha, beta):
     The sum (_jacobi_sum) is an integer at an instantiated point and an
     integer-coefficient ParamPoly in symbolic mode, and this public value
     divides it by D once: Fractions, or Fraction-valued ParamPolys.  The
-    Wronskian pipeline never divides: it takes the sum over D in lowest
-    terms as its integer state (_int_state).  alpha and beta may be
-    ParamPolys (symbolic) or ints and Fractions (instantiated).
+    Wronskian pipeline never divides: it takes the sum at any common d of
+    its integer point, over D in lowest terms, as its integer state
+    (_int_state).  alpha and beta may be ParamPolys (symbolic) or ints and
+    Fractions (instantiated).
     """
-    coeffs, den = _jacobi_sum(n, alpha, beta)
+    if isinstance(alpha, ParamPoly) or isinstance(beta, ParamPoly):
+        alpha, beta = (ParamPoly._coerce(x) for x in (alpha, beta))
+    else:
+        alpha, beta = _exact_point(alpha, beta)
+    (a, s), d = _clear((alpha, alpha + beta))
+    coeffs, den = _jacobi_sum(n, a, s, d)
     inv = Fraction(1, den)
     return EtaPoly(tuple(inv * c for c in coeffs))
 
@@ -281,21 +296,43 @@ class QuasiPoly:
 
 
 def _params(inst):
-    """The parameters (g, h) as a pair of AffineExps in both modes: the
-    symbols for inst None, constants for a rational point (ints or
-    Fractions, else TypeError), and an AffineExp pair as it is."""
+    """The integer point (G, H, Q) of inst: its parameters (g, h) = (G/Q, H/Q)
+    over one denominator Q, the lcm of theirs (_clear).  G and H are ints
+    for a rational point (ints or Fractions, else TypeError) and
+    int-coefficient ParamPolys over Q = 1 for the symbols (inst None); a
+    pair of AffineExps such as (g + dg, h + dh) is read as either."""
     if inst is None:
-        return AffineExp(1, 0), AffineExp(0, 1)
-    g, h = inst
-    if isinstance(g, AffineExp) and isinstance(h, AffineExp):
-        return g, h
-    g, h = _exact_point(g, h)
-    return AffineExp.const(g), AffineExp.const(h)
+        g, h = P_G, P_H
+    else:
+        g, h = inst
+        if isinstance(g, AffineExp) and isinstance(h, AffineExp):
+            g, h = _value(g), _value(h)
+        else:
+            g, h = _exact_point(g, h)
+    (g, h), q = _clear((g, h))
+    return g, h, q
 
 
 def _value(x):
     """The AffineExp x as a Fraction if constant, else as a ParamPoly."""
     return x.c0 if x.is_constant else x.as_parampoly()
+
+
+def _affine(n, q):
+    """The AffineExp n/q for n an int or an int-coefficient ParamPoly of
+    degree at most 1 whose g and h coefficients q divides."""
+    if type(n) is int:
+        return AffineExp(0, 0, Fraction(n, q))
+    t = n.terms
+    return AffineExp(t.get((1, 0), 0) // q, t.get((0, 1), 0) // q, Fraction(t.get((0, 0), 0), q))
+
+
+def _quasi(st, q):
+    """(w, d): the integer state st = (a, b, p, d) at denominator q as the
+    QuasiPoly w = s^(a/q) c^(b/q) p, with its integer p, and d, so that the
+    state is w divided by d."""
+    a, b, p, d = st
+    return QuasiPoly(_affine(a, q), _affine(b, q), EtaPoly(p)), d
 
 
 def _resolve_point(n, cap, inst):
@@ -306,22 +343,22 @@ def _resolve_point(n, cap, inst):
     return require_generic(*(DEFAULT_GENERIC_POINT if inst is None else inst))
 
 
-def _int_state(s, inst):
-    """(a, b, p, d): make_state's s^a c^b P as P = p/d, p a list of ints or
-    int-coefficient ParamPolys: the Jacobi sum p' over its divisor D
-    (_jacobi_sum) divided by G = gcd(D, every integer in p').  That is what
-    clearing make_state's Fractions gives, with no Fraction built."""
-    a, b = (x if sign > 0 else 1 - x for x, sign in zip(_params(inst), s.type.signs))
-    half = Fraction(1, 2)
-    p, den = _jacobi_sum(s.v, _value(a) - half, _value(b) - half)
+def _int_state(s, pt):
+    """(a, b, p, d): make_state's s^A c^B P at the integer point pt = (G, H, Q)
+    of _params, all on ints: the exponents A = a/Q and B = b/Q, with
+    a = G or Q - G and b = H or Q - H by the family's signs, and P = p/d,
+    p a list of ints or int-coefficient ParamPolys.  P is the Jacobi sum
+    (_jacobi_sum) at the common denominator 2Q of alpha = (2a - Q)/2Q and
+    alpha + beta = (a + b - Q)/Q, over its divisor in lowest terms
+    (_lowest): what clearing make_state's Fractions gives, with no
+    Fraction built."""
+    g, h, q = pt
+    a, b = (x if sign > 0 else q - x for x, sign in zip((g, h), s.type.signs))
+    p, den = _jacobi_sum(s.v, 2 * a - q, 2 * (a + b - q), 2 * q)
     while p and not p[-1]:
         p.pop()
-    common = gcd(den, *(x for c in p for x in (c.terms.values() if type(c) is ParamPoly
-                                               else (c,))))
-    if common > 1:
-        p = [c // common if type(c) is int else
-             _raw_parampoly({k: x // common for k, x in c.terms.items()}) for c in p]
-    return a, b, p, den // common
+    p, d = _lowest(p, den)
+    return a, b, p, d
 
 
 def make_state(s, inst=None):
@@ -332,9 +369,9 @@ def make_state(s, inst=None):
     At a point the exponents are constant and the coefficients Fractions.
     It is _int_state divided once by its d.
     """
-    a, b, p, d = _int_state(s, inst)
-    inv = Fraction(1, d)
-    return QuasiPoly(a, b, EtaPoly(tuple(inv * c for c in p)))
+    pt = _params(inst)
+    w, d = _quasi(_int_state(s, pt), pt[2])
+    return w.scale_poly(Fraction(1, d))
 
 
 def eigenvalue(s):
@@ -346,6 +383,16 @@ def eigenvalue(s):
     c = (sg < 0) + (sh < 0) + 2 * s.v
     return ParamPoly({(1, 1): 2 * sg * sh - 2, (1, 0): 2 * sg * c, (0, 1): 2 * sh * c,
                       (0, 0): c * c})
+
+
+def _int_eigenvalue(s, pt):
+    """Q^2 eigenvalue(s) at the integer point pt = (G, H, Q) of _params:
+    r^2 - (G + H)^2 with r = sg*G + sh*H + c*Q, an int at a point and an
+    int-coefficient ParamPoly for the symbols."""
+    g, h, q = pt
+    sg, sh = s.type.signs
+    r = sg * g + sh * h + ((sg < 0) + (sh < 0) + 2 * s.v) * q
+    return r * r - (g + h) * (g + h)
 
 
 def pairing(j, jp):
@@ -371,7 +418,8 @@ def potential(inst=None):
     quotients, so a vanishing g(g-1) or h(h-1) drops its pole.
     """
     from .spectral import QuasiRat
-    g, h = map(_value, _params(inst))
+    g, h, q = _params(inst)
+    g, h = g * Fraction(1, q), h * Fraction(1, q)
 
     def term(c, den):
         return QuasiRat.make(AffineExp(), AffineExp(), EtaPoly((c,)), den)

@@ -13,9 +13,15 @@ Q_{i,j}(eta), so
     W = s^(sum a_j - N(N-1)/2) c^(sum b_j - N(N-1)/2) det(Q_{i,j}).
 
 The Wronskian is one integer pipeline in both modes (_int_wronskian), and
-Fractions appear only at its boundary.  States enter as integer Jacobi sums
-(states._int_state), other inputs are cleared of denominators once,
-derivatives follow an integer form of the rule above (_step), a lazy
+Fractions appear only at its boundary.  It runs at the integer point
+(G, H, Q) of states._params: states enter as integer states, exponents a/Q
+and b/Q with a and b ints (int-coefficient ParamPolys over Q = 1 in symbolic
+mode) and integer Jacobi sums (states._int_state), and other inputs are
+cleared of denominators once (_int_quasis).  The columns' constants come
+off a -/+ b by one gcd with Q (_columns), the exponent sums stay integers,
+and the Wronskian is itself an integer state at Q; the public calls build
+one AffineExp pair and divide once (states._quasi).  Derivatives follow an
+integer form of the rule above (_step), a lazy
 fraction-free elimination over Z[eta] (_lazy_det: one row of minors,
 differentiated as it goes, in n(n-1)/2 combines where Bareiss on the n
 derivative rows takes (n-1)n(2n-1)/6) takes the determinant, and its
@@ -44,6 +50,7 @@ from .algebra import (
     _clear,
     _digits,
     _edge_split,
+    _lowest,
     _pack,
     _pack_list,
     _unpack,
@@ -54,6 +61,8 @@ from .states import (
     as_state_tuple,
     require_generic,
     _int_state,
+    _params,
+    _quasi,
     _value,
 )
 
@@ -76,23 +85,25 @@ class RawQuasi:
     poly: EtaPoly
 
 
-def _columns(states):
-    """(big, cols) for integer states (a, b, p, d), each s^a c^b (p/d) with p
-    a list of ints or int-coefficient ParamPolys (states._int_state):
-    cols[j] = (p, d, c0, c1) with c0 = D*(a-b) and c1 = D*(a+b) for D the
-    lcm of the denominators of all a-b and a+b, and big = 2D, so that
-    (c0, c1) is big times the halves (a-b)/2 and (a+b)/2 of the derivative
-    rule."""
-    exps = [(_value(a), _value(b)) for a, b, _, _ in states]
-    ns, den = _clear(x for a, b in exps for x in (a - b, a + b))
+def _columns(states, q):
+    """(big, cols) for integer states (a, b, p, d) at the denominator q, each
+    s^(a/q) c^(b/q) (p/d) with a, b and the entries of p ints or
+    int-coefficient ParamPolys (states._int_state): cols[j] = (p, d, c0, c1)
+    with (c0, c1)/D = (a - b, a + b)/q in lowest terms over all states
+    (_lowest), D = q/gcd(q, every integer in all a - b and a + b), and
+    big = 2D, so that (c0, c1) is big times the halves (a-b)/2q and
+    (a+b)/2q of the derivative rule."""
+    ns, den = _lowest([x for a, b, _, _ in states for x in (a - b, a + b)], q)
     return 2 * den, [(p, d, c0, c1) for (_, _, p, d), c0, c1
                      in zip(states, ns[::2], ns[1::2])]
 
 
 def _int_quasis(quasis):
-    """The integer states (a, b, p, d) of quasi-polynomials s^a c^b Q, with
-    p = d*Q cleared of denominators once (_clear)."""
-    return [(q.expS, q.expC, *_clear(q.poly.coeffs)) for q in quasis]
+    """(states, q): the integer states (a, b, p, d) of quasi-polynomials
+    s^A c^B Q at one denominator q, with (a, b) = q*(A, B) and p = d*Q, each
+    cleared of denominators once (_clear)."""
+    ns, q = _clear(_value(x) for w in quasis for x in (w.expS, w.expC))
+    return [(a, b, *_clear(w.poly.coeffs)) for w, a, b in zip(quasis, ns[::2], ns[1::2])], q
 
 
 def _step(p, c0, c1, big):
@@ -120,20 +131,21 @@ def _column(p, c0, c1, n, big):
     return col
 
 
-def _quasi_column(q, n):
-    """(big, col, d): _column of the quasi-polynomial q for n rows, with big
-    and d as _columns gives them for q alone."""
-    big, [(p, d, c0, c1)] = _columns(_int_quasis([q]))
+def _state_column(st, q, n):
+    """(big, col, d): _column of the integer state st at the denominator q
+    for n rows, with big and d as _columns gives them for st alone."""
+    big, [(p, d, c0, c1)] = _columns([st], q)
     return big, _column(p, c0, c1, n, big), d
 
 
-def differentiate(q):
+def differentiate(w):
     """One x-derivative of a QuasiPoly or RawQuasi; exponents drop by one.
 
     It is one step of _column, divided once by big*d.
     """
-    big, (_, p), d = _quasi_column(q, 2)
-    return RawQuasi(q.expS - 1, q.expC - 1, EtaPoly(p).scale(Fraction(1, big * d)))
+    [st], q = _int_quasis([w])
+    big, (_, p), d = _state_column(st, q, 2)
+    return RawQuasi(w.expS - 1, w.expC - 1, EtaPoly(p).scale(Fraction(1, big * d)))
 
 
 def canonicalize(r):
@@ -294,13 +306,15 @@ def _lazy_det(cols, big):
     return [sign * c for c in u[-1]], (width, lg) if packed else None
 
 
-def _int_wronskian(states, det=None):
-    """(w, scale): the Wronskian of the integer states (a, b, p, d) of
-    _columns as w / scale, w a QuasiPoly canonical but for the int scale,
-    with an integer core: ints at a point, int-coefficient ParamPolys in
-    symbolic mode.  det(cols, big) is the determinant of _matrix(cols, big)
-    as _lazy_det (the default) gives it; row i carries big^i and column j
-    its d_j, so scale = big^(n(n-1)/2) * prod d_j.
+def _int_wronskian(states, q, det=None):
+    """(a, b, w, scale): the Wronskian of the integer states (a, b, p, d) of
+    _columns at the denominator q, as an integer state at q itself: s^(a/q)
+    c^(b/q) (w / scale), canonical but for the int scale, with an integer
+    core w: ints at a point, int-coefficient ParamPolys in symbolic mode.
+    det(cols, big) is the determinant of _matrix(cols, big) as _lazy_det
+    (the default) gives it; row i carries big^i and column j its d_j, so
+    scale = big^off * prod d_j, and the exponents sum those of the states
+    less off = n(n-1)/2, the q*off of a and b.
 
     The (1 -/+ eta) factors come off the integer determinant (_edge_split):
     (1-eta)^k = 2^k sin^(2k) x and (1+eta)^k = 2^k cos^(2k) x raise an
@@ -322,11 +336,9 @@ def _int_wronskian(states, det=None):
     """
     n = len(states)
     if n == 0:
-        return QuasiPoly(AffineExp(), AffineExp(), EtaPoly.const(1)), 1
+        return 0, 0, [1], 1
     off = n * (n - 1) // 2
-    exp_s = sum((a for a, _, _, _ in states), AffineExp()) - off
-    exp_c = sum((b for _, b, _, _ in states), AffineExp()) - off
-    big, cols = _columns(states)
+    big, cols = _columns(states, q)
     scale = big ** off * prod(d for _, d, _, _ in cols)
     cs, slots = (det or _lazy_det)(cols, big)
     if not cs:
@@ -339,13 +351,16 @@ def _int_wronskian(states, det=None):
     core = [c << (k_minus + k_plus) for c in core]
     if slots:
         core = [_unpack(c, w2, 1, lg).coeff(0) if c else P_ZERO for c in core]
-    return QuasiPoly(exp_s + 2 * k_minus, exp_c + 2 * k_plus, EtaPoly(core)), scale
+    exp_s = sum((a for a, _, _, _ in states), (2 * k_minus - off) * q)
+    exp_c = sum((b for _, b, _, _ in states), (2 * k_plus - off) * q)
+    return exp_s, exp_c, core, scale
 
 
 def wronskian_of_quasis(quasis):
     """Wronskian of arbitrary quasi-polynomials, canonicalized: each is
     cleared of denominators once and goes through _int_wronskian."""
-    w, scale = _int_wronskian(_int_quasis(quasis))
+    states, q = _int_quasis(quasis)
+    w, scale = _quasi(_int_wronskian(states, q), q)
     return w.scale_poly(Fraction(1, scale))
 
 
@@ -358,7 +373,9 @@ def wronskian(t, inst=None):
     as_state_tuple).  The empty tuple gives the constant 1.  States must be
     distinct.
     """
-    w, scale = _int_wronskian([_int_state(s, inst) for s in as_state_tuple(t)])
+    t = as_state_tuple(t)
+    pt = _params(inst)
+    w, scale = _quasi(_int_wronskian([_int_state(s, pt) for s in t], pt[2]), pt[2])
     return w.scale_poly(Fraction(1, scale))
 
 
@@ -390,12 +407,12 @@ def wronskian_compose_check(base, f, g2, inst=None):
     """
     if inst is None:
         inst = DEFAULT_GENERIC_POINT
-    require_generic(*inst)
+    pt = _params(require_generic(*inst))
     sts = list(as_state_tuple(base))
     as_state_tuple(sts + [f, g2])  # distinctness check
-    lhs, scale = _int_wronskian(
-        [_int_state(s, inst) for s in sts + [f, g2]],
-        lambda cols, big: (det_poly_matrix(_matrix(cols, big)).coeffs, None))
+    lhs, scale = _quasi(_int_wronskian(
+        [_int_state(s, pt) for s in sts + [f, g2]], pt[2],
+        lambda cols, big: (det_poly_matrix(_matrix(cols, big)).coeffs, None)), pt[2])
     lhs = lhs.scale_poly(Fraction(1, scale)).mul(wronskian(sts, inst))
     rhs = wronskian_of_quasis([wronskian(sts + [f], inst), wronskian(sts + [g2], inst)])
     return lhs == rhs

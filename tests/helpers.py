@@ -4,7 +4,9 @@ Contains the independent numeric Wronskian oracle (Taylor-mode automatic
 differentiation in mpmath, never touching the engine's eta-space rule), the
 Fraction form of the eta-space derivative rule (the engine uses an integer
 form), the Fraction form of the eigen identity (the engine decides it on
-integer columns), the lazy determinant read back from its packing,
+integer columns) and the conversion of public values to the engine's
+integer form, the Fraction Sturm chain (the engine counts roots on
+integers), the lazy determinant read back from its packing,
 checks of coefficient types, the schoolbook EtaPoly
 product oracle (the engine packs products into ints), a
 permutation-expansion determinant oracle, a coefficient-scaling
@@ -21,10 +23,12 @@ import mpmath as mp
 
 from mijacobi.algebra import AffineExp, EtaPoly, P_G, P_H, ParamPoly, ParamRat
 from mijacobi.maya import dbar
+from mijacobi.spectral import _eigen_identity
 from mijacobi.states import (QuasiPoly, State, StateTuple, StateType, as_state_tuple,
                              is_generic)
 from mijacobi.states import random_tuple  # noqa: F401  (re-exported for the tests)
-from mijacobi.algebra import _unpack
+from mijacobi.states import _params, _value
+from mijacobi.algebra import _F1, _clear, _exact_quo, _gcd, _unpack
 from mijacobi.wronskian import RawQuasi, _lazy_det, differentiate
 
 
@@ -158,6 +162,30 @@ def coefficient_terms(p):
 # -- eigen identity oracle ---------------------------------------------------
 
 
+def _integral(x):
+    """x as an int or int-coefficient ParamPoly; x must be integral."""
+    (n,), d = _clear([x])
+    assert d == 1, x
+    return n
+
+
+def int_state(w, q):
+    """The integer state (a, b, p, d) at the denominator q of the QuasiPoly w:
+    (a, b) = q*(expS, expC), which must be integral, and p = d*poly."""
+    return (_integral(_value(w.expS) * q), _integral(_value(w.expC) * q),
+            *_clear(w.poly.coeffs))
+
+
+def eigen_identity(w, y, ev, inst):
+    """spectral._eigen_identity for public values: the canonical QuasiPolys w
+    (W[T]) and y (the numerator Wronskian) and the eigenvalue ev, a Fraction
+    or a ParamPoly, taken to the integer point (G, H, Q) of inst (None for
+    the symbols) as integer states at Q and Q^2 ev."""
+    pt = _params(inst)
+    q = pt[2]
+    return _eigen_identity(int_state(w, q), int_state(y, q), _integral(ev * q * q), pt)
+
+
 def numerator_wronskian(w, f):
     """The numerator Y = s^(a+al) c^(b+be) Q of f = s^al c^be Q/P built over
     the canonical w = s^a c^b P, as spectral._eigen_identity reads it."""
@@ -184,6 +212,33 @@ def eigen_identity_reference(w, f, ev, inst):
     n = ((v * q - differentiate(y1).poly) * p + (y1.poly * w1.poly).scale(2)
          - q * differentiate(w1).poly)
     return not n
+
+
+# -- root-count oracle -------------------------------------------------------
+
+
+def fraction_sturm_count(p, lo, hi):
+    """Distinct real roots of the Fraction EtaPoly p in (lo, hi) by a Sturm
+    chain over Fractions on the square-free part p/gcd(p, p'), with roots
+    at lo and hi divided out: the engine's former sturm_count, before it
+    moved to an integer chain."""
+    f = _exact_quo(p, _gcd(p, p.deriv()))
+    for pt in (lo, hi):
+        while f.degree > 0 and not f.eval_at(pt):
+            f = _exact_quo(f, EtaPoly((-pt, _F1)))
+    if f.degree < 1:
+        return 0
+    chain = [f, f.deriv()]
+    while chain[-1].degree > 0:
+        r = divmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append(-r)
+
+    def changes(x):
+        signs = [v > 0 for v in (c.eval_at(x) for c in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return changes(lo) - changes(hi)
 
 
 # -- product oracle ----------------------------------------------------------

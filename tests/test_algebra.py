@@ -17,6 +17,7 @@ from mijacobi.algebra import (
     sturm_count,
     _digits,
     _pack,
+    _pack_list,
     _unpack,
 )
 from mijacobi.states import State, StateType, jacobi_poly, make_state
@@ -479,6 +480,23 @@ class TestPacking:
                 assert _digits(v, width) == ds
                 assert _digits(-v, width) == [-d for d in ds]
         assert _digits(0, 5) == []
+
+    def test_pack_list_round_trip_long_lists(self):
+        # the halves are packed apart and joined: long lists with negative
+        # and zero digits come back as they went in, and the packed value is
+        # the one a Horner loop gives
+        rng = seeded(23)
+        for width in (2, 5, 33, 64, 131):
+            bound = (1 << (width - 1)) - 1
+            for count in (1, 16, 17, 33, 300, 301, 777):
+                ns = [rng.choice((-bound, bound, 0, -1, rng.randint(-bound, bound)))
+                      for _ in range(count)]
+                ns[-1] = ns[-1] or rng.choice((-1, 1))
+                horner = 0
+                for n in reversed(ns):
+                    horner = (horner << width) + n
+                assert _pack_list(ns, width) == horner
+                assert _digits(_pack_list(ns, width), width) == ns
 
     def test_unpack_divides_by_den(self):
         terms = {(0, 0, 0): 3, (1, 1, 0): -4, (0, 0, 2): 6}

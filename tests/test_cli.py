@@ -266,17 +266,17 @@ class TestSpectrum:
         # one less); each failure alone gives exit 4
         sizes = {}
 
-        def sized(states, det=None):
-            w, scale = _int_wronskian(states, det)
+        def sized(states, q, det=None):
+            w = _int_wronskian(states, q, det)
             sizes[id(w)] = len(states)
-            return w, scale
+            return w
 
         eigen, extra = "eigenfunction E_1", "extra state E_-2"
         for step, failed, passed in ((1, eigen, extra), (-1, extra, eigen)):
-            def stub(w, y, ev, inst):
+            def stub(w, y, e, pt):
                 if sizes[id(y)] - sizes[id(w)] == step:
                     return False
-                return _eigen_identity(w, y, ev, inst)
+                return _eigen_identity(w, y, e, pt)
 
             with monkeypatch.context() as m:
                 m.setattr("mijacobi.spectral._int_wronskian", sized)
@@ -294,13 +294,13 @@ class TestSpectrum:
         t = as_state_tuple("I1,II2,III1")
         sizes, built, public = [], [], []
 
-        def counted(states, det=None):
+        def counted(states, q, det=None):
             sizes.append(len(states))
-            return _int_wronskian(states, det)
+            return _int_wronskian(states, q, det)
 
-        def state(s, inst):
+        def state(s, pt):
             built.append(s)
-            return _int_state(s, inst)
+            return _int_state(s, pt)
 
         def refused(tt, inst=None):
             public.append(tt)

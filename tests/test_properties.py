@@ -1,7 +1,11 @@
 """Property tests: a symbolic Wronskian instantiates to the Wronskian at the
 point, the integer states are the cleared Jacobi states, the integer core
 over its scale is the Wronskian and its symbolic form instantiates to the
-core at a point, the lazy Wronskian determinant equals the explicit derivative
+core at a point, the Wronskian at a point (negative, large-denominator and
+shifted ones) matches the instantiated symbolic one and an mpmath
+Wronskian of states built without the integer states, the integer root
+decision and sturm_count count as the Fraction Sturm chain does, the lazy
+Wronskian determinant equals the explicit derivative
 matrix's determinant (by Bareiss at a point, by the Leibniz sum in symbolic
 mode), the column bounds of the symbolic packing hold for every entry of
 that matrix, Wronskians have the closed-form degree and leading
@@ -19,6 +23,7 @@ take minutes where reporting the first failing example takes seconds."""
 
 from fractions import Fraction as F
 
+import mpmath as mp
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -32,9 +37,11 @@ from mijacobi.algebra import (  # noqa: E402
     ParamRat,
     _clear,
     _factored_ratio,
+    _root_free,
+    sturm_count,
 )
 from mijacobi.maya import verify_move_identity, verify_reduction  # noqa: E402
-from mijacobi.spectral import QuasiRat, _eigen_identity  # noqa: E402
+from mijacobi.spectral import QuasiRat  # noqa: E402
 from mijacobi.states import (  # noqa: E402
     QuasiPoly,
     State,
@@ -45,6 +52,8 @@ from mijacobi.states import (  # noqa: E402
     jacobi_poly,
     make_state,
     _int_state,
+    _params,
+    _quasi,
     _value,
 )
 from mijacobi.wronskian import (  # noqa: E402
@@ -60,12 +69,16 @@ from mijacobi.wronskian import (  # noqa: E402
     wronskian_of_quasis,
 )
 from helpers import (  # noqa: E402
+    fraction_sturm_count,
     lazy_det,
     coefficient_terms,
+    eigen_identity,
     eigen_identity_reference,
     holds_fractions,
     leibniz_det,
     numerator_wronskian,
+    numeric_wronskian,
+    quasi_value,
     schoolbook_mul,
 )
 
@@ -108,11 +121,20 @@ same_family = st.sampled_from(list(StateType)).flatmap(lambda ty: st.lists(
 @given(states, st.none() | shifts | points)
 def test_int_state_is_the_cleared_jacobi_state(s, inst):
     # p/d is make_state's polynomial, and (p, d) is what clearing the public
-    # Jacobi polynomial's Fractions gives: lowest terms, today's integers
-    a, b, p, d = _int_state(s, inst)
+    # Jacobi polynomial's Fractions gives: lowest terms, today's integers;
+    # the exponents over Q are a = g or 1 - g and b = h or 1 - h
+    pt = _params(inst)
+    w, d = _quasi(_int_state(s, pt), pt[2])
+    p = list(w.poly.coeffs)
     q = make_state(s, inst)
+    if inst is None:
+        g, h = AffineExp(1, 0), AffineExp(0, 1)
+    else:
+        g, h = (x if isinstance(x, AffineExp) else AffineExp.const(x) for x in inst)
+    sg, sh = s.type.signs
+    a, b = (g if sg > 0 else 1 - g), (h if sh > 0 else 1 - h)
     ref = jacobi_poly(s.v, _value(a) - F(1, 2), _value(b) - F(1, 2))
-    assert (a, b) == (q.expS, q.expC)
+    assert (a, b) == (w.expS, w.expC) == (q.expS, q.expC)
     assert EtaPoly(p).scale(F(1, d)) == q.poly == ref
     assert (p, d) == tuple(_clear(ref.coeffs))
     assert all(type(v) is int for v in coefficient_terms(EtaPoly(p)))
@@ -121,7 +143,8 @@ def test_int_state_is_the_cleared_jacobi_state(s, inst):
 @no_shrink
 @given(tuples | same_family, st.none() | shifts | points)
 def test_int_wronskian_core_over_scale_is_the_wronskian(t, inst):
-    w, scale = _int_wronskian([_int_state(s, inst) for s in t])
+    pt = _params(inst)
+    w, scale = _quasi(_int_wronskian([_int_state(s, pt) for s in t], pt[2]), pt[2])
     assert type(scale) is int and scale > 0
     assert all(type(v) is int for v in coefficient_terms(w.poly))
     assert w.scale_poly(F(1, scale)) == wronskian_of_quasis([make_state(s, inst) for s in t])
@@ -132,11 +155,98 @@ def test_int_wronskian_core_over_scale_is_the_wronskian(t, inst):
 def test_symbolic_core_instantiates_to_point_core(t, pt):
     # the point route never packs, so it checks the edge factors that the
     # symbolic route takes off packed ints in widened slots
-    sym, s_sym = _int_wronskian([_int_state(s, None) for s in t])
-    at, s_at = _int_wronskian([_int_state(s, pt) for s in t])
+    sym, s_sym = _quasi(_int_wronskian([_int_state(s, _params(None)) for s in t], 1), 1)
+    q = _params(pt)[2]
+    at, s_at = _quasi(_int_wronskian([_int_state(s, _params(pt)) for s in t], q), q)
     assert sym.poly.instantiate(*pt).scale(F(s_at, s_sym)) == at.poly
     assert at.expS == AffineExp.const(sym.expS.eval_at(*pt))
     assert at.expC == AffineExp.const(sym.expC.eval_at(*pt))
+
+
+# -- the integer point against oracles that build no integer state ------------
+
+# Points the integer point (G, H, Q) must carry exactly: a negative g, unequal
+# and large denominators, and each shifted by (dg, dh) as the move identities
+# shift their right sides; generic after the shift.
+signed_rationals = st.builds(F, st.integers(-80, 80), st.sampled_from([1, 2, 3, 7, 12, 999]))
+int_points = st.tuples(
+    st.sampled_from([(F(-7, 3), F(52, 7)), (F(1000003, 999), F(52, 7)), (F(52, 7), F(-7, 3))])
+    | st.tuples(signed_rationals, signed_rationals),
+    st.integers(-6, 6), st.integers(-6, 6),
+).map(lambda x: (x[0][0] + x[1], x[0][1] + x[2])).filter(lambda p: is_generic(*p))
+
+
+def jacobi_quasi(s, g, h):
+    """The state s at the rational point (g, h) from the public jacobi_poly,
+    with a = g or 1 - g and b = h or 1 - h written out: no integer state."""
+    sg, sh = s.type.signs
+    a, b = (g if sg > 0 else 1 - g), (h if sh > 0 else 1 - h)
+    return QuasiPoly(AffineExp.const(a), AffineExp.const(b),
+                     jacobi_poly(s.v, a - F(1, 2), b - F(1, 2)))
+
+
+@settings(derandomized, max_examples=40)
+@given(st.lists(states, min_size=1, max_size=6, unique=True), int_points, st.booleans())
+def test_point_wronskian_matches_oracles_without_int_state(t, pt, as_affine):
+    # the point given as Fractions or as constant AffineExps (g + dg, h + dh)
+    w = wronskian(t, tuple(map(AffineExp.const, pt)) if as_affine else pt)
+    assert holds_fractions(w.expS.c0) and all(map(holds_fractions, w.poly.coeffs))
+    if len(t) <= 3:
+        sym = wronskian(t)
+        assert w.poly == sym.poly.instantiate(*pt)
+        assert w.expS == AffineExp.const(sym.expS.eval_at(*pt))
+        assert w.expC == AffineExp.const(sym.expC.eval_at(*pt))
+    # mpmath's det takes entries below its norm times eps for zero, so the
+    # precision must span sin(x0)^g for g near 1000
+    quasis = [jacobi_quasi(s, *pt) for s in t]
+    with mp.workprec(2000):
+        for x0 in (mp.mpf("0.7"), mp.mpf("1.1")):
+            direct, value = numeric_wronskian(quasis, x0), quasi_value(w, x0)
+            assert abs(direct - value) <= abs(value) * mp.mpf(10) ** -40, (t, pt, x0)
+
+
+# -- the root decision against the Fraction Sturm chain ------------------------
+
+# roots at and near the ends of (-1, 1), at +-1/2 and elsewhere; a list may
+# repeat a root, and the cofactor is dense of degree 0-2, so degrees 0 and 1
+# occur, or lacunary, c0 + c1 eta^m + c2 eta^(m+k), whose Sturm chains skip
+# degrees (where a pseudo-remainder's sign needs correcting)
+near_ends = st.integers(2, 10 ** 6).flatmap(lambda k: st.sampled_from(
+    [1 - F(1, k), F(1, k) - 1, 1 + F(1, k), -1 - F(1, k)]))
+roots = (st.sampled_from([F(1, 2), F(-1, 2), F(1), F(-1), F(0)]) | near_ends
+         | st.builds(F, st.integers(-30, 30), st.integers(1, 12)))
+
+
+@st.composite
+def root_polys(draw):
+    rs = draw(st.lists(roots, max_size=5))
+    if rs:
+        rs += draw(st.lists(st.sampled_from(rs), max_size=2))  # double roots
+    if draw(st.booleans()):
+        c0, c1 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        top = draw(st.sampled_from([-2, -1, 1, 2]))
+        cofactor = [c0] + [0] * (m - 1) + [c1] + [0] * (k - 1) + [top]
+    else:
+        cofactor = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(any))
+    p = EtaPoly([F(c) for c in cofactor])
+    for r in rs:
+        p = p * EtaPoly((-r, F(1)))
+    return p
+
+
+@settings(derandomized, max_examples=200)
+@given(root_polys(), roots, roots)
+@example(EtaPoly((F(5),)), F(-1), F(1))
+@example(EtaPoly((F(-3), F(7))), F(-1, 2), F(1, 2))
+@example(EtaPoly((F(1, 4), F(-1), F(1))), F(-1), F(1))  # (eta - 1/2)^2
+@example(EtaPoly((F(0), F(1), F(0), F(0), F(1))), F(-2), F(1, 2))  # eta^4 + eta
+def test_root_decision_matches_fraction_sturm(p, lo, hi):
+    ns, _ = _clear(p.coeffs)
+    assert _root_free(ns) is (fraction_sturm_count(p, F(-1), F(1)) == 0)
+    for a, b in ((F(-1), F(1)), (F(-1, 2), F(1, 2)), tuple(sorted((lo, hi)))):
+        if a < b:
+            assert sturm_count(p, a, b) == fraction_sturm_count(p, a, b), (p, a, b)
 
 
 # -- the lazy Wronskian determinant and the closed form ------------------------
@@ -164,7 +274,7 @@ def wronskian_inputs(draw, max_size, insts):
 
 
 def check_lazy_det(qs, zero, reference):
-    big, cols = _columns(_int_quasis(qs))
+    big, cols = _columns(*_int_quasis(qs))
     det = lazy_det(cols, big)
     assert det == reference(_matrix(cols, big))
     assert all(type(v) is int for v in coefficient_terms(det))
@@ -191,7 +301,7 @@ def test_lazy_det_matches_leibniz_symbolically(inputs):
 def test_column_bounds_hold_for_every_entry(inputs):
     # entry (i, j) has g-degree at most deg_j + i (deg_j exact at i = 0) and
     # l1 norm at most norms_j[i]: the bounds the symbolic packing rests on
-    big, cols = _columns(_int_quasis(inputs[0]))
+    big, cols = _columns(*_int_quasis(inputs[0]))
     mat = _matrix(cols, big)
     for j, (p, _, c0, c1) in enumerate(cols):
         norms, deg = _column_bounds(p, c0, c1, len(cols), big)
@@ -409,7 +519,7 @@ def check_eigen_identity(t, pt):
         e = ev if pt is None else ev.eval_at(*pt)
         y = numerator_wronskian(wt, f)
         for energy, holds in ((e, True), (e + 1, False)):
-            assert _eigen_identity(wt, y, energy, pt) is holds, (t, energy)
+            assert eigen_identity(wt, y, energy, pt) is holds, (t, energy)
             assert eigen_identity_reference(wt, f, energy, pt) is holds, (t, energy)
 
 

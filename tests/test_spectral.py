@@ -22,7 +22,6 @@ from mijacobi.spectral import (
     permitted_spectrum,
     verify_eigenfunction,
     verify_spectrum,
-    _eigen_identity,
 )
 from mijacobi.states import (
     DuplicateStatesError,
@@ -37,6 +36,7 @@ from mijacobi.states import (
 from mijacobi.wronskian import canonicalize, wronskian
 from helpers import (
     GENERIC_POINTS,
+    eigen_identity,
     fraction_derivative,
     mpf_of,
     numerator_wronskian,
@@ -239,8 +239,8 @@ class TestEigenIdentity:
         assert len(cases) == 4  # E_-2, E_0, E_1, E_2
         for f, ev in cases:
             y = numerator_wronskian(wt, f)
-            assert _eigen_identity(wt, y, ev.eval_at(*pt), pt)
-            assert not _eigen_identity(wt, y, ev.eval_at(*pt) + 1, pt)
+            assert eigen_identity(wt, y, ev.eval_at(*pt), pt)
+            assert not eigen_identity(wt, y, ev.eval_at(*pt) + 1, pt)
 
     def test_wrong_eigenvalue_fails_symbolically(self):
         # bound states (n) and extra states (the III member at index ell)
@@ -250,8 +250,8 @@ class TestEigenIdentity:
             wt = wronskian(t)
             f, ev = bound_eigenstate(t, n) if ell is None else extra_eigenstate(t, ell)
             y = numerator_wronskian(wt, f)
-            assert _eigen_identity(wt, y, ev, None), spec
-            assert not _eigen_identity(wt, y, ev + 1, None), spec
+            assert eigen_identity(wt, y, ev, None), spec
+            assert not eigen_identity(wt, y, ev + 1, None), spec
 
     def test_agrees_with_quotient_route(self):
         # the kept QuasiRat route, H f - E f by repeated differentiate_rat,
@@ -261,7 +261,7 @@ class TestEigenIdentity:
             wt, pot = wronskian(t, pt), deformed_potential(t, pt)
             for e in (ev.eval_at(*pt), ev.eval_at(*pt) + 1):
                 old = apply_hamiltonian(pot, f).sub(f.scale(e)).is_zero()
-                assert _eigen_identity(wt, numerator_wronskian(wt, f), e, pt) == old, (t, e)
+                assert eigen_identity(wt, numerator_wronskian(wt, f), e, pt) == old, (t, e)
                 seen += old
         assert seen >= 12
 
@@ -293,7 +293,7 @@ class TestNumericEigenOracle:
                 wt = wronskian(t, pt)
                 wf = numerator_wronskian(wt, f)
                 for e in (ev, ev + 1):
-                    exact = _eigen_identity(wt, wf, e.eval_at(*pt), pt)
+                    exact = eigen_identity(wt, wf, e.eval_at(*pt), pt)
                     for x0 in (mp.mpf("0.3"), mp.mpf("0.8"), mp.mpf("1.3")):
                         res, size = self.residual(wt, wf, e, pt, x0)
                         numeric = abs(res) <= size * mp.mpf(10) ** -30
@@ -343,7 +343,7 @@ class TestExtraEigenstate:
         assert all(isinstance(c, ParamPoly) for c in f.num.coeffs + f.den.coeffs)
         assert f.den == wronskian(t).poly
         y = wronskian(t.without_index(2))
-        assert f.num == y.poly and _eigen_identity(wronskian(t), y, ev, None)
+        assert f.num == y.poly and eigen_identity(wronskian(t), y, ev, None)
 
     def test_random_tuples_with_type_iii(self):
         rng = seeded(42)

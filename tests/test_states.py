@@ -20,6 +20,8 @@ from mijacobi.states import (
     parse_state,
     potential,
     require_generic,
+    _int_eigenvalue,
+    _params,
 )
 from helpers import GENERIC_POINTS, random_rational, seeded
 
@@ -161,6 +163,19 @@ class TestEigenvalue:
             n = F(-(v + 1))
             via_n = ((G + H + n) * n).scale(4)
             assert eigenvalue(State(StateType.III, v)) == via_n
+
+    def test_integer_form_is_q_squared_times_the_eigenvalue(self):
+        # at the integer point (G, H, Q) of a point and of the symbols
+        for inst in [None, (F(-7, 3), F(52, 7)), (F(1000003, 999), 3)] + GENERIC_POINTS:
+            pt = _params(inst)
+            q = pt[2]
+            for ty in StateType:
+                for v in range(6):
+                    e = _int_eigenvalue(State(ty, v), pt)
+                    ev = eigenvalue(State(ty, v))
+                    assert e == (ev if inst is None else ev.eval_at(*inst)) * q * q
+                    assert all(type(x) is int for x in
+                               (e.terms.values() if isinstance(e, ParamPoly) else (e,)))
 
 
 PAIRING_TABLE = {

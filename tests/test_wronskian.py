@@ -377,7 +377,7 @@ class TestLazyKernel:
         # for these n, so a lost sign shows
         qs = [make_state(parse_state(s), inst) for s in reversed(self.BY_DEGREE[:n])]
         assert [q.poly.degree for q in qs] == list(range(n - 1, -1, -1))
-        big, cols = _columns(_int_quasis(qs))
+        big, cols = _columns(*_int_quasis(qs))
         det = lazy_det(cols, big)
         assert det and det == (det_poly_matrix if inst else leibniz_det)(_matrix(cols, big))
 
@@ -394,7 +394,7 @@ class TestLazyKernel:
         q = raw(AffineExp(1, 0, F(1, 2)), AffineExp(0, 1, -1), (wide + top, G + 1, wide))
         qs = [make_state(parse_state(s)) for s in self.BY_DEGREE[:n - 1]]
         qs.insert(rng.randint(0, n - 1), q)
-        big, cols = _columns(_int_quasis(qs))
+        big, cols = _columns(*_int_quasis(qs))
         det = lazy_det(cols, big)
         assert det and det == leibniz_det(_matrix(cols, big))
 
@@ -406,7 +406,7 @@ class TestLazyKernel:
                   (F(1, 3), F(-2, 5), F(7))),
               make_state(parse_state("N2")),
               raw(AffineExp.const(F(5, 7)), AffineExp.const(2), (F(-4, 9), F(1, 2)))]
-        big, cols = _columns(_int_quasis(qs))
+        big, cols = _columns(*_int_quasis(qs))
         entries = [x for p, _, c0, c1 in cols for x in (*p, c0, c1)]
         assert any(type(x) is int for x in entries)
         assert any(isinstance(x, ParamPoly) for x in entries)
@@ -418,7 +418,7 @@ class TestLazyKernel:
         qs = [make_state(parse_state(s), GENERIC_POINTS[0]) for s in ("I1", "N2", "II0")]
         for extra in (qs[1], qs[1].scale_poly(F(-3, 7)),
                       QuasiPoly(qs[1].expS, qs[1].expC, EtaPoly())):
-            big, cols = _columns(_int_quasis(qs[:2] + [extra]))
+            big, cols = _columns(*_int_quasis(qs[:2] + [extra]))
             assert not lazy_det(cols, big)
             assert not det_poly_matrix(_matrix(cols, big))
             with pytest.raises(WronskianZeroError):

@@ -65,11 +65,12 @@ STATES = "src/mijacobi/states.py"
 SPECTRAL_TESTS = ("tests/test_spectral.py", "tests/test_cli.py")
 WRONSKIAN_TESTS = ("tests/test_wronskian.py", "tests/test_properties.py")
 FAMILY_TESTS = ("tests/test_maya.py", "tests/test_states.py", "tests/test_spectral.py")
+ROOT_TESTS = ("tests/test_algebra.py", "tests/test_properties.py")
 
 MUTANTS = (
     # The move identity's right side is W[after] at (g + dg, h + dh).
     Mutant("right-side-drops-dh", MAYA,
-           "(g + ledger.dg, h + ledger.dh)", "(g + ledger.dg, h)",
+           "(g + ledger.dg * q, h + ledger.dh * q, q)", "(g + ledger.dg * q, h, q)",
            ("tests/test_maya.py",)),
     Mutant("prefactor-unevaluated-at-point", MAYA,
            "pref_s, pref_c = pref_s.eval_at(*point), pref_c.eval_at(*point)",
@@ -143,13 +144,40 @@ MUTANTS = (
            "n = n - (y1 * w1).scale(2 * k * by * bw)",
            SPECTRAL_TESTS),
     Mutant("spectrum-deletes-first-type-iii", SPECTRAL,
-           "i = t.states.index(State(StateType.III, lab.index))",
-           "i = [s.type for s in t].index(StateType.III)",
+           "i = t.states.index(s)",
+           "i = [x.type for x in t].index(StateType.III)",
            SPECTRAL_TESTS),
     Mutant("spectrum-bound-over-w-t", SPECTRAL,
-           'name, top = "eigenfunction ", states + [phi]',
+           'name, top = "eigenfunction ", states + [_int_state(s, pt)]',
            'name, top = "eigenfunction ", states',
            SPECTRAL_TESTS),
+    # The integer point (G, H, Q): exponents, Jacobi sums and eigenvalues
+    # carry Q wherever a constant stands for a multiple of 1.
+    Mutant("exponent-offset-unscaled", WRONSKIAN,
+           "(2 * k_minus - off) * q", "2 * k_minus * q - off",
+           WRONSKIAN_TESTS),
+    Mutant("flipped-exponent-unscaled", STATES,
+           "x if sign > 0 else q - x", "x if sign > 0 else 1 - x",
+           ("tests/test_states.py", "tests/test_wronskian.py")),
+    Mutant("eigenvalue-constant-unscaled", STATES,
+           "((sg < 0) + (sh < 0) + 2 * s.v) * q", "((sg < 0) + (sh < 0) + 2 * s.v)",
+           SPECTRAL_TESTS),
+    Mutant("eigen-potential-unscaled", SPECTRAL,
+           "2 * g * (g - q)", "2 * g * (g - 1)",
+           SPECTRAL_TESTS),
+    # The root decision on integer cores and the packing of long lists.
+    Mutant("descartes-parity-flipped", ALGEBRA,
+           "    if changes % 2:\n", "    if changes % 2 == 0:\n",
+           ROOT_TESTS),
+    Mutant("sturm-sign-correction-dropped", ALGEBRA,
+           "if lb > 0 or (len(a) - db) % 2 == 0:", "if True:",
+           ROOT_TESTS),
+    Mutant("end-root-deflation-sign", ALGEBRA,
+           "(p[k] + u * acc) // v", "(p[k] - u * acc) // v",
+           ROOT_TESTS),
+    Mutant("pack-list-split-offset", ALGEBRA,
+           "<< width * mid)", "<< width * (mid - 1))",
+           ("tests/test_algebra.py",)),
 )
 
 
