@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, gcd, lcm
 
 _F0 = Fraction(0)
@@ -893,8 +894,13 @@ def _cleared(polys):
 
 
 def _pack(terms, width, le, lg):
-    """The image of integer terms {(k, i, j): n} under the packing map."""
-    return sum(n << width * (k + le * (i + lg * j)) for (k, i, j), n in terms.items())
+    """The image of integer terms {(k, i, j): n} under the packing map, by
+    _pack_list of their dense list by slot."""
+    slots = {k + le * (i + lg * j): n for (k, i, j), n in terms.items()}
+    ns = [0] * (1 + max(slots, default=-1))
+    for pos, n in slots.items():
+        ns[pos] = n
+    return _pack_list(ns, width)
 
 
 def _pack_list(ns, width):
@@ -1067,6 +1073,65 @@ def _factored_ratio(la, lb, a_factors, b_factors):
     return r
 
 
+def _int_combine(pivot, x, lead, y):
+    """pivot*x - lead*y for dense int coefficient lists, trailing zeros
+    trimmed: by _int_mul past 2048 bits in pivot's leading entry (packed
+    symbolic minors), below it by the schoolbook loop, faster there."""
+    if pivot and pivot[-1].bit_length() > 2048:
+        out = [a - b for a, b in zip_longest(_int_mul(pivot, x), _int_mul(lead, y), fillvalue=0)]
+    else:
+        out = [0] * max(len(pivot) + len(x), len(lead) + len(y))
+        for i, a in enumerate(pivot):
+            if a:
+                for j, b in enumerate(x, i):
+                    out[j] += a * b
+        for i, a in enumerate(lead):
+            if a:
+                for j, b in enumerate(y, i):
+                    out[j] -= a * b
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _int_mul(a, b):
+    """The product of dense int lists a and b by Karatsuba over eta: with a
+    = a0 + a1 eta^m and b = b0 + b1 eta^m, the middle term a0 b1 + a1 b0 is
+    (a0 + a1)(b0 + b1) - a0 b0 - a1 b1, three half-length products for four."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) < 2:
+        return [b[0] * c for c in a] if b else []
+    m = len(a) // 2  # b1 is empty when b is short: then z2 is, and z1 - z0 = a1 b
+    z0, z2 = _int_mul(a[:m], b[:m]), _int_mul(a[m:], b[m:])
+    z1 = _int_mul([s + t for s, t in zip_longest(a[:m], a[m:], fillvalue=0)],
+                  [s + t for s, t in zip_longest(b[:m], b[m:], fillvalue=0)])
+    out = [0] * (len(a) + len(b) - 1)
+    for k, z, sign in ((0, z0, 1), (2 * m, z2, 1), (m, z1, 1), (m, z0, -1), (m, z2, -1)):
+        for i, c in enumerate(z, k):
+            out[i] += sign * c
+    return out
+
+
+def _int_exact_div(a, b):
+    """Exact quotient a/b of dense int coefficient lists (b nonzero), also of
+    packed ones (a ring homomorphism); ValueError if inexact."""
+    rem = list(a)
+    d, lc = len(b) - 1, b[-1]
+    out = [0] * max(len(rem) - d, 0)
+    for k in range(len(out) - 1, -1, -1):
+        q, r = divmod(rem[k + d], lc)
+        if r:
+            raise ValueError("integer polynomial division is not exact")
+        if q:
+            out[k] = q
+            for i, c in enumerate(b, k):
+                rem[i] -= q * c
+    if any(rem[:d]):
+        raise ValueError("integer polynomial division is not exact")
+    return out
+
+
 def sturm_count(p, lo, hi):
     """Number of distinct real roots of p in the open interval (lo, hi).
 
@@ -1086,20 +1151,17 @@ def sturm_count(p, lo, hi):
 
 def _root_count(p, lo, hi):
     """Distinct real roots in (lo, hi) of the nonzero int list p, for Fractions
-    lo < hi.  A root at an end u/v is divided out exactly (by v*eta - u, an
-    integer quotient by Gauss's lemma) while p vanishes there.  The rest is
-    counted by Sturm's theorem, the sign changes of _sturm_chain(p) at lo
-    less those at hi; p need not be square-free, since every member of the
-    chain is the same multiple of gcd(p, p') as in the chain of its
+    lo < hi.  A root at an end u/v is divided out, by v*eta - u, while p
+    vanishes there: exactly over Z by Gauss's lemma, as gcd(u, v) = 1.  The
+    rest is counted by Sturm's theorem, the sign changes of _sturm_chain(p)
+    at lo less those at hi; p need not be square-free, since every member
+    of the chain is the same multiple of gcd(p, p') as in the chain of its
     square-free part, and that gcd has no zero at either end.
     """
     ends = [(x.numerator, x.denominator) for x in (lo, hi)]
     for u, v in ends:
         while len(p) > 1 and not _scaled_value(p, u, v):
-            q, acc = [0] * (len(p) - 1), 0
-            for k in range(len(p) - 1, 0, -1):  # p_k = v*q_(k-1) - u*q_k
-                acc = q[k - 1] = (p[k] + u * acc) // v
-            p = q
+            p = _int_exact_div(p, [-u, v])
     if len(p) < 2:
         return 0
     chain = _sturm_chain(p)

@@ -14,8 +14,8 @@ Tuples are comma-separated states like "I1,II2,III1" (types I, II, III, N
 with nonnegative indices); the empty string is the empty tuple.  A tuple has
 at most MAX_STATES = 12 states, and every state index and --up-to is at most
 MAX_INDEX = 40; larger input is a parse error (exit 2).  The work grows
-steeply with both: symbolic poly I40 takes about 2 s, the symbolic Wronskian
-of I80 (past the limit, through the API) about 40 s, and poly I99999 does
+steeply with both: symbolic poly I40 takes about 1 s, the symbolic Wronskian
+of I80 (past the limit, through the API) about 13 s, and poly I99999 does
 not finish in minutes.  verify-identity --random K checks at most
 MAX_RANDOM = 1000 identities: a symbolic one takes 0.05-0.1 s on average
 (200 seed-0 draws, at most 2.5 s for one), so K = 1000 runs one to two
@@ -40,7 +40,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import ParamRat
+from .algebra import ParamPoly, ParamRat
 from .maya import (
     ReductionTarget,
     canonical_form,
@@ -126,7 +126,8 @@ def affine_json(a):
 
 
 def etapoly_json(p):
-    return [[k, paramrat_json(c)] for k, c in enumerate(p.coeffs) if c]
+    return [[k, {"num": parampoly_json(ParamPoly._coerce(c)), "den": [[0, 0, "1"]]}]
+            for k, c in enumerate(p.coeffs) if c]
 
 
 def ledger_json(led):
@@ -160,13 +161,15 @@ def tuple_latex(t):
     return r"\,".join(s.latex() for s in t)
 
 
-def _emit(args, report, human_lines, latex_text=None):
+def _emit(args, report, lines, latex=None):
+    """Print the format args asks for, built alone: report() as JSON,
+    latex() where the command has one, or the text lines()."""
     if getattr(args, "json", False):
-        print(json.dumps(report))
-    elif getattr(args, "latex", False) and latex_text is not None:
-        print(latex_text)
+        print(json.dumps(report()))
+    elif getattr(args, "latex", False) and latex is not None:
+        print(latex())
     else:
-        for line in human_lines:
+        for line in lines():
             print(line)
     return 0
 
@@ -189,34 +192,27 @@ def cmd_poly(args):
     t = parse_tuple_spec(args.tuple)
     inst = args.inst
     w = wronskian(t, inst=inst)
-    report = {
+    return _emit(args, lambda: {
         "command": "poly",
         "tuple": [str(s) for s in t],
         "expS": affine_json(w.expS),
         "expC": affine_json(w.expC),
         "degree": w.poly.degree,
         "coefficients": etapoly_json(w.poly),
-    }
-    if inst is not None:
-        report["g"], report["h"] = rational_json(inst[0]), rational_json(inst[1])
-    lines = [
+        **({} if inst is None else {"g": rational_json(inst[0]), "h": rational_json(inst[1])}),
+    }, lambda: [
         "tuple  : %s" % t,
         "expS   : %s" % w.expS,
         "expC   : %s" % w.expC,
         "degree : %d" % w.poly.degree,
-    ]
-    for k in range(w.poly.degree + 1):
-        c = w.poly.coeff(k)
-        if c:
-            lines.append("eta^%-2d : %s" % (k, c))
-    latex = r"W\left[%s\right] = %s" % (tuple_latex(t), quasi_latex(w))
-    return _emit(args, report, lines, latex)
+    ] + ["eta^%-2d : %s" % (k, c) for k, c in enumerate(w.poly.coeffs) if c],
+        lambda: r"W\left[%s\right] = %s" % (tuple_latex(t), quasi_latex(w)))
 
 
 def cmd_maya(args):
     t = parse_tuple_spec(args.tuple)
     pair = tuple_to_diagrams(t)
-    report = {
+    return _emit(args, lambda: {
         "command": "maya",
         "tuple": [str(s) for s in t],
         "first": {"leftWhite": list(pair.first.left_white),
@@ -225,8 +221,7 @@ def cmd_maya(args):
         "second": {"leftWhite": list(pair.second.left_white),
                    "rightBlack": list(pair.second.right_black),
                    "render": render_diagram(pair.second)},
-    }
-    lines = [
+    }, lambda: [
         "tuple : %s" % t,
         "first : %s   (left white: III %s | right black: N %s)" % (
             render_diagram(pair.first), list(pair.first.left_white),
@@ -234,49 +229,41 @@ def cmd_maya(args):
         "second: %s   (left white: II %s | right black: I %s)" % (
             render_diagram(pair.second), list(pair.second.left_white),
             list(pair.second.right_black)),
-    ]
-    return _emit(args, report, lines)
+    ])
 
 
 def cmd_reduce(args):
     t = parse_tuple_spec(args.tuple)
     target = ReductionTarget(args.target)
     reduced, ledger = reduce_tuple(t, target)
-    report = {
+    rep = verify_reduction(t, target, instantiate=args.inst) if args.verify else None
+    if rep is not None and not rep.proportional:
+        raise IdentityMismatchError(
+            "reduction identity failed for %s -> %s: %s" % (t, reduced, rep.detail))
+    return _emit(args, lambda: {
         "command": "reduce",
         "tuple": [str(s) for s in t],
         "target": target.value,
         "reduced": [str(s) for s in reduced],
         "ledger": ledger_json(ledger),
-    }
-    lines = [
+        **({} if rep is None else {"verify": {
+            "mode": rep.mode, "proportional": rep.proportional,
+            "constant": constant_json(rep.constant),
+            **({} if rep.point is None else {"point": [rational_json(v) for v in rep.point]}),
+        }}),
+    }, lambda: [
         "input   : %s" % t,
         "target  : %s" % target.value,
         "reduced : %s" % reduced,
         "shift   : dg=%+d dh=%+d" % (ledger.dg, ledger.dh),
         "prefS   : %s" % ledger.prefS,
         "prefC   : %s" % ledger.prefC,
-    ]
-    if args.verify:
-        rep = verify_reduction(t, target, instantiate=args.inst)
-        report["verify"] = {
-            "mode": rep.mode,
-            "proportional": rep.proportional,
-            "constant": constant_json(rep.constant),
-        }
-        if rep.point is not None:
-            report["verify"]["point"] = [rational_json(v) for v in rep.point]
-        lines.append("verify  : %s, constant = %s (%s)"
-                     % ("proportional" if rep.proportional else "MISMATCH",
-                        rep.constant, rep.mode))
-        if not rep.proportional:
-            raise IdentityMismatchError(
-                "reduction identity failed for %s -> %s: %s" % (t, reduced, rep.detail))
-    latex = (r"W\left[%s\right](x;g,h) \propto (\sin x)^{%s}(\cos x)^{%s}\,"
-             r"W\left[%s\right](x;g%+d,h%+d)"
-             % (tuple_latex(t), ledger.prefS.latex(), ledger.prefC.latex(),
-                tuple_latex(reduced), ledger.dg, ledger.dh))
-    return _emit(args, report, lines, latex)
+    ] + ([] if rep is None else
+         ["verify  : proportional, constant = %s (%s)" % (rep.constant, rep.mode)]),
+        lambda: (r"W\left[%s\right](x;g,h) \propto (\sin x)^{%s}(\cos x)^{%s}\,"
+                 r"W\left[%s\right](x;g%+d,h%+d)"
+                 % (tuple_latex(t), ledger.prefS.latex(), ledger.prefC.latex(),
+                    tuple_latex(reduced), ledger.dg, ledger.dh)))
 
 
 def cmd_spectrum(args):
@@ -286,16 +273,7 @@ def cmd_spectrum(args):
     if args.up_to > MAX_INDEX:
         raise TupleParseError("--up-to is at most %d, got %d" % (MAX_INDEX, args.up_to))
     spectrum = permitted_spectrum(t, args.up_to)
-    report = {
-        "command": "spectrum",
-        "tuple": [str(s) for s in t],
-        "upTo": args.up_to,
-        "levels": [{"label": lab.label(), "kind": lab.kind, "index": lab.index,
-                    "energy": parampoly_json(ev)} for lab, ev in spectrum],
-    }
-    lines = ["tuple : %s" % t]
-    lines += ["%-6s (%s, index %d)  E = %s" % (lab.label(), lab.kind, lab.index, ev)
-              for lab, ev in spectrum]
+    nonsingular, checks = None, {}
     if args.verify:
         inst = args.inst
         if inst is None:
@@ -304,13 +282,21 @@ def cmd_spectrum(args):
         # not a failed identity, so only the eigenfunction checks gate exit 4;
         # bound levels are checked up to E_2
         nonsingular, checks = verify_spectrum(t, min(args.up_to, 2), *inst)
-        report["verify"] = {"nonsingular": nonsingular, **checks}
-        lines.append("%-28s: %s" % ("nonsingular", "yes" if nonsingular else "no"))
-        for name, ok in checks.items():
-            lines.append("check %-22s: %s" % (name, "pass" if ok else "FAIL"))
         if not all(checks.values()):
             raise IdentityMismatchError("spectrum verification failed: %s" % checks)
-    return _emit(args, report, lines)
+    return _emit(args, lambda: {
+        "command": "spectrum",
+        "tuple": [str(s) for s in t],
+        "upTo": args.up_to,
+        "levels": [{"label": lab.label(), "kind": lab.kind, "index": lab.index,
+                    "energy": parampoly_json(ev)} for lab, ev in spectrum],
+        **({"verify": {"nonsingular": nonsingular, **checks}} if args.verify else {}),
+    }, lambda: ["tuple : %s" % t] + [
+        "%-6s (%s, index %d)  E = %s" % (lab.label(), lab.kind, lab.index, ev)
+        for lab, ev in spectrum
+    ] + ([] if not args.verify else
+         ["%-28s: %s" % ("nonsingular", "yes" if nonsingular else "no")]
+         + ["check %-22s: pass" % name for name in checks]))
 
 
 def cmd_verify_identity(args):
@@ -322,7 +308,9 @@ def cmd_verify_identity(args):
         return _verify_random(args)
     t = parse_tuple_spec(args.tuple)
     rep = verify_move_identity(t, args.which, args.dir, instantiate=args.inst)
-    report = {
+    if not rep.proportional:
+        raise IdentityMismatchError("move identity failed: %s" % rep.detail)
+    return _emit(args, lambda: {
         "command": "verify-identity",
         "tuple": [str(s) for s in t],
         "move": {"which": args.which, "dir": args.dir},
@@ -331,20 +319,14 @@ def cmd_verify_identity(args):
         "mode": rep.mode,
         "proportional": rep.proportional,
         "constant": constant_json(rep.constant),
-    }
-    lines = [
+    }, lambda: [
         "tuple : %s" % t,
         "move  : %s division, %s" % (args.which, args.dir),
         "moved : %s" % rep.tuple_after,
         "shift : dg=%+d dh=%+d   prefS: %s   prefC: %s" % (
             rep.ledger.dg, rep.ledger.dh, rep.ledger.prefS, rep.ledger.prefC),
-        "result: %s (constant = %s, %s)" % (
-            "proportional" if rep.proportional else "MISMATCH",
-            rep.constant, rep.mode),
-    ]
-    if not rep.proportional:
-        raise IdentityMismatchError("move identity failed: %s" % rep.detail)
-    return _emit(args, report, lines)
+        "result: proportional (constant = %s, %s)" % (rep.constant, rep.mode),
+    ])
 
 
 def _verify_random(args):
@@ -355,17 +337,15 @@ def _verify_random(args):
         which = rng.choice(["first", "second"])
         direction = rng.choice(["left", "right"])
         rep = verify_move_identity(t, which, direction, instantiate=args.inst)
-        results.append({"tuple": [str(s) for s in t],
-                        "move": {"which": which, "dir": direction},
-                        "mode": rep.mode,
-                        "proportional": rep.proportional})
         if not rep.proportional:
             raise IdentityMismatchError("random move identity failed on %s" % t)
-    report = {"command": "verify-identity", "random": args.random,
-              "seed": args.seed, "results": results}
-    lines = ["%3d/%d random move identities verified"
-             % (len(results), args.random)]
-    return _emit(args, report, lines)
+        results.append((t, which, direction, rep))
+    return _emit(args, lambda: {
+        "command": "verify-identity", "random": args.random, "seed": args.seed,
+        "results": [{"tuple": [str(s) for s in t], "move": {"which": which, "dir": direction},
+                     "mode": rep.mode, "proportional": rep.proportional}
+                    for t, which, direction, rep in results],
+    }, lambda: ["%3d/%d random move identities verified" % (len(results), args.random)])
 
 
 def cmd_equivalent(args):
@@ -374,7 +354,7 @@ def cmd_equivalent(args):
     r1, l1 = canonical_form(t1)
     r2, l2 = canonical_form(t2)
     same = r1 == r2
-    report = {
+    return _emit(args, lambda: {
         "command": "equivalent",
         "tuple1": [str(s) for s in t1],
         "tuple2": [str(s) for s in t2],
@@ -383,17 +363,12 @@ def cmd_equivalent(args):
         "ledger1": ledger_json(l1),
         "ledger2": ledger_json(l2),
         "equivalent": same,
-    }
-    lines = [
+    }, lambda: [
         "tuple 1    : %s  ->  %s" % (t1, r1),
         "tuple 2    : %s  ->  %s" % (t2, r2),
-        "canonical forms %s" % ("AGREE (same two-family normal form)" if same
-                                else "differ"),
-    ]
-    if same:
-        lines.append("net shift 1: dg=%+d dh=%+d; net shift 2: dg=%+d dh=%+d"
-                     % (l1.dg, l1.dh, l2.dg, l2.dh))
-    return _emit(args, report, lines)
+        "canonical forms %s" % ("AGREE (same two-family normal form)" if same else "differ"),
+    ] + (["net shift 1: dg=%+d dh=%+d; net shift 2: dg=%+d dh=%+d"
+          % (l1.dg, l1.dh, l2.dg, l2.dh)] if same else []))
 
 
 def build_parser():

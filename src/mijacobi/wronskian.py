@@ -28,8 +28,8 @@ derivative rows takes (n-1)n(2n-1)/6) takes the determinant, and its
 (1 -/+ eta) factors go into the exponents, still on integers: the public
 Wronskian is an integer core over one integer scale.  Entries are ints at a
 point; in symbolic mode each eta-coefficient, a polynomial in (g, h), is
-packed into one int by Kronecker substitution in slots bounded from the
-columns, and widened for the edge step by the bound _int_wronskian proves.
+packed into one int by Kronecker substitution, once, in slots that _lazy_det
+bounds from the columns for both the determinant and the edge step.
 det_poly_matrix, integer Bareiss on the explicit matrix, is the kernel's
 reference.  The eta-polynomial left over is the object of interest: for
 tuples of well states a (multi-indexed) Jacobi-type one.
@@ -48,11 +48,11 @@ from .algebra import (
     extract_edge_factors,
     proportional,
     _clear,
-    _digits,
     _edge_split,
+    _int_combine,
+    _int_exact_div,
     _lowest,
     _pack,
-    _pack_list,
     _unpack,
 )
 from .states import (
@@ -164,41 +164,6 @@ def canonicalize(r):
     return QuasiPoly(r.expS + 2 * k_minus, r.expC + 2 * k_plus, core)
 
 
-def _int_combine(pivot, x, lead, y):
-    """pivot*x - lead*y for dense int coefficient lists, trailing zeros trimmed."""
-    out = [0] * max(len(pivot) + len(x), len(lead) + len(y))
-    for i, a in enumerate(pivot):
-        if a:
-            for j, b in enumerate(x, i):
-                out[j] += a * b
-    for i, a in enumerate(lead):
-        if a:
-            for j, b in enumerate(y, i):
-                out[j] -= a * b
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _int_exact_div(a, b):
-    """Exact quotient a/b of dense int coefficient lists (b nonzero);
-    ValueError if inexact."""
-    rem = list(a)
-    d, lc = len(b) - 1, b[-1]
-    out = [0] * max(len(rem) - d, 0)
-    for k in range(len(out) - 1, -1, -1):
-        q, r = divmod(rem[k + d], lc)
-        if r:
-            raise ValueError("integer polynomial division is not exact")
-        if q:
-            out[k] = q
-            for i, c in enumerate(b, k):
-                rem[i] -= q * c
-    if any(rem[:d]):
-        raise ValueError("integer polynomial division is not exact")
-    return out
-
-
 def det_poly_matrix(mat):
     """Determinant of a square EtaPoly matrix of int coefficients (ValueError
     on any other) by Bareiss elimination over Z[eta]: the integer reference
@@ -271,21 +236,30 @@ def _lazy_det(cols, big):
     dependent: the determinant is zero.
 
     Symbolic eta-coefficients are packed into ints (algebra._pack, a ring
-    homomorphism) in slots bounded from the columns (_column_bounds).  Every
-    minor has g-degree below lg = 1 + sum_j deg_j + n(n-1)/2, the sum along
-    any permutation.  On the torus |eta| = |g| = |h| = 1 entry (i, j) is at
-    most its l1 bound N_ij, so a minor is at most prod_i max(1, sqrt(sum_j
-    N_ij^2)) (Hadamard), and so is each coefficient, a mean over the torus:
-    slots 2 bits wider hold them, a packed minor is zero exactly when its
-    polynomial is, and the determinant unpacks uniquely.  _int_wronskian's
-    edge step rests on this bound H < 2^(width-2) on the determinant.
+    homomorphism) in slots bounded from the columns (_column_bounds), wide
+    enough for _int_wronskian's edge step too.  Every minor has g-degree
+    below lg = 1 + sum_j deg_j + n(n-1)/2, the sum along any permutation,
+    and eta-degree at most e = sum_j deg p_j + n(n-1)/2.  Fix (g, h) on the
+    torus |g| = |h| = 1.  For |eta| = 1 entry (i, j) is at most its l1 bound
+    N_ij, so a minor is at most H = prod_i max(1, sqrt(sum_j N_ij^2))
+    (Hadamard).  The Mahler measure of the determinant, at most the mean of
+    its size for |eta| = 1, is then at most H; M is multiplicative and
+    M(eta -/+ 1) = 1, so each quotient q = det / ((eta-1)^i (eta+1)^j) the
+    edge step forms has M(q) <= H, and by Landau-Mignotte (von zur Gathen &
+    Gerhard, 6.2) |q_m| <= C(deg q, m) M(q).  So q(1), q(-1), the partial
+    sums of a synthetic division of q, and every coefficient of a minor, of
+    q and of 2^(i+j) q are at most 2^e H.  A (g, h)-coefficient is a mean
+    over the torus of such a value times a monomial, so it is as small, and
+    slots of width bits, with 2^e H < 2^(width-2), hold it: a packed value
+    is zero exactly when its polynomial is, and each unpacks uniquely.
     """
     n = len(cols)
     packed = not all(type(x) is int for p, _, c0, c1 in cols for x in (*p, c0, c1))
     if packed:
         bounds = [_column_bounds(p, c0, c1, n, big) for p, _, c0, c1 in cols]
         h2 = prod(max(1, sum(norms[i] ** 2 for norms, _ in bounds)) for i in range(n))
-        width = (h2.bit_length() + 1) // 2 + 2
+        e = sum(len(p) - 1 for p, _, _, _ in cols) + n * (n - 1) // 2
+        width = (h2.bit_length() + 1) // 2 + 2 + e
         lg = 1 + sum(deg for _, deg in bounds) + n * (n - 1) // 2
 
         def pack(c):
@@ -319,20 +293,9 @@ def _int_wronskian(states, q, det=None):
     The (1 -/+ eta) factors come off the integer determinant (_edge_split):
     (1-eta)^k = 2^k sin^(2k) x and (1+eta)^k = 2^k cos^(2k) x raise an
     exponent by 2k and the core by 2^k.  In symbolic mode they come off the
-    packed ints, moved first from the determinant's slots of width bits to
-    slots of w2 = width + deg + 2 bits, deg its eta-degree.  These hold
-    every value the step tests for zero or unpacks.  Fix (g, h) on the torus
-    |g| = |h| = 1.  There |det| <= H < 2^(width-2) for |eta| = 1 (_lazy_det),
-    so its Mahler measure M(det), at most the mean of |det| there, is at
-    most H.  M is multiplicative and M(eta -/+ 1) = 1, so each quotient q =
-    det / ((eta-1)^i (eta+1)^j) the step forms has M(q) = M(det) <= H, and
-    by Landau-Mignotte (von zur Gathen & Gerhard, 6.2) |q_m| <= C(deg q, m)
-    M(q).  So q(1), q(-1) and every coefficient of q and of 2^(i+j) q are
-    at most 2^deg H < 2^(w2-4) in size.  A (g, h)-coefficient is a mean
-    over the torus of such a value times a monomial, so it is as small: a
-    packed value is zero exactly when its polynomial is, and the core
-    unpacks uniquely.  Its g-degrees, those of sums of the determinant's
-    coefficients, stay below lg.
+    determinant's own packed ints, whose slots _lazy_det chose to hold every
+    value the step tests for zero or unpacks; the core's g-degrees, those
+    of sums of the determinant's coefficients, stay below lg.
     """
     n = len(states)
     if n == 0:
@@ -343,14 +306,11 @@ def _int_wronskian(states, q, det=None):
     cs, slots = (det or _lazy_det)(cols, big)
     if not cs:
         raise WronskianZeroError("zero Wronskian")
-    if slots:
-        width, lg = slots
-        w2 = width + len(cs) + 1
-        cs = [_pack_list(_digits(c, width), w2) for c in cs]
     k_minus, k_plus, core = _edge_split(cs)
     core = [c << (k_minus + k_plus) for c in core]
     if slots:
-        core = [_unpack(c, w2, 1, lg).coeff(0) if c else P_ZERO for c in core]
+        width, lg = slots
+        core = [_unpack(c, width, 1, lg).coeff(0) if c else P_ZERO for c in core]
     exp_s = sum((a for a, _, _, _ in states), (2 * k_minus - off) * q)
     exp_c = sum((b for _, b, _, _ in states), (2 * k_plus - off) * q)
     return exp_s, exp_c, core, scale

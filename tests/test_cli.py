@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from mijacobi.algebra import ParamPoly
+import mijacobi.cli as cli
+from mijacobi.algebra import AffineExp, ParamPoly
 from mijacobi.cli import MAX_INDEX, MAX_RANDOM, MAX_STATES, main, parse_tuple_spec
 from mijacobi.maya import Ledger, ProportionalityReport, tuple_to_diagrams
 from mijacobi.spectral import _eigen_identity
@@ -166,10 +167,23 @@ class TestPoly:
         assert rep["coefficients"] == [[0, {"num": [[0, 0, "1"]],
                                             "den": [[0, 0, "1"]]}]]
 
-    def test_deterministic_output(self, capsys):
-        a = run(capsys, "--json", "poly", "I0,N1")
-        b = run(capsys, "--json", "poly", "I0,N1")
-        assert a == b
+    def test_deterministic_output(self, capsys, monkeypatch):
+        # and each format is built alone: --json renders no text, and text
+        # mode builds no JSON
+        def refuse(*args):
+            raise AssertionError("built a format that is not printed")
+
+        with monkeypatch.context() as m:
+            m.setattr(ParamPoly, "_render", refuse)
+            m.setattr(AffineExp, "_render", refuse)
+            a = run(capsys, "--json", "poly", "I0,N1")
+            b = run(capsys, "--json", "poly", "I0,N1")
+        assert a == b and a[0] == 0
+        with monkeypatch.context() as m:
+            for name in ("etapoly_json", "affine_json", "parampoly_json", "rational_json"):
+                m.setattr(cli, name, refuse)
+            text = run(capsys, "poly", "I0,N1")
+        assert text[0] == 0 and "eta^1  : " in text[1] and text == run(capsys, "poly", "I0,N1")
 
     def test_latex_output(self, capsys):
         code, out, _ = run(capsys, "--latex", "poly", "N0")

@@ -152,9 +152,14 @@ def test_int_wronskian_core_over_scale_is_the_wronskian(t, inst):
 
 @settings(no_shrink, max_examples=30)
 @given(tuples | same_family, points)
+# single high-index states and five states: the longest edge steps, in the
+# widest slots
+@example([State(StateType.I, 12)], (F(37, 10), F(52, 7)))
+@example([State(StateType.II, 15)], (F(52, 7), F(37, 10)))
+@example(list(as_state_tuple("I2,II0,II2,III4,N4")), (F(37, 10), F(52, 7)))
 def test_symbolic_core_instantiates_to_point_core(t, pt):
     # the point route never packs, so it checks the edge factors that the
-    # symbolic route takes off packed ints in widened slots
+    # symbolic route takes off packed ints in the kernel's own slots
     sym, s_sym = _quasi(_int_wronskian([_int_state(s, _params(None)) for s in t], 1), 1)
     q = _params(pt)[2]
     at, s_at = _quasi(_int_wronskian([_int_state(s, _params(pt)) for s in t], q), q)

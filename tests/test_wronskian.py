@@ -429,10 +429,10 @@ class TestPackedEdgeStep:
     """The symbolic edge step on packed ints against canonicalize, which
     splits the (g, h)-polynomials themselves: W[f] = f for one function."""
 
-    # (1-eta^3)(1-eta^5)(1-eta^7)(1+eta^3) has l1 norm at most 16, so the
-    # determinant's own slots are narrow; its core 2^4 (1+eta+eta^2)
-    # (1+...+eta^4)(1+...+eta^6)(1-eta+eta^2) has far larger coefficients,
-    # which only the widened slots hold
+    # (1-eta^3)(1-eta^5)(1-eta^7)(1+eta^3) has l1 norm at most 16, so its
+    # Hadamard bits are few; its core 2^4 (1+eta+eta^2) (1+...+eta^4)
+    # (1+...+eta^6)(1-eta+eta^2) has far larger coefficients, which only the
+    # slot width's eta-degree headroom holds
     @pytest.mark.parametrize("sign", [1, -1])
     def test_single_quasi_is_its_canonical_form(self, sign):
         p = EtaPoly((1,))

@@ -110,6 +110,10 @@ MUTANTS = (
            "_int_combine(u[k], _step(u[j], *cs[j], big), lead, u[j])",
            "_int_combine(lead, u[j], u[k], _step(u[j], *cs[j], big))",
            ("tests/test_wronskian.py",)),
+    # Karatsuba over eta for the packed entries of symbolic minors.
+    Mutant("karatsuba-middle-term-keeps-a1b1", ALGEBRA,
+           "(m, z0, -1), (m, z2, -1))", "(m, z0, -1))",
+           WRONSKIAN_TESTS),
     # The symbolic packing bound: c1 drops by big with each derivative.
     Mutant("column-bounds-c1-unshifted", WRONSKIAN,
            "x, k1 = nxt, k1 - big", "x, k1 = nxt, k1",
@@ -118,9 +122,13 @@ MUTANTS = (
     Mutant("step-derivative-sign", WRONSKIAN,
            "nxt[k - 1] -= big * k * c", "nxt[k - 1] += big * k * c",
            WRONSKIAN_TESTS),
-    # The edge step: slots widened by deg + 2 bits, and (1-eta)^k = (-1)^k (eta-1)^k.
-    Mutant("reslot-headroom-dropped", WRONSKIAN,
-           "w2 = width + len(cs) + 1", "w2 = width",
+    # The one slot width: the Hadamard bits, 2 more for the sign and a spare,
+    # and e more for the edge step; and (1-eta)^k = (-1)^k (eta-1)^k.
+    Mutant("width-hadamard-margin-dropped", WRONSKIAN,
+           "width = (h2.bit_length() + 1) // 2 + 2 + e", "width = (h2.bit_length() + 1) // 2 + e",
+           WRONSKIAN_TESTS),
+    Mutant("width-edge-headroom-dropped", WRONSKIAN,
+           "width = (h2.bit_length() + 1) // 2 + 2 + e", "width = (h2.bit_length() + 1) // 2 + 2",
            WRONSKIAN_TESTS),
     Mutant("edge-odd-k-minus-sign", ALGEBRA,
            "return ks[0], ks[1], cs if ks[0] % 2 == 0 else [-c for c in cs]",
@@ -173,7 +181,7 @@ MUTANTS = (
            "if lb > 0 or (len(a) - db) % 2 == 0:", "if True:",
            ROOT_TESTS),
     Mutant("end-root-deflation-sign", ALGEBRA,
-           "(p[k] + u * acc) // v", "(p[k] - u * acc) // v",
+           "_int_exact_div(p, [-u, v])", "_int_exact_div(p, [u, v])",
            ROOT_TESTS),
     Mutant("pack-list-split-offset", ALGEBRA,
            "<< width * mid)", "<< width * (mid - 1))",
