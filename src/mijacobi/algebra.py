@@ -921,12 +921,15 @@ def _pack_list(ns, width):
 
 def _digits(v, width):
     """The balanced base-2^width digits of v, least significant first: a slot
-    in [2^(width-1), 2^width) stands for slot - 2^width and carries 1.
+    in [2^(width-1), 2^width) stands for slot - 2^width and carries 1;
+    ValueError for width < 2, where 1 would read as -1 carrying 1 forever.
 
     Short values are read by shifts, which cost quadratic time in the
     length; above 8192 bits the slots of |v| are read from its bytes, in
     linear time.
     """
+    if width < 2:
+        raise ValueError("balanced digits need slots of at least 2 bits")
     half, mask = 1 << (width - 1), (1 << width) - 1
     out = []
     if v.bit_length() <= 8192:
@@ -1075,8 +1078,11 @@ def _factored_ratio(la, lb, a_factors, b_factors):
 
 def _int_combine(pivot, x, lead, y):
     """pivot*x - lead*y for dense int coefficient lists, trailing zeros
-    trimmed: by _int_mul past 2048 bits in pivot's leading entry (packed
-    symbolic minors), below it by the schoolbook loop, faster there."""
+    trimmed: by _int_mul past 2048 bits in pivot's leading entry, below it
+    by the schoolbook loop.  Karatsuba over eta overtakes the loop at about
+    1 kbit entries in 32-entry lists, 1.5 kbit in 8 and 3 kbit in 4; entries
+    at a point stay below 400 bits, and the packed minors of large symbolic
+    Wronskians pass 8 kbit."""
     if pivot and pivot[-1].bit_length() > 2048:
         out = [a - b for a, b in zip_longest(_int_mul(pivot, x), _int_mul(lead, y), fillvalue=0)]
     else:

@@ -29,14 +29,30 @@ from mijacobi.states import (QuasiPoly, State, StateTuple, StateType, as_state_t
 from mijacobi.states import random_tuple  # noqa: F401  (re-exported for the tests)
 from mijacobi.states import _params, _value
 from mijacobi.algebra import _F1, _clear, _exact_quo, _gcd, _unpack
-from mijacobi.wronskian import RawQuasi, _lazy_det, differentiate
+from mijacobi.wronskian import RawQuasi, _lazy_det, _matrix, differentiate
 
 
 def lazy_det(cols, big):
-    """wronskian._lazy_det of cols as an EtaPoly, read back from its slots."""
+    """wronskian._lazy_det of cols as an EtaPoly, read back from its slots.
+
+    In symbolic mode the slot width is checked against the bound it rests on,
+    2^e H < 2^(width-2), with H the Hadamard bound of the explicit matrix's
+    own l1 norms (no larger than _lazy_det's, which it takes from the
+    columns) and e = sum_j deg p_j + n(n-1)/2 the determinant's eta-degree
+    bound.
+    """
     det, slots = _lazy_det(cols, big)
     if slots is None:
         return EtaPoly(det)
+
+    def l1(c):
+        return abs(c) if type(c) is int else sum(map(abs, c.terms.values()))
+    h2 = 1
+    for row in _matrix(cols, big):
+        h2 *= max(1, sum(sum(map(l1, e.coeffs)) ** 2 for e in row))
+    n = len(cols)
+    e = sum(len(p) - 1 for p, _, _, _ in cols) + n * (n - 1) // 2
+    assert h2 << 2 * e < 1 << 2 * (slots[0] - 2)
     return EtaPoly([_unpack(c, slots[0], 1, slots[1]).coeff(0) if c else ParamPoly()
                     for c in det])
 

@@ -1,6 +1,8 @@
 """Exact-arithmetic substrate tests."""
 
+import sys
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
 
@@ -16,6 +18,8 @@ from mijacobi.algebra import (
     proportional,
     sturm_count,
     _digits,
+    _int_combine,
+    _int_mul,
     _pack,
     _pack_list,
     _unpack,
@@ -273,8 +277,9 @@ def coefficient_types(p):
 
 
 class TestEtaPolyProduct:
-    """EtaPoly.__mul__ (one packed integer product) against the schoolbook
-    oracle, on the inputs where packing could go wrong."""
+    """EtaPoly.__mul__ (one packed integer product) and the kernel's int-list
+    products against the schoolbook oracle, on the inputs where packing or
+    splitting could go wrong."""
 
     def check(self, a, b):
         p = a * b
@@ -296,7 +301,7 @@ class TestEtaPolyProduct:
         assert p.coeffs[0] == 0 and p.degree == 7
         self.check(EtaPoly((G, P0, P0, H)), EtaPoly((P0, H - G)))
 
-    def test_products_at_the_slot_bound(self):
+    def test_products_at_the_slot_bound(self, monkeypatch):
         # every coefficient product has one sign, so the middle coefficients
         # reach ||a||_1 * ||b||_inf, the bound the slot width is built on
         for m in (1, 2 ** 31 - 1, 2 ** 64, 3 ** 40):
@@ -306,6 +311,41 @@ class TestEtaPolyProduct:
             assert p.coeff(3) == -4 * m * m
             self.check(a, -b)
             self.check(EtaPoly([ParamPoly.const(-m) * G] * 3), EtaPoly([G * m, H * m]))
+        # the kernel's int-list products: _int_mul (Karatsuba over eta) and
+        # _int_combine on both sides of its 2048-bit gate, against the
+        # schoolbook loop, for empty, one-entry and very unbalanced lists and
+        # for entries of one sign, where the middle terms are largest
+        def school(a, b):
+            out = [0] * (len(a) + len(b) - 1) if a and b else []
+            for i, s in enumerate(a):
+                for j, t in enumerate(b, i):
+                    out[j] += s * t
+            return out
+
+        def trimmed(out):
+            while out and not out[-1]:
+                out.pop()
+            return out
+
+        module = sys.modules["mijacobi.algebra"]
+        products = []
+        monkeypatch.setattr(module, "_int_mul",
+                            lambda a, b, f=_int_mul: products.append(1) or f(a, b))
+        rng = seeded(31)
+        for bits in (2047, 2048, 2049, 4100):
+            for la, lb in ((0, 0), (0, 3), (1, 1), (1, 9), (2, 40), (3, 33), (5, 8), (16, 17)):
+                def entries(length, signs):
+                    return [(rng.getrandbits(bits - 1) | 1 << (bits - 1)) * rng.choice(signs)
+                            for _ in range(length)]
+                a, b = entries(la, (1,)), entries(lb, (1, -1))
+                c, d = entries(lb, (-1,)), entries(la, (1, -1))
+                assert _int_mul(a, b) == _int_mul(b, a) == school(a, b)
+                assert _int_mul(a, c) == school(a, c)
+                del products[:]
+                ref = [s - t for s, t in zip_longest(school(a, b), school(d, c), fillvalue=0)]
+                assert _int_combine(a, b, d, c) == trimmed(ref)
+                assert _int_combine(a, b, a, b) == []
+                assert bool(products) == (la > 0 and bits > 2048)
 
     def test_fraction_times_parampoly_factor(self):
         a = EtaPoly((F(1, 2), F(-3), F(5, 6)))
@@ -480,6 +520,8 @@ class TestPacking:
                 assert _digits(v, width) == ds
                 assert _digits(-v, width) == [-d for d in ds]
         assert _digits(0, 5) == []
+        with pytest.raises(ValueError):
+            _digits(1, 1)
 
     def test_pack_list_round_trip_long_lists(self):
         # the halves are packed apart and joined: long lists with negative

@@ -110,10 +110,14 @@ MUTANTS = (
            "_int_combine(u[k], _step(u[j], *cs[j], big), lead, u[j])",
            "_int_combine(lead, u[j], u[k], _step(u[j], *cs[j], big))",
            ("tests/test_wronskian.py",)),
-    # Karatsuba over eta for the packed entries of symbolic minors.
+    # Karatsuba over eta for the packed entries of symbolic minors: the
+    # middle term, and the empty high half of a short factor.
     Mutant("karatsuba-middle-term-keeps-a1b1", ALGEBRA,
            "(m, z0, -1), (m, z2, -1))", "(m, z0, -1))",
-           WRONSKIAN_TESTS),
+           ("tests/test_algebra.py",)),
+    Mutant("karatsuba-empty-half-unguarded", ALGEBRA,
+           "return [b[0] * c for c in a] if b else []", "return [b[0] * c for c in a]",
+           ("tests/test_algebra.py",)),
     # The symbolic packing bound: c1 drops by big with each derivative.
     Mutant("column-bounds-c1-unshifted", WRONSKIAN,
            "x, k1 = nxt, k1 - big", "x, k1 = nxt, k1",
