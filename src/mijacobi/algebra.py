@@ -894,13 +894,9 @@ def _cleared(polys):
 
 
 def _pack(terms, width, le, lg):
-    """The image of integer terms {(k, i, j): n} under the packing map, by
-    _pack_list of their dense list by slot."""
+    """The image of integer terms {(k, i, j): n} under the packing map."""
     slots = {k + le * (i + lg * j): n for (k, i, j), n in terms.items()}
-    ns = [0] * (1 + max(slots, default=-1))
-    for pos, n in slots.items():
-        ns[pos] = n
-    return _pack_list(ns, width)
+    return _pack_list([slots.get(pos, 0) for pos in range(1 + max(slots, default=-1))], width)
 
 
 def _pack_list(ns, width):
@@ -1078,11 +1074,9 @@ def _factored_ratio(la, lb, a_factors, b_factors):
 
 def _int_combine(pivot, x, lead, y):
     """pivot*x - lead*y for dense int coefficient lists, trailing zeros
-    trimmed: by _int_mul past 2048 bits in pivot's leading entry, below it
-    by the schoolbook loop.  Karatsuba over eta overtakes the loop at about
-    1 kbit entries in 32-entry lists, 1.5 kbit in 8 and 3 kbit in 4; entries
-    at a point stay below 400 bits, and the packed minors of large symbolic
-    Wronskians pass 8 kbit."""
+    trimmed: by _int_mul past 2048 bits in pivot's leading entry, where
+    Karatsuba over eta overtakes the schoolbook loop for 8-entry lists, and
+    below by the loop (all entries at a point stay below 400 bits)."""
     if pivot and pivot[-1].bit_length() > 2048:
         out = [a - b for a, b in zip_longest(_int_mul(pivot, x), _int_mul(lead, y), fillvalue=0)]
     else:
