@@ -895,8 +895,7 @@ def _cleared(polys):
 
 def _pack(terms, width, le, lg):
     """The image of integer terms {(k, i, j): n} under the packing map."""
-    slots = {k + le * (i + lg * j): n for (k, i, j), n in terms.items()}
-    return _pack_list([slots.get(pos, 0) for pos in range(1 + max(slots, default=-1))], width)
+    return sum(n << width * (k + le * (i + lg * j)) for (k, i, j), n in terms.items())
 
 
 def _pack_list(ns, width):

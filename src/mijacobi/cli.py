@@ -15,7 +15,7 @@ with nonnegative indices); the empty string is the empty tuple.  A tuple has
 at most MAX_STATES = 12 states, and every state index and --up-to is at most
 MAX_INDEX = 40; larger input is a parse error (exit 2).  The work grows
 steeply with both: symbolic poly I40 takes about 1 s, the symbolic Wronskian
-of I80 (past the limit, through the API) about 13 s, and poly I99999 does
+of I80 (past the limit, through the API) about 30 s, and poly I99999 does
 not finish in minutes.  verify-identity --random K checks at most
 MAX_RANDOM = 1000 identities: a symbolic one takes 0.05-0.1 s on average
 (200 seed-0 draws, at most 2.5 s for one), so K = 1000 runs one to two
