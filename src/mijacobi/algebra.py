@@ -1075,7 +1075,7 @@ def _int_combine(pivot, x, lead, y):
     """pivot*x - lead*y for dense int coefficient lists, trailing zeros
     trimmed: by _int_mul past 2048 bits in pivot's leading entry, where
     Karatsuba over eta overtakes the schoolbook loop for 8-entry lists, and
-    below by the loop (all entries at a point stay below 400 bits)."""
+    by the loop below that."""
     if pivot and pivot[-1].bit_length() > 2048:
         out = [a - b for a, b in zip_longest(_int_mul(pivot, x), _int_mul(lead, y), fillvalue=0)]
     else:
