@@ -34,7 +34,6 @@ from .states import (
     make_state,
     pairing,
     parse_state,
-    potential,
     require_generic,
 )
 from .wronskian import (
@@ -73,6 +72,7 @@ from .spectral import (
     differentiate_rat,
     extra_eigenstate,
     permitted_spectrum,
+    potential,
     verify_eigenfunction,
     verify_spectrum,
 )

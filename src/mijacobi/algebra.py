@@ -13,7 +13,9 @@ Everything downstream is built from four value types, all exact over Q:
              of a symbolic proportionality constant, with no arithmetic.
              ParamRat(num, den) reduces by parampoly_gcd; the move
              identities read the same normal form off known factors
-             (_factored_ratio), with no gcd.
+             (_factored_ratio), with no gcd and no check of its own, and
+             prove it once, by the one packed comparison that also proves
+             the identity (_products_equal).
   AffineExp  cg*g + ch*h + c0 with integer cg, ch and c0 always a
              Fraction; the form of the parameters (g, h) themselves, of
              the sin/cos exponents and of move-ledger prefactors.
@@ -971,52 +973,41 @@ def _param_mul(a, b):
     return _unpack(v, width, le, lg, None if ints else sa * sb)
 
 
-def _products_equal(x, y, u, v):
-    """Whether x*y == u*v for nonzero integer terms {(k, i, j): n}, decided on
-    one product of packed ints per side, in slots wider than any coefficient
-    of x*y - u*v."""
+def _products_equal(a, x, b, y):
+    """Whether a*x == b*y for nonzero EtaPolys a, b and nonzero scalars x, y
+    (ints, Fractions or ParamPolys): all four are cleared by one common
+    denominator, and the integer products are compared as one product of
+    packed ints per side, in slots wider than any coefficient of their
+    difference."""
+    (ta, tx, tb, ty), _ = _cleared([a, EtaPoly((x,)), b, EtaPoly((y,))])
+
     def top(t, axis):
         return max(key[axis] for key in t)
-    le = 1 + max(top(x, 0) + top(y, 0), top(u, 0) + top(v, 0))
-    lg = 1 + max(top(x, 1) + top(y, 1), top(u, 1) + top(v, 1))
-    bound = (sum(map(abs, y.values())) * max(map(abs, x.values()))
-             + sum(map(abs, v.values())) * max(map(abs, u.values())))
+    le = 1 + max(top(ta, 0), top(tb, 0))
+    lg = 1 + max(top(ta, 1) + top(tx, 1), top(tb, 1) + top(ty, 1))
+    bound = (sum(map(abs, tx.values())) * max(map(abs, ta.values()))
+             + sum(map(abs, ty.values())) * max(map(abs, tb.values())))
     width = bound.bit_length() + 2
-    return (_pack(x, width, le, lg) * _pack(y, width, le, lg)
-            == _pack(u, width, le, lg) * _pack(v, width, le, lg))
-
-
-def _proportional(a, b):
-    """(la, lb), the leading coefficients of a and b, if lb*a == la*b, else
-    None: the decision of proportional, without building its constant."""
-    if not a or not b:
-        raise ZeroPolynomialError("proportionality test requires nonzero inputs")
-    if a.degree != b.degree:
-        return None
-    d = a.degree
-    (ta,), _ = _cleared([a])
-    (tb,), _ = _cleared([b])
-    tla = {(0, i, j): n for (k, i, j), n in ta.items() if k == d}
-    tlb = {(0, i, j): n for (k, i, j), n in tb.items() if k == d}
-    if not _products_equal(ta, tlb, tb, tla):
-        return None
-    return a.lc, b.lc
+    return (_pack(ta, width, le, lg) * _pack(tx, width, le, lg)
+            == _pack(tb, width, le, lg) * _pack(ty, width, le, lg))
 
 
 def proportional(a, b):
     """Constant c with a = c*b, or None if the polynomials are not proportional.
 
     Decides lb*a == la*b for the leading coefficients la, lb by comparing two
-    products of packed ints (_proportional).  c is la/lb: a Fraction when
-    both leading coefficients are Fractions (instantiated inputs), otherwise
-    ParamRat(la, lb), reduced by parampoly_gcd.  The symbolic move identities
-    of maya build the same ParamRat from known factors instead
+    products of packed ints (_products_equal, the one proof the move
+    identities of maya run too).  c is la/lb: a Fraction when both leading
+    coefficients are Fractions (instantiated inputs), otherwise
+    ParamRat(la, lb), reduced by parampoly_gcd.  The symbolic move
+    identities build the same ParamRat from known factors instead
     (_factored_ratio).
     """
-    pair = _proportional(a, b)
-    if pair is None:
+    if not a or not b:
+        raise ZeroPolynomialError("proportionality test requires nonzero inputs")
+    la, lb = a.lc, b.lc
+    if a.degree != b.degree or not _products_equal(a, lb, b, la):
         return None
-    la, lb = pair
     if isinstance(la, Fraction) and isinstance(lb, Fraction):
         return la / lb
     return ParamRat(la, lb)
@@ -1033,9 +1024,9 @@ def _factored_ratio(la, lb, a_factors, b_factors):
     by their leading coefficients the factors are monic, and distinct monic
     affine forms are coprime irreducibles, so num = lc(la)/lc(lb) times the
     monic product of what is left of a_factors, over den = that of
-    b_factors, is already ParamRat's normal form.  The lists are not
-    trusted: num*lb == den*la is checked on packed ints, and ValueError is
-    raised if it fails.
+    b_factors, is already ParamRat's normal form.  Of la and lb only their
+    graded-lex leading coefficients are read, and nothing is checked here:
+    the caller proves that the result is the constant it claims to be.
     """
     if isinstance(la, Fraction) and isinstance(lb, Fraction):
         return la / lb
@@ -1060,14 +1051,9 @@ def _factored_ratio(la, lb, a_factors, b_factors):
                 num, lc_num = num * f, lc_num * (cg or ch)
             else:
                 den, lc_den = den * f, lc_den * (cg or ch)
-    num = num.scale(la.leading_coeff() / (lb.leading_coeff() * lc_num))
-    den = den.scale(Fraction(1, lc_den))
-    (tn, td), _ = _cleared([EtaPoly((num,)), EtaPoly((den,))])
-    (ta, tb), _ = _cleared([EtaPoly((la,)), EtaPoly((lb,))])
-    if not _products_equal(tn, tb, td, ta):
-        raise ValueError("the factor lists do not give la/lb: %s / %s" % (la, lb))
     r = ParamRat.__new__(ParamRat)
-    r.num, r.den = num, den
+    r.num = num.scale(la.leading_coeff() / (lb.leading_coeff() * lc_num))
+    r.den = den.scale(Fraction(1, lc_den))
     return r
 
 

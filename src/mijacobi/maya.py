@@ -27,7 +27,10 @@ adds x' to its prefactor exponent if it steps up and 1 - x' if it steps
 down: a left move of the second division contributes shift (-1, +1) and
 exponents (1 - g', h'), and the right move is its exact inverse.  The
 verifiers build W[current] directly at the shifted parameters
-(g + dg, h + dh), symbols or a point, on one path in both modes.
+(g + dg, h + dh), symbols or a point, on one path in both modes.  They
+predict the constant of proportionality in closed form, from the known
+factors of both leading coefficients, and prove the identity and that
+constant together by one comparison of packed integer products.
 
 Iterating left moves of the second division until no type II state remains,
 and of the first division until no type III state remains, reduces any tuple
@@ -41,7 +44,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AffineExp, _F1, _factored_ratio, _proportional
+from .algebra import AffineExp, _F1, _factored_ratio, _products_equal
 from .states import (
     State,
     StateTuple,
@@ -261,12 +264,15 @@ def _check_ledger_identity(t_before, t_after, ledger, instantiate):
     on one path: (g, h) = (G/Q, H/Q) is the symbols or the point of
     states._resolve_point as an integer point (states._params), the right
     side is built at (G + dg*Q, H + dh*Q)/Q, and only the prefactor is
-    evaluated at a point.  Both sides are integer cores over scales s_l and
-    s_r (wronskian._int_wronskian).  algebra._proportional decides on the
-    cores, and algebra._factored_ratio gives la*s_r/(s_l*lb) for their
-    leading coefficients la and lb: a Fraction at a point, symbolically the
-    reduced ParamRat read off the closed-form factors of both leading
-    coefficients (_lc_factors), checked against la and lb, with no gcd.
+    evaluated at a point.  Both sides are integer cores a and b over scales
+    s_l and s_r (wronskian._int_wronskian).  Once the exponents and the
+    degrees agree, algebra._factored_ratio predicts the constant
+    c = num/den = la*s_r/(s_l*lb) from the leading coefficients la and lb:
+    a Fraction at a point, symbolically the reduced ParamRat read off the
+    closed-form factors of both leading coefficients (_lc_factors), with no
+    gcd.  One packed comparison, a*(den*s_r) == b*(num*s_l)
+    (algebra._products_equal), then proves both that W[t_before] is c times
+    the prefactor times W[t_after] and that c is the reported constant.
     """
     point = _resolve_point(max(len(t_before), len(t_after)), SYMBOLIC_SIZE_CAP,
                            instantiate)
@@ -278,11 +284,14 @@ def _check_ledger_identity(t_before, t_after, ledger, instantiate):
     if point is not None:
         pref_s, pref_c = pref_s.eval_at(*point), pref_c.eval_at(*point)
     rhs = QuasiPoly(moved.expS + pref_s, moved.expC + pref_c, moved.poly)
-    pair = (_proportional(lhs.poly, rhs.poly)
-            if (lhs.expS, lhs.expC) == (rhs.expS, rhs.expC) else None)
-    const = None if pair is None else _factored_ratio(  # lb * _F1: a Fraction at a point
-        pair[0] * Fraction(s_r, s_l), pair[1] * _F1,
-        _lc_factors(t_before), _lc_factors(t_after, ledger.dg, ledger.dh))
+    a, b, const = lhs.poly, rhs.poly, None
+    if (lhs.expS, lhs.expC, a.degree) == (rhs.expS, rhs.expC, b.degree):
+        c = _factored_ratio(  # lb * _F1: a Fraction at a point
+            a.lc * Fraction(s_r, s_l), b.lc * _F1,
+            _lc_factors(t_before), _lc_factors(t_after, ledger.dg, ledger.dh))
+        num, den = (c, 1) if point is not None else (c.num, c.den)
+        if _products_equal(a, den * s_r, b, num * s_l):
+            const = c
     detail = "" if const is not None else (
         "exponent or polynomial mismatch: lhs %s / rhs %s"
         % (lhs.scale_poly(Fraction(1, s_l)), rhs.scale_poly(Fraction(1, s_r))))

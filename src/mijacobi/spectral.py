@@ -31,9 +31,9 @@ by a known nonzero integer instead of divided.  It reads the integer point
 at Q, the potential enters as Q^2 times itself and the eigenvalue as
 Q^2 E (states._int_eigenvalue).  verify_eigenfunction runs it for one bound
 level; verify_spectrum, the checks of spectrum --verify, builds W[T] once
-and runs it for every permitted level.  QuasiRat, apply_hamiltonian and
-deformed_potential keep the quotient route, through differentiate, as
-public API.
+and runs it for every permitted level.  QuasiRat, potential,
+apply_hamiltonian and deformed_potential keep the quotient route, through
+differentiate, as public API.
 
 Nonsingularity (check_nonsingular, verify_spectrum) is decided on the
 integer core of W[T] at the point, never divided by its scale: Descartes'
@@ -55,8 +55,11 @@ from fractions import Fraction
 
 from .algebra import (
     AffineExp,
+    ETA_ONE,
     EtaPoly,
+    ONE_MINUS_ETA,
     ONE_MINUS_ETA_SQ,
+    ONE_PLUS_ETA,
     _F1,
     _root_free,
 )
@@ -65,7 +68,6 @@ from .states import (
     StateType,
     as_state_tuple,
     eigenvalue,
-    potential,
     require_generic,
     _int_eigenvalue,
     _int_state,
@@ -186,6 +188,27 @@ def _log_second_derivative_term(w):
                          ONE_MINUS_ETA_SQ * (w.poly * w.poly))
 
 
+def potential(inst=None):
+    """The undeformed well as a quotient of eta-polynomials.
+
+    Using sin^2 x = (1-eta)/2 and cos^2 x = (1+eta)/2,
+
+        U = 2g(g-1)/(1-eta) + 2h(h-1)/(1+eta) - (g+h)^2
+
+    with zero sin/cos prefactor exponents.  The terms are summed as
+    quotients, so a vanishing g(g-1) or h(h-1) drops its pole.
+    """
+    g, h, q = _params(inst)
+    g, h = g * Fraction(1, q), h * Fraction(1, q)
+
+    def term(c, den):
+        return QuasiRat.make(AffineExp(), AffineExp(), EtaPoly((c,)), den)
+
+    return (term((g * (g - 1)) * 2, ONE_MINUS_ETA)
+            .add(term((h * (h - 1)) * 2, ONE_PLUS_ETA))
+            .add(term(-((g + h) * (g + h)), ETA_ONE)))
+
+
 def deformed_potential(t, inst=None):
     """U - 2 (log W[t])'' as a QuasiRat (symbolic or instantiated)."""
     return potential(inst).add(_log_second_derivative_term(wronskian(t, inst)))
@@ -298,6 +321,7 @@ def extra_eigenstate(t, ell, inst=None):
     SYMBOLIC_SIZE_CAP, which picks the verifiers' mode, does not apply.
     """
     t = as_state_tuple(t)
+    ell = range(len(t))[ell]  # -1 is the last state; IndexError out of range
     s = t[ell]
     if s.type is not StateType.III:
         raise ValueError("deleted state must be of type III, got %s" % s)

@@ -45,10 +45,7 @@ from math import comb, factorial
 
 from .algebra import (
     AffineExp,
-    ETA_ONE,
     EtaPoly,
-    ONE_MINUS_ETA,
-    ONE_PLUS_ETA,
     P_G,
     P_H,
     ParamPoly,
@@ -172,6 +169,9 @@ class StateTuple:
         return StateTuple(self.states + (s,))
 
     def without_index(self, i):
+        """The tuple without the state at position i, read as Python indexing
+        (-1 is the last; IndexError out of range)."""
+        i = range(len(self.states))[i]
         return StateTuple(self.states[:i] + self.states[i + 1:])
 
     def spec(self):
@@ -405,25 +405,3 @@ def pairing(j, jp):
     """
     (sg, sh), (tg, th) = j.signs, jp.signs
     return (sg * tg + sh * th) // 2
-
-
-def potential(inst=None):
-    """The undeformed well as a quotient of eta-polynomials.
-
-    Using sin^2 x = (1-eta)/2 and cos^2 x = (1+eta)/2,
-
-        U = 2g(g-1)/(1-eta) + 2h(h-1)/(1+eta) - (g+h)^2
-
-    with zero sin/cos prefactor exponents.  The terms are summed as
-    quotients, so a vanishing g(g-1) or h(h-1) drops its pole.
-    """
-    from .spectral import QuasiRat
-    g, h, q = _params(inst)
-    g, h = g * Fraction(1, q), h * Fraction(1, q)
-
-    def term(c, den):
-        return QuasiRat.make(AffineExp(), AffineExp(), EtaPoly((c,)), den)
-
-    return (term((g * (g - 1)) * 2, ONE_MINUS_ETA)
-            .add(term((h * (h - 1)) * 2, ONE_PLUS_ETA))
-            .add(term(-((g + h) * (g + h)), ETA_ONE)))

@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, every
 module-level private function and private method is used somewhere in the
-package, the CLI imports no private name, no module uses floating point, and
-none memoises."""
+package, the CLI imports no private name, no module uses floating point,
+none memoises, and no chain of imports between modules leads back to where it
+began."""
 
 import ast
 from collections import Counter
@@ -151,3 +152,44 @@ def test_cache_uses_found():
 def test_no_memoisation_in_engine():
     found = {path.name: cache_uses(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert found and {name: u for name, u in found.items() if u} == {}
+
+
+def relative_imports(source):
+    """The sibling modules that source imports by a relative import, at
+    module level or inside a function: `from .m import x` and
+    `from . import m` both name m."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+    return found
+
+
+def import_cycles(sources):
+    """The modules of sources {module: source} that import themselves through
+    a chain of relative imports, sorted."""
+    graph = {name: relative_imports(src) & sources.keys() for name, src in sources.items()}
+
+    def reached(start):
+        seen, todo = set(), list(graph[start])
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo += graph[name]
+        return seen
+
+    return sorted(name for name in graph if name in reached(name))
+
+
+def test_import_cycles_found():
+    sources = {"a": "from .b import f\n",
+               "b": "def g():\n    from .a import h\n    return h\n",
+               "c": "from .a import f\nfrom . import b, __version__\n",
+               "d": "import c\nfrom mijacobi import d\n"}
+    assert import_cycles(sources) == ["a", "b"]
+
+
+def test_no_import_cycles():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sources and import_cycles(sources) == []

@@ -6,8 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 import mijacobi.algebra as algebra
-from mijacobi.algebra import AffineExp, ParamRat, _factored_ratio
-from mijacobi.cli import paramrat_json
+import mijacobi.maya as maya
+from mijacobi.algebra import AffineExp, ParamRat
+from mijacobi.cli import main, paramrat_json
 from mijacobi.maya import (
     Ledger,
     MayaDiagram,
@@ -337,10 +338,21 @@ class TestFactoredConstant:
         assert paramrat_json(rep.constant) == constant
 
     @pytest.mark.parametrize("corrupt", [_drop, _repeat, _shift_constant, _move_across])
-    def test_corrupted_factor_list_raises(self, corrupt):
-        la, lb, a, b = move_constant_inputs("II2,III0,III2", "first", "right")
-        with pytest.raises(ValueError):
-            _factored_ratio(la, lb, *corrupt(a, b))
+    def test_corrupted_factor_list_raises(self, corrupt, monkeypatch, capsys):
+        # _factored_ratio trusts its factor lists: the identity's one packed
+        # comparison refuses the constant a corrupted list gives, and the CLI
+        # raises that as an identity failure
+        t = as_state_tuple("II2,III0,III2")
+        _, _, a, b = move_constant_inputs(t, "first", "right")
+        for lists, holds in (((a, b), True), (corrupt(a, b), False)):
+            monkeypatch.setattr(maya, "_lc_factors",
+                                lambda u, dg=0, dh=0, lists=lists: lists[u != t])
+            rep = verify_move_identity(t, "first", "right")
+            assert rep.mode == "symbolic" and rep.proportional is holds
+        assert rep.constant is None
+        argv = ["verify-identity", "II2,III0,III2", "--which", "first", "--dir", "right"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err.startswith("identity failure: move identity failed")
 
     def test_no_gcd_in_symbolic_identities(self, monkeypatch):
         calls = []
@@ -365,15 +377,16 @@ class TestFactoredConstant:
 
 class TestOnePath:
     """Both modes build the right side at the shifted parameters and decide
-    with algebra._proportional: the oracles that shift a finished Wronskian
-    (shift_quasi, ParamPoly.shift) or compare two (compare_quasi,
-    proportional) are never called."""
+    with one packed comparison (algebra._products_equal): the oracles that
+    shift a finished Wronskian (shift_quasi, ParamPoly.shift) or compare two
+    (compare_quasi, proportional) are never called."""
 
     ORACLES = ("shift_quasi", "compare_quasi", "proportional")
 
-    def count_oracle_calls(self, monkeypatch):
-        """Call counts of the oracles wherever a mijacobi module binds them."""
-        calls = dict.fromkeys(self.ORACLES + ("ParamPoly.shift",), 0)
+    def count_oracle_calls(self, monkeypatch, names=ORACLES):
+        """Call counts of names (the oracles by default) wherever a mijacobi
+        module binds them, and of ParamPoly.shift."""
+        calls = dict.fromkeys(names + ("ParamPoly.shift",), 0)
 
         def counting(name, f):
             def wrapper(*args):
@@ -383,7 +396,7 @@ class TestOnePath:
 
         for key, mod in list(sys.modules.items()):
             if key == "mijacobi" or key.startswith("mijacobi."):
-                for name in self.ORACLES:
+                for name in names:
                     if callable(getattr(mod, name, None)):
                         monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
         monkeypatch.setattr(algebra.ParamPoly, "shift",
@@ -410,6 +423,18 @@ class TestOnePath:
         w = wronskian("I1", GENERIC_POINTS[0])
         sys.modules["mijacobi.wronskian"].compare_quasi(w, w)
         assert calls["compare_quasi"] == calls["proportional"] == 1
+
+    def test_one_packed_comparison_per_identity(self, monkeypatch):
+        calls = self.count_oracle_calls(monkeypatch, ("_products_equal",))
+        checks = [(verify_move_identity, ("I1,II1,III1", which, direction))
+                  for which in ("first", "second") for direction in ("left", "right")]
+        checks += [(verify_reduction, ("I1,II1,III1", target)) for target in ReductionTarget]
+        for point, mode in ((None, "symbolic"), (GENERIC_POINTS[0], "instantiated")):
+            for verify, args in checks:
+                before = calls["_products_equal"]
+                rep = verify(*args, instantiate=point)
+                assert rep.mode == mode and rep.proportional
+                assert calls["_products_equal"] == before + 1, (verify.__name__, args, mode)
 
 
 class TestCanonicalForm:

@@ -20,6 +20,7 @@ from mijacobi.spectral import (
     differentiate_rat,
     extra_eigenstate,
     permitted_spectrum,
+    potential,
     verify_eigenfunction,
     verify_spectrum,
 )
@@ -31,7 +32,6 @@ from mijacobi.states import (
     StateType,
     eigenvalue,
     make_state,
-    potential,
 )
 from mijacobi.wronskian import canonicalize, wronskian
 from helpers import (
@@ -321,9 +321,13 @@ class TestExtraEigenstate:
         assert apply_hamiltonian(pot, f).sub(f.scale(ev_c)).is_zero()
 
     def test_three_state_example_eigenvalue(self):
-        t = parse_states("I1,II2,III1")
-        f, ev = extra_eigenstate(t, 2, inst=(F(37, 10), F(52, 7)))
+        t, pt = parse_states("I1,II2,III1"), (F(37, 10), F(52, 7))
+        f, ev = extra_eigenstate(t, 2, inst=pt)
         assert ev == (G + H - 2).scale(-8)
+        assert extra_eigenstate(t, -1, inst=pt) == (f, ev)  # read as Python indexing
+        for ell in (3, -4):
+            with pytest.raises(IndexError):
+                extra_eigenstate(t, ell, inst=pt)
 
     def test_index_zero_matches_type_iii_eigenvalue(self):
         _, ev = extra_eigenstate(parse_states("III0"), 0)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly
-from mijacobi.spectral import QuasiRat, apply_hamiltonian
+from mijacobi.spectral import QuasiRat, apply_hamiltonian, potential
 from mijacobi.states import (
     DuplicateStatesError,
     NonGenericParametersError,
@@ -18,7 +18,6 @@ from mijacobi.states import (
     make_state,
     pairing,
     parse_state,
-    potential,
     require_generic,
     _int_eigenvalue,
     _params,
@@ -270,6 +269,14 @@ class TestTuplesAndGenericity:
         assert s == State(StateType.III, 4)
         with pytest.raises(ValueError):
             parse_state("IV2")
+
+    def test_without_index(self):
+        t = StateTuple([parse_state(x) for x in ("N1", "I2", "III0")])
+        assert t.without_index(0).spec() == "I2,III0"
+        assert t.without_index(-1) == t.without_index(2) == StateTuple(t.states[:2])
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                t.without_index(i)
 
     def test_indices_and_sorted(self):
         t = StateTuple([parse_state(x) for x in ("N1", "I2", "III0", "I0")])

@@ -79,6 +79,23 @@ MUTANTS = (
     Mutant("lc-factor-sign", MAYA,
            "(cg, ch, c0 + v - 1 + i)", "(cg, ch, c0 + v + 1 + i)",
            ("tests/test_maya.py",)),
+    # The one proof of a move identity, a*(den*s_r) == b*(num*s_l), for the
+    # constant num/den predicted from the closed-form factors.
+    Mutant("identity-scales-swapped", MAYA,
+           "_products_equal(a, den * s_r, b, num * s_l)",
+           "_products_equal(a, den * s_l, b, num * s_r)",
+           ("tests/test_maya.py",)),
+    Mutant("identity-drops-den", MAYA,
+           "den * s_r", "s_r",
+           ("tests/test_maya.py",)),
+    # Exact stays exact: no float read as its binary fraction, no memo kept
+    # across calls.
+    Mutant("exact-accepts-float", ALGEBRA,
+           "if not isinstance(v, int):", "if not isinstance(v, (int, float)):",
+           ("tests/test_algebra.py",)),
+    Mutant("int-state-memoised", STATES,
+           "\ndef _int_state(", '\n@__import__("functools").lru_cache(maxsize=None)\ndef _int_state(',
+           ("tests/test_imports.py",)),
     # The family rule: one move formula from the sign of each step, and one
     # eigenvalue formula from the sign pair.
     Mutant("second-division-h-step-sign", MAYA,
