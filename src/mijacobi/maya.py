@@ -268,9 +268,9 @@ def _check_ledger_identity(t_before, t_after, ledger, instantiate):
     s_l and s_r (wronskian._int_wronskian).  Once the exponents and the
     degrees agree, algebra._factored_ratio predicts the constant
     c = num/den = la*s_r/(s_l*lb) from the leading coefficients la and lb:
-    a Fraction at a point, symbolically the reduced ParamRat read off the
-    closed-form factors of both leading coefficients (_lc_factors), with no
-    gcd.  One packed comparison, a*(den*s_r) == b*(num*s_l)
+    a Fraction when both are constants (at a point, or symbolically for two
+    empty tuples), else the reduced ParamRat read off the closed-form
+    factors of both leading coefficients (_lc_factors), with no gcd.  One packed comparison, a*(den*s_r) == b*(num*s_l)
     (algebra._products_equal), then proves both that W[t_before] is c times
     the prefactor times W[t_after] and that c is the reported constant.
     """
@@ -289,7 +289,7 @@ def _check_ledger_identity(t_before, t_after, ledger, instantiate):
         c = _factored_ratio(  # lb * _F1: a Fraction at a point
             a.lc * Fraction(s_r, s_l), b.lc * _F1,
             _lc_factors(t_before), _lc_factors(t_after, ledger.dg, ledger.dh))
-        num, den = (c, 1) if point is not None else (c.num, c.den)
+        num, den = (c, 1) if type(c) is Fraction else (c.num, c.den)
         if _products_equal(a, den * s_r, b, num * s_l):
             const = c
     detail = "" if const is not None else (

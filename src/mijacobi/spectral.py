@@ -31,9 +31,9 @@ by a known nonzero integer instead of divided.  It reads the integer point
 at Q, the potential enters as Q^2 times itself and the eigenvalue as
 Q^2 E (states._int_eigenvalue).  verify_eigenfunction runs it for one bound
 level; verify_spectrum, the checks of spectrum --verify, builds W[T] once
-and runs it for every permitted level.  QuasiRat, potential,
-apply_hamiltonian and deformed_potential keep the quotient route, through
-differentiate, as public API.
+and runs it for every permitted level (_numerator picks Y).  QuasiRat,
+potential, apply_hamiltonian and deformed_potential keep the quotient route
+as public API; deformed_potential reads W[T]'s integer column too.
 
 Nonsingularity (check_nonsingular, verify_spectrum) is decided on the
 integer core of W[T] at the point, never divided by its scale: Descartes'
@@ -76,7 +76,7 @@ from .states import (
     _resolve_point,
 )
 from .maya import tuple_to_diagrams
-from .wronskian import RawQuasi, _int_wronskian, _state_column, differentiate, wronskian
+from .wronskian import RawQuasi, _int_wronskian, _state_column, differentiate
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,16 +118,6 @@ class QuasiRat:
     # higher side then folds sin^2 = (1-eta)/2 or cos^2 = (1+eta)/2 factors
     # into its numerator.
 
-    @staticmethod
-    def _fold_factors(ds, dc):
-        out = EtaPoly.const(_F1)
-        half = Fraction(1, 2)
-        for _ in range(ds // 2):
-            out = out * EtaPoly((half, -half))
-        for _ in range(dc // 2):
-            out = out * EtaPoly((half, half))
-        return out
-
     def _aligned(self, other):
         ds = self.expS - other.expS
         dc = self.expC - other.expC
@@ -136,16 +126,11 @@ class QuasiRat:
         ds, dc = ds.c0, dc.c0
         if ds.denominator != 1 or dc.denominator != 1 or ds % 2 or dc % 2:
             raise ValueError("exponent difference must be even integers")
-        ds, dc = int(ds), int(dc)
+        half = Fraction(1, 2)
         na, nb = self.num, other.num
-        if ds > 0:
-            na = na * self._fold_factors(ds, 0)
-        elif ds < 0:
-            nb = nb * self._fold_factors(-ds, 0)
-        if dc > 0:
-            na = na * self._fold_factors(0, dc)
-        elif dc < 0:
-            nb = nb * self._fold_factors(0, -dc)
+        for d, edge in ((ds, EtaPoly((half, -half))), (dc, EtaPoly((half, half)))):
+            for _ in range(abs(int(d)) // 2):
+                na, nb = (na * edge, nb) if d > 0 else (na, nb * edge)
         expS = self.expS if ds <= 0 else other.expS
         expC = self.expC if dc <= 0 else other.expC
         return na, nb, expS, expC
@@ -179,15 +164,6 @@ def differentiate_rat(f):
     return QuasiRat.make(d.expS, d.expC, num, f.den * f.den)
 
 
-def _log_second_derivative_term(w):
-    """-2 (log W)'' for a canonical W = s^a c^b P, as a QuasiRat: with P1 and
-    P2 the eta-parts of W' and W'', (log W)'' = 4 (P2 P - P1^2) / ((1-eta^2) P^2)."""
-    r1 = differentiate(w)
-    num = differentiate(r1).poly * w.poly - r1.poly * r1.poly
-    return QuasiRat.make(AffineExp(), AffineExp(), num.scale(Fraction(-8)),
-                         ONE_MINUS_ETA_SQ * (w.poly * w.poly))
-
-
 def potential(inst=None):
     """The undeformed well as a quotient of eta-polynomials.
 
@@ -195,23 +171,31 @@ def potential(inst=None):
 
         U = 2g(g-1)/(1-eta) + 2h(h-1)/(1+eta) - (g+h)^2
 
-    with zero sin/cos prefactor exponents.  The terms are summed as
-    quotients, so a vanishing g(g-1) or h(h-1) drops its pole.
+    with zero sin/cos prefactor exponents.  Only nonzero poles are folded
+    into num/den, so a vanishing g(g-1) or h(h-1) drops its pole.
     """
     g, h, q = _params(inst)
     g, h = g * Fraction(1, q), h * Fraction(1, q)
-
-    def term(c, den):
-        return QuasiRat.make(AffineExp(), AffineExp(), EtaPoly((c,)), den)
-
-    return (term((g * (g - 1)) * 2, ONE_MINUS_ETA)
-            .add(term((h * (h - 1)) * 2, ONE_PLUS_ETA))
-            .add(term(-((g + h) * (g + h)), ETA_ONE)))
+    num, den = EtaPoly((-((g + h) * (g + h)),)), ETA_ONE
+    for c, pole in (((g * (g - 1)) * 2, ONE_MINUS_ETA), ((h * (h - 1)) * 2, ONE_PLUS_ETA)):
+        if c:
+            num, den = num * pole + den.scale(c), den * pole
+    return QuasiRat.make(AffineExp(), AffineExp(), num, den)
 
 
 def deformed_potential(t, inst=None):
-    """U - 2 (log W[t])'' as a QuasiRat (symbolic or instantiated)."""
-    return potential(inst).add(_log_second_derivative_term(wronskian(t, inst)))
+    """U - 2 (log W[t])'' as a QuasiRat (symbolic or instantiated), read off
+    the integer column of W = W[t] that _eigen_identity reads: rows p, w1,
+    w2 are d, big d and big^2 d times the eta-parts P, P1, P2 of W, W', W''
+    (wronskian._state_column), and (log W)'' = 4 (P2 P - P1^2) /
+    ((1-eta^2) P^2) gives -8 (w2 p - w1^2) / (big^2 (1-eta^2) p^2)."""
+    pt = _params(inst)
+    wt = _int_wronskian([_int_state(s, pt) for s in as_state_tuple(t)], pt[2])
+    big, (p, w1, w2), _ = _state_column(wt, pt[2], 3)
+    p, w1, w2 = map(EtaPoly, (p, w1, w2))
+    return potential(inst).add(QuasiRat.make(
+        AffineExp(), AffineExp(), (w2 * p - w1 * w1).scale(-8),
+        ONE_MINUS_ETA_SQ * (p * p).scale(big * big)))
 
 
 def apply_hamiltonian(pot, f):
@@ -266,6 +250,15 @@ def _eigen_identity(w, y, e, pt):
     return not n
 
 
+def _numerator(t, states, s, pt):
+    """The integer states at pt of the level s's numerator Wronskian, from
+    those of t: W[t, phi_n] for s = phi_n, W[t without s] for s = III_m."""
+    if s.type is StateType.N:
+        return states + [_int_state(s, pt)]
+    i = t.states.index(s)
+    return states[:i] + states[i + 1:]
+
+
 def _warn_if_small(w, y, q, stacklevel):
     """Warn if an exponent of y/w is below 3/2, for integer states w and y at
     the denominator q of a point; stacklevel is that of a warnings.warn call
@@ -302,11 +295,12 @@ def verify_eigenfunction(t, n, inst=None):
     """
     t = as_state_tuple(t)
     phi = State(StateType.N, n)
-    tn = t.with_state(phi)  # raises DuplicateStatesError for deleted levels
+    t.with_state(phi)  # raises DuplicateStatesError for deleted levels
     inst = _resolve_point(len(t), SYMBOLIC_SIZE_CAP, inst)
     pt = _params(inst)
-    states = [_int_state(s, pt) for s in tn]
-    wt, y = _int_wronskian(states[:-1], pt[2]), _int_wronskian(states, pt[2])
+    states = [_int_state(s, pt) for s in t]
+    wt = _int_wronskian(states, pt[2])
+    y = _int_wronskian(_numerator(t, states, phi, pt), pt[2])
     if inst:
         _warn_if_small(wt, y, pt[2], 2)
     return _eigen_identity(wt, y, _int_eigenvalue(phi, pt), pt), eigenvalue(phi)
@@ -321,8 +315,7 @@ def extra_eigenstate(t, ell, inst=None):
     SYMBOLIC_SIZE_CAP, which picks the verifiers' mode, does not apply.
     """
     t = as_state_tuple(t)
-    ell = range(len(t))[ell]  # -1 is the last state; IndexError out of range
-    s = t[ell]
+    s = t[ell]  # -1 is the last state; IndexError out of range
     if s.type is not StateType.III:
         raise ValueError("deleted state must be of type III, got %s" % s)
     if inst is not None:
@@ -330,13 +323,13 @@ def extra_eigenstate(t, ell, inst=None):
     pt = _params(inst)
     states = [_int_state(x, pt) for x in t]
     wt = _int_wronskian(states, pt[2])
-    wr = _int_wronskian(states[:ell] + states[ell + 1:], pt[2])
+    wr = _int_wronskian(_numerator(t, states, s, pt), pt[2])
     if inst:
         _warn_if_small(wt, wr, pt[2], 2)
     (wt, st), (wr, sr) = _quasi(wt, pt[2]), _quasi(wr, pt[2])
     f = QuasiRat.make(wr.expS - wt.expS, wr.expC - wt.expC,
                       wr.poly.scale(Fraction(1, sr)), wt.poly.scale(Fraction(1, st)))
-    return f, eigenvalue(State(StateType.III, s.v))
+    return f, eigenvalue(s)
 
 
 @dataclass(frozen=True)
@@ -356,10 +349,12 @@ class SpectrumLabel:
     def energy_index(self):
         return self.index if self.kind == "bound" else -self.index - 1
 
+    def state(self):
+        """The level's state: phi_n for a bound level, III_m for an extra one."""
+        return State(StateType.N if self.kind == "bound" else StateType.III, self.index)
+
     def energy(self):
-        if self.kind == "bound":
-            return eigenvalue(State(StateType.N, self.index))
-        return eigenvalue(State(StateType.III, self.index))
+        return eigenvalue(self.state())
 
     def label(self):
         return "E_%d" % self.energy_index
@@ -418,14 +413,9 @@ def verify_spectrum(t, up_to, gv, hv):
     wt = _int_wronskian(states, pt[2])
     checks = {}
     for lab, _ in permitted_spectrum(t, up_to):
-        if lab.kind == "bound":
-            s = State(StateType.N, lab.index)
-            name, top = "eigenfunction ", states + [_int_state(s, pt)]
-        else:
-            s = State(StateType.III, lab.index)
-            i = t.states.index(s)
-            name, top = "extra state ", states[:i] + states[i + 1:]
-        y = _int_wronskian(top, pt[2])
+        s = lab.state()
+        y = _int_wronskian(_numerator(t, states, s, pt), pt[2])
         _warn_if_small(wt, y, pt[2], 2)
+        name = "eigenfunction " if lab.kind == "bound" else "extra state "
         checks[name + lab.label()] = _eigen_identity(wt, y, _int_eigenvalue(s, pt), pt)
     return _root_free(wt[2]), checks

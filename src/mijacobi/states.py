@@ -375,20 +375,18 @@ def make_state(s, inst=None):
 
 
 def eigenvalue(s):
-    """Exact eigenvalue as a ParamPoly in (g, h): E = (a + b + 2v)^2 - (g + h)^2
-    for the exponents a = sg*g + [sg < 0] and b = sh*h + [sh < 0] of the sign
-    pair (sg, sh), that is (sg*g + sh*h + c)^2 - (g + h)^2 with
-    c = [sg < 0] + [sh < 0] + 2v."""
-    sg, sh = s.type.signs
-    c = (sg < 0) + (sh < 0) + 2 * s.v
-    return ParamPoly({(1, 1): 2 * sg * sh - 2, (1, 0): 2 * sg * c, (0, 1): 2 * sh * c,
-                      (0, 0): c * c})
+    """Exact eigenvalue as a ParamPoly in (g, h) of Fractions: _int_eigenvalue
+    for the symbols, where Q = 1."""
+    return ParamPoly(_int_eigenvalue(s, _params(None)).terms)
 
 
 def _int_eigenvalue(s, pt):
-    """Q^2 eigenvalue(s) at the integer point pt = (G, H, Q) of _params:
-    r^2 - (G + H)^2 with r = sg*G + sh*H + c*Q, an int at a point and an
-    int-coefficient ParamPoly for the symbols."""
+    """Q^2 E at the integer point pt = (G, H, Q) of _params, for the
+    eigenvalue E = (a + b + 2v)^2 - (g + h)^2 of the exponents
+    a = sg*g + [sg < 0] and b = sh*h + [sh < 0] of the sign pair (sg, sh):
+    r^2 - (G + H)^2 with r = sg*G + sh*H + c*Q and c = [sg < 0] + [sh < 0]
+    + 2v, an int at a point and an int-coefficient ParamPoly for the
+    symbols."""
     g, h, q = pt
     sg, sh = s.type.signs
     r = sg * g + sh * h + ((sg < 0) + (sh < 0) + 2 * s.v) * q

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, reports, JSON schema, exit codes."""
 
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -245,6 +246,13 @@ class TestReduce:
             assert rep["ledger"] == {"dg": 0, "dh": 0,
                                      "prefS": {"g": 0, "h": 0, "c": "0"},
                                      "prefC": {"g": 0, "h": 0, "c": "0"}}
+            rep = run_json(capsys, "reduce", "", "--target", target, "--verify")
+            assert rep["verify"] == {"mode": "symbolic", "proportional": True,
+                                     "constant": {"num": [[0, 0, "1"]],
+                                                  "den": [[0, 0, "1"]]}}
+            code, out, err = run(capsys, "reduce", "", "--target", target, "--verify")
+            assert code == 0 and not err
+            assert "verify  : proportional, constant = 1 (symbolic)" in out
 
 
 class TestSpectrum:
@@ -325,8 +333,10 @@ class TestSpectrum:
         plain = run(capsys, *argv)
         monkeypatch.setattr("mijacobi.spectral._int_wronskian", counted)
         monkeypatch.setattr("mijacobi.spectral._int_state", state)
-        for target in ("mijacobi.spectral.wronskian", "mijacobi.cli.wronskian"):
-            monkeypatch.setattr(target, refused)
+        # the function's home module, which `mijacobi.wronskian` (the function
+        # itself) hides, and the CLI's binding of it
+        monkeypatch.setattr(sys.modules["mijacobi.wronskian"], "wronskian", refused)
+        monkeypatch.setattr("mijacobi.cli.wronskian", refused)
         assert run(capsys, *argv) == plain and plain[0] == 0
         assert sorted(sizes) == [2, 3, 4, 4, 4] and sizes[0] == 3  # W[T], 1 extra, 3 bound
         assert built == list(t) + [State(StateType.N, n) for n in range(3)]

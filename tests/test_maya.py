@@ -155,6 +155,11 @@ class TestReduce:
         for target in ReductionTarget:
             red, led = reduce_tuple(StateTuple(), target)
             assert red == StateTuple() and led.is_fresh()
+            # W[()] = 1 on both sides: a constant leading coefficient in
+            # symbolic mode too
+            for inst, mode in ((None, "symbolic"), (GENERIC_POINTS[0], "instantiated")):
+                rep = verify_reduction(StateTuple(), target, instantiate=inst)
+                assert rep.proportional and rep.constant == 1 and rep.mode == mode
 
     def test_already_reduced_is_fixed_point(self):
         t = parse_states("I1,I2,N0,N3")

@@ -1,6 +1,7 @@
 """Deformed Hamiltonians, eigenfunction checks, spectra, nonsingularity."""
 
 import json
+import sys
 from fractions import Fraction as F
 from math import prod
 from pathlib import Path
@@ -82,9 +83,58 @@ def eigen_cases(rng, count):
                 yield (t, pt) + extra_eigenstate(t, i, pt)
 
 
+def fraction_potential(t, inst=None):
+    """U - 2 (log W[t])'' from the public Fraction Wronskian and two steps of
+    the Fraction derivative rule: with W = s^a c^b P and P1, P2 the eta-parts
+    of W' and W'', (log W)'' = 4 (P2 P - P1^2) / ((1-eta^2) P^2)."""
+    w = wronskian(t, inst)
+    w1 = fraction_derivative(w)
+    w2 = fraction_derivative(w1)
+    num = (w2.poly * w.poly - w1.poly * w1.poly).scale(F(-8))
+    den = EtaPoly((F(1), F(0), F(-1))) * (w.poly * w.poly)
+    return potential(inst).add(QuasiRat.make(AffineExp(), AffineExp(), num, den))
+
+
 class TestDeformedPotential:
     def test_empty_tuple_gives_bare_potential(self):
         assert deformed_potential(StateTuple()) == potential()
+
+    def test_matches_fraction_reference(self):
+        # seeded tuples of up to 4 states at points, symbolic tuples of up to
+        # 2, the empty tuple, g in {0, 1} (U's sin pole drops) and an
+        # AffineExp pair
+        rng = seeded(61)
+        cases = [(random_tuple(rng, 4, 3, min_size=1), random_generic_point(rng))
+                 for _ in range(12)]
+        cases += [(random_tuple(rng, 2, 2, min_size=1), None) for _ in range(6)]
+        cases += [(StateTuple(), None), (StateTuple(), GENERIC_POINTS[0])]
+        cases += [(parse_states("I1,II2,III1"), (F(g), F(5, 3))) for g in (0, 1)]
+        cases += [(parse_states("I1,N2"), (AffineExp(1, 0, 1), AffineExp(0, 1, -1)))]
+        for t, inst in cases:
+            dp, ref = deformed_potential(t, inst), fraction_potential(t, inst)
+            assert dp == ref, (t, inst)
+            assert dp != ref.scale(2), (t, inst)
+
+    def test_reads_no_public_wronskian_or_differentiate(self, monkeypatch):
+        # W[t]'s own integer column, as in the eigen identity: every binding
+        # of the public Wronskian and of the one-step differentiate counts
+        home = sys.modules["mijacobi.wronskian"]
+        calls = []
+        for orig in (home.wronskian, home.differentiate):
+            def counted(*args, _orig=orig, **kwargs):
+                calls.append(_orig.__name__)
+                return _orig(*args, **kwargs)
+            for name, mod in list(sys.modules.items()):
+                if name.split(".")[0] == "mijacobi":
+                    for key, value in list(vars(mod).items()):
+                        if value is orig:
+                            monkeypatch.setattr(mod, key, counted)
+        for spec, inst in (("I1,II2,III1", GENERIC_POINTS[0]), ("I1,II1", None), ("", None)):
+            deformed_potential(spec, inst)
+        assert calls == []
+        home.wronskian("I1")
+        differentiate_rat(as_quasirat(make_state(State(StateType.I, 1))))
+        assert calls == ["wronskian", "differentiate"]
 
     def test_shape_invariance_symbolic(self):
         dp = deformed_potential(parse_states("I0"))

@@ -88,6 +88,11 @@ MUTANTS = (
     Mutant("identity-drops-den", MAYA,
            "den * s_r", "s_r",
            ("tests/test_maya.py",)),
+    # A constant of two constant leading coefficients is a Fraction in either
+    # mode (W[()] = 1 symbolically).
+    Mutant("empty-constant-read-as-paramrat", MAYA,
+           "(c, 1) if type(c) is Fraction else", "(c, 1) if point is not None else",
+           ("tests/test_maya.py",)),
     # Exact stays exact: no float read as its binary fraction, no memo kept
     # across calls.
     Mutant("exact-accepts-float", ALGEBRA,
@@ -108,7 +113,7 @@ MUTANTS = (
            "lw = [p + 1 for p in lw] + ([] if 0 in rb else [0])", "lw = [p + 1 for p in lw]",
            FAMILY_TESTS),
     Mutant("eigenvalue-drops-2v", STATES,
-           "c = (sg < 0) + (sh < 0) + 2 * s.v", "c = (sg < 0) + (sh < 0)",
+           "(sh < 0) + 2 * s.v) * q", "(sh < 0)) * q",
            FAMILY_TESTS),
     # The lazy-row determinant (_lazy_det).
     Mutant("lazy-explicit-route", WRONSKIAN,
@@ -167,7 +172,7 @@ MUTANTS = (
     Mutant("columns-big-is-lcm", WRONSKIAN,
            "return 2 * den, [", "return den, [",
            WRONSKIAN_TESTS),
-    # The eigen identity and the checks of spectrum --verify.
+    # The eigen identity and the one numerator rule of every eigen level.
     Mutant("eigen-cross-term-sign", SPECTRAL,
            "n = n + (y1 * w1).scale(2 * k * by * bw)",
            "n = n - (y1 * w1).scale(2 * k * by * bw)",
@@ -177,8 +182,16 @@ MUTANTS = (
            "i = [x.type for x in t].index(StateType.III)",
            SPECTRAL_TESTS),
     Mutant("spectrum-bound-over-w-t", SPECTRAL,
-           'name, top = "eigenfunction ", states + [_int_state(s, pt)]',
-           'name, top = "eigenfunction ", states',
+           "return states + [_int_state(s, pt)]", "return states",
+           SPECTRAL_TESTS),
+    # The quotient route: -2 (log W)'' has big^2 in its denominator, and the
+    # higher exponent's side folds the sin^2 and cos^2 factors.
+    Mutant("deformed-potential-big-unsquared", SPECTRAL,
+           "(p * p).scale(big * big)", "(p * p).scale(big)",
+           SPECTRAL_TESTS),
+    Mutant("aligned-fold-sides-swapped", SPECTRAL,
+           "(na * edge, nb) if d > 0 else (na, nb * edge)",
+           "(na, nb * edge) if d > 0 else (na * edge, nb)",
            SPECTRAL_TESTS),
     # The integer point (G, H, Q): exponents, Jacobi sums and eigenvalues
     # carry Q wherever a constant stands for a multiple of 1.
