@@ -6,6 +6,11 @@ state tuples as pairs of Maya diagrams with divisions, reduces any tuple to a
 two-family normal form with a verified shift/prefactor ledger, and checks
 deformed spectra.  All arithmetic is exact over Q, with the parameters (g, h)
 kept symbolic wherever feasible.
+
+It exports the paper's objects (states, tuples, Wronskians, Maya diagrams
+and ledgers, the deformed spectrum), what the CLI calls (parsing, the
+verifiers, rendering, errors) and what the benchmark calls; oracles stay in
+their submodules.
 """
 
 from .algebra import (
@@ -14,10 +19,6 @@ from .algebra import (
     ParamPoly,
     ParamRat,
     ZeroPolynomialError,
-    extract_edge_factors,
-    parampoly_gcd,
-    proportional,
-    sturm_count,
 )
 from .states import (
     DEFAULT_GENERIC_POINT,
@@ -36,17 +37,7 @@ from .states import (
     parse_state,
     require_generic,
 )
-from .wronskian import (
-    RawQuasi,
-    WronskianZeroError,
-    canonicalize,
-    compare_quasi,
-    differentiate,
-    shift_quasi,
-    wronskian,
-    wronskian_compose_check,
-    wronskian_of_quasis,
-)
+from .wronskian import WronskianZeroError, wronskian
 from .maya import (
     DiagramPair,
     Ledger,
@@ -69,7 +60,6 @@ from .spectral import (
     apply_hamiltonian,
     check_nonsingular,
     deformed_potential,
-    differentiate_rat,
     extra_eigenstate,
     permitted_spectrum,
     potential,

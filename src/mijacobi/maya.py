@@ -44,12 +44,11 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AffineExp, _F1, _factored_ratio, _products_equal
+from .algebra import AffineExp, EtaPoly, _F1, _factored_ratio, _products_equal
 from .states import (
     State,
     StateTuple,
     StateType,
-    QuasiPoly,
     as_state_tuple,
     _int_state,
     _params,
@@ -262,15 +261,17 @@ def _lc_factors(t, dg=0, dh=0):
 def _check_ledger_identity(t_before, t_after, ledger, instantiate):
     """Compare W[t_before](g, h) against prefactor * W[t_after](g + dg, h + dh),
     on one path: (g, h) = (G/Q, H/Q) is the symbols or the point of
-    states._resolve_point as an integer point (states._params), the right
-    side is built at (G + dg*Q, H + dh*Q)/Q, and only the prefactor is
-    evaluated at a point.  Both sides are integer cores a and b over scales
-    s_l and s_r (wronskian._int_wronskian).  Once the exponents and the
-    degrees agree, algebra._factored_ratio predicts the constant
-    c = num/den = la*s_r/(s_l*lb) from the leading coefficients la and lb:
-    a Fraction when both are constants (at a point, or symbolically for two
-    empty tuples), else the reduced ParamRat read off the closed-form
-    factors of both leading coefficients (_lc_factors), with no gcd.  One packed comparison, a*(den*s_r) == b*(num*s_l)
+    states._resolve_point as an integer point (states._params), and the
+    right side is built at (G + dg*Q, H + dh*Q)/Q.  Both sides are integer
+    states at Q (wronskian._int_wronskian): exponents over Q, to which the
+    right side adds each prefactor exponent read at the integer point,
+    cg*G + ch*H + c0*Q, and integer cores a and b over scales s_l and s_r.
+    Once the exponents and the degrees agree, algebra._factored_ratio
+    predicts the constant c = num/den = la*s_r/(s_l*lb) from the leading
+    coefficients la and lb: a Fraction when both are constants (at a point,
+    or symbolically for two empty tuples), else the reduced ParamRat read
+    off the closed-form factors of both leading coefficients (_lc_factors),
+    with no gcd.  One packed comparison, a*(den*s_r) == b*(num*s_l)
     (algebra._products_equal), then proves both that W[t_before] is c times
     the prefactor times W[t_after] and that c is the reported constant.
     """
@@ -278,23 +279,21 @@ def _check_ledger_identity(t_before, t_after, ledger, instantiate):
                            instantiate)
     g, h, q = pt = _params(point)
     shifted = (g + ledger.dg * q, h + ledger.dh * q, q)
-    lhs, s_l = _quasi(_int_wronskian([_int_state(s, pt) for s in t_before], q), q)
-    moved, s_r = _quasi(_int_wronskian([_int_state(s, shifted) for s in t_after], q), q)
-    pref_s, pref_c = ledger.prefS, ledger.prefC
-    if point is not None:
-        pref_s, pref_c = pref_s.eval_at(*point), pref_c.eval_at(*point)
-    rhs = QuasiPoly(moved.expS + pref_s, moved.expC + pref_c, moved.poly)
-    a, b, const = lhs.poly, rhs.poly, None
-    if (lhs.expS, lhs.expC, a.degree) == (rhs.expS, rhs.expC, b.degree):
+    lhs = _int_wronskian([_int_state(s, pt) for s in t_before], q)
+    es, ec, b, s_r = _int_wronskian([_int_state(s, shifted) for s in t_after], q)
+    ps, pc = (e.cg * g + e.ch * h + e.c0 * q for e in (ledger.prefS, ledger.prefC))
+    rhs = es + ps, ec + pc, b, s_r
+    a, s_l, const = lhs[2], lhs[3], None
+    if lhs[:2] == rhs[:2] and len(a) == len(b):
         c = _factored_ratio(  # lb * _F1: a Fraction at a point
-            a.lc * Fraction(s_r, s_l), b.lc * _F1,
+            a[-1] * Fraction(s_r, s_l), b[-1] * _F1,
             _lc_factors(t_before), _lc_factors(t_after, ledger.dg, ledger.dh))
         num, den = (c, 1) if type(c) is Fraction else (c.num, c.den)
-        if _products_equal(a, den * s_r, b, num * s_l):
+        if _products_equal(EtaPoly(a), den * s_r, EtaPoly(b), num * s_l):
             const = c
     detail = "" if const is not None else (
         "exponent or polynomial mismatch: lhs %s / rhs %s"
-        % (lhs.scale_poly(Fraction(1, s_l)), rhs.scale_poly(Fraction(1, s_r))))
+        % tuple(w.scale_poly(Fraction(1, d)) for w, d in (_quasi(lhs, q), _quasi(rhs, q))))
     mode = "symbolic" if point is None else "instantiated"
     return ProportionalityReport(const is not None, const, t_before, t_after,
                                  ledger, mode, point, detail)

@@ -319,9 +319,9 @@ def _value(x):
 
 
 def _affine(n, q):
-    """The AffineExp n/q for n an int or an int-coefficient ParamPoly of
-    degree at most 1 whose g and h coefficients q divides."""
-    if type(n) is int:
+    """The AffineExp n/q for n rational or a ParamPoly of degree at most 1
+    whose g and h coefficients q divides."""
+    if type(n) is not ParamPoly:
         return AffineExp(0, 0, Fraction(n, q))
     t = n.terms
     return AffineExp(t.get((1, 0), 0) // q, t.get((0, 1), 0) // q, Fraction(t.get((0, 0), 0), q))

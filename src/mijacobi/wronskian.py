@@ -56,10 +56,8 @@ from .algebra import (
     _unpack,
 )
 from .states import (
-    DEFAULT_GENERIC_POINT,
     QuasiPoly,
     as_state_tuple,
-    require_generic,
     _int_state,
     _params,
     _quasi,
@@ -167,9 +165,9 @@ def canonicalize(r):
 def det_poly_matrix(mat):
     """Determinant of a square EtaPoly matrix of int coefficients (ValueError
     on any other) by Bareiss elimination over Z[eta]: the integer reference
-    of _lazy_det, and the left side of wronskian_compose_check.  Step k sets
-    each entry below and right of the pivot to (pivot*x - lead*y) / prev,
-    prev the previous pivot (none at k = 0), an exact quotient (Sylvester).
+    of _lazy_det on the explicit derivative matrix.  Step k sets each entry
+    below and right of the pivot to (pivot*x - lead*y) / prev, prev the
+    previous pivot (none at k = 0), an exact quotient (Sylvester).
     """
     if any(type(c) is not int for row in mat for e in row for c in e.coeffs):
         raise ValueError("det_poly_matrix needs int coefficients")
@@ -195,12 +193,6 @@ def det_poly_matrix(mat):
     return EtaPoly([sign * c for c in m[-1][-1]]) if m else EtaPoly.const(1)
 
 
-def _matrix(cols, big):
-    """The explicit n x n integer derivative matrix of _columns' cols."""
-    return [[EtaPoly(e) for e in row]
-            for row in zip(*(_column(p, c0, c1, len(cols), big) for p, _, c0, c1 in cols))]
-
-
 def _column_bounds(p, c0, c1, n, big):
     """(norms, deg): entry i of _column(p, c0, c1, n, big) has l1 norm (the sum
     of all |coefficients| in eta, g and h) at most norms[i], by _step run on
@@ -224,7 +216,7 @@ def _column_bounds(p, c0, c1, n, big):
 
 
 def _lazy_det(cols, big):
-    """(det, slots): det_poly_matrix(_matrix(cols, big)) as the list of its
+    """(det, slots): the derivative matrix's determinant as the list of its
     eta-coefficients, ints at a point (slots None) and packed in slots
     (width, lg) in symbolic mode, from one row of minors u_j = det(rows
     0..k; columns 0..k-1, j), columns sorted to ascending eta-degree.
@@ -285,10 +277,10 @@ def _int_wronskian(states, q, det=None):
     _columns at the denominator q, as an integer state at q itself: s^(a/q)
     c^(b/q) (w / scale), canonical but for the int scale, with an integer
     core w: ints at a point, int-coefficient ParamPolys in symbolic mode.
-    det(cols, big) is the determinant of _matrix(cols, big) as _lazy_det
-    (the default) gives it; row i carries big^i and column j its d_j, so
-    scale = big^off * prod d_j, and the exponents sum those of the states
-    less off = n(n-1)/2, the q*off of a and b.
+    det(cols, big) is the determinant of the explicit derivative matrix of
+    cols as _lazy_det (the default) gives it; row i carries big^i and column
+    j its d_j, so scale = big^off * prod d_j, and the exponents sum those of
+    the states less off = n(n-1)/2, the q*off of a and b.
 
     The (1 -/+ eta) factors come off the integer determinant (_edge_split):
     (1-eta)^k = 2^k sin^(2k) x and (1+eta)^k = 2^k cos^(2k) x raise an
@@ -314,14 +306,6 @@ def _int_wronskian(states, q, det=None):
     exp_s = sum((a for a, _, _, _ in states), (2 * k_minus - off) * q)
     exp_c = sum((b for _, b, _, _ in states), (2 * k_plus - off) * q)
     return exp_s, exp_c, core, scale
-
-
-def wronskian_of_quasis(quasis):
-    """Wronskian of arbitrary quasi-polynomials, canonicalized: each is
-    cleared of denominators once and goes through _int_wronskian."""
-    states, q = _int_quasis(quasis)
-    w, scale = _quasi(_int_wronskian(states, q), q)
-    return w.scale_poly(Fraction(1, scale))
 
 
 def wronskian(t, inst=None):
@@ -355,24 +339,3 @@ def shift_quasi(q, dg, dh):
     """Substitute (g, h) -> (g+dg, h+dh) in exponents and coefficients."""
     return QuasiPoly(q.expS.shifted(dg, dh), q.expC.shifted(dg, dh),
                      q.poly.shift_params(dg, dh))
-
-
-def wronskian_compose_check(base, f, g2, inst=None):
-    """Check W[base,f,g]*W[base] = W[W[base,f], W[base,g]] exactly.
-
-    Both sides are computed at an instantiated generic point (the default
-    if none is given): W[base,f,g] by det_poly_matrix on the explicit matrix,
-    so _lazy_det, which rests on this identity, never checks it alone.
-    Returns True iff the two sides agree exactly.
-    """
-    if inst is None:
-        inst = DEFAULT_GENERIC_POINT
-    pt = _params(require_generic(*inst))
-    sts = list(as_state_tuple(base))
-    as_state_tuple(sts + [f, g2])  # distinctness check
-    lhs, scale = _quasi(_int_wronskian(
-        [_int_state(s, pt) for s in sts + [f, g2]], pt[2],
-        lambda cols, big: (det_poly_matrix(_matrix(cols, big)).coeffs, None)), pt[2])
-    lhs = lhs.scale_poly(Fraction(1, scale)).mul(wronskian(sts, inst))
-    rhs = wronskian_of_quasis([wronskian(sts + [f], inst), wronskian(sts + [g2], inst)])
-    return lhs == rhs

@@ -11,8 +11,9 @@ checks of coefficient types, the schoolbook EtaPoly
 product oracle (the engine packs products into ints), a
 permutation-expansion determinant oracle, a coefficient-scaling
 proportionality oracle, random generators for states and generic rational
-points, and the closed-form reduction-ledger oracle used to cross-check the
-move engine.
+points, the closed-form reduction-ledger oracle used to cross-check the
+move engine, and the Wronskian composition check with its explicit
+derivative matrix and its Wronskian of arbitrary quasi-polynomials.
 """
 
 from fractions import Fraction
@@ -24,12 +25,48 @@ import mpmath as mp
 from mijacobi.algebra import AffineExp, EtaPoly, P_G, P_H, ParamPoly, ParamRat
 from mijacobi.maya import dbar
 from mijacobi.spectral import _eigen_identity
-from mijacobi.states import (QuasiPoly, State, StateTuple, StateType, as_state_tuple,
-                             is_generic)
+from mijacobi.states import (DEFAULT_GENERIC_POINT, QuasiPoly, State, StateTuple, StateType,
+                             as_state_tuple, is_generic, require_generic)
 from mijacobi.states import random_tuple  # noqa: F401  (re-exported for the tests)
-from mijacobi.states import _params, _value
+from mijacobi.states import _int_state, _params, _quasi, _value
 from mijacobi.algebra import _F1, _clear, _exact_quo, _gcd, _unpack
-from mijacobi.wronskian import RawQuasi, _lazy_det, _matrix, differentiate
+from mijacobi.wronskian import (RawQuasi, det_poly_matrix, differentiate, wronskian,
+                                _column, _int_quasis, _int_wronskian, _lazy_det)
+
+
+def _matrix(cols, big):
+    """The explicit n x n integer derivative matrix of _columns' cols."""
+    return [[EtaPoly(e) for e in row]
+            for row in zip(*(_column(p, c0, c1, len(cols), big) for p, _, c0, c1 in cols))]
+
+
+def wronskian_of_quasis(quasis):
+    """Wronskian of arbitrary quasi-polynomials, canonicalized: each is
+    cleared of denominators once and goes through _int_wronskian."""
+    states, q = _int_quasis(quasis)
+    w, scale = _quasi(_int_wronskian(states, q), q)
+    return w.scale_poly(Fraction(1, scale))
+
+
+def wronskian_compose_check(base, f, g2, inst=None):
+    """Check W[base,f,g]*W[base] = W[W[base,f], W[base,g]] exactly.
+
+    Both sides are computed at an instantiated generic point (the default
+    if none is given): W[base,f,g] by det_poly_matrix on the explicit matrix,
+    so _lazy_det, which rests on this identity, never checks it alone.
+    Returns True iff the two sides agree exactly.
+    """
+    if inst is None:
+        inst = DEFAULT_GENERIC_POINT
+    pt = _params(require_generic(*inst))
+    sts = list(as_state_tuple(base))
+    as_state_tuple(sts + [f, g2])  # distinctness check
+    lhs, scale = _quasi(_int_wronskian(
+        [_int_state(s, pt) for s in sts + [f, g2]], pt[2],
+        lambda cols, big: (det_poly_matrix(_matrix(cols, big)).coeffs, None)), pt[2])
+    lhs = lhs.scale_poly(Fraction(1, scale)).mul(wronskian(sts, inst))
+    rhs = wronskian_of_quasis([wronskian(sts + [f], inst), wronskian(sts + [g2], inst)])
+    return lhs == rhs
 
 
 def lazy_det(cols, big):

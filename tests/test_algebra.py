@@ -519,6 +519,9 @@ class TestPacking:
                 v = sum(d << width * k for k, d in enumerate(ds))
                 assert _digits(v, width) == ds
                 assert _digits(-v, width) == [-d for d in ds]
+        # a slot of exactly 2^(width-1) stands for -2^(width-1) and carries 1
+        for width in (9, 8200):
+            assert _digits(1 << (width - 1), width) == [-(1 << (width - 1)), 1]
         assert _digits(0, 5) == []
         with pytest.raises(ValueError):
             _digits(1, 1)

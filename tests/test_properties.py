@@ -62,13 +62,12 @@ from mijacobi.wronskian import (  # noqa: E402
     _columns,
     _int_quasis,
     _int_wronskian,
-    _matrix,
     det_poly_matrix,
     shift_quasi,
     wronskian,
-    wronskian_of_quasis,
 )
 from helpers import (  # noqa: E402
+    _matrix,
     fraction_sturm_count,
     lazy_det,
     coefficient_terms,
@@ -80,6 +79,7 @@ from helpers import (  # noqa: E402
     numeric_wronskian,
     quasi_value,
     schoolbook_mul,
+    wronskian_of_quasis,
 )
 
 G = ParamPoly.gen_g()

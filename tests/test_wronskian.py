@@ -22,18 +22,16 @@ from mijacobi.wronskian import (
     _columns,
     _int_exact_div,
     _int_quasis,
-    _matrix,
     canonicalize,
     compare_quasi,
     det_poly_matrix,
     differentiate,
     shift_quasi,
     wronskian,
-    wronskian_compose_check,
-    wronskian_of_quasis,
 )
 from mijacobi.states import DuplicateStatesError
 from helpers import (
+    _matrix,
     lazy_det,
     GENERIC_POINTS,
     fraction_derivative,
@@ -45,6 +43,8 @@ from helpers import (
     random_rational,
     random_tuple,
     seeded,
+    wronskian_compose_check,
+    wronskian_of_quasis,
 )
 
 G = ParamPoly.gen_g()

@@ -73,8 +73,7 @@ MUTANTS = (
            "(g + ledger.dg * q, h + ledger.dh * q, q)", "(g + ledger.dg * q, h, q)",
            ("tests/test_maya.py",)),
     Mutant("prefactor-unevaluated-at-point", MAYA,
-           "pref_s, pref_c = pref_s.eval_at(*point), pref_c.eval_at(*point)",
-           "pass",
+           "e.c0 * q", "e.c0",
            ("tests/test_maya.py",)),
     Mutant("lc-factor-sign", MAYA,
            "(cg, ch, c0 + v - 1 + i)", "(cg, ch, c0 + v + 1 + i)",
@@ -82,8 +81,8 @@ MUTANTS = (
     # The one proof of a move identity, a*(den*s_r) == b*(num*s_l), for the
     # constant num/den predicted from the closed-form factors.
     Mutant("identity-scales-swapped", MAYA,
-           "_products_equal(a, den * s_r, b, num * s_l)",
-           "_products_equal(a, den * s_l, b, num * s_r)",
+           "_products_equal(EtaPoly(a), den * s_r, EtaPoly(b), num * s_l)",
+           "_products_equal(EtaPoly(a), den * s_l, EtaPoly(b), num * s_r)",
            ("tests/test_maya.py",)),
     Mutant("identity-drops-den", MAYA,
            "den * s_r", "s_r",
@@ -118,8 +117,9 @@ MUTANTS = (
     # The lazy-row determinant (_lazy_det).
     Mutant("lazy-explicit-route", WRONSKIAN,
            "cs, slots = (det or _lazy_det)(cols, big)",
-           "cs, slots = (det or (lambda cols, big: (det_poly_matrix(_matrix(cols, big)).coeffs,"
-           " None)))(cols, big)",
+           "cs, slots = (det or (lambda cols, big: (det_poly_matrix("
+           "[[EtaPoly(e) for e in row] for row in zip(*(_column(p, c0, c1, len(cols), big)"
+           " for p, _, c0, c1 in cols))]).coeffs, None)))(cols, big)",
            ("tests/test_wronskian.py",)),
     Mutant("lazy-permutation-sign", WRONSKIAN,
            "sign = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])",
@@ -177,6 +177,21 @@ MUTANTS = (
            "n = n + (y1 * w1).scale(2 * k * by * bw)",
            "n = n - (y1 * w1).scale(2 * k * by * bw)",
            SPECTRAL_TESTS),
+    Mutant("eigen-cross-term-halved", SPECTRAL,
+           "2 * k * by * bw", "k * by * bw",
+           SPECTRAL_TESTS),
+    Mutant("eigen-w2-term-by-unsquared", SPECTRAL,
+           "(r * w2).scale(k * by2)", "(r * w2).scale(k * by)",
+           SPECTRAL_TESTS),
+    Mutant("eigen-potential-eta-sign", SPECTRAL,
+           "ug - uh", "uh - ug",
+           SPECTRAL_TESTS),
+    Mutant("eigen-eigenvalue-subtracted", SPECTRAL,
+           "(g + h) * (g + h) + e", "(g + h) * (g + h) - e",
+           SPECTRAL_TESTS),
+    Mutant("eigen-y2-unscaled", SPECTRAL,
+           "y2.scale(k)", "y2",
+           SPECTRAL_TESTS),
     Mutant("spectrum-deletes-first-type-iii", SPECTRAL,
            "i = t.states.index(s)",
            "i = [x.type for x in t].index(StateType.III)",
@@ -217,6 +232,12 @@ MUTANTS = (
     Mutant("end-root-deflation-sign", ALGEBRA,
            "_int_exact_div(p, [-u, v])", "_int_exact_div(p, [u, v])",
            ROOT_TESTS),
+    # The kernel's carries: a slot of exactly 2^(width-1) is negative and
+    # carries 1, by shifts and by bytes (d >= half read as d > half in both).
+    Mutant("digits-half-slot-unsigned", ALGEBRA,
+           "half, mask = 1 << (width - 1), (1 << width) - 1",
+           "half, mask = (1 << (width - 1)) + 1, (1 << width) - 1",
+           ("tests/test_algebra.py",)),
     Mutant("pack-list-split-offset", ALGEBRA,
            "<< width * mid)", "<< width * (mid - 1))",
            ("tests/test_algebra.py",)),
