@@ -30,9 +30,9 @@ Everything downstream is built from four value types, all exact over Q:
 
 Integer polynomials are also packed into single Python ints (Kronecker
 substitution; see _pack): each eta-coefficient, a polynomial in (g, h), of a
-symbolic determinant entry, and each whole polynomial in (eta, g, h) of a
-proportionality check.  A product of two EtaPolys is one product of packed
-ints in both modes: each factor is cleared of denominators once, packed in
+symbolic Wronskian, built packed at a Kronecker point, and each whole
+polynomial in (eta, g, h) of a proportionality check.  A product of two
+EtaPolys is one product of packed ints in both modes: each factor is cleared of denominators once, packed in
 slots wider than any coefficient of the integer product (over eta alone at
 a point, over (eta, g, h) in symbolic mode) and the product is read back
 once, so no coefficient-by-coefficient Fraction arithmetic is done.  The
@@ -381,6 +381,11 @@ def _raw_parampoly(terms):
     p = ParamPoly.__new__(ParamPoly)
     p.terms = terms
     return p
+
+
+def _linear(cg, ch, c0):
+    """The int-coefficient ParamPoly cg*g + ch*h + c0."""
+    return _raw_parampoly({k: v for k, v in (((1, 0), cg), ((0, 1), ch), ((0, 0), c0)) if v})
 
 
 P_ZERO = ParamPoly()
@@ -876,12 +881,13 @@ def _edge_split(cs):
 # ring homomorphism (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4).
 # It is injective on polynomials with deg_eta < le, deg_g < lg and every
 # coefficient below 2^(width-1) in absolute value, and such a polynomial is
-# zero exactly when its image is.  Symbolic determinants pack only (g, h),
-# with le = 1 and keys (0, i, j), one int per eta-coefficient; proportional
-# and EtaPoly.__mul__ pack whole polynomials in (eta, g, h).  A coefficient of
-# a product a*b is a sum of products of one coefficient of each, so its size
-# is at most |a|_1 * |b|_inf (sum and maximum of the coefficients' sizes), and
-# slots of width bits(|a|_1 * |b|_inf) + 2 hold it.
+# zero exactly when its image is.  Symbolic Wronskians are evaluated at
+# g = 2^width, h = 2^(width*lg) (le = 1), one int per eta-coefficient;
+# EtaPoly.__mul__ packs whole polynomials in (eta, g, h), and
+# _products_equal does too, with eta outermost, from rows of digits.  A
+# coefficient of a product a*b is a sum of products of one coefficient of
+# each, so its size is at most |a|_1 * |b|_inf (sum and maximum of the
+# coefficients' sizes), and slots of width bits(|a|_1 * |b|_inf) + 2 hold it.
 
 
 def _cleared(polys):
@@ -973,23 +979,45 @@ def _param_mul(a, b):
     return _unpack(v, width, le, lg, None if ints else sa * sb)
 
 
-def _products_equal(a, x, b, y):
-    """Whether a*x == b*y for nonzero EtaPolys a, b and nonzero scalars x, y
-    (ints, Fractions or ParamPolys): all four are cleared by one common
-    denominator, and the integer products are compared as one product of
-    packed ints per side, in slots wider than any coefficient of their
-    difference."""
-    (ta, tx, tb, ty), _ = _cleared([a, EtaPoly((x,)), b, EtaPoly((y,))])
+def _rows(cs, slots=None):
+    """(rows, lg): rows[k][i + lg*j] is the int coefficient of g^i h^j in cs[k],
+    for ints and int-coefficient ParamPolys, or the balanced digits of ints
+    packed in slots (width, lg)."""
+    if slots:
+        return [_digits(c, slots[0]) for c in cs], slots[1]
+    if all(type(c) is int for c in cs):
+        return [[c] for c in cs], 1
+    terms = [c.terms if type(c) is ParamPoly else {(0, 0): c} for c in cs]
+    lg = 1 + max((i for t in terms for i, _ in t), default=0)
+    rows = [[0] * (lg * (1 + max((j for _, j in t), default=0))) for t in terms]
+    for row, t in zip(rows, terms):
+        for (i, j), n in t.items():
+            row[i + lg * j] = n
+    return rows, lg
 
-    def top(t, axis):
-        return max(key[axis] for key in t)
-    le = 1 + max(top(ta, 0), top(tb, 0))
-    lg = 1 + max(top(ta, 1) + top(tx, 1), top(tb, 1) + top(ty, 1))
-    bound = (sum(map(abs, tx.values())) * max(map(abs, ta.values()))
-             + sum(map(abs, ty.values())) * max(map(abs, tb.values())))
-    width = bound.bit_length() + 2
-    return (_pack(ta, width, le, lg) * _pack(tx, width, le, lg)
-            == _pack(tb, width, le, lg) * _pack(ty, width, le, lg))
+
+def _products_equal(a, x, b, y):
+    """Whether a*x == b*y for nonzero a, b in (eta, g, h) as _rows gives them
+    and nonzero scalars x, y (ints, Fractions or ParamPolys), cleared by one
+    common denominator: one product of packed ints per side, in slots wider
+    than any coefficient of the difference, eta outermost, so that each
+    h-row of a factor moves into its ng g-slots as one slice."""
+    (x, y), _ = _clear([x, y])
+    sides = ((a, _rows([x])), (b, _rows([y])))
+    ng = max(p[1] + s[1] for p, s in sides) - 1
+    nh = 1 + max(sum(max(len(r) - 1 for r in rs) // lg for rs, lg in side) for side in sides)
+    width = sum(sum(map(abs, s[0][0])) * max(max(map(abs, r), default=0) for r in p[0])
+                for p, s in sides).bit_length() + 2
+
+    def pack(rs, lg):
+        dense = [0] * (ng * nh * len(rs))
+        for k, r in enumerate(rs):
+            step = lg if lg < ng else len(r) or 1  # rows at the stride ng move whole
+            for j in range(0, len(r), step):
+                at, chunk = ng * (nh * k + j // lg), r[j:j + step]
+                dense[at:at + len(chunk)] = chunk
+        return _pack_list(dense, width)
+    return pack(*a) * pack(*sides[0][1]) == pack(*b) * pack(*sides[1][1])
 
 
 def proportional(a, b):
@@ -1006,7 +1034,9 @@ def proportional(a, b):
     if not a or not b:
         raise ZeroPolynomialError("proportionality test requires nonzero inputs")
     la, lb = a.lc, b.lc
-    if a.degree != b.degree or not _products_equal(a, lb, b, la):
+    ns, _ = _clear(a.coeffs + b.coeffs)  # one common denominator, which cancels
+    na = len(a.coeffs)
+    if a.degree != b.degree or not _products_equal(_rows(ns[:na]), lb, _rows(ns[na:]), la):
         return None
     if isinstance(la, Fraction) and isinstance(lb, Fraction):
         return la / lb
@@ -1016,7 +1046,7 @@ def proportional(a, b):
 def _factored_ratio(la, lb, a_factors, b_factors):
     """la/lb as proportional reports it, read off from factor lists with no gcd.
 
-    la and lb are nonzero ParamPolys or Fractions, each a rational constant
+    la and lb are nonzero ints, Fractions or ParamPolys, each a rational constant
     times the product of its list of integer factors (cg, ch, c0) =
     cg*g + ch*h + c0.  Constant factors are dropped, the others are made
     primitive with a positive graded-lex leading coefficient (cg, or ch
@@ -1028,8 +1058,8 @@ def _factored_ratio(la, lb, a_factors, b_factors):
     graded-lex leading coefficients are read, and nothing is checked here:
     the caller proves that the result is the constant it claims to be.
     """
-    if isinstance(la, Fraction) and isinstance(lb, Fraction):
-        return la / lb
+    if type(la) is not ParamPoly and type(lb) is not ParamPoly:
+        return Fraction(la, lb)
     la, lb = ParamPoly._coerce(la), ParamPoly._coerce(lb)
     count = {}
     for factors, sign in ((a_factors, 1), (b_factors, -1)):
@@ -1045,14 +1075,14 @@ def _factored_ratio(la, lb, a_factors, b_factors):
     for (cg, ch, c0), e in count.items():
         if not e:
             continue
-        f = _raw_parampoly({k: v for k, v in (((1, 0), cg), ((0, 1), ch), ((0, 0), c0)) if v})
+        f = _linear(cg, ch, c0)
         for _ in range(abs(e)):
             if e > 0:
                 num, lc_num = num * f, lc_num * (cg or ch)
             else:
                 den, lc_den = den * f, lc_den * (cg or ch)
     r = ParamRat.__new__(ParamRat)
-    r.num = num.scale(la.leading_coeff() / (lb.leading_coeff() * lc_num))
+    r.num = num.scale(Fraction(la.leading_coeff(), lb.leading_coeff() * lc_num))
     r.den = den.scale(Fraction(1, lc_den))
     return r
 

@@ -14,7 +14,7 @@ Tuples are comma-separated states like "I1,II2,III1" (types I, II, III, N
 with nonnegative indices); the empty string is the empty tuple.  A tuple has
 at most MAX_STATES = 12 states, and every state index and --up-to is at most
 MAX_INDEX = 40; larger input is a parse error (exit 2).  The work grows
-steeply with both: symbolic poly I40 takes about 1 s, the symbolic Wronskian
+steeply with both: symbolic poly I40 takes about 0.7 s, the symbolic Wronskian
 of I80 (past the limit, through the API) about 30 s, and poly I99999 does
 not finish in minutes.  verify-identity --random K checks at most
 MAX_RANDOM = 1000 identities: a symbolic one takes 0.05-0.1 s on average
@@ -38,6 +38,7 @@ import json
 import random
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 from .algebra import ParamPoly, ParamRat
@@ -422,21 +423,24 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        args.inst = _instantiation(args)  # checked once, for every command
-        return args.func(args)
-    except TupleParseError as e:
-        print("parse error: %s" % e, file=sys.stderr)
-        return 2
-    except DuplicateStatesError as e:
-        print("invalid tuple: %s" % e, file=sys.stderr)
-        return 3
-    except IdentityMismatchError as e:
-        print("identity failure: %s" % e, file=sys.stderr)
-        return 4
-    except NonGenericParametersError as e:
-        print("non-generic parameters: %s" % e, file=sys.stderr)
-        return 5
+    with warnings.catch_warnings():  # each warning as one line: its message
+        warnings.showwarning = lambda message, *_: print("warning: %s" % message,
+                                                         file=sys.stderr)
+        try:
+            args.inst = _instantiation(args)  # checked once, for every command
+            return args.func(args)
+        except TupleParseError as e:
+            print("parse error: %s" % e, file=sys.stderr)
+            return 2
+        except DuplicateStatesError as e:
+            print("invalid tuple: %s" % e, file=sys.stderr)
+            return 3
+        except IdentityMismatchError as e:
+            print("identity failure: %s" % e, file=sys.stderr)
+            return 4
+        except NonGenericParametersError as e:
+            print("non-generic parameters: %s" % e, file=sys.stderr)
+            return 5
 
 
 if __name__ == "__main__":

@@ -30,7 +30,8 @@ verifiers build W[current] directly at the shifted parameters
 (g + dg, h + dh), symbols or a point, on one path in both modes.  They
 predict the constant of proportionality in closed form, from the known
 factors of both leading coefficients, and prove the identity and that
-constant together by one comparison of packed integer products.
+constant together by one comparison of packed integer products, which
+re-slots the digits of symbolic cores that stay packed from the kernel on.
 
 Iterating left moves of the second division until no type II state remains,
 and of the first division until no type III state remains, reduces any tuple
@@ -44,18 +45,17 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AffineExp, EtaPoly, _F1, _factored_ratio, _products_equal
+from .algebra import AffineExp, _factored_ratio, _products_equal, _rows
 from .states import (
     State,
     StateTuple,
     StateType,
     as_state_tuple,
-    _int_state,
     _params,
     _quasi,
     _resolve_point,
 )
-from .wronskian import _int_wronskian
+from .wronskian import _core, _tuple_wronskian, _unpacked
 
 
 @dataclass(frozen=True)
@@ -229,8 +229,8 @@ class ProportionalityReport:
 
 
 # larger tuples go to a point: the symbolic 5-state W[I2,II0,II2,III4,N4] takes
-# 0.5-0.7 s, the 6-state W[I2,II0,II2,III4,N4,N2] 3.4-4.5 s (CPU time, best of
-# 3, three rounds, Python 3.11, 2-core container)
+# 0.4-0.5 s, the 6-state W[I2,II0,II2,III4,N4,N2] 3.2-4.0 s (CPU time, best of
+# 3, alternated rounds, Python 3.11, 2-core container)
 SYMBOLIC_SIZE_CAP = 5
 
 
@@ -263,37 +263,41 @@ def _check_ledger_identity(t_before, t_after, ledger, instantiate):
     on one path: (g, h) = (G/Q, H/Q) is the symbols or the point of
     states._resolve_point as an integer point (states._params), and the
     right side is built at (G + dg*Q, H + dh*Q)/Q.  Both sides are integer
-    states at Q (wronskian._int_wronskian): exponents over Q, to which the
+    states at Q (wronskian._tuple_wronskian): exponents over Q, to which the
     right side adds each prefactor exponent read at the integer point,
-    cg*G + ch*H + c0*Q, and integer cores a and b over scales s_l and s_r.
-    Once the exponents and the degrees agree, algebra._factored_ratio
-    predicts the constant c = num/den = la*s_r/(s_l*lb) from the leading
-    coefficients la and lb: a Fraction when both are constants (at a point,
-    or symbolically for two empty tuples), else the reduced ParamRat read
-    off the closed-form factors of both leading coefficients (_lc_factors),
-    with no gcd.  One packed comparison, a*(den*s_r) == b*(num*s_l)
-    (algebra._products_equal), then proves both that W[t_before] is c times
-    the prefactor times W[t_after] and that c is the reported constant.
+    cg*G + ch*H + c0*Q, and integer cores a and b, packed symbolically, over
+    scales s_l and s_r.  Once the exponents and the degrees agree,
+    algebra._factored_ratio predicts the constant c = num/den =
+    la*s_r/(s_l*lb) from the leading coefficients la and lb, the only ones
+    unpacked: a Fraction when both are constants (at a point, or
+    symbolically for two empty tuples), else the reduced ParamRat read off
+    the closed-form factors of both leading coefficients (_lc_factors),
+    with no gcd.  One packed comparison of the cores' rows, a*(den*s_r) ==
+    b*(num*s_l) (algebra._products_equal), then proves both that
+    W[t_before] is c times the prefactor times W[t_after] and that c is the
+    reported constant.
     """
     point = _resolve_point(max(len(t_before), len(t_after)), SYMBOLIC_SIZE_CAP,
                            instantiate)
     g, h, q = pt = _params(point)
     shifted = (g + ledger.dg * q, h + ledger.dh * q, q)
-    lhs = _int_wronskian([_int_state(s, pt) for s in t_before], q)
-    es, ec, b, s_r = _int_wronskian([_int_state(s, shifted) for s in t_after], q)
+    lhs = _tuple_wronskian(t_before, pt)
+    es, ec, b, s_r, r_slots = _tuple_wronskian(t_after, shifted)
     ps, pc = (e.cg * g + e.ch * h + e.c0 * q for e in (ledger.prefS, ledger.prefC))
-    rhs = es + ps, ec + pc, b, s_r
-    a, s_l, const = lhs[2], lhs[3], None
+    rhs = es + ps, ec + pc, b, s_r, r_slots
+    _, _, a, s_l, l_slots = lhs
+    const = None
     if lhs[:2] == rhs[:2] and len(a) == len(b):
-        c = _factored_ratio(  # lb * _F1: a Fraction at a point
-            a[-1] * Fraction(s_r, s_l), b[-1] * _F1,
-            _lc_factors(t_before), _lc_factors(t_after, ledger.dg, ledger.dh))
+        la, lb = _core(a[-1:], l_slots)[0], _core(b[-1:], r_slots)[0]
+        c = _factored_ratio(la * s_r, lb * s_l, _lc_factors(t_before),
+                            _lc_factors(t_after, ledger.dg, ledger.dh))
         num, den = (c, 1) if type(c) is Fraction else (c.num, c.den)
-        if _products_equal(EtaPoly(a), den * s_r, EtaPoly(b), num * s_l):
+        if _products_equal(_rows(a, l_slots), den * s_r, _rows(b, r_slots), num * s_l):
             const = c
     detail = "" if const is not None else (
         "exponent or polynomial mismatch: lhs %s / rhs %s"
-        % tuple(w.scale_poly(Fraction(1, d)) for w, d in (_quasi(lhs, q), _quasi(rhs, q))))
+        % tuple(w.scale_poly(Fraction(1, d))
+                for w, d in (_quasi(_unpacked(x), q) for x in (lhs, rhs))))
     mode = "symbolic" if point is None else "instantiated"
     return ProportionalityReport(const is not None, const, t_before, t_after,
                                  ledger, mode, point, detail)

@@ -76,7 +76,8 @@ from .states import (
     _resolve_point,
 )
 from .maya import tuple_to_diagrams
-from .wronskian import RawQuasi, _int_wronskian, _state_column, differentiate
+from .wronskian import (RawQuasi, _int_wronskian, _state_column, _tuple_wronskian, _unpacked,
+                        differentiate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +191,7 @@ def deformed_potential(t, inst=None):
     (wronskian._state_column), and (log W)'' = 4 (P2 P - P1^2) /
     ((1-eta^2) P^2) gives -8 (w2 p - w1^2) / (big^2 (1-eta^2) p^2)."""
     pt = _params(inst)
-    wt = _int_wronskian([_int_state(s, pt) for s in as_state_tuple(t)], pt[2])
+    wt = _unpacked(_tuple_wronskian(as_state_tuple(t), pt))
     big, (p, w1, w2), _ = _state_column(wt, pt[2], 3)
     p, w1, w2 = map(EtaPoly, (p, w1, w2))
     return potential(inst).add(QuasiRat.make(
@@ -251,12 +252,25 @@ def _eigen_identity(w, y, e, pt):
 
 
 def _numerator(t, states, s, pt):
-    """The integer states at pt of the level s's numerator Wronskian, from
-    those of t: W[t, phi_n] for s = phi_n, W[t without s] for s = III_m."""
+    """The integer states at pt (States for pt None) of the level s's
+    numerator Wronskian, from those of t: W[t, phi_n] for s = phi_n,
+    W[t without s] for s = III_m."""
     if s.type is StateType.N:
-        return states + [_int_state(s, pt)]
+        return states + [s if pt is None else _int_state(s, pt)]
     i = t.states.index(s)
     return states[:i] + states[i + 1:]
+
+
+def _wronskians(t, s, inst):
+    """(pt, w, y): the point pt of inst and, as integer states at it, W[t] and
+    the level s's numerator Wronskian: on t's states built once at a point,
+    unpacked from a Kronecker point each for the symbols."""
+    pt = _params(inst)
+    if inst is None:
+        return (pt, *(_unpacked(_tuple_wronskian(x, pt))
+                      for x in (t, _numerator(t, list(t), s, None))))
+    states = [_int_state(x, pt) for x in t]
+    return pt, _int_wronskian(states, pt[2]), _int_wronskian(_numerator(t, states, s, pt), pt[2])
 
 
 def _warn_if_small(w, y, q, stacklevel):
@@ -297,10 +311,7 @@ def verify_eigenfunction(t, n, inst=None):
     phi = State(StateType.N, n)
     t.with_state(phi)  # raises DuplicateStatesError for deleted levels
     inst = _resolve_point(len(t), SYMBOLIC_SIZE_CAP, inst)
-    pt = _params(inst)
-    states = [_int_state(s, pt) for s in t]
-    wt = _int_wronskian(states, pt[2])
-    y = _int_wronskian(_numerator(t, states, phi, pt), pt[2])
+    pt, wt, y = _wronskians(t, phi, inst)
     if inst:
         _warn_if_small(wt, y, pt[2], 2)
     return _eigen_identity(wt, y, _int_eigenvalue(phi, pt), pt), eigenvalue(phi)
@@ -320,10 +331,7 @@ def extra_eigenstate(t, ell, inst=None):
         raise ValueError("deleted state must be of type III, got %s" % s)
     if inst is not None:
         inst = require_generic(*inst)
-    pt = _params(inst)
-    states = [_int_state(x, pt) for x in t]
-    wt = _int_wronskian(states, pt[2])
-    wr = _int_wronskian(_numerator(t, states, s, pt), pt[2])
+    pt, wt, wr = _wronskians(t, s, inst)
     if inst:
         _warn_if_small(wt, wr, pt[2], 2)
     (wt, st), (wr, sr) = _quasi(wt, pt[2]), _quasi(wr, pt[2])

@@ -32,7 +32,11 @@ ParamPolys over Q = 1.  A state's exponents are then a/Q and b/Q with
 a = G or Q - G and b = H or Q - H, and its Jacobi polynomial is the integer
 sum at the common denominator 2Q over its divisor in lowest terms
 (_int_state); the Wronskians take these integer states as they are, and
-only the public values (make_state) divide.
+only the public values (make_state) divide.  A symbolic Wronskian builds its
+states on ints too, at a Kronecker point g = 2^w, h = 2^(w*lg), Q = 1
+(_kronecker_sum), where evaluation packs each (g, h)-polynomial in slots of
+w bits; their contents and norms are read off the digits at a provisional
+point (_sum_norms).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, prod
 
 from .algebra import (
     AffineExp,
@@ -50,6 +54,7 @@ from .algebra import (
     P_H,
     ParamPoly,
     _clear,
+    _digits,
     _exact_point,
     _lowest,
     _raw_parampoly,
@@ -361,6 +366,49 @@ def _int_state(s, pt):
     return a, b, p, d
 
 
+def _symbols(pt):
+    """The symbols G, H of _params over Q = 1 as int triples (cg, ch, c0) of
+    cg*g + ch*h + c0 (ValueError for Q > 1, where a Kronecker point fails)."""
+    if pt[2] != 1:
+        raise ValueError("symbolic parameters need integral constants, got Q = %d" % pt[2])
+    return [(0, 0, x) if type(x) is int else
+            tuple(x.terms.get(k, 0) for k in ((1, 0), (0, 1), (0, 0))) for x in pt[:2]]
+
+
+def _kronecker_sum(s, sym, width, lg):
+    """(a, b, p, den): _int_state of s at the symbols sym (_symbols) before its
+    division, at g = 2^width, h = 2^(width*lg), where evaluation packs each
+    (g, h)-polynomial in slots (width, lg) (algebra._pack)."""
+    g, h = 1 << width, 1 << width * lg
+    a, b = (x if sign > 0 else 1 - x for x, sign in
+            zip((cg * g + ch * h + c0 for cg, ch, c0 in sym), s.type.signs))
+    return (a, b, *_jacobi_sum(s.v, 2 * a - 1, 2 * (a + b - 1), 2))
+
+
+def _sum_norms(s, sym):
+    """(a, b, x, deg, k): the exponents of s at the symbols sym as int triples,
+    and of its Jacobi sum the content k (the gcd of the divisor and every
+    integer coefficient; the packed values' gcd can exceed it), the l1 norms
+    x of the eta-coefficients over k and their largest g-degree, read off
+    the digits at a provisional Kronecker point.  Its slots hold each digit:
+    _jacobi_sum run on l1 norms (|x*y|_1 <= |x|_1 |y|_1, |x + c|_1 <= |x|_1
+    + |c|, (1-eta)^k has coefficients of at most 2^k) bounds it by B <
+    2^(width-2), and v affine factors make a g-degree below v + 1."""
+    n = s.v
+    a, b = ((cg, ch, c0) if sign > 0 else (-cg, -ch, 1 - c0)
+            for (cg, ch, c0), sign in zip(sym, s.type.signs))
+    na = 2 * abs(a[0]) + 2 * abs(a[1]) + abs(2 * a[2] - 1)
+    ns = 2 * (abs(a[0] + b[0]) + abs(a[1] + b[1]) + abs(a[2] + b[2] - 1))
+    bound = sum(comb(n, k) * prod(na + 2 * i for i in range(k + 1, n + 1))
+                * prod(ns + 2 * (n + i) for i in range(1, k + 1)) for k in range(n + 1)) << n
+    width = bound.bit_length() + 2
+    _, _, p, den = _kronecker_sum(s, sym, width, n + 1)
+    digits = [_digits(c, width) for c in p]
+    k = gcd(den, *(d for ds in digits for d in ds))
+    deg = max((i % (n + 1) for ds in digits for i, d in enumerate(ds) if d), default=0)
+    return a, b, [sum(map(abs, ds)) // k for ds in digits], deg, k
+
+
 def make_state(s, inst=None):
     """The state s^a c^b P_v^(a - 1/2, b - 1/2) as a QuasiPoly, with a = g or
     1 - g and b = h or 1 - h at the parameters (g, h) of inst: the symbols
@@ -375,9 +423,12 @@ def make_state(s, inst=None):
 
 
 def eigenvalue(s):
-    """Exact eigenvalue as a ParamPoly in (g, h) of Fractions: _int_eigenvalue
-    for the symbols, where Q = 1."""
-    return ParamPoly(_int_eigenvalue(s, _params(None)).terms)
+    """Exact eigenvalue as a ParamPoly in (g, h) of Fractions, read off
+    _int_eigenvalue at the Kronecker point (2^w, 2^(2w), 1): its terms g*h,
+    g, h and 1 have coefficients of at most (2v + 2)^2 < 2^(w-2)."""
+    w = ((2 * s.v + 2) ** 2).bit_length() + 2
+    digits = _digits(_int_eigenvalue(s, (1 << w, 1 << 2 * w, 1)), w)
+    return ParamPoly({(i % 2, i // 2): d for i, d in enumerate(digits) if d})
 
 
 def _int_eigenvalue(s, pt):

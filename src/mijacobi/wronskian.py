@@ -14,10 +14,10 @@ Q_{i,j}(eta), so
 
 The Wronskian is one integer pipeline in both modes (_int_wronskian), and
 Fractions appear only at its boundary.  It runs at the integer point
-(G, H, Q) of states._params: states enter as integer states, exponents a/Q
-and b/Q with a and b ints (int-coefficient ParamPolys over Q = 1 in symbolic
-mode) and integer Jacobi sums (states._int_state), and other inputs are
-cleared of denominators once (_int_quasis).  The columns' constants come
+(G, H, Q) of states._params, at a Kronecker point in symbolic mode
+(_tuple_wronskian): states enter as integer states, exponents a/Q and b/Q
+with a and b ints and integer Jacobi sums (states._int_state), and other
+inputs are cleared of denominators once (_int_quasis).  The columns' constants come
 off a -/+ b by one gcd with Q (_columns), the exponent sums stay integers,
 and the Wronskian is itself an integer state at Q; the public calls build
 one AffineExp pair and divide once (states._quasi).  Derivatives follow an
@@ -26,10 +26,10 @@ fraction-free elimination over Z[eta] (_lazy_det: one row of minors,
 differentiated as it goes, in n(n-1)/2 combines where Bareiss on the n
 derivative rows takes (n-1)n(2n-1)/6) takes the determinant, and its
 (1 -/+ eta) factors go into the exponents, still on integers: the public
-Wronskian is an integer core over one integer scale.  Entries are ints at a
-point; in symbolic mode each eta-coefficient, a polynomial in (g, h), is
-packed into one int by Kronecker substitution, once, in slots that _lazy_det
-bounds from the columns for both the determinant and the edge step.
+Wronskian is an integer core over one integer scale.  Entries are ints in
+both modes: in symbolic mode each eta-coefficient, a polynomial in (g, h),
+is one int packed in the slots that _slots bounds from the states' norms
+for both the determinant and the edge step, unpacked at the boundary only.
 det_poly_matrix, integer Bareiss on the explicit matrix, is the kernel's
 reference.  The eta-polynomial left over is the object of interest: for
 tuples of well states a (multi-indexed) Jacobi-type one.
@@ -51,16 +51,19 @@ from .algebra import (
     _edge_split,
     _int_combine,
     _int_exact_div,
+    _linear,
     _lowest,
-    _pack,
     _unpack,
 )
 from .states import (
     QuasiPoly,
     as_state_tuple,
     _int_state,
+    _kronecker_sum,
     _params,
     _quasi,
+    _sum_norms,
+    _symbols,
     _value,
 )
 
@@ -193,16 +196,12 @@ def det_poly_matrix(mat):
     return EtaPoly([sign * c for c in m[-1][-1]]) if m else EtaPoly.const(1)
 
 
-def _column_bounds(p, c0, c1, n, big):
-    """(norms, deg): entry i of _column(p, c0, c1, n, big) has l1 norm (the sum
-    of all |coefficients| in eta, g and h) at most norms[i], by _step run on
-    the eta-coefficients' norms with |c*x|_1 <= |c|_1*|x|_1 (c1 + big*k
-    differs from c1 in its constant only), and g-degree at most deg + i, as
-    c0 and c1 are affine in (g, h)."""
-    def l1(c):
-        return abs(c) if type(c) is int else sum(map(abs, c.terms.values()))
-    k1 = c1 if type(c1) is int else c1.terms.get((0, 0), 0)
-    a0, r1, x = l1(c0), l1(c1) - abs(k1), [l1(c) for c in p]
+def _column_bounds(x, a0, r1, k1, n, big):
+    """norms: entry i of _column(p, c0, c1, n, big) has l1 norm (the sum of
+    all |coefficients| in eta, g and h) at most norms[i], for x the l1 norms
+    of p's eta-coefficients, a0 that of c0, and c1 = k1 + r with k1 its
+    constant and r1 = |r|_1: _step run on the norms, with |c*x|_1 <=
+    |c|_1*|x|_1 (c1 + big*k differs from c1 in its constant only)."""
     norms = [sum(x)]
     for _ in range(1, n):
         nxt = [0] * (len(x) + 1)
@@ -212,82 +211,81 @@ def _column_bounds(p, c0, c1, n, big):
             nxt[k - 1] += big * k * v  # zero at k = 0
         x, k1 = nxt, k1 - big
         norms.append(sum(x))
-    return norms, max((i for c in p if type(c) is not int for i, _ in c.terms), default=0)
+    return norms
+
+
+def _slots(cols, big):
+    """(width, lg): the slots that hold a symbolic determinant and its edge
+    step, for columns given by their norms (x, deg, a0, r1, k1): those that
+    _column_bounds reads, and deg the largest g-degree in p.
+
+    Entry (i, j) has g-degree at most deg_j + i, as c0 and c1 are affine in
+    (g, h), so every minor has g-degree below lg = 1 + sum_j deg_j +
+    n(n-1)/2, the sum along any permutation, and eta-degree at most e =
+    sum_j deg p_j + n(n-1)/2.  Fix (g, h) on the torus |g| = |h| = 1.  For
+    |eta| = 1 entry (i, j) is at most its l1 bound N_ij, so a minor is at
+    most H = prod_i max(1, sqrt(sum_j N_ij^2)) (Hadamard).  The Mahler
+    measure of the determinant, at most the mean of its size for |eta| = 1,
+    is then at most H; M is multiplicative and M(eta -/+ 1) = 1, so each
+    quotient q = det / ((eta-1)^i (eta+1)^j) the edge step forms has
+    M(q) <= H, and by Landau-Mignotte (von zur Gathen & Gerhard, 6.2)
+    |q_m| <= C(deg q, m) M(q).  So q(1), q(-1), the partial sums of a
+    synthetic division of q, and every coefficient of a minor, of q and of
+    2^(i+j) q are at most 2^e H.  A (g, h)-coefficient is a mean over the
+    torus of such a value times a monomial, so it is as small, and slots of
+    width bits, with 2^e H < 2^(width-2), hold it: a packed value is zero
+    exactly when its polynomial is, and each unpacks uniquely.
+    """
+    n = len(cols)
+    bounds = [_column_bounds(x, a0, r1, k1, n, big) for x, _, a0, r1, k1 in cols]
+    h2 = prod(max(1, sum(norms[i] ** 2 for norms in bounds)) for i in range(n))
+    e = sum(len(x) - 1 for x, *_ in cols) + n * (n - 1) // 2
+    width = (h2.bit_length() + 1) // 2 + 2 + e
+    return width, 1 + sum(deg for _, deg, *_ in cols) + n * (n - 1) // 2
 
 
 def _lazy_det(cols, big):
-    """(det, slots): the derivative matrix's determinant as the list of its
-    eta-coefficients, ints at a point (slots None) and packed in slots
-    (width, lg) in symbolic mode, from one row of minors u_j = det(rows
-    0..k; columns 0..k-1, j), columns sorted to ascending eta-degree.
+    """The derivative matrix's determinant as the int list of its
+    eta-coefficients, from one row of minors u_j = det(rows 0..k; columns
+    0..k-1, j), columns sorted to ascending eta-degree.  In symbolic mode
+    the ints are (g, h)-polynomials packed in the slots of _slots, which
+    hold every minor, and the kernel runs on them unchanged.
 
     D u_j (_step with column j's own c0, c1) is the minor with row k one
     derivative further, up to a term (C0 + C1*eta)*u_j shared by level k that
     cancels in u_k*D u_j - D u_k*u_j = prev * (next u_j) (Sylvester; prev is
     the previous pivot, none at k = 0).  A zero pivot makes columns 0..k
     dependent: the determinant is zero.
-
-    Symbolic eta-coefficients are packed into ints (algebra._pack, a ring
-    homomorphism) in slots bounded from the columns (_column_bounds), wide
-    enough for _int_wronskian's edge step too.  Every minor has g-degree
-    below lg = 1 + sum_j deg_j + n(n-1)/2, the sum along any permutation,
-    and eta-degree at most e = sum_j deg p_j + n(n-1)/2.  Fix (g, h) on the
-    torus |g| = |h| = 1.  For |eta| = 1 entry (i, j) is at most its l1 bound
-    N_ij, so a minor is at most H = prod_i max(1, sqrt(sum_j N_ij^2))
-    (Hadamard).  The Mahler measure of the determinant, at most the mean of
-    its size for |eta| = 1, is then at most H; M is multiplicative and
-    M(eta -/+ 1) = 1, so each quotient q = det / ((eta-1)^i (eta+1)^j) the
-    edge step forms has M(q) <= H, and by Landau-Mignotte (von zur Gathen &
-    Gerhard, 6.2) |q_m| <= C(deg q, m) M(q).  So q(1), q(-1), the partial
-    sums of a synthetic division of q, and every coefficient of a minor, of
-    q and of 2^(i+j) q are at most 2^e H.  A (g, h)-coefficient is a mean
-    over the torus of such a value times a monomial, so it is as small, and
-    slots of width bits, with 2^e H < 2^(width-2), hold it: a packed value
-    is zero exactly when its polynomial is, and each unpacks uniquely.
     """
     n = len(cols)
-    packed = not all(type(x) is int for p, _, c0, c1 in cols for x in (*p, c0, c1))
-    if packed:
-        bounds = [_column_bounds(p, c0, c1, n, big) for p, _, c0, c1 in cols]
-        h2 = prod(max(1, sum(norms[i] ** 2 for norms, _ in bounds)) for i in range(n))
-        e = sum(len(p) - 1 for p, _, _, _ in cols) + n * (n - 1) // 2
-        width = (h2.bit_length() + 1) // 2 + 2 + e
-        lg = 1 + sum(deg for _, deg in bounds) + n * (n - 1) // 2
-
-        def pack(c):
-            return c if type(c) is int else _pack({(0, *ij): v for ij, v in c.terms.items()},
-                                                  width, 1, lg)
-        cols = [([pack(c) for c in p], d, pack(c0), pack(c1)) for p, d, c0, c1 in cols]
     order = sorted(range(n), key=lambda j: len(cols[j][0]))
     sign = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
     u, cs, prev = [cols[j][0] for j in order], [cols[j][2:] for j in order], None
     for k in range(n - 1):
         if not u[k]:
-            return [], None
+            return []
         lead = _step(u[k], *cs[k], big)
         for j in range(k + 1, n):
             num = _int_combine(u[k], _step(u[j], *cs[j], big), lead, u[j])
             u[j] = num if prev is None else _int_exact_div(num, prev)
         prev = u[k]
-    return [sign * c for c in u[-1]], (width, lg) if packed else None
+    return [sign * c for c in u[-1]]
 
 
 def _int_wronskian(states, q, det=None):
     """(a, b, w, scale): the Wronskian of the integer states (a, b, p, d) of
     _columns at the denominator q, as an integer state at q itself: s^(a/q)
     c^(b/q) (w / scale), canonical but for the int scale, with an integer
-    core w: ints at a point, int-coefficient ParamPolys in symbolic mode.
-    det(cols, big) is the determinant of the explicit derivative matrix of
-    cols as _lazy_det (the default) gives it; row i carries big^i and column
-    j its d_j, so scale = big^off * prod d_j, and the exponents sum those of
-    the states less off = n(n-1)/2, the q*off of a and b.
+    core w.  det(cols, big) is the determinant of the explicit derivative
+    matrix of cols as _lazy_det (the default) gives it; row i carries big^i
+    and column j its d_j, so scale = big^off * prod d_j, and the exponents
+    sum those of the states less off = n(n-1)/2, the q*off of a and b.
 
     The (1 -/+ eta) factors come off the integer determinant (_edge_split):
     (1-eta)^k = 2^k sin^(2k) x and (1+eta)^k = 2^k cos^(2k) x raise an
-    exponent by 2k and the core by 2^k.  In symbolic mode they come off the
-    determinant's own packed ints, whose slots _lazy_det chose to hold every
-    value the step tests for zero or unpacks; the core's g-degrees, those
-    of sums of the determinant's coefficients, stay below lg.
+    exponent by 2k and the core by 2^k.  At a Kronecker point
+    (_tuple_wronskian) they come off the packed ints, whose slots hold
+    every value the step tests for zero.
     """
     n = len(states)
     if n == 0:
@@ -295,17 +293,51 @@ def _int_wronskian(states, q, det=None):
     off = n * (n - 1) // 2
     big, cols = _columns(states, q)
     scale = big ** off * prod(d for _, d, _, _ in cols)
-    cs, slots = (det or _lazy_det)(cols, big)
+    cs = (det or _lazy_det)(cols, big)
     if not cs:
         raise WronskianZeroError("zero Wronskian")
     k_minus, k_plus, core = _edge_split(cs)
     core = [c << (k_minus + k_plus) for c in core]
-    if slots:
-        width, lg = slots
-        core = [_unpack(c, width, 1, lg).coeff(0) if c else P_ZERO for c in core]
     exp_s = sum((a for a, _, _, _ in states), (2 * k_minus - off) * q)
     exp_c = sum((b for _, b, _, _ in states), (2 * k_plus - off) * q)
     return exp_s, exp_c, core, scale
+
+
+def _tuple_wronskian(t, pt):
+    """(a, b, w, scale, slots): _int_wronskian of the States t at the point pt
+    of states._params, slots None.  At the symbols the states are ints at a
+    Kronecker point (states._kronecker_sum) in the slots of _slots from
+    their exact norms (states._sum_norms), w is packed in them, and a and b
+    are never read off packed ints, where one state's g and h can share a
+    slot."""
+    if not t or all(type(x) is int for x in pt[:2]):
+        return (*_int_wronskian([_int_state(s, pt) for s in t], pt[2]), None)
+    sym = _symbols(pt)
+    norms = [_sum_norms(s, sym) for s in t]
+    slots = _slots([(x, deg, sum(abs(u - v) for u, v in zip(a, b)),
+                     abs(a[0] + b[0]) + abs(a[1] + b[1]), a[2] + b[2])
+                    for a, b, x, deg, _ in norms], 2)
+    states = []
+    for s, (*_, k) in zip(t, norms):
+        a, b, p, den = _kronecker_sum(s, sym, *slots)
+        states.append((a, b, [c // k for c in p], den // k))
+    es, ec, w, scale = _int_wronskian(states, 1)
+    # the affine sums of the states' exponents plus the edge step's change
+    a, b = (_linear(*map(sum, zip((0, 0, e - sum(st[i] for st in states)),
+                                  *(x[i] for x in norms))))
+            for i, e in ((0, es), (1, ec)))
+    return a, b, w, scale, slots
+
+
+def _core(cs, slots):
+    """A core's coefficients cs, unpacked from slots (width, lg) if given."""
+    return cs if slots is None else [
+        _unpack(c, slots[0], 1, slots[1]).coeff(0) if c else P_ZERO for c in cs]
+
+
+def _unpacked(w):
+    """The integer state (a, b, core, scale) of _tuple_wronskian's w."""
+    return w[0], w[1], _core(w[2], w[4]), w[3]
 
 
 def wronskian(t, inst=None):
@@ -319,7 +351,7 @@ def wronskian(t, inst=None):
     """
     t = as_state_tuple(t)
     pt = _params(inst)
-    w, scale = _quasi(_int_wronskian([_int_state(s, pt) for s in t], pt[2]), pt[2])
+    w, scale = _quasi(_unpacked(_tuple_wronskian(t, pt)), pt[2])
     return w.scale_poly(Fraction(1, scale))
 
 

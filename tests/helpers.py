@@ -29,9 +29,10 @@ from mijacobi.states import (DEFAULT_GENERIC_POINT, QuasiPoly, State, StateTuple
                              as_state_tuple, is_generic, require_generic)
 from mijacobi.states import random_tuple  # noqa: F401  (re-exported for the tests)
 from mijacobi.states import _int_state, _params, _quasi, _value
-from mijacobi.algebra import _F1, _clear, _exact_quo, _gcd, _unpack
+from mijacobi.algebra import _F1, _clear, _exact_quo, _gcd, _pack
 from mijacobi.wronskian import (RawQuasi, det_poly_matrix, differentiate, wronskian,
-                                _column, _int_quasis, _int_wronskian, _lazy_det)
+                                _column, _core, _int_quasis, _int_wronskian, _lazy_det,
+                                _slots)
 
 
 def _matrix(cols, big):
@@ -40,11 +41,60 @@ def _matrix(cols, big):
             for row in zip(*(_column(p, c0, c1, len(cols), big) for p, _, c0, c1 in cols))]
 
 
+def column_norms(p, c0, c1):
+    """(x, deg, a0, r1, k1): the norms of a column (p, d, c0, c1) of _columns
+    of ints and int-coefficient ParamPolys, as wronskian._slots reads them:
+    the l1 norms x of p's eta-coefficients and their largest g-degree deg,
+    the l1 norm a0 of c0, and c1's constant k1 and the l1 norm r1 of the
+    rest of c1."""
+    def l1(c):
+        return abs(c) if type(c) is int else sum(map(abs, c.terms.values()))
+    k1 = c1 if type(c1) is int else c1.terms.get((0, 0), 0)
+    deg = max((i for c in p if type(c) is not int for i, _ in c.terms), default=0)
+    return [l1(c) for c in p], deg, l1(c0), l1(c1) - abs(k1), k1
+
+
+def exact_slots(cols, big):
+    """The slots of the engine's width rule (wronskian._slots) for columns of
+    ints and int-coefficient ParamPolys, from their exact l1 norms."""
+    return _slots([column_norms(p, c0, c1) for p, _, c0, c1 in cols], big)
+
+
+def packed(c, slots):
+    """The int or int-coefficient ParamPoly c packed in slots (width, lg)."""
+    return c if type(c) is int else _pack({(0, *ij): v for ij, v in c.terms.items()},
+                                          slots[0], 1, slots[1])
+
+
+def pack_columns(cols, big):
+    """(cols, slots): columns with a ParamPoly entry packed in their exact
+    slots, ints kept as they are; slots None when all are ints.  No engine
+    caller hands the kernel a ParamPoly: this is the test side's."""
+    if all(type(x) is int for p, _, c0, c1 in cols for x in (*p, c0, c1)):
+        return cols, None
+    slots = exact_slots(cols, big)
+    return [([packed(c, slots) for c in p], d, packed(c0, slots), packed(c1, slots))
+            for p, d, c0, c1 in cols], slots
+
+
+def int_wronskian(states, q):
+    """wronskian._int_wronskian of integer states of ints or int-coefficient
+    ParamPolys: ParamPoly columns are packed here (pack_columns) for the
+    kernel, and the core is unpacked from the same slots."""
+    slots = [None]
+
+    def det(cols, big):
+        cols, slots[0] = pack_columns(cols, big)
+        return _lazy_det(cols, big)
+    a, b, core, scale = _int_wronskian(states, q, det)
+    return a, b, _core(core, slots[0]), scale
+
+
 def wronskian_of_quasis(quasis):
     """Wronskian of arbitrary quasi-polynomials, canonicalized: each is
-    cleared of denominators once and goes through _int_wronskian."""
+    cleared of denominators once and goes through int_wronskian."""
     states, q = _int_quasis(quasis)
-    w, scale = _quasi(_int_wronskian(states, q), q)
+    w, scale = _quasi(int_wronskian(states, q), q)
     return w.scale_poly(Fraction(1, scale))
 
 
@@ -63,22 +113,24 @@ def wronskian_compose_check(base, f, g2, inst=None):
     as_state_tuple(sts + [f, g2])  # distinctness check
     lhs, scale = _quasi(_int_wronskian(
         [_int_state(s, pt) for s in sts + [f, g2]], pt[2],
-        lambda cols, big: (det_poly_matrix(_matrix(cols, big)).coeffs, None)), pt[2])
+        lambda cols, big: det_poly_matrix(_matrix(cols, big)).coeffs), pt[2])
     lhs = lhs.scale_poly(Fraction(1, scale)).mul(wronskian(sts, inst))
     rhs = wronskian_of_quasis([wronskian(sts + [f], inst), wronskian(sts + [g2], inst)])
     return lhs == rhs
 
 
 def lazy_det(cols, big):
-    """wronskian._lazy_det of cols as an EtaPoly, read back from its slots.
+    """wronskian._lazy_det of cols as an EtaPoly, ParamPoly columns packed
+    here (pack_columns) and the determinant read back from their slots.
 
     In symbolic mode the slot width is checked against the bound it rests on,
     2^e H < 2^(width-2), with H the Hadamard bound of the explicit matrix's
-    own l1 norms (no larger than _lazy_det's, which it takes from the
+    own l1 norms (no larger than the width rule's, which it takes from the
     columns) and e = sum_j deg p_j + n(n-1)/2 the determinant's eta-degree
     bound.
     """
-    det, slots = _lazy_det(cols, big)
+    packed_cols, slots = pack_columns(cols, big)
+    det = _lazy_det(packed_cols, big)
     if slots is None:
         return EtaPoly(det)
 
@@ -90,8 +142,7 @@ def lazy_det(cols, big):
     n = len(cols)
     e = sum(len(p) - 1 for p, _, _, _ in cols) + n * (n - 1) // 2
     assert h2 << 2 * e < 1 << 2 * (slots[0] - 2)
-    return EtaPoly([_unpack(c, slots[0], 1, slots[1]).coeff(0) if c else ParamPoly()
-                    for c in det])
+    return EtaPoly(_core(det, slots))
 
 
 # -- numeric oracle ----------------------------------------------------------

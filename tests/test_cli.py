@@ -274,6 +274,15 @@ class TestSpectrum:
         assert all(rep["verify"].values())
 
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_small_exponents_warn_in_one_line(self, capsys):
+        # the warning's message alone: no path, line number or source line
+        code, out, err = run(capsys, "--g", "37/10", "--h", "52/7", "spectrum",
+                             "II2,III0,III2", "--up-to", "3", "--verify")
+        assert code == 0 and out.endswith("check eigenfunction E_2     : pass\n")
+        assert err == ("warning: eigenfunction exponents (7/10, 45/7) are below 3/2; the "
+                       "parameters may be too small for the full transformation chain\n")
+
     def test_singular_potential_is_reported_not_failed(self, capsys):
         rep = run_json(capsys, "--g", "3", "--h", "17/3",
                        "spectrum", "N1", "--up-to", "2", "--verify")

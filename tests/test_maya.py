@@ -429,6 +429,19 @@ class TestOnePath:
         sys.modules["mijacobi.wronskian"].compare_quasi(w, w)
         assert calls["compare_quasi"] == calls["proportional"] == 1
 
+    def test_symbolic_identity_unpacks_no_core(self, monkeypatch):
+        # both cores stay packed from the kernel to the comparison: nothing is
+        # packed or cleared, and only the two top coefficients are unpacked,
+        # for the closed-form constant
+        calls = self.count_oracle_calls(monkeypatch, ("_pack", "_unpack", "_cleared"))
+        for which in ("first", "second"):
+            for direction in ("left", "right"):
+                before = calls["_unpack"]
+                rep = verify_move_identity("I1,II2,III1,N0", which, direction)
+                assert rep.mode == "symbolic" and rep.proportional
+                assert calls["_unpack"] == before + 2
+        assert calls["_pack"] == calls["_cleared"] == 0
+
     def test_one_packed_comparison_per_identity(self, monkeypatch):
         calls = self.count_oracle_calls(monkeypatch, ("_products_equal",))
         checks = [(verify_move_identity, ("I1,II1,III1", which, direction))

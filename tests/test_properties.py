@@ -1,7 +1,9 @@
 """Property tests: a symbolic Wronskian instantiates to the Wronskian at the
 point, the integer states are the cleared Jacobi states, the integer core
 over its scale is the Wronskian and its symbolic form instantiates to the
-core at a point, the Wronskian at a point (negative, large-denominator and
+core at a point, the symbolic states built at a Kronecker point are the
+packed ParamPoly states in the width rule's slots and the provisional
+slots hold every digit of their Jacobi sums, the Wronskian at a point (negative, large-denominator and
 shifted ones) matches the instantiated symbolic one and an mpmath
 Wronskian of states built without the integer states, the integer root
 decision and sturm_count count as the Fraction Sturm chain does, the lazy
@@ -21,7 +23,9 @@ Symbolic properties run without hypothesis's shrink phase (no_shrink): a
 symbolic counterexample can be a huge polynomial, and shrinking it would
 take minutes where reporting the first failing example takes seconds."""
 
+import sys
 from fractions import Fraction as F
+from math import factorial
 
 import mpmath as mp
 import pytest
@@ -37,6 +41,7 @@ from mijacobi.algebra import (  # noqa: E402
     ParamRat,
     _clear,
     _factored_ratio,
+    _linear,
     _root_free,
     sturm_count,
 )
@@ -62,12 +67,18 @@ from mijacobi.wronskian import (  # noqa: E402
     _columns,
     _int_quasis,
     _int_wronskian,
+    _tuple_wronskian,
+    _unpacked,
     det_poly_matrix,
     shift_quasi,
     wronskian,
 )
 from helpers import (  # noqa: E402
     _matrix,
+    column_norms,
+    exact_slots,
+    int_wronskian,
+    packed,
     fraction_sturm_count,
     lazy_det,
     coefficient_terms,
@@ -144,7 +155,7 @@ def test_int_state_is_the_cleared_jacobi_state(s, inst):
 @given(tuples | same_family, st.none() | shifts | points)
 def test_int_wronskian_core_over_scale_is_the_wronskian(t, inst):
     pt = _params(inst)
-    w, scale = _quasi(_int_wronskian([_int_state(s, pt) for s in t], pt[2]), pt[2])
+    w, scale = _quasi(_unpacked(_tuple_wronskian(t, pt)), pt[2])
     assert type(scale) is int and scale > 0
     assert all(type(v) is int for v in coefficient_terms(w.poly))
     assert w.scale_poly(F(1, scale)) == wronskian_of_quasis([make_state(s, inst) for s in t])
@@ -160,12 +171,77 @@ def test_int_wronskian_core_over_scale_is_the_wronskian(t, inst):
 def test_symbolic_core_instantiates_to_point_core(t, pt):
     # the point route never packs, so it checks the edge factors that the
     # symbolic route takes off packed ints in the kernel's own slots
-    sym, s_sym = _quasi(_int_wronskian([_int_state(s, _params(None)) for s in t], 1), 1)
+    sym, s_sym = _quasi(int_wronskian([_int_state(s, _params(None)) for s in t], 1), 1)
     q = _params(pt)[2]
     at, s_at = _quasi(_int_wronskian([_int_state(s, _params(pt)) for s in t], q), q)
     assert sym.poly.instantiate(*pt).scale(F(s_at, s_sym)) == at.poly
     assert at.expS == AffineExp.const(sym.expS.eval_at(*pt))
     assert at.expC == AffineExp.const(sym.expC.eval_at(*pt))
+
+
+# -- symbolic states as integers at a Kronecker point -------------------------
+
+
+class _Stop(Exception):
+    """Ends a Wronskian once its integer states are built."""
+
+
+def kronecker_states(t, pt):
+    """(states, slots): the integer states and the slots with which
+    _tuple_wronskian at the symbols pt reaches _int_wronskian, not run."""
+    module, seen = sys.modules["mijacobi.wronskian"], []
+    rule = module._slots
+
+    def stop(states, q, det=None):
+        seen.append(states)
+        raise _Stop
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module, "_slots", lambda cols, big: seen.append(rule(cols, big)) or seen[-1])
+        m.setattr(module, "_int_wronskian", stop)
+        with pytest.raises(_Stop):
+            _tuple_wronskian(t, pt)
+    return seen[1], seen[0]
+
+
+@settings(no_shrink, max_examples=30)
+@given(st.lists(st.builds(State, st.sampled_from(list(StateType)), st.integers(0, 4)),
+                min_size=1, max_size=5, unique=True), st.integers(-4, 4), st.integers(-4, 4))
+def test_kronecker_states_are_the_packed_dict_states(t, dg, dh):
+    # the oracle is the ParamPoly route of _jacobi_sum that jacobi_poly keeps:
+    # _int_state at the symbols (g + dg, h + dh), packed in the slots of the
+    # width rule on the exact l1 norms of its columns
+    pt = _params((AffineExp(1, 0, dg), AffineExp(0, 1, dh)))
+    oracle = [_int_state(s, pt) for s in t]
+    states, slots = kronecker_states(t, pt)
+    big, cols = _columns(oracle, 1)
+    assert slots == exact_slots(cols, big)
+    assert states == [(packed(a, slots), packed(b, slots), [packed(c, slots) for c in p], d)
+                      for a, b, p, d in oracle]
+
+
+@settings(no_shrink, max_examples=8)
+@given(st.builds(State, st.sampled_from(list(StateType)), st.integers(0, 40)),
+       st.integers(-4, 4), st.integers(-4, 4))
+@example(State(StateType.III, 40), -4, 4)
+def test_provisional_slots_hold_every_digit(s, dg, dh):
+    # the provisional point of states._sum_norms: every integer coefficient
+    # of the undivided Jacobi sum, by the ParamPoly route, lies below
+    # 2^(width-2) and its g-degree below lg, and the exponents, content, l1
+    # norms and g-degree read off the digits are the oracle's
+    module, seen = sys.modules["mijacobi.states"], []
+    point = module._kronecker_sum
+    pt = _params((AffineExp(1, 0, dg), AffineExp(0, 1, dh)))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module, "_kronecker_sum", lambda s, sym, width, lg:
+                  seen.append((width, lg)) or point(s, sym, width, lg))
+        a, b, x, deg, k = module._sum_norms(s, module._symbols(pt))
+    [(width, lg)] = seen
+    ea, eb, p, d = _int_state(s, pt)
+    assert k * d == 4 ** s.v * factorial(s.v)  # the sum's divisor, d^n n! 2^n at d = 2
+    assert max(abs(v) * k for c in p for v in c.terms.values()) < 1 << (width - 2)
+    assert max(i for c in p for i, _ in c.terms) == deg < lg
+    assert x == [sum(map(abs, c.terms.values())) for c in p]
+    assert (_linear(*a), _linear(*b)) == (ea, eb)
 
 
 # -- the integer point against oracles that build no integer state ------------
@@ -309,7 +385,8 @@ def test_column_bounds_hold_for_every_entry(inputs):
     big, cols = _columns(*_int_quasis(inputs[0]))
     mat = _matrix(cols, big)
     for j, (p, _, c0, c1) in enumerate(cols):
-        norms, deg = _column_bounds(p, c0, c1, len(cols), big)
+        x, deg, a0, r1, k1 = column_norms(p, c0, c1)
+        norms = _column_bounds(x, a0, r1, k1, len(cols), big)
         for i, row in enumerate(mat):
             terms = [t for c in row[j].coeffs
                      for t in (c.terms.items() if isinstance(c, ParamPoly) else [((0, 0), c)])]
@@ -392,7 +469,7 @@ def test_factored_constant_matches_gcd_route(t, route, pt):
         ref = ParamRat(la, lb)
         assert r.num.terms == ref.num.terms and r.den.terms == ref.den.terms
     else:
-        assert type(r) is F and r == la / lb
+        assert type(r) is F and r == F(la, lb)
 
 
 # shift_quasi, substituting into the finished Wronskian, is the oracle of the

@@ -81,8 +81,8 @@ MUTANTS = (
     # The one proof of a move identity, a*(den*s_r) == b*(num*s_l), for the
     # constant num/den predicted from the closed-form factors.
     Mutant("identity-scales-swapped", MAYA,
-           "_products_equal(EtaPoly(a), den * s_r, EtaPoly(b), num * s_l)",
-           "_products_equal(EtaPoly(a), den * s_l, EtaPoly(b), num * s_r)",
+           "_products_equal(_rows(a, l_slots), den * s_r, _rows(b, r_slots), num * s_l)",
+           "_products_equal(_rows(a, l_slots), den * s_l, _rows(b, r_slots), num * s_r)",
            ("tests/test_maya.py",)),
     Mutant("identity-drops-den", MAYA,
            "den * s_r", "s_r",
@@ -116,17 +116,17 @@ MUTANTS = (
            FAMILY_TESTS),
     # The lazy-row determinant (_lazy_det).
     Mutant("lazy-explicit-route", WRONSKIAN,
-           "cs, slots = (det or _lazy_det)(cols, big)",
-           "cs, slots = (det or (lambda cols, big: (det_poly_matrix("
+           "cs = (det or _lazy_det)(cols, big)",
+           "cs = (det or (lambda cols, big: det_poly_matrix("
            "[[EtaPoly(e) for e in row] for row in zip(*(_column(p, c0, c1, len(cols), big)"
-           " for p, _, c0, c1 in cols))]).coeffs, None)))(cols, big)",
+           " for p, _, c0, c1 in cols))]).coeffs))(cols, big)",
            ("tests/test_wronskian.py",)),
     Mutant("lazy-permutation-sign", WRONSKIAN,
            "sign = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])",
            "sign = 1",
            ("tests/test_wronskian.py",)),
     Mutant("lazy-zero-pivot", WRONSKIAN,
-           "        if not u[k]:\n            return [], None\n", "",
+           "        if not u[k]:\n            return []\n", "",
            ("tests/test_wronskian.py",)),
     Mutant("lazy-combine-sign", WRONSKIAN,
            "_int_combine(u[k], _step(u[j], *cs[j], big), lead, u[j])",
@@ -160,6 +160,23 @@ MUTANTS = (
            "return ks[0], ks[1], cs if ks[0] % 2 == 0 else [-c for c in cs]",
            "return ks[0], ks[1], cs",
            ("tests/test_algebra.py", "tests/test_wronskian.py")),
+    # Symbolic states as ints at a Kronecker point: the provisional slots hold
+    # every digit with a 2-bit margin, the content comes off the digits (the
+    # gcd of the divisor and the packed values can exceed it), the exponents
+    # carry the edge step's change, and the identity re-slots each h-row.
+    Mutant("provisional-width-margin-dropped", STATES,
+           "width = bound.bit_length() + 2", "width = bound.bit_length()",
+           ("tests/test_properties.py",)),
+    Mutant("content-from-packed-values", STATES,
+           "k = gcd(den, *(d for ds in digits for d in ds))", "k = gcd(den, *p)",
+           ("tests/test_properties.py",)),
+    Mutant("kronecker-edge-change-dropped", WRONSKIAN,
+           "(0, 0, e - sum(st[i] for st in states))", "(0, 0, 0)",
+           WRONSKIAN_TESTS),
+    Mutant("products-h-row-offset", ALGEBRA,
+           "at, chunk = ng * (nh * k + j // lg), r[j:j + step]",
+           "at, chunk = ng * (nh * k + j), r[j:j + step]",
+           ("tests/test_maya.py",)),
     # The integer Jacobi sum of the states.
     Mutant("jacobi-wrong-term", STATES,
            "head = head * (s + d * (n + k))", "head = head * (s + d * (n + k + 1))",
@@ -197,7 +214,7 @@ MUTANTS = (
            "i = [x.type for x in t].index(StateType.III)",
            SPECTRAL_TESTS),
     Mutant("spectrum-bound-over-w-t", SPECTRAL,
-           "return states + [_int_state(s, pt)]", "return states",
+           "return states + [s if pt is None else _int_state(s, pt)]", "return states",
            SPECTRAL_TESTS),
     # The quotient route: -2 (log W)'' has big^2 in its denominator, and the
     # higher exponent's side folds the sin^2 and cos^2 factors.
