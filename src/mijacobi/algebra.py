@@ -620,10 +620,6 @@ class AffineExp:
         """Exponent after the substitution g -> g + dg, h -> h + dh."""
         return AffineExp(self.cg, self.ch, self.c0 + self.cg * dg + self.ch * dh)
 
-    def eval_at(self, gv, hv):
-        gv, hv = _exact_point(gv, hv)
-        return self.cg * gv + self.ch * hv + self.c0
-
     def as_parampoly(self):
         return _raw_parampoly(
             {k: Fraction(v) for k, v in
@@ -861,13 +857,12 @@ def _edge_split(cs):
     ks = []
     for root in (1, -1):
         k = 0
-        while len(cs) > 1:
+        # cs(root) by sums first: most lists have no edge factor to divide out
+        while len(cs) > 1 and not (sum(cs) if root == 1 else sum(cs[::2]) - sum(cs[1::2])):
             q, acc = [None] * (len(cs) - 1), cs[-1]
             for i in range(len(cs) - 2, -1, -1):
                 q[i] = acc
                 acc = cs[i] + acc if root == 1 else cs[i] - acc
-            if acc:
-                break
             cs, k = q, k + 1
         ks.append(k)
     # (1 - eta)^k = (-1)^k (eta - 1)^k

@@ -229,8 +229,8 @@ class ProportionalityReport:
 
 
 # larger tuples go to a point: the symbolic 5-state W[I2,II0,II2,III4,N4] takes
-# 0.4-0.5 s, the 6-state W[I2,II0,II2,III4,N4,N2] 3.2-4.0 s (CPU time, best of
-# 3, alternated rounds, Python 3.11, 2-core container)
+# 0.22 s, the 6-state W[I2,II0,II2,III4,N4,N2] 1.4 s (CPU time, best of 3,
+# alternated rounds, Python 3.11, 2-core container)
 SYMBOLIC_SIZE_CAP = 5
 
 

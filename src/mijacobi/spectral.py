@@ -287,9 +287,9 @@ def _warn_if_small(w, y, q, stacklevel):
 
 # Eigen checks of at most SYMBOLIC_SIZE_CAP states run symbolic when no point
 # is given; larger tuples go to a point.  Symbolic checks with the cap lifted
-# take 0.01 s (I1,II1, n = 1) to 0.04 s (I2,II2, n = 2) for 2 states,
-# 0.014-0.1 s for 3 (I0,II1,N2; I1,II1,III1; I2,II2,III2, n = 0) and
-# 0.15-0.25 s for 4 (I2,II1,III1,N1; I1,II2,III1,N2; I2,II0,II2,III1; n = 0)
+# take 0.005 s (I1,II1, n = 1) to 0.025 s (I2,II2, n = 2) for 2 states,
+# 0.015-0.1 s for 3 (I0,II1,N2; I1,II1,III1; I2,II2,III2, n = 0) and
+# 0.13-0.22 s for 4 (I2,II1,III1,N1; I1,II2,III1,N2; I2,II0,II2,III1; n = 0)
 # (CPU time, best of 3, Python 3.11, 2-core container).  The cap changes
 # which mode API callers get, so it stays until a benchmark workload of
 # symbolic eigen checks measures a new one.  It applies to the verifiers

@@ -24,12 +24,13 @@ one AffineExp pair and divide once (states._quasi).  Derivatives follow an
 integer form of the rule above (_step), a lazy
 fraction-free elimination over Z[eta] (_lazy_det: one row of minors,
 differentiated as it goes, in n(n-1)/2 combines where Bareiss on the n
-derivative rows takes (n-1)n(2n-1)/6) takes the determinant, and its
-(1 -/+ eta) factors go into the exponents, still on integers: the public
+derivative rows takes (n-1)n(2n-1)/6) takes the determinant.  It splits the
+(1 -/+ eta) factors off each minor as it forms it and multiplies the cores
+only; the factors go into the exponents, still on integers: the public
 Wronskian is an integer core over one integer scale.  Entries are ints in
 both modes: in symbolic mode each eta-coefficient, a polynomial in (g, h),
 is one int packed in the slots that _slots bounds from the states' norms
-for both the determinant and the edge step, unpacked at the boundary only.
+for every minor and its edge step, unpacked at the boundary only.
 det_poly_matrix, integer Bareiss on the explicit matrix, is the kernel's
 reference.  The eta-polynomial left over is the object of interest: for
 tuples of well states a (multi-indexed) Jacobi-type one.
@@ -215,26 +216,31 @@ def _column_bounds(x, a0, r1, k1, n, big):
 
 
 def _slots(cols, big):
-    """(width, lg): the slots that hold a symbolic determinant and its edge
-    step, for columns given by their norms (x, deg, a0, r1, k1): those that
-    _column_bounds reads, and deg the largest g-degree in p.
+    """(width, lg): the slots that hold a symbolic determinant, its minors
+    and their edge steps, for columns given by their norms (x, deg, a0, r1,
+    k1): those that _column_bounds reads, and deg the largest g-degree in p.
 
     Entry (i, j) has g-degree at most deg_j + i, as c0 and c1 are affine in
     (g, h), so every minor has g-degree below lg = 1 + sum_j deg_j +
     n(n-1)/2, the sum along any permutation, and eta-degree at most e =
     sum_j deg p_j + n(n-1)/2.  Fix (g, h) on the torus |g| = |h| = 1.  For
     |eta| = 1 entry (i, j) is at most its l1 bound N_ij, so a minor is at
-    most H = prod_i max(1, sqrt(sum_j N_ij^2)) (Hadamard).  The Mahler
-    measure of the determinant, at most the mean of its size for |eta| = 1,
-    is then at most H; M is multiplicative and M(eta -/+ 1) = 1, so each
-    quotient q = det / ((eta-1)^i (eta+1)^j) the edge step forms has
+    most H = prod_i max(1, sqrt(sum_j N_ij^2)) (Hadamard: a minor on fewer
+    rows and columns drops factors, each at least 1, and shortens rows).
+    The Mahler measure of a minor, at most the mean of its size for |eta| =
+    1, is then at most H; M is multiplicative and M(eta -/+ 1) = 1, so each
+    quotient q = minor / ((eta-1)^i (eta+1)^j) an edge step forms has
     M(q) <= H, and by Landau-Mignotte (von zur Gathen & Gerhard, 6.2)
     |q_m| <= C(deg q, m) M(q).  So q(1), q(-1), the partial sums of a
     synthetic division of q, and every coefficient of a minor, of q and of
-    2^(i+j) q are at most 2^e H.  A (g, h)-coefficient is a mean over the
-    torus of such a value times a monomial, so it is as small, and slots of
-    width bits, with 2^e H < 2^(width-2), hold it: a packed value is zero
-    exactly when its polynomial is, and each unpacks uniquely.
+    2^(i+j) q are at most 2^e H.  The kernel (_lazy_det) splits the edge
+    factors off every entry of its lazy row, the minor on rows 0..k and
+    columns 0..k-1 and j, and the list it splits is that minor over edge
+    factors (see there): each value it tests for zero is of this kind.  A
+    (g, h)-coefficient is a mean over the torus of such a value times a
+    monomial, so it is as small, and slots of width bits, with 2^e H <
+    2^(width-2), hold it: a packed value is zero exactly when its polynomial
+    is, and each unpacks uniquely.
     """
     n = len(cols)
     bounds = [_column_bounds(x, a0, r1, k1, n, big) for x, _, a0, r1, k1 in cols]
@@ -245,31 +251,61 @@ def _slots(cols, big):
 
 
 def _lazy_det(cols, big):
-    """The derivative matrix's determinant as the int list of its
-    eta-coefficients, from one row of minors u_j = det(rows 0..k; columns
-    0..k-1, j), columns sorted to ascending eta-degree.  In symbolic mode
-    the ints are (g, h)-polynomials packed in the slots of _slots, which
-    hold every minor, and the kernel runs on them unchanged.
+    """(k_minus, k_plus, core): the derivative matrix's determinant as
+    (1-eta)^k_minus (1+eta)^k_plus times the int list core, which neither
+    factor divides (algebra._edge_split), from one row of minors u_j =
+    det(rows 0..k; columns 0..k-1, j), columns sorted to ascending
+    eta-degree.  In symbolic mode the ints are (g, h)-polynomials packed in
+    the slots of _slots, which hold every minor, and the kernel runs on them
+    unchanged.
 
     D u_j (_step with column j's own c0, c1) is the minor with row k one
     derivative further, up to a term (C0 + C1*eta)*u_j shared by level k that
     cancels in u_k*D u_j - D u_k*u_j = prev * (next u_j) (Sylvester; prev is
     the previous pivot, none at k = 0).  A zero pivot makes columns 0..k
     dependent: the determinant is zero.
+
+    Each minor is kept as (alpha, beta, core), u = (1-eta)^alpha
+    (1+eta)^beta core, its edge factors split off as it is formed, and the
+    kernel multiplies and divides cores only.  _step((1-eta)P; c0, c1) =
+    (1-eta) _step(P; c0 + big, c1 + big) and _step((1+eta)P; c0, c1) =
+    (1+eta) _step(P; c0 - big, c1 + big), so D u is the same factors times
+    the step of the core with (c0 + big(alpha - beta), c1 + big(alpha +
+    beta)), and the combine is the factors of u_k and u_j times that of the
+    cores.  prev's core is prime to 1 -/+ eta, so it divides the cores'
+    combine exactly over Z[eta] (Gauss), leaving next u_j over (1-eta)^a
+    (1+eta)^b, a = alpha_k + alpha_j - alpha_prev and b likewise.  Neither
+    is negative: up to its s^. c^. prefactor a minor is the Wronskian of its
+    columns' functions, of order at x = 0 the sum of the valuations there of
+    a basis of their span with distinct valuations, less C(m, 2); a further
+    column adds one valuation, at least its own sin exponent, so 2 alpha,
+    that order less the exponents' sum plus C(m, 2), never drops as columns
+    are added (alpha_k, alpha_j >= alpha_prev), and beta likewise at x =
+    pi/2.  So the quotient split here is a minor over edge factors, as _slots
+    needs.
     """
     n = len(cols)
     order = sorted(range(n), key=lambda j: len(cols[j][0]))
     sign = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
-    u, cs, prev = [cols[j][0] for j in order], [cols[j][2:] for j in order], None
+    u, cs = [_edge_split(cols[j][0]) for j in order], [cols[j][2:] for j in order]
+
+    def step(j):
+        a, b, p = u[j]
+        return _step(p, cs[j][0] + big * (a - b), cs[j][1] + big * (a + b), big)
+
+    prev = 0, 0, None
     for k in range(n - 1):
-        if not u[k]:
-            return []
-        lead = _step(u[k], *cs[k], big)
+        ak, bk, pk = u[k]
+        if not pk:
+            return 0, 0, []
+        lead = step(k)
         for j in range(k + 1, n):
-            num = _int_combine(u[k], _step(u[j], *cs[j], big), lead, u[j])
-            u[j] = num if prev is None else _int_exact_div(num, prev)
+            num = _int_combine(pk, step(j), lead, u[j][2])
+            a, b, core = _edge_split(num if prev[2] is None else _int_exact_div(num, prev[2]))
+            u[j] = ak + u[j][0] - prev[0] + a, bk + u[j][1] - prev[1] + b, core
         prev = u[k]
-    return [sign * c for c in u[-1]]
+    a, b, core = u[-1]
+    return a, b, [sign * c for c in core]
 
 
 def _int_wronskian(states, q, det=None):
@@ -277,15 +313,15 @@ def _int_wronskian(states, q, det=None):
     _columns at the denominator q, as an integer state at q itself: s^(a/q)
     c^(b/q) (w / scale), canonical but for the int scale, with an integer
     core w.  det(cols, big) is the determinant of the explicit derivative
-    matrix of cols as _lazy_det (the default) gives it; row i carries big^i
-    and column j its d_j, so scale = big^off * prod d_j, and the exponents
-    sum those of the states less off = n(n-1)/2, the q*off of a and b.
+    matrix of cols as (k_minus, k_plus, core), the (1 -/+ eta) factors split
+    off, as _lazy_det (the default) gives it; row i carries big^i and column
+    j its d_j, so scale = big^off * prod d_j, and the exponents sum those of
+    the states less off = n(n-1)/2, the q*off of a and b.
 
-    The (1 -/+ eta) factors come off the integer determinant (_edge_split):
     (1-eta)^k = 2^k sin^(2k) x and (1+eta)^k = 2^k cos^(2k) x raise an
     exponent by 2k and the core by 2^k.  At a Kronecker point
-    (_tuple_wronskian) they come off the packed ints, whose slots hold
-    every value the step tests for zero.
+    (_tuple_wronskian) the factors come off the packed ints, whose slots
+    hold every value the kernel tests for zero.
     """
     n = len(states)
     if n == 0:
@@ -293,10 +329,9 @@ def _int_wronskian(states, q, det=None):
     off = n * (n - 1) // 2
     big, cols = _columns(states, q)
     scale = big ** off * prod(d for _, d, _, _ in cols)
-    cs = (det or _lazy_det)(cols, big)
-    if not cs:
+    k_minus, k_plus, core = (det or _lazy_det)(cols, big)
+    if not core:
         raise WronskianZeroError("zero Wronskian")
-    k_minus, k_plus, core = _edge_split(cs)
     core = [c << (k_minus + k_plus) for c in core]
     exp_s = sum((a for a, _, _, _ in states), (2 * k_minus - off) * q)
     exp_c = sum((b for _, b, _, _ in states), (2 * k_plus - off) * q)

@@ -29,7 +29,7 @@ from mijacobi.states import (DEFAULT_GENERIC_POINT, QuasiPoly, State, StateTuple
                              as_state_tuple, is_generic, require_generic)
 from mijacobi.states import random_tuple  # noqa: F401  (re-exported for the tests)
 from mijacobi.states import _int_state, _params, _quasi, _value
-from mijacobi.algebra import _F1, _clear, _exact_quo, _gcd, _pack
+from mijacobi.algebra import _F1, _clear, _edge_split, _exact_quo, _gcd, _pack
 from mijacobi.wronskian import (RawQuasi, det_poly_matrix, differentiate, wronskian,
                                 _column, _core, _int_quasis, _int_wronskian, _lazy_det,
                                 _slots)
@@ -80,7 +80,8 @@ def pack_columns(cols, big):
 def int_wronskian(states, q):
     """wronskian._int_wronskian of integer states of ints or int-coefficient
     ParamPolys: ParamPoly columns are packed here (pack_columns) for the
-    kernel, and the core is unpacked from the same slots."""
+    kernel, whose (k_minus, k_plus, core) passes through, and the core is
+    unpacked from the same slots."""
     slots = [None]
 
     def det(cols, big):
@@ -113,15 +114,25 @@ def wronskian_compose_check(base, f, g2, inst=None):
     as_state_tuple(sts + [f, g2])  # distinctness check
     lhs, scale = _quasi(_int_wronskian(
         [_int_state(s, pt) for s in sts + [f, g2]], pt[2],
-        lambda cols, big: det_poly_matrix(_matrix(cols, big)).coeffs), pt[2])
+        lambda cols, big: _edge_split(det_poly_matrix(_matrix(cols, big)).coeffs)), pt[2])
     lhs = lhs.scale_poly(Fraction(1, scale)).mul(wronskian(sts, inst))
     rhs = wronskian_of_quasis([wronskian(sts + [f], inst), wronskian(sts + [g2], inst)])
     return lhs == rhs
 
 
+def with_edges(k_minus, k_plus, core):
+    """(1-eta)^k_minus (1+eta)^k_plus core for the int list core, packed or
+    not (the product is a ring homomorphism's image)."""
+    for sign, k in ((-1, k_minus), (1, k_plus)):
+        for _ in range(k):
+            core = [a + sign * b for a, b in zip(core + [0], [0] + core)]
+    return core
+
+
 def lazy_det(cols, big):
     """wronskian._lazy_det of cols as an EtaPoly, ParamPoly columns packed
-    here (pack_columns) and the determinant read back from their slots.
+    here (pack_columns): the kernel's (k_minus, k_plus, core) rebuilt into
+    the full determinant (with_edges) and read back from their slots.
 
     In symbolic mode the slot width is checked against the bound it rests on,
     2^e H < 2^(width-2), with H the Hadamard bound of the explicit matrix's
@@ -130,7 +141,7 @@ def lazy_det(cols, big):
     bound.
     """
     packed_cols, slots = pack_columns(cols, big)
-    det = _lazy_det(packed_cols, big)
+    det = with_edges(*_lazy_det(packed_cols, big))
     if slots is None:
         return EtaPoly(det)
 

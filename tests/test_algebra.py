@@ -175,10 +175,9 @@ class TestFloatPointsRejected:
     @pytest.mark.parametrize("evaluate", [
         lambda gv, hv: (G * H + G * 2 - 1).eval_at(gv, hv),
         lambda gv, hv: ParamRat(G - 1, H + 1).eval_at(gv, hv),
-        lambda gv, hv: AffineExp(1, -2, F(1, 2)).eval_at(gv, hv),
         lambda gv, hv: EtaPoly((G, F(3), H * 2)).instantiate(gv, hv),
         lambda gv, hv: EtaPoly((F(1, 2), F(3))).instantiate(gv, hv),
-    ], ids=["ParamPoly", "ParamRat", "AffineExp", "EtaPoly", "EtaPoly-instantiated"])
+    ], ids=["ParamPoly", "ParamRat", "EtaPoly", "EtaPoly-instantiated"])
     def test_float_raises_exact_agrees(self, evaluate):
         for gv, hv in ((0.1, 0), (3, 0.5), (F(1, 3), 2.0)):
             with pytest.raises(TypeError):
@@ -223,10 +222,9 @@ class TestAffineExp:
         assert str(AffineExp(0, 0, 0)) == "0"
         assert str(AffineExp(-1, 0, 1)) == "1 - g"
 
-    def test_shift_and_eval(self):
+    def test_shift(self):
         e = AffineExp(1, -2, F(1, 2))
         assert e.shifted(3, 1) == AffineExp(1, -2, F(1, 2) + 3 - 2)
-        assert e.eval_at(F(1, 2), F(1, 4)) == F(1, 2) - F(1, 2) + F(1, 2)
 
 
 class TestEtaPoly:

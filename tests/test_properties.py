@@ -9,7 +9,9 @@ Wronskian of states built without the integer states, the integer root
 decision and sturm_count count as the Fraction Sturm chain does, the lazy
 Wronskian determinant equals the explicit derivative
 matrix's determinant (by Bareiss at a point, by the Leibniz sum in symbolic
-mode), the column bounds of the symbolic packing hold for every entry of
+mode) and each edge-stripped minor it forms is its explicit minor's core,
+the edge exponents of W[T] have their closed form, the column bounds of the
+symbolic packing hold for every entry of
 that matrix, Wronskians have the closed-form degree and leading
 coefficient, the symbolic move constants read off those closed-form factors
 equal the gcd-reduced ones, each division move steps the ledger as its case
@@ -24,8 +26,9 @@ symbolic counterexample can be a huge polynomial, and shrinking it would
 take minutes where reporting the first failing example takes seconds."""
 
 import sys
+from collections import Counter
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import mpmath as mp
 import pytest
@@ -39,6 +42,7 @@ from mijacobi.algebra import (  # noqa: E402
     EtaPoly,
     ParamPoly,
     ParamRat,
+    extract_edge_factors,
     _clear,
     _factored_ratio,
     _linear,
@@ -65,6 +69,7 @@ from mijacobi.wronskian import (  # noqa: E402
     WronskianZeroError,
     _column_bounds,
     _columns,
+    _core,
     _int_quasis,
     _int_wronskian,
     _tuple_wronskian,
@@ -78,6 +83,7 @@ from helpers import (  # noqa: E402
     column_norms,
     exact_slots,
     int_wronskian,
+    pack_columns,
     packed,
     fraction_sturm_count,
     lazy_det,
@@ -101,6 +107,16 @@ no_shrink = settings(derandomized, phases=[Phase.explicit, Phase.generate])
 
 states = st.builds(State, st.sampled_from(list(StateType)), st.integers(0, 2))
 tuples = st.lists(states, min_size=1, max_size=3, unique=True)
+
+
+def sized_tuples(max_size, max_index):
+    """Tuples of 1..max_size distinct states of index at most max_index, the
+    size drawn uniformly."""
+    return st.integers(1, max_size).flatmap(lambda n: st.lists(
+        st.builds(State, st.sampled_from(list(StateType)), st.integers(0, max_index)),
+        min_size=n, max_size=n, unique=True))
+
+
 rationals = st.builds(F, st.integers(11, 80), st.sampled_from([3, 5, 6, 7, 10, 11, 12]))
 points = st.tuples(rationals, rationals).filter(lambda p: is_generic(*p))
 # (g + dg, h + dh), where every move identity builds its right side
@@ -116,8 +132,8 @@ params = st.sampled_from([2, F(-3, 2), G, G + 1, G - F(1, 2), H * 2 - 3, G + H])
 def test_symbolic_wronskian_instantiates_to_point_wronskian(t, pt):
     sym, at = wronskian(t), wronskian(t, inst=pt)
     assert at.poly == sym.poly.instantiate(*pt)
-    assert at.expS == AffineExp.const(sym.expS.eval_at(*pt))
-    assert at.expC == AffineExp.const(sym.expC.eval_at(*pt))
+    assert at.expS == AffineExp.const(sym.expS.as_parampoly().eval_at(*pt))
+    assert at.expC == AffineExp.const(sym.expC.as_parampoly().eval_at(*pt))
 
 
 # -- the integer pipeline: states, cores and the packed edge step --------------
@@ -175,8 +191,8 @@ def test_symbolic_core_instantiates_to_point_core(t, pt):
     q = _params(pt)[2]
     at, s_at = _quasi(_int_wronskian([_int_state(s, _params(pt)) for s in t], q), q)
     assert sym.poly.instantiate(*pt).scale(F(s_at, s_sym)) == at.poly
-    assert at.expS == AffineExp.const(sym.expS.eval_at(*pt))
-    assert at.expC == AffineExp.const(sym.expC.eval_at(*pt))
+    assert at.expS == AffineExp.const(sym.expS.as_parampoly().eval_at(*pt))
+    assert at.expC == AffineExp.const(sym.expC.as_parampoly().eval_at(*pt))
 
 
 # -- symbolic states as integers at a Kronecker point -------------------------
@@ -275,8 +291,8 @@ def test_point_wronskian_matches_oracles_without_int_state(t, pt, as_affine):
     if len(t) <= 3:
         sym = wronskian(t)
         assert w.poly == sym.poly.instantiate(*pt)
-        assert w.expS == AffineExp.const(sym.expS.eval_at(*pt))
-        assert w.expC == AffineExp.const(sym.expC.eval_at(*pt))
+        assert w.expS == AffineExp.const(sym.expS.as_parampoly().eval_at(*pt))
+        assert w.expC == AffineExp.const(sym.expC.as_parampoly().eval_at(*pt))
     # mpmath's det takes entries below its norm times eps for zero, so the
     # precision must span sin(x0)^g for g near 1000
     quasis = [jacobi_quasi(s, *pt) for s in t]
@@ -375,6 +391,69 @@ def test_lazy_det_matches_bareiss_at_a_point(inputs):
 @given(wronskian_inputs(4, st.none()))
 def test_lazy_det_matches_leibniz_symbolically(inputs):
     check_lazy_det(*inputs, leibniz_det)
+
+
+@settings(no_shrink, max_examples=20)
+@given(sized_tuples(4, 3))
+def test_every_stripped_minor_is_its_explicit_minors_core(t):
+    # symbolically the kernel's edge splits test packed ints in the slots of
+    # the width rule, once per minor it forms, det(rows 0..k; columns 0..k-1,
+    # j): each core left must be that of the minor itself, by the Leibniz sum
+    # over (g, h)-polynomials (no packing), and the powers split off at most
+    # the minor's own, so that every value tested is a minor over edge factors
+    big, cols = _columns(*_int_quasis([make_state(s) for s in t]))
+    cols.sort(key=lambda col: len(col[0]))  # the kernel's column order
+    packed_cols, slots = pack_columns(cols, big)
+    module, seen = sys.modules["mijacobi.wronskian"], []
+    split = module._edge_split
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module, "_edge_split", lambda cs: seen.append(split(cs)) or seen[-1])
+        module._lazy_det(packed_cols, big)
+    n, mat = len(cols), _matrix(cols, big)
+    minors = [(0, j) for j in range(n)] + [(k, j) for k in range(1, n) for j in range(k, n)]
+    assert len(seen) == len(minors)
+    for (k, j), (a, b, core) in zip(minors, seen):
+        k_minus, k_plus, want = extract_edge_factors(
+            leibniz_det([[row[c] for c in (*range(k), j)] for row in mat[:k + 1]]))
+        assert EtaPoly(_core(core, slots)) == want
+        assert a <= k_minus and b <= k_plus
+
+
+def closed_form_edges(t):
+    """(k_minus, k_plus) of W[t] in closed form.  States sharing a sin
+    exponent (g for N and I, 1 - g for II and III) span functions of
+    x-valuations a, a + 2, ... at x = 0, m of them C(m, 2) factors of sin^2 x
+    beyond the exponents' sum less n(n-1)/2; likewise at x = pi/2 for the
+    cos exponents (h for N and II, 1 - h for I and III)."""
+    m = Counter(s.type for s in t)
+    return (comb(m[StateType.N] + m[StateType.I], 2) + comb(m[StateType.II] + m[StateType.III], 2),
+            comb(m[StateType.N] + m[StateType.II], 2) + comb(m[StateType.I] + m[StateType.III], 2))
+
+
+def wronskian_edges(t, inst):
+    """(k_minus, k_plus) of the public W[t] at inst, read off its exponents:
+    those of its states less n(n-1)/2, plus 2 per edge factor."""
+    qs, w = [make_state(s, inst) for s in t], wronskian(t, inst)
+    off = comb(len(t), 2)
+    ks = [getattr(w, e) - sum((getattr(q, e) for q in qs), AffineExp()) + off
+          for e in ("expS", "expC")]
+    assert all(k.is_constant and k.c0.denominator == 1 and k.c0 % 2 == 0 for k in ks)
+    return tuple(int(k.c0) // 2 for k in ks)
+
+
+@settings(derandomized, max_examples=60)
+@given(sized_tuples(5, 4), points)
+def test_edge_exponents_at_least_closed_form_at_a_point(t, pt):
+    got, want = wronskian_edges(t, pt), closed_form_edges(t)
+    assert got[0] >= want[0] and got[1] >= want[1]
+
+
+@settings(no_shrink, max_examples=20)
+@given(sized_tuples(4, 4))
+@example([State(StateType.N, 0), State(StateType.N, 1), State(StateType.I, 1),
+          State(StateType.II, 0), State(StateType.III, 2)])
+def test_edge_exponents_have_the_closed_form_symbolically(t):
+    assert wronskian_edges(t, None) == closed_form_edges(t)
 
 
 @settings(no_shrink, max_examples=30)

@@ -114,24 +114,34 @@ MUTANTS = (
     Mutant("eigenvalue-drops-2v", STATES,
            "(sh < 0) + 2 * s.v) * q", "(sh < 0)) * q",
            FAMILY_TESTS),
-    # The lazy-row determinant (_lazy_det).
+    # The lazy-row determinant (_lazy_det) on edge-stripped minors: each step
+    # shifts (c0, c1) by the minor's edge powers, and the next minor's powers
+    # are u_k's and u_j's less the pivot's.
     Mutant("lazy-explicit-route", WRONSKIAN,
-           "cs = (det or _lazy_det)(cols, big)",
-           "cs = (det or (lambda cols, big: det_poly_matrix("
+           "k_minus, k_plus, core = (det or _lazy_det)(cols, big)",
+           "k_minus, k_plus, core = (det or (lambda cols, big: _edge_split(det_poly_matrix("
            "[[EtaPoly(e) for e in row] for row in zip(*(_column(p, c0, c1, len(cols), big)"
-           " for p, _, c0, c1 in cols))]).coeffs))(cols, big)",
+           " for p, _, c0, c1 in cols))]).coeffs)))(cols, big)",
            ("tests/test_wronskian.py",)),
     Mutant("lazy-permutation-sign", WRONSKIAN,
            "sign = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])",
            "sign = 1",
            ("tests/test_wronskian.py",)),
     Mutant("lazy-zero-pivot", WRONSKIAN,
-           "        if not u[k]:\n            return []\n", "",
+           "        if not pk:\n            return 0, 0, []\n", "",
            ("tests/test_wronskian.py",)),
     Mutant("lazy-combine-sign", WRONSKIAN,
-           "_int_combine(u[k], _step(u[j], *cs[j], big), lead, u[j])",
-           "_int_combine(lead, u[j], u[k], _step(u[j], *cs[j], big))",
+           "_int_combine(pk, step(j), lead, u[j][2])",
+           "_int_combine(lead, u[j][2], pk, step(j))",
            ("tests/test_wronskian.py",)),
+    Mutant("lazy-minor-shift-dropped", WRONSKIAN,
+           "_step(p, cs[j][0] + big * (a - b), cs[j][1] + big * (a + b), big)",
+           "_step(p, *cs[j], big)",
+           WRONSKIAN_TESTS),
+    Mutant("lazy-prev-exponents-kept", WRONSKIAN,
+           "u[j] = ak + u[j][0] - prev[0] + a, bk + u[j][1] - prev[1] + b, core",
+           "u[j] = ak + u[j][0] + a, bk + u[j][1] + b, core",
+           WRONSKIAN_TESTS),
     # Karatsuba over eta for the packed entries of symbolic minors: the
     # middle term, and the empty high half of a short factor.
     Mutant("karatsuba-middle-term-keeps-a1b1", ALGEBRA,
@@ -149,7 +159,8 @@ MUTANTS = (
            "nxt[k - 1] -= big * k * c", "nxt[k - 1] += big * k * c",
            WRONSKIAN_TESTS),
     # The one slot width: the Hadamard bits, 2 more for the sign and a spare,
-    # and e more for the edge step; and (1-eta)^k = (-1)^k (eta-1)^k.
+    # and e more for the edge step; (1-eta)^k = (-1)^k (eta-1)^k, and the
+    # edge test reads p(-1) as the alternating sum.
     Mutant("width-hadamard-margin-dropped", WRONSKIAN,
            "width = (h2.bit_length() + 1) // 2 + 2 + e", "width = (h2.bit_length() + 1) // 2 + e",
            WRONSKIAN_TESTS),
@@ -159,6 +170,9 @@ MUTANTS = (
     Mutant("edge-odd-k-minus-sign", ALGEBRA,
            "return ks[0], ks[1], cs if ks[0] % 2 == 0 else [-c for c in cs]",
            "return ks[0], ks[1], cs",
+           ("tests/test_algebra.py", "tests/test_wronskian.py")),
+    Mutant("edge-value-at-minus-one-sign", ALGEBRA,
+           "sum(cs[::2]) - sum(cs[1::2])", "sum(cs[::2]) + sum(cs[1::2])",
            ("tests/test_algebra.py", "tests/test_wronskian.py")),
     # Symbolic states as ints at a Kronecker point: the provisional slots hold
     # every digit with a 2-bit margin, the content comes off the digits (the
