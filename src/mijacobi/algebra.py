@@ -24,14 +24,17 @@ Everything downstream is built from four value types, all exact over Q:
              Fraction coefficients it is the one univariate type over Q: the
              gcd of ParamPolys runs on it too, and root counting clears it
              to ints (sturm_count, _root_free).  Its
-             arithmetic keeps ints ints, as ParamPoly's does, so integer
-             identities (the eigen checks) run on int coefficients at a
-             point and on int-coefficient ParamPolys symbolically.
+             arithmetic keeps ints ints, as ParamPoly's does, so the
+             quotient route of spectral (QuasiRat) runs on int coefficients
+             at a point and on int-coefficient ParamPolys symbolically.  The
+             eigen checks run on no EtaPoly arithmetic: they pack their
+             integer columns into ints (spectral._pack_columns).
 
 Integer polynomials are also packed into single Python ints (Kronecker
 substitution; see _pack): each eta-coefficient, a polynomial in (g, h), of a
 symbolic Wronskian, built packed at a Kronecker point, and each whole
-polynomial in (eta, g, h) of a proportionality check.  A product of two
+polynomial in (eta, g, h) of a proportionality check and of an eigen
+identity (_pack_rows).  A product of two
 EtaPolys is one product of packed ints in both modes: each factor is cleared of denominators once, packed in
 slots wider than any coefficient of the integer product (over eta alone at
 a point, over (eta, g, h) in symbolic mode) and the product is read back
@@ -827,10 +830,7 @@ class EtaPoly:
         return "EtaPoly(%s)" % self
 
 
-ETA_ONE = EtaPoly((_F1,))
 ONE_MINUS_ETA = EtaPoly((_F1, -_F1))
-ONE_PLUS_ETA = EtaPoly((_F1, _F1))
-ONE_MINUS_ETA_SQ = EtaPoly((_F1, _F0, -_F1))
 
 
 def extract_edge_factors(p):
@@ -878,8 +878,9 @@ def _edge_split(cs):
 # coefficient below 2^(width-1) in absolute value, and such a polynomial is
 # zero exactly when its image is.  Symbolic Wronskians are evaluated at
 # g = 2^width, h = 2^(width*lg) (le = 1), one int per eta-coefficient;
-# EtaPoly.__mul__ packs whole polynomials in (eta, g, h), and
-# _products_equal does too, with eta outermost, from rows of digits.  A
+# EtaPoly.__mul__ packs whole polynomials in (eta, g, h), and _pack_rows
+# does too, with eta outermost, from rows of digits, for _products_equal and
+# the eigen identity.  A
 # coefficient of a product a*b is a sum of products of one coefficient of
 # each, so its size is at most |a|_1 * |b|_inf (sum and maximum of the
 # coefficients' sizes), and slots of width bits(|a|_1 * |b|_inf) + 2 hold it.
@@ -897,8 +898,13 @@ def _cleared(polys):
 
 
 def _pack(terms, width, le, lg):
-    """The image of integer terms {(k, i, j): n} under the packing map."""
-    return sum(n << width * (k + le * (i + lg * j)) for (k, i, j), n in terms.items())
+    """The image of integer terms {(k, i, j): n} under the packing map, by
+    _pack_list on the dense list of slots (a sum of shifted terms would take
+    time quadratic in the packed length)."""
+    slots = [0] * (1 + max((k + le * (i + lg * j) for k, i, j in terms), default=-1))
+    for (k, i, j), n in terms.items():
+        slots[k + le * (i + lg * j)] += n
+    return _pack_list(slots, width)
 
 
 def _pack_list(ns, width):
@@ -991,28 +997,32 @@ def _rows(cs, slots=None):
     return rows, lg
 
 
+def _pack_rows(rs, lg, ng, nh, width):
+    """The image of rows rs of stride lg (_rows) with eta outermost: the
+    coefficient of eta^k g^i h^j goes to slot i + ng*(j + nh*k) of width
+    bits, so that each h-row moves into its ng g-slots as one slice."""
+    dense = [0] * (ng * nh * len(rs))
+    for k, r in enumerate(rs):
+        step = lg if lg < ng else len(r) or 1  # rows at the stride ng move whole
+        for j in range(0, len(r), step):
+            at, chunk = ng * (nh * k + j // lg), r[j:j + step]
+            dense[at:at + len(chunk)] = chunk
+    return _pack_list(dense, width)
+
+
 def _products_equal(a, x, b, y):
     """Whether a*x == b*y for nonzero a, b in (eta, g, h) as _rows gives them
     and nonzero scalars x, y (ints, Fractions or ParamPolys), cleared by one
-    common denominator: one product of packed ints per side, in slots wider
-    than any coefficient of the difference, eta outermost, so that each
-    h-row of a factor moves into its ng g-slots as one slice."""
+    common denominator: one product of packed ints per side (_pack_rows), in
+    slots wider than any coefficient of the difference."""
     (x, y), _ = _clear([x, y])
     sides = ((a, _rows([x])), (b, _rows([y])))
     ng = max(p[1] + s[1] for p, s in sides) - 1
     nh = 1 + max(sum(max(len(r) - 1 for r in rs) // lg for rs, lg in side) for side in sides)
     width = sum(sum(map(abs, s[0][0])) * max(max(map(abs, r), default=0) for r in p[0])
                 for p, s in sides).bit_length() + 2
-
-    def pack(rs, lg):
-        dense = [0] * (ng * nh * len(rs))
-        for k, r in enumerate(rs):
-            step = lg if lg < ng else len(r) or 1  # rows at the stride ng move whole
-            for j in range(0, len(r), step):
-                at, chunk = ng * (nh * k + j // lg), r[j:j + step]
-                dense[at:at + len(chunk)] = chunk
-        return _pack_list(dense, width)
-    return pack(*a) * pack(*sides[0][1]) == pack(*b) * pack(*sides[1][1])
+    return (_pack_rows(*a, ng, nh, width) * _pack_rows(*sides[0][1], ng, nh, width)
+            == _pack_rows(*b, ng, nh, width) * _pack_rows(*sides[1][1], ng, nh, width))
 
 
 def proportional(a, b):

@@ -23,8 +23,11 @@ minutes, and K above it is a parse error (exit 2).  Times are CPU time on
 Python 3.11 in a 2-core container.  The limits
 hold for the command line only; the API takes any size.  Rationals on the
 command line are "p/q" or decimals; a negative one is written --g=-7/3, since
-argparse reads --g -7/3 as a flag without its value (exit 2).  A point
---g/--h must be generic; maya and equivalent read none and reject one.  Output is UTF-8 text on stdout (JSON
+argparse reads --g -7/3 as a flag without its value (exit 2).  The options
+--json, --latex, --g, --h and --seed come before the command (mijacobi --g
+37/10 --h 52/7 spectrum T --verify); after it they are a parse error (exit
+2), and no option may be abbreviated.  A point --g/--h must be generic; maya
+and equivalent read none and reject one.  Output is UTF-8 text on stdout (JSON
 with --json, LaTeX with --latex where supported); errors go to stderr.
 
 Exit codes: 0 success, 2 parse error, 3 invalid tuple, 4 internal identity
@@ -374,7 +377,7 @@ def cmd_equivalent(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="mijacobi",
+        prog="mijacobi", allow_abbrev=False,
         description="Exact multi-indexed Jacobi polynomial engine")
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument("--latex", action="store_true", help="emit LaTeX")
@@ -384,29 +387,30 @@ def build_parser():
                         help="seed for randomized verification runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("poly", help="Wronskian polynomial part of a tuple")
+    p = sub.add_parser("poly", allow_abbrev=False, help="Wronskian polynomial part of a tuple")
     p.add_argument("tuple")
     p.set_defaults(func=cmd_poly)
 
-    p = sub.add_parser("maya", help="Maya diagrams of a tuple")
+    p = sub.add_parser("maya", allow_abbrev=False, help="Maya diagrams of a tuple")
     p.add_argument("tuple")
     p.set_defaults(func=cmd_maya)
 
-    p = sub.add_parser("reduce", help="reduce to a two-family normal form")
+    p = sub.add_parser("reduce", allow_abbrev=False, help="reduce to a two-family normal form")
     p.add_argument("tuple")
     p.add_argument("--target", default="IN", choices=[t.value for t in ReductionTarget])
     p.add_argument("--verify", action="store_true",
                    help="verify the reduction identity end to end")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("spectrum", help="permitted energy labels")
+    p = sub.add_parser("spectrum", allow_abbrev=False, help="permitted energy labels")
     p.add_argument("tuple")
     p.add_argument("--up-to", type=int, default=6, dest="up_to")
     p.add_argument("--verify", action="store_true",
                    help="verify eigenfunctions at the instantiation")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("verify-identity", help="check one division-move identity")
+    p = sub.add_parser("verify-identity", allow_abbrev=False,
+                       help="check one division-move identity")
     p.add_argument("tuple", nargs="?", default="")
     p.add_argument("--which", default="second", choices=["first", "second"])
     p.add_argument("--dir", default="left", choices=["left", "right"])
@@ -414,7 +418,8 @@ def build_parser():
                    help="instead verify K random tuples and moves")
     p.set_defaults(func=cmd_verify_identity)
 
-    p = sub.add_parser("equivalent", help="compare canonical forms of two tuples")
+    p = sub.add_parser("equivalent", allow_abbrev=False,
+                       help="compare canonical forms of two tuples")
     p.add_argument("tuple")
     p.add_argument("tuple2")
     p.set_defaults(func=cmd_equivalent)

@@ -24,16 +24,27 @@ which does not form H_T f as a quotient: for f = Y/W, W^2 (H_T - E) f is
 built from Y, W and their first two derivatives and leaves one polynomial
 in eta, which is zero exactly when the eigen-equation holds.  The
 derivatives are one integer column per side from the Wronskian's own
-derivative rule (wronskian._state_column), so the identity is decided on
-ints at a point and on int-coefficient ParamPolys in symbolic mode, scaled
-by a known nonzero integer instead of divided.  It reads the integer point
-(G, H, Q) of states._params throughout: both Wronskians are integer states
-at Q, the potential enters as Q^2 times itself and the eigenvalue as
-Q^2 E (states._int_eigenvalue).  verify_eigenfunction runs it for one bound
+derivative rule (wronskian._state_column), ints at a point and
+int-coefficient ParamPolys in symbolic mode, so the identity is an integer
+polynomial, scaled by a known nonzero integer instead of divided.  It is
+decided as one packed int in both modes: each of its seven columns is
+packed once, over eta alone at a point and over (eta, g, h) in symbolic
+mode, in slots proven wider than any coefficient of the identity
+(_pack_columns), and one sum of products of those ints is tested against
+0; no EtaPoly product is formed.  It reads the integer point (G, H, Q) of
+states._params throughout: both Wronskians are integer states at Q, the
+potential enters as Q^2 times itself and the eigenvalue as Q^2 E
+(states._int_eigenvalue).  verify_eigenfunction runs it for one bound
 level; verify_spectrum, the checks of spectrum --verify, builds W[T] once
-and runs it for every permitted level (_numerator picks Y).  QuasiRat,
-potential, apply_hamiltonian and deformed_potential keep the quotient route
-as public API; deformed_potential reads W[T]'s integer column too.
+and runs it for every permitted level (_numerator picks Y).
+
+QuasiRat, potential, apply_hamiltonian and deformed_potential keep the
+quotient route as public API, on ints inside: each operand is cleared once
+to an integer numerator and denominator (_ints), the arithmetic runs on
+those, and every public result holds Fractions (Fraction-coefficient
+ParamPolys in symbolic mode), each coefficient made once by Fraction(int),
+which takes no gcd (_rat).  deformed_potential reads W[T]'s integer column
+too.
 
 Nonsingularity (check_nonsingular, verify_spectrum) is decided on the
 integer core of W[T] at the point, never divided by its scale: Descartes'
@@ -52,16 +63,19 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 
 from .algebra import (
     AffineExp,
-    ETA_ONE,
     EtaPoly,
-    ONE_MINUS_ETA,
-    ONE_MINUS_ETA_SQ,
-    ONE_PLUS_ETA,
+    ParamPoly,
     _F1,
+    _clear,
+    _exact,
+    _pack_list,
+    _pack_rows,
     _root_free,
+    _rows,
 )
 from .states import (
     State,
@@ -85,9 +99,13 @@ class QuasiRat:
     """(sin x)^expS (cos x)^expC * num(eta)/den(eta), an exact quotient.
 
     num and den are kept as computed, with no common factor cancelled, so
-    symbolic coefficients stay ParamPolys.  Equality is equality of values,
-    decided by cross-multiplication; there is no normal form to hash, so
-    QuasiRats are unhashable.
+    symbolic coefficients stay ParamPolys; the results of the arithmetic
+    hold Fractions (ParamPolys of Fractions in symbolic mode).  The
+    arithmetic runs on ints: each operand is cleared once to an integer
+    numerator and denominator (_ints), and each coefficient of a result is
+    made a Fraction once (_rat).  Equality is equality of values, decided by
+    cross-multiplication; there is no normal form to
+    hash, so QuasiRats are unhashable.
     """
 
     expS: AffineExp
@@ -117,9 +135,12 @@ class QuasiRat:
     # -- exponent alignment --------------------------------------------------
     # Sums only make sense when the exponents differ by even integers; the
     # higher side then folds sin^2 = (1-eta)/2 or cos^2 = (1+eta)/2 factors
-    # into its numerator.
+    # in: (1-/+eta) into its integer numerator and the 2 into its integer
+    # denominator.
 
     def _aligned(self, other):
+        """((na, da), (nb, db), expS, expC): self and other as integer
+        quotients (_ints) over the lower exponents expS, expC."""
         ds = self.expS - other.expS
         dc = self.expC - other.expC
         if not (ds.is_constant and dc.is_constant):
@@ -127,42 +148,71 @@ class QuasiRat:
         ds, dc = ds.c0, dc.c0
         if ds.denominator != 1 or dc.denominator != 1 or ds % 2 or dc % 2:
             raise ValueError("exponent difference must be even integers")
-        half = Fraction(1, 2)
-        na, nb = self.num, other.num
-        for d, edge in ((ds, EtaPoly((half, -half))), (dc, EtaPoly((half, half)))):
-            for _ in range(abs(int(d)) // 2):
-                na, nb = (na * edge, nb) if d > 0 else (na, nb * edge)
+        (na, da), (nb, db) = _ints(self), _ints(other)
+        for d, sign in ((ds, -1), (dc, 1)):
+            k = abs(int(d)) // 2
+            if k:  # (sin^2 or cos^2)^k = (1 -/+ eta)^k / 2^k on the higher side
+                edge, two = EtaPoly([comb(k, i) * sign ** i for i in range(k + 1)]), 1 << k
+                if d > 0:
+                    na, da = na * edge, da.scale(two)
+                else:
+                    nb, db = nb * edge, db.scale(two)
         expS = self.expS if ds <= 0 else other.expS
         expC = self.expC if dc <= 0 else other.expC
-        return na, nb, expS, expC
+        return (na, da), (nb, db), expS, expC
 
     def add(self, other):
-        na, nb, expS, expC = self._aligned(other)
-        return QuasiRat.make(expS, expC,
-                             na * other.den + nb * self.den,
-                             self.den * other.den)
+        (na, da), (nb, db), expS, expC = self._aligned(other)
+        return _rat(expS, expC, na * db + nb * da, da * db)
 
     def sub(self, other):
         return self.add(other.scale(-1))
 
     def mul(self, other):
-        return QuasiRat.make(self.expS + other.expS, self.expC + other.expC,
-                             self.num * other.num, self.den * other.den)
+        (na, da), (nb, db) = _ints(self), _ints(other)
+        return _rat(self.expS + other.expS, self.expC + other.expC, na * nb, da * db)
 
     def scale(self, c):
-        return QuasiRat.make(self.expS, self.expC, self.num.scale(c), self.den)
+        """self times c: a rational c = p/q multiplies the integer numerator
+        by p and the denominator by q; a ParamPoly scales num."""
+        if type(c) is ParamPoly:
+            return QuasiRat.make(self.expS, self.expC, self.num.scale(c), self.den)
+        n, d = _ints(self)
+        c = _exact(c)
+        return _rat(self.expS, self.expC, n.scale(c.numerator), d.scale(c.denominator))
 
     def __str__(self):
         return "s^(%s) c^(%s) [%s] / [%s]" % (self.expS, self.expC, self.num, self.den)
 
 
+def _ints(f):
+    """(num, den): f's num and den as EtaPolys of ints or int-coefficient
+    ParamPolys, both times the lcm of all their denominators."""
+    ns, _ = _clear(f.num.coeffs + f.den.coeffs)
+    k = len(f.num.coeffs)
+    return EtaPoly(ns[:k]), EtaPoly(ns[k:])
+
+
+def _rat(expS, expC, num, den):
+    """The QuasiRat of integer num and den (_ints), each coefficient (each
+    ParamPoly term) made a Fraction by Fraction(int)."""
+    num, den = ([Fraction(c) if type(c) is int else ParamPoly(c.terms) for c in p.coeffs]
+                for p in (num, den))
+    return QuasiRat.make(expS, expC, EtaPoly(num), EtaPoly(den))
+
+
 def differentiate_rat(f):
     """One x-derivative of a QuasiRat f = s^a c^b N/D: with s^(a-1) c^(b-1) N1
     the derivative of s^a c^b N by differentiate, the quotient rule adds one
-    term, f' = s^(a-1) c^(b-1) [N1 D + (1-eta^2) N D'] / D^2."""
-    d = differentiate(RawQuasi(f.expS, f.expC, f.num))
-    num = d.poly * f.den + ONE_MINUS_ETA_SQ * (f.num * f.den.deriv())
-    return QuasiRat.make(d.expS, d.expC, num, f.den * f.den)
+    term, f' = s^(a-1) c^(b-1) [N1 D + (1-eta^2) N D'] / D^2.  N and D are
+    f's integer quotient (_ints); N1 comes over the scale s of
+    differentiate's one division, and s moves into the denominator:
+    f' = s^(a-1) c^(b-1) [s N1 D + s (1-eta^2) N D'] / (s D^2)."""
+    num, den = _ints(f)
+    d = differentiate(RawQuasi(f.expS, f.expC, num))
+    n1, s = _clear(d.poly.coeffs)
+    num = EtaPoly(n1) * den + (EtaPoly((1, 0, -1)) * (num * den.deriv())).scale(s)
+    return _rat(d.expS, d.expC, num, den.scale(s) * den)
 
 
 def potential(inst=None):
@@ -172,16 +222,17 @@ def potential(inst=None):
 
         U = 2g(g-1)/(1-eta) + 2h(h-1)/(1+eta) - (g+h)^2
 
-    with zero sin/cos prefactor exponents.  Only nonzero poles are folded
-    into num/den, so a vanishing g(g-1) or h(h-1) drops its pole.
+    with zero sin/cos prefactor exponents, built on the integer point
+    (G, H, Q) of states._params as Q^2 U = 2G(G-Q)/(1-eta) + 2H(H-Q)/(1+eta)
+    - (G+H)^2 over Q^2.  Only nonzero poles are folded into num/den, so a
+    vanishing g(g-1) or h(h-1), which is 2G(G-Q) or 2H(H-Q), drops its pole.
     """
     g, h, q = _params(inst)
-    g, h = g * Fraction(1, q), h * Fraction(1, q)
-    num, den = EtaPoly((-((g + h) * (g + h)),)), ETA_ONE
-    for c, pole in (((g * (g - 1)) * 2, ONE_MINUS_ETA), ((h * (h - 1)) * 2, ONE_PLUS_ETA)):
+    num, den = EtaPoly((-((g + h) * (g + h)),)), EtaPoly((1,))
+    for c, pole in ((2 * g * (g - q), (1, -1)), (2 * h * (h - q), (1, 1))):
         if c:
-            num, den = num * pole + den.scale(c), den * pole
-    return QuasiRat.make(AffineExp(), AffineExp(), num, den)
+            num, den = num * EtaPoly(pole) + den.scale(c), den * EtaPoly(pole)
+    return _rat(AffineExp(), AffineExp(), num, den.scale(q * q))
 
 
 def deformed_potential(t, inst=None):
@@ -196,7 +247,7 @@ def deformed_potential(t, inst=None):
     p, w1, w2 = map(EtaPoly, (p, w1, w2))
     return potential(inst).add(QuasiRat.make(
         AffineExp(), AffineExp(), (w2 * p - w1 * w1).scale(-8),
-        ONE_MINUS_ETA_SQ * (p * p).scale(big * big)))
+        EtaPoly((1, 0, -1)) * (p * p).scale(big * big)))
 
 
 def apply_hamiltonian(pot, f):
@@ -238,17 +289,58 @@ def _eigen_identity(w, y, e, pt):
             = K N,   K = k b_y^2 b_w^2,
 
     and K is not zero, so the integer left side is zero exactly when N is.
+    It is decided as one packed int (_pack_columns): each of the seven
+    columns v', P, W1', W2', R, Y1', Y2' is packed once, by one ring
+    homomorphism that is injective on the left side, so that side is zero
+    exactly when its image, the same sum of products of packed ints, is.
     """
     g, h, q = pt
     bw, (p, w1, w2), _ = _state_column(w, q, 3)
     by, (r, y1, y2), _ = _state_column(y, q, 3)
-    p, w1, w2, r, y1, y2 = map(EtaPoly, (p, w1, w2, r, y1, y2))
     ug, uh, us = 2 * g * (g - q), 2 * h * (h - q), (g + h) * (g + h) + e
-    v = EtaPoly((ug + uh - us, ug - uh, us))
-    k, by2 = 4 * q * q, by * by
-    n = (((v * r).scale(by2) - y2.scale(k)) * p).scale(bw * bw)
-    n = n + (y1 * w1).scale(2 * k * by * bw) - (r * w2).scale(k * by2)
-    return not n
+    k, by2, bw2 = 4 * q * q, by * by, bw * bw
+    cols = [ug + uh - us, ug - uh, us], p, w1, w2, r, y1, y2
+    # the left side's terms as (|scalar|, indices of their factors in cols)
+    terms = ((by2 * bw2, 0, 4, 1), (k * bw2, 6, 1), (2 * k * by * bw, 5, 2), (k * by2, 4, 3))
+    v, p, w1, w2, r, y1, y2 = _pack_columns(cols, terms)
+    return not ((v * r * by2 - k * y2) * p * bw2 + 2 * k * by * bw * y1 * w1 - k * by2 * r * w2)
+
+
+def _pack_columns(cols, terms):
+    """The coefficient lists cols over eta, of ints or int-coefficient
+    ParamPolys, each packed once, with eta outermost, in slots that hold
+    every coefficient of S = sum_t +/-s_t prod_i cols[i] for the terms
+    t = (s_t, i, ...): at a point by _pack_list, the layout being eta alone,
+    and in symbolic mode by algebra._pack_rows.
+
+    A coefficient of a product F_1 ... F_m sums one term of each factor, and
+    once the terms of F_1 ... F_(m-1) are chosen at most one term of F_m
+    completes a given monomial, so it is at most |F_1|_1 ... |F_(m-1)|_1
+    |F_m|_inf, l1 norm and largest |coefficient| over (eta, g, h); a term
+    with an empty factor is zero and adds nothing.  Every coefficient of S
+    is then at most B = sum_t s_t |...|_1 |...|_inf < 2^(width-1) for width
+    = bits(B) + 1, and S has g-degree below ng and h-degree below nh, the
+    largest sums of its terms' factors' degrees plus one.  On such
+    polynomials the packing eta^k g^i h^j -> 2^(width*(i + ng*(j + nh*k)))
+    is injective: the top nonzero slot, at least 2^(width*m) in size,
+    exceeds all lower ones together, at most (2^(width-1) - 1)(2^(width*m)
+    - 1)/(2^width - 1).  Being a ring homomorphism, it maps S to the same
+    sum of products of the packed columns.
+    """
+    if all(type(c) is int for cs in cols for c in cs):
+        rows, ng, nh = None, 1, 1
+        sizes = [(sum(map(abs, cs)), max(map(abs, cs), default=0)) for cs in cols]
+    else:
+        rows = [_rows(cs) for cs in cols]
+        sizes = [(sum(abs(x) for r in rs for x in r),
+                  max((abs(x) for r in rs for x in r), default=0)) for rs, _ in rows]
+        degs = [(lg - 1, max(((len(r) - 1) // lg for r in rs), default=0)) for rs, lg in rows]
+        ng, nh = (1 + max(sum(degs[i][a] for i in fs) for _, *fs in terms) for a in (0, 1))
+    bound = sum(s * prod(sizes[i][0] for i in fs[:-1]) * sizes[fs[-1]][1] for s, *fs in terms)
+    width = bound.bit_length() + 1
+    if rows is None:
+        return [_pack_list(cs, width) for cs in cols]
+    return [_pack_rows(rs, lg, ng, nh, width) for rs, lg in rows]
 
 
 def _numerator(t, states, s, pt):
@@ -287,10 +379,11 @@ def _warn_if_small(w, y, q, stacklevel):
 
 # Eigen checks of at most SYMBOLIC_SIZE_CAP states run symbolic when no point
 # is given; larger tuples go to a point.  Symbolic checks with the cap lifted
-# take 0.005 s (I1,II1, n = 1) to 0.025 s (I2,II2, n = 2) for 2 states,
-# 0.015-0.1 s for 3 (I0,II1,N2; I1,II1,III1; I2,II2,III2, n = 0) and
-# 0.13-0.22 s for 4 (I2,II1,III1,N1; I1,II2,III1,N2; I2,II0,II2,III1; n = 0)
-# (CPU time, best of 3, Python 3.11, 2-core container).  The cap changes
+# take 0.005 s (I1,II1, n = 1) to 0.021 s (I2,II2, n = 2) for 2 states,
+# 0.012-0.08 s for 3 (I0,II1,N2; I1,II1,III1; I2,II2,III2, n = 0),
+# 0.11-0.20 s for 4 (I2,II1,III1,N1; I1,II2,III1,N2; I2,II0,II2,III1; n = 0)
+# and 4.8 s for I2,II0,II2,III4,N4 at n = 1, 3.1 s of it in the packed
+# identity (CPU time, best of 3, Python 3.11, 2-core container).  The cap changes
 # which mode API callers get, so it stays until a benchmark workload of
 # symbolic eigen checks measures a new one.  It applies to the verifiers
 # only: extra_eigenstate, like wronskian, builds what it is asked for.

@@ -13,7 +13,10 @@ permutation-expansion determinant oracle, a coefficient-scaling
 proportionality oracle, random generators for states and generic rational
 points, the closed-form reduction-ledger oracle used to cross-check the
 move engine, and the Wronskian composition check with its explicit
-derivative matrix and its Wronskian of arbitrary quasi-polynomials.
+derivative matrix and its Wronskian of arbitrary quasi-polynomials, the
+Fraction form of QuasiRat's arithmetic (the engine computes on integer
+numerators and denominators) and the eigen identity's left side by EtaPoly
+products (the engine packs its columns).
 """
 
 from fractions import Fraction
@@ -24,7 +27,7 @@ import mpmath as mp
 
 from mijacobi.algebra import AffineExp, EtaPoly, P_G, P_H, ParamPoly, ParamRat
 from mijacobi.maya import dbar
-from mijacobi.spectral import _eigen_identity
+from mijacobi.spectral import QuasiRat, _eigen_identity
 from mijacobi.states import (DEFAULT_GENERIC_POINT, QuasiPoly, State, StateTuple, StateType,
                              as_state_tuple, is_generic, require_generic)
 from mijacobi.states import random_tuple  # noqa: F401  (re-exported for the tests)
@@ -32,7 +35,7 @@ from mijacobi.states import _int_state, _params, _quasi, _value
 from mijacobi.algebra import _F1, _clear, _edge_split, _exact_quo, _gcd, _pack
 from mijacobi.wronskian import (RawQuasi, det_poly_matrix, differentiate, wronskian,
                                 _column, _core, _int_quasis, _int_wronskian, _lazy_det,
-                                _slots)
+                                _slots, _state_column)
 
 
 def _matrix(cols, big):
@@ -327,6 +330,79 @@ def eigen_identity_reference(w, f, ev, inst):
     n = ((v * q - differentiate(y1).poly) * p + (y1.poly * w1.poly).scale(2)
          - q * differentiate(w1).poly)
     return not n
+
+
+def eigen_numerator(w, y, e, pt):
+    """The integer left side K N that spectral._eigen_identity tests for zero,
+    as an EtaPoly built by EtaPoly products of its seven columns: the
+    engine's former route, before it packed each column into one int."""
+    g, h, q = pt
+    bw, (p, w1, w2), _ = _state_column(w, q, 3)
+    by, (r, y1, y2), _ = _state_column(y, q, 3)
+    p, w1, w2, r, y1, y2 = map(EtaPoly, (p, w1, w2, r, y1, y2))
+    ug, uh, us = 2 * g * (g - q), 2 * h * (h - q), (g + h) * (g + h) + e
+    v = EtaPoly((ug + uh - us, ug - uh, us))
+    k, by2 = 4 * q * q, by * by
+    n = (((v * r).scale(by2) - y2.scale(k)) * p).scale(bw * bw)
+    return n + (y1 * w1).scale(2 * k * by * bw) - (r * w2).scale(k * by2)
+
+
+# -- quotient-route oracle ---------------------------------------------------
+# QuasiRat's arithmetic as the engine had it before it moved to integer
+# numerators and denominators: EtaPoly sums and products over Fractions (or
+# ParamPolys of Fractions), sin^2 and cos^2 folded in as (1 -/+ eta)/2, and
+# the derivative by the Fraction rule (fraction_derivative).
+
+_HALF = Fraction(1, 2)
+
+
+def reference_aligned(a, b):
+    """(na, nb, expS, expC): the numerators of the QuasiRats a and b over the
+    lower exponents; ValueError where they cannot be aligned."""
+    ds, dc = a.expS - b.expS, a.expC - b.expC
+    if not (ds.is_constant and dc.is_constant):
+        raise ValueError("incompatible exponents: %s vs %s" % (a.expS, b.expS))
+    ds, dc = ds.c0, dc.c0
+    if ds.denominator != 1 or dc.denominator != 1 or ds % 2 or dc % 2:
+        raise ValueError("exponent difference must be even integers")
+    na, nb = a.num, b.num
+    for d, edge in ((ds, EtaPoly((_HALF, -_HALF))), (dc, EtaPoly((_HALF, _HALF)))):
+        for _ in range(abs(int(d)) // 2):
+            na, nb = (na * edge, nb) if d > 0 else (na, nb * edge)
+    return na, nb, (a.expS if ds <= 0 else b.expS), (a.expC if dc <= 0 else b.expC)
+
+
+def reference_add(a, b):
+    na, nb, expS, expC = reference_aligned(a, b)
+    return QuasiRat.make(expS, expC, na * b.den + nb * a.den, a.den * b.den)
+
+
+def reference_mul(a, b):
+    return QuasiRat.make(a.expS + b.expS, a.expC + b.expC, a.num * b.num, a.den * b.den)
+
+
+def reference_scale(a, c):
+    return QuasiRat.make(a.expS, a.expC, a.num.scale(c), a.den)
+
+
+def reference_differentiate_rat(f):
+    """f' = s^(a-1) c^(b-1) [N1 D + (1-eta^2) N D'] / D^2 for f = s^a c^b N/D."""
+    d = fraction_derivative(RawQuasi(f.expS, f.expC, f.num))
+    one_minus_eta_sq = EtaPoly((Fraction(1), Fraction(0), Fraction(-1)))
+    num = d.poly * f.den + one_minus_eta_sq * (f.num * f.den.deriv())
+    return QuasiRat.make(d.expS, d.expC, num, f.den * f.den)
+
+
+def reference_potential(inst=None):
+    """U = 2g(g-1)/(1-eta) + 2h(h-1)/(1+eta) - (g+h)^2 over Fractions, a
+    vanishing g(g-1) or h(h-1) dropping its pole."""
+    g, h = (P_G, P_H) if inst is None else map(Fraction, inst)
+    num, den = EtaPoly((-((g + h) * (g + h)),)), EtaPoly((_F1,))
+    poles = EtaPoly((_F1, -_F1)), EtaPoly((_F1, _F1))
+    for c, pole in zip((g * (g - 1) * 2, h * (h - 1) * 2), poles):
+        if c:
+            num, den = num * pole + den.scale(c), den * pole
+    return QuasiRat.make(AffineExp(), AffineExp(), num, den)
 
 
 # -- root-count oracle -------------------------------------------------------

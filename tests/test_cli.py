@@ -80,6 +80,20 @@ class TestParsing:
         rep = run_json(capsys, "--g=-7/3", "--h=52/7", "poly", "I1")
         assert rep["g"] == "-7/3" and rep["expS"] == {"g": 0, "h": 0, "c": "-7/3"}
 
+    @pytest.mark.parametrize("point", [["--g", "37/10", "--h", "52/7"], ["--g", "37/10"],
+                                       ["--h", "52/7"]])
+    def test_point_after_the_command_is_a_parse_error(self, capsys, point):
+        # --h there is no abbreviation of --help: nothing is printed and
+        # nothing verified
+        code, out, err = run(capsys, "spectrum", "III0", "--verify", *point)
+        assert code == 2 and not out and "unrecognized arguments" in err
+        assert "Traceback" not in err
+
+    def test_options_are_not_abbreviated(self, capsys):
+        code, out, err = run(capsys, "spectrum", "I1", "--up", "2")
+        assert code == 2 and not out and "unrecognized arguments" in err
+        assert run(capsys, "--js", "poly", "I1")[0] == 2
+
     def test_point_rejected_by_commands_without_one(self, capsys):
         for argv in (["maya", "I1"], ["equivalent", "I1", "N2"]):
             code, out, err = run(capsys, "--g", "37/10", "--h", "52/7", *argv)

@@ -63,6 +63,7 @@ WRONSKIAN = "src/mijacobi/wronskian.py"
 SPECTRAL = "src/mijacobi/spectral.py"
 STATES = "src/mijacobi/states.py"
 SPECTRAL_TESTS = ("tests/test_spectral.py", "tests/test_cli.py")
+QUOTIENT_TESTS = ("tests/test_spectral.py", "tests/test_quotient_route.py")
 WRONSKIAN_TESTS = ("tests/test_wronskian.py", "tests/test_properties.py")
 FAMILY_TESTS = ("tests/test_maya.py", "tests/test_states.py", "tests/test_spectral.py")
 ROOT_TESTS = ("tests/test_algebra.py", "tests/test_properties.py")
@@ -190,7 +191,7 @@ MUTANTS = (
     Mutant("products-h-row-offset", ALGEBRA,
            "at, chunk = ng * (nh * k + j // lg), r[j:j + step]",
            "at, chunk = ng * (nh * k + j), r[j:j + step]",
-           ("tests/test_maya.py",)),
+           ("tests/test_maya.py", "tests/test_quotient_route.py")),
     # The integer Jacobi sum of the states.
     Mutant("jacobi-wrong-term", STATES,
            "head = head * (s + d * (n + k))", "head = head * (s + d * (n + k + 1))",
@@ -203,16 +204,16 @@ MUTANTS = (
     Mutant("columns-big-is-lcm", WRONSKIAN,
            "return 2 * den, [", "return den, [",
            WRONSKIAN_TESTS),
-    # The eigen identity and the one numerator rule of every eigen level.
+    # The eigen identity, one packed int, and the one numerator rule of every
+    # eigen level.
     Mutant("eigen-cross-term-sign", SPECTRAL,
-           "n = n + (y1 * w1).scale(2 * k * by * bw)",
-           "n = n - (y1 * w1).scale(2 * k * by * bw)",
+           "+ 2 * k * by * bw * y1 * w1", "- 2 * k * by * bw * y1 * w1",
            SPECTRAL_TESTS),
     Mutant("eigen-cross-term-halved", SPECTRAL,
-           "2 * k * by * bw", "k * by * bw",
+           "+ 2 * k * by * bw * y1 * w1", "+ k * by * bw * y1 * w1",
            SPECTRAL_TESTS),
     Mutant("eigen-w2-term-by-unsquared", SPECTRAL,
-           "(r * w2).scale(k * by2)", "(r * w2).scale(k * by)",
+           "- k * by2 * r * w2)", "- k * by * r * w2)",
            SPECTRAL_TESTS),
     Mutant("eigen-potential-eta-sign", SPECTRAL,
            "ug - uh", "uh - ug",
@@ -221,7 +222,13 @@ MUTANTS = (
            "(g + h) * (g + h) + e", "(g + h) * (g + h) - e",
            SPECTRAL_TESTS),
     Mutant("eigen-y2-unscaled", SPECTRAL,
-           "y2.scale(k)", "y2",
+           "- k * y2)", "- y2)",
+           SPECTRAL_TESTS),
+    Mutant("packed-zero-shared-factor", SPECTRAL,
+           "k * by2 * r * w2)", "k * by2 * r * w1)",
+           SPECTRAL_TESTS),
+    Mutant("packed-zero-term-sign", SPECTRAL,
+           "(v * r * by2 - k * y2)", "(v * r * by2 + k * y2)",
            SPECTRAL_TESTS),
     Mutant("spectrum-deletes-first-type-iii", SPECTRAL,
            "i = t.states.index(s)",
@@ -230,15 +237,24 @@ MUTANTS = (
     Mutant("spectrum-bound-over-w-t", SPECTRAL,
            "return states + [s if pt is None else _int_state(s, pt)]", "return states",
            SPECTRAL_TESTS),
-    # The quotient route: -2 (log W)'' has big^2 in its denominator, and the
-    # higher exponent's side folds the sin^2 and cos^2 factors.
+    # The quotient route on ints: -2 (log W)'' has big^2 in its denominator,
+    # the higher exponent's side folds (1 -/+ eta) into its numerator and the
+    # 2 of sin^2 and cos^2 into its denominator, and the derivative's scale
+    # moves into the denominator.
     Mutant("deformed-potential-big-unsquared", SPECTRAL,
            "(p * p).scale(big * big)", "(p * p).scale(big)",
-           SPECTRAL_TESTS),
+           QUOTIENT_TESTS),
     Mutant("aligned-fold-sides-swapped", SPECTRAL,
-           "(na * edge, nb) if d > 0 else (na, nb * edge)",
-           "(na, nb * edge) if d > 0 else (na * edge, nb)",
-           SPECTRAL_TESTS),
+           "                if d > 0:\n                    na, da",
+           "                if d < 0:\n                    na, da",
+           QUOTIENT_TESTS),
+    Mutant("aligned-half-dropped", SPECTRAL,
+           "for i in range(k + 1)]), 1 << k", "for i in range(k + 1)]), 1",
+           QUOTIENT_TESTS),
+    Mutant("derivative-scale-dropped", SPECTRAL,
+           "return _rat(d.expS, d.expC, num, den.scale(s) * den)",
+           "return _rat(d.expS, d.expC, num, den * den)",
+           QUOTIENT_TESTS),
     # The integer point (G, H, Q): exponents, Jacobi sums and eigenvalues
     # carry Q wherever a constant stands for a multiple of 1.
     Mutant("exponent-offset-unscaled", WRONSKIAN,
@@ -251,7 +267,7 @@ MUTANTS = (
            "((sg < 0) + (sh < 0) + 2 * s.v) * q", "((sg < 0) + (sh < 0) + 2 * s.v)",
            SPECTRAL_TESTS),
     Mutant("eigen-potential-unscaled", SPECTRAL,
-           "2 * g * (g - q)", "2 * g * (g - 1)",
+           "ug, uh, us = 2 * g * (g - q)", "ug, uh, us = 2 * g * (g - 1)",
            SPECTRAL_TESTS),
     # The root decision on integer cores and the packing of long lists.
     Mutant("descartes-parity-flipped", ALGEBRA,
