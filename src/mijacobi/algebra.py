@@ -35,10 +35,12 @@ substitution; see _pack): each eta-coefficient, a polynomial in (g, h), of a
 symbolic Wronskian, built packed at a Kronecker point, and each whole
 polynomial in (eta, g, h) of a proportionality check and of an eigen
 identity (_pack_rows).  A product of two
-EtaPolys is one product of packed ints in both modes: each factor is cleared of denominators once, packed in
-slots wider than any coefficient of the integer product (over eta alone at
-a point, over (eta, g, h) in symbolic mode) and the product is read back
-once, so no coefficient-by-coefficient Fraction arithmetic is done.  The
+EtaPolys runs on ints in both modes: each factor is cleared of denominators
+once; at a point the int lists are multiplied by the lazy determinant's own
+product (_int_combine), and in symbolic mode each factor is packed in
+(eta, g, h), in slots wider than any coefficient of the integer product,
+and the one product of packed ints is read back once, so no
+coefficient-by-coefficient Fraction arithmetic is done.  The
 product is int-preserving: it holds ints when both factors hold only ints
 (int coefficients, or ParamPolys of int terms), and Fractions once either
 factor holds a Fraction, so no public result changes type.
@@ -730,12 +732,15 @@ class EtaPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        """One product of packed ints (see _pack), read back once.
+        """The product, on ints in both modes.
 
         At a point (no ParamPoly coefficient) each factor is cleared to an
-        int list over eta; otherwise (eta, g, h) are packed.  In both modes
-        the result holds ints when both factors hold only ints (int
-        coefficients, or ParamPolys of int terms), else Fractions.
+        int list over eta and the lists are multiplied by the lazy
+        determinant's own product (_int_combine: the schoolbook loop, and
+        Karatsuba past its gate); otherwise (eta, g, h) are packed into one
+        product of ints (_param_mul).  In both modes the result holds ints
+        when both factors hold only ints (int coefficients, or ParamPolys of
+        int terms), else Fractions.
         """
         if not isinstance(other, EtaPoly):
             return NotImplemented
@@ -749,11 +754,10 @@ class EtaPoly:
         else:
             (na, da), (nb, db) = _clear(a), _clear(b)
             den = da * db
-        width = (sum(map(abs, na)) * max(map(abs, nb))).bit_length() + 2
-        digits = _digits(_pack_list(na, width) * _pack_list(nb, width), width)
+        out = _int_combine(na, nb, (), ())  # na*nb less the empty product
         if den is None:
-            return EtaPoly(digits)
-        return EtaPoly([Fraction(n, den) for n in digits])
+            return EtaPoly(out)
+        return EtaPoly([Fraction(n, den) for n in out])
 
     def scale(self, c):
         if not c:
@@ -878,7 +882,7 @@ def _edge_split(cs):
 # coefficient below 2^(width-1) in absolute value, and such a polynomial is
 # zero exactly when its image is.  Symbolic Wronskians are evaluated at
 # g = 2^width, h = 2^(width*lg) (le = 1), one int per eta-coefficient;
-# EtaPoly.__mul__ packs whole polynomials in (eta, g, h), and _pack_rows
+# EtaPoly.__mul__ packs whole symbolic polynomials in (eta, g, h), and _pack_rows
 # does too, with eta outermost, from rows of digits, for _products_equal and
 # the eigen identity.  A
 # coefficient of a product a*b is a sum of products of one coefficient of

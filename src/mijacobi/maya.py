@@ -45,7 +45,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AffineExp, _factored_ratio, _products_equal, _rows
+from .algebra import AffineExp, ParamPoly, _factored_ratio, _products_equal, _rows
 from .states import (
     State,
     StateTuple,
@@ -289,8 +289,10 @@ def _check_ledger_identity(t_before, t_after, ledger, instantiate):
     const = None
     if lhs[:2] == rhs[:2] and len(a) == len(b):
         la, lb = _core(a[-1:], l_slots)[0], _core(b[-1:], r_slots)[0]
-        c = _factored_ratio(la * s_r, lb * s_l, _lc_factors(t_before),
-                            _lc_factors(t_after, ledger.dg, ledger.dh))
+        # the factor lists are read only for a ParamPoly leading coefficient
+        factors = ((_lc_factors(t_before), _lc_factors(t_after, ledger.dg, ledger.dh))
+                   if ParamPoly in (type(la), type(lb)) else ((), ()))
+        c = _factored_ratio(la * s_r, lb * s_l, *factors)
         num, den = (c, 1) if type(c) is Fraction else (c.num, c.den)
         if _products_equal(_rows(a, l_slots), den * s_r, _rows(b, r_slots), num * s_l):
             const = c

@@ -34,9 +34,18 @@ mode, in slots proven wider than any coefficient of the identity
 0; no EtaPoly product is formed.  It reads the integer point (G, H, Q) of
 states._params throughout: both Wronskians are integer states at Q, the
 potential enters as Q^2 times itself and the eigenvalue as Q^2 E
-(states._int_eigenvalue).  verify_eigenfunction runs it for one bound
-level; verify_spectrum, the checks of spectrum --verify, builds W[T] once
-and runs it for every permitted level (_numerator picks Y).
+(states._int_eigenvalue).
+
+W and Y differ by one column, so both come from one run of the lazy
+determinant, stopped before its last column (wronskian._tuple_wronskians;
+Sylvester): over T then phi_n its last pivot is W[T] and its bordered
+minor W[T, phi_n], and over T without III_m then III_m the pivot is
+W[T without III_m] and the bordered minor W[T] up to the sign of moving
+III_m back to its place (_wronskians).  verify_eigenfunction runs the
+identity for one bound level; verify_spectrum, the checks of spectrum
+--verify, runs it for every permitted level, with W[T] and every bound
+numerator from one run over T and all the bound levels' phi_n and each
+extra numerator from a run of its own.
 
 QuasiRat, potential, apply_hamiltonian and deformed_potential keep the
 quotient route as public API, on ints inside: each operand is cleared once
@@ -90,8 +99,8 @@ from .states import (
     _resolve_point,
 )
 from .maya import tuple_to_diagrams
-from .wronskian import (RawQuasi, _int_wronskian, _state_column, _tuple_wronskian, _unpacked,
-                        differentiate)
+from .wronskian import (RawQuasi, _bordered_wronskians, _int_wronskian, _state_column,
+                        _tuple_wronskian, _tuple_wronskians, _unpacked, differentiate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,26 +352,29 @@ def _pack_columns(cols, terms):
     return [_pack_rows(rs, lg, ng, nh, width) for rs, lg in rows]
 
 
-def _numerator(t, states, s, pt):
-    """The integer states at pt (States for pt None) of the level s's
-    numerator Wronskian, from those of t: W[t, phi_n] for s = phi_n,
-    W[t without s] for s = III_m."""
-    if s.type is StateType.N:
-        return states + [s if pt is None else _int_state(s, pt)]
+def _without(t, xs, s):
+    """(i, rest): the position i of the state s in t, and the list xs, one
+    item per state of t, without s's: the states of W[t without III_m]."""
     i = t.states.index(s)
-    return states[:i] + states[i + 1:]
+    return i, xs[:i] + xs[i + 1:]
 
 
 def _wronskians(t, s, inst):
-    """(pt, w, y): the point pt of inst and, as integer states at it, W[t] and
-    the level s's numerator Wronskian: on t's states built once at a point,
-    unpacked from a Kronecker point each for the symbols."""
+    """(pt, w, y): the point pt of inst and, as integer states at it (unpacked
+    from a Kronecker point for the symbols), W[t] and the level s's
+    numerator Wronskian y, both from one kernel run
+    (wronskian._tuple_wronskians).  For s = phi_n the run is over t then
+    s: W[t] and y = W[t, phi_n].  For s = III_m, at position i of the n
+    states, it is over t without s, then s: y = W[t without s] and
+    W[t without s, s], which is (-1)^(n-1-i) W[t], as s moves past the
+    n - 1 - i states after it."""
     pt = _params(inst)
-    if inst is None:
-        return (pt, *(_unpacked(_tuple_wronskian(x, pt))
-                      for x in (t, _numerator(t, list(t), s, None))))
-    states = [_int_state(x, pt) for x in t]
-    return pt, _int_wronskian(states, pt[2]), _int_wronskian(_numerator(t, states, s, pt), pt[2])
+    if s.type is StateType.N:
+        w, y = map(_unpacked, _tuple_wronskians([*t, s], pt, len(t)))
+        return pt, w, y
+    i, rest = _without(t, list(t), s)
+    y, (a, b, w, scale) = map(_unpacked, _tuple_wronskians(rest + [s], pt, len(rest)))
+    return pt, (a, b, w if (len(rest) - i) % 2 == 0 else [-c for c in w], scale), y
 
 
 def _warn_if_small(w, y, q, stacklevel):
@@ -502,20 +514,24 @@ def verify_spectrum(t, up_to, gv, hv):
     identity holds, one entry per level of permitted_spectrum(t, up_to) in
     its order.  Everything runs on the integer point (G, H, Q) of
     states._params: each state's integer Jacobi sum (states._int_state) is
-    built once and W[t] once; a bound level reads W[t, phi_n], an extra
-    level W[t without III_m], all as integer states
-    (wronskian._int_wronskian), and Q^2 times its eigenvalue
-    (states._int_eigenvalue).  A small exponent warns as
-    verify_eigenfunction does.
+    built once.  One kernel run over t's states then every bound level's
+    phi_n gives W[t] and each W[t, phi_n]
+    (wronskian._bordered_wronskians); an extra level reads W[t without
+    III_m] from a run of its own (wronskian._int_wronskian), all as integer
+    states, and Q^2 times its eigenvalue (states._int_eigenvalue).  A small
+    exponent warns as verify_eigenfunction does.
     """
     t = as_state_tuple(t)
     pt = _params(require_generic(gv, hv))
     states = [_int_state(s, pt) for s in t]
-    wt = _int_wronskian(states, pt[2])
+    levels = [lab for lab, _ in permitted_spectrum(t, up_to)]
+    bound = [_int_state(lab.state(), pt) for lab in levels if lab.kind == "bound"]
+    wt, *ys = _bordered_wronskians(states + bound, pt[2], len(states))
+    ys = iter(ys)
     checks = {}
-    for lab, _ in permitted_spectrum(t, up_to):
+    for lab in levels:
         s = lab.state()
-        y = _int_wronskian(_numerator(t, states, s, pt), pt[2])
+        y = next(ys) if lab.kind == "bound" else _int_wronskian(_without(t, states, s)[1], pt[2])
         _warn_if_small(wt, y, pt[2], 2)
         name = "eigenfunction " if lab.kind == "bound" else "extra state "
         checks[name + lab.label()] = _eigen_identity(wt, y, _int_eigenvalue(s, pt), pt)

@@ -74,12 +74,12 @@ DEFAULT_GENERIC_POINT = (Fraction(37, 10), Fraction(52, 7))
 
 
 def is_generic(gv, hv):
-    gv, hv = _exact_point(gv, hv)
-    if (gv + hv).denominator == 1 or (gv - hv).denominator == 1:
-        return False
-    if (gv - Fraction(1, 2)).denominator == 1 or (hv - Fraction(1, 2)).denominator == 1:
-        return False
-    return True
+    """Whether g +/- h is not an integer and g, h are not half-odd integers,
+    for ints or Fractions (a float raises TypeError).  It is decided on the
+    integer point (G, H, Q) of (g, h) = (G/Q, H/Q): Q divides neither G + H
+    nor G - H, and 2Q divides neither 2G - Q nor 2H - Q."""
+    (g, h), q = _clear(_exact_point(gv, hv))
+    return bool((g + h) % q and (g - h) % q and (2 * g - q) % (2 * q) and (2 * h - q) % (2 * q))
 
 
 def require_generic(gv, hv):

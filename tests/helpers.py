@@ -14,6 +14,7 @@ proportionality oracle, random generators for states and generic rational
 points, the closed-form reduction-ledger oracle used to cross-check the
 move engine, and the Wronskian composition check with its explicit
 derivative matrix and its Wronskian of arbitrary quasi-polynomials, the
+Fraction form of the genericity rule (the engine decides it on ints), the
 Fraction form of QuasiRat's arithmetic (the engine computes on integer
 numerators and denominators) and the eigen identity's left side by EtaPoly
 products (the engine packs its columns).
@@ -484,6 +485,15 @@ GENERIC_POINTS = [
     (Fraction(29, 12), Fraction(41, 9)),
     (Fraction(33, 7), Fraction(27, 11)),
 ]
+
+
+def reference_is_generic(gv, hv):
+    """The Fraction form of states.is_generic (which decides on ints): g +/- h
+    not an integer, and g, h not half-odd integers."""
+    gv, hv = Fraction(gv), Fraction(hv)
+    if (gv + hv).denominator == 1 or (gv - hv).denominator == 1:
+        return False
+    return (gv - Fraction(1, 2)).denominator != 1 and (hv - Fraction(1, 2)).denominator != 1
 
 
 def random_rational(rng, max_num=60, max_den=12):

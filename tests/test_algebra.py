@@ -275,9 +275,10 @@ def coefficient_types(p):
 
 
 class TestEtaPolyProduct:
-    """EtaPoly.__mul__ (one packed integer product) and the kernel's int-list
-    products against the schoolbook oracle, on the inputs where packing or
-    splitting could go wrong."""
+    """EtaPoly.__mul__ (the kernel's int-list product at a point, one packed
+    integer product symbolically) and the kernel's int-list products against
+    the schoolbook oracle, on the inputs where packing or splitting could go
+    wrong."""
 
     def check(self, a, b):
         p = a * b
@@ -291,6 +292,18 @@ class TestEtaPolyProduct:
             assert not a * z and not z * a
         assert self.check(a, EtaPoly.const(F(-7, 4))) == a.scale(F(-7, 4))
         assert self.check(EtaPoly((G + 1,)), EtaPoly.const(F(2))) == EtaPoly((G * 2 + 2,))
+
+    def test_point_products_past_the_kernel_gate(self):
+        # a cleared leading entry past 2048 bits takes Karatsuba, a shorter
+        # one the loop: ints stay ints and Fractions Fractions on both sides
+        rng = seeded(32)
+        for bits in (2000, 2049, 3000):
+            for la, lb in ((1, 1), (3, 1), (6, 9), (20, 17)):
+                ints = [EtaPoly([rng.getrandbits(bits) * rng.choice((1, -1)) | 1
+                                 for _ in range(n)]) for n in (la, lb)]
+                for a, b in (ints, [p.scale(F(1, 3)) for p in ints]):
+                    p = self.check(a, b)
+                    assert {type(c) for c in p.coeffs} == {type(a.coeffs[0])}
 
     def test_interior_zeros(self):
         a = EtaPoly((F(1), F(0), F(0), F(3, 7)))

@@ -12,7 +12,7 @@ from mijacobi.cli import MAX_INDEX, MAX_RANDOM, MAX_STATES, main, parse_tuple_sp
 from mijacobi.maya import Ledger, ProportionalityReport, tuple_to_diagrams
 from mijacobi.spectral import _eigen_identity
 from mijacobi.states import DEFAULT_GENERIC_POINT, State, StateType, _int_state, as_state_tuple
-from mijacobi.wronskian import _int_wronskian, wronskian
+from mijacobi.wronskian import _bordered_wronskians, _int_wronskian, wronskian
 
 G = ParamPoly.gen_g()
 H = ParamPoly.gen_h()
@@ -308,13 +308,21 @@ class TestSpectrum:
     def test_failed_eigenfunction_check_exit_code(self, capsys, monkeypatch):
         # the stub fails the bound checks only (numerator W[T, phi_n], one
         # state more than T) or the extra checks only (W[T without III_m],
-        # one less); each failure alone gives exit 4
+        # one less); each failure alone gives exit 4.  W[T] and the bound
+        # numerators come from one bordered run, an extra numerator from a
+        # run of its own
         sizes = {}
 
         def sized(states, q, det=None):
             w = _int_wronskian(states, q, det)
             sizes[id(w)] = len(states)
             return w
+
+        def bordered(states, q, stop):
+            ws = _bordered_wronskians(states, q, stop)
+            for i, w in enumerate(ws):
+                sizes[id(w)] = stop + (i > 0)
+            return ws
 
         eigen, extra = "eigenfunction E_1", "extra state E_-2"
         for step, failed, passed in ((1, eigen, extra), (-1, extra, eigen)):
@@ -325,6 +333,7 @@ class TestSpectrum:
 
             with monkeypatch.context() as m:
                 m.setattr("mijacobi.spectral._int_wronskian", sized)
+                m.setattr("mijacobi.spectral._bordered_wronskians", bordered)
                 m.setattr("mijacobi.spectral._eigen_identity", stub)
                 code, out, err = run(capsys, "--g", "37/10", "--h", "52/7",
                                      "spectrum", "I1,II2,III1", "--up-to", "2",
@@ -335,13 +344,19 @@ class TestSpectrum:
 
     def test_verify_computes_w_t_once(self, capsys, monkeypatch):
         # W[T] once, and each state's integer Jacobi sum once, shared by W[T]
-        # and the numerator Wronskians; no public Wronskian is built
+        # and the numerator Wronskians; no public Wronskian is built.  One
+        # bordered run gives W[T] and the 3 bound numerators, and the extra
+        # numerator has a run of its own
         t = as_state_tuple("I1,II2,III1")
-        sizes, built, public = [], [], []
+        sizes, runs, built, public = [], [], [], []
 
         def counted(states, q, det=None):
             sizes.append(len(states))
             return _int_wronskian(states, q, det)
+
+        def bordered(states, q, stop):
+            runs.append((len(states), stop))
+            return _bordered_wronskians(states, q, stop)
 
         def state(s, pt):
             built.append(s)
@@ -355,13 +370,14 @@ class TestSpectrum:
                 "--up-to", "2", "--verify")
         plain = run(capsys, *argv)
         monkeypatch.setattr("mijacobi.spectral._int_wronskian", counted)
+        monkeypatch.setattr("mijacobi.spectral._bordered_wronskians", bordered)
         monkeypatch.setattr("mijacobi.spectral._int_state", state)
         # the function's home module, which `mijacobi.wronskian` (the function
         # itself) hides, and the CLI's binding of it
         monkeypatch.setattr(sys.modules["mijacobi.wronskian"], "wronskian", refused)
         monkeypatch.setattr("mijacobi.cli.wronskian", refused)
         assert run(capsys, *argv) == plain and plain[0] == 0
-        assert sorted(sizes) == [2, 3, 4, 4, 4] and sizes[0] == 3  # W[T], 1 extra, 3 bound
+        assert runs == [(6, 3)] and sizes == [2]  # W[T] and 3 bound; 1 extra
         assert built == list(t) + [State(StateType.N, n) for n in range(3)]
         assert public == []
 

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import warnings
 from fractions import Fraction as F
 from math import prod
 from pathlib import Path
@@ -57,6 +58,29 @@ GOLDEN_SPECTRAL = Path(__file__).resolve().parents[1] / "bench" / "golden" / "sp
 
 def as_quasirat(q):
     return QuasiRat.make(q.expS, q.expC, q.poly, EtaPoly((F(1),)))
+
+
+def small_exponent_warnings(y, w):
+    """The warnings an eigen check at a point gives for the eigenfunction
+    y/w of two public Wronskians: one if an exponent is below 3/2."""
+    ds, dc = (y.expS - w.expS).c0, (y.expC - w.expC).c0
+    if 2 * ds < 3 or 2 * dc < 3:
+        return ["eigenfunction exponents (%s, %s) are below 3/2; the parameters may be "
+                "too small for the full transformation chain" % (ds, dc)]
+    return []
+
+
+def recorded(call, *args):
+    """(call(*args), the messages of the warnings it gave)."""
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        out = call(*args)
+    return out, [str(w.message) for w in rec]
+
+
+def same_poly(a, b):
+    """a and b are equal EtaPolys with coefficients of the same types."""
+    return a == b and list(map(type, a.coeffs)) == list(map(type, b.coeffs))
 
 
 def bound_eigenstate(t, n, inst=None):
@@ -265,6 +289,24 @@ class TestVerifyEigenfunction:
         ok, ev = verify_eigenfunction(parse_states("I1,II1"), 1)
         assert ok and ev == (G + H + 1).scale(4)
 
+    def test_results_and_warnings_match_public_wronskians(self):
+        # symbolic up to the cap, and at points, two of them small enough to
+        # warn: the result, and the warning read off W[T, phi_n] and W[T]
+        rng, pts = seeded(51), [None, (F(7, 10), F(3, 7)), (F(2, 3), F(37, 5)), GENERIC_POINTS[1]]
+        warned = 0
+        for _ in range(16):
+            t = random_tuple(rng, 3, 3)
+            phi = State(StateType.N, rng.choice([n for n in range(3)
+                                                 if n not in t.indices(StateType.N)]))
+            for inst in pts[len(t) > SYMBOLIC_SIZE_CAP:]:
+                (ok, ev), got = recorded(verify_eigenfunction, t, phi.v, inst)
+                assert ok and ev == eigenvalue(phi), (t, phi, inst)
+                want = [] if inst is None else small_exponent_warnings(
+                    wronskian(t.with_state(phi), inst), wronskian(t, inst))
+                assert got == want, (t, phi, inst)
+                warned += bool(want)
+        assert warned
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestEigenIdentity:
@@ -414,6 +456,33 @@ class TestExtraEigenstate:
                 ev_c = ev.eval_at(*pt)
                 assert apply_hamiltonian(pot, f).sub(f.scale(ev_c)).is_zero(), (t, i)
             done += 1
+
+
+class TestExtraEigenstateExact:
+    """extra_eigenstate's f = W[T without III_m]/W[T] and its eigenvalue,
+    exactly: num and den are the public Wronskians, each divided by its
+    scale, coefficient by coefficient, so that a sign lost between them
+    shows (H_T f = E f holds for -f too)."""
+
+    @pytest.mark.parametrize("inst", [None, GENERIC_POINTS[0], (F(7, 10), F(3, 7))])
+    def test_type_iii_at_every_position(self, inst):
+        rng = seeded(52)
+        warned = 0
+        for _ in range(5 if inst is None else 8):
+            m = rng.randint(0, 3)
+            s = State(StateType.III, m)
+            rest = [x for x in random_tuple(rng, 2 if inst is None else 3, 3) if x != s]
+            for i in range(len(rest) + 1):
+                t = StateTuple(rest[:i] + [s] + rest[i:])
+                (f, ev), got = recorded(extra_eigenstate, t, i, inst)
+                y, w = wronskian(t.without_index(i), inst), wronskian(t, inst)
+                assert (f.expS, f.expC) == (y.expS - w.expS, y.expC - w.expC), (t, i)
+                assert same_poly(f.num, y.poly) and same_poly(f.den, w.poly), (t, i)
+                assert ev == eigenvalue(s)
+                want = [] if inst is None else small_exponent_warnings(y, w)
+                assert got == want, (t, i)
+                warned += bool(want)
+        assert bool(warned) is (inst == (F(7, 10), F(3, 7)))
 
 
 class TestVerifySpectrum:

@@ -22,7 +22,7 @@ from mijacobi.states import (
     _int_eigenvalue,
     _params,
 )
-from helpers import GENERIC_POINTS, random_rational, seeded
+from helpers import GENERIC_POINTS, random_rational, reference_is_generic, seeded
 
 G = ParamPoly.gen_g()
 H = ParamPoly.gen_h()
@@ -263,6 +263,17 @@ class TestTuplesAndGenericity:
             require_generic(F(7, 3), F(2, 3))  # g + h integral
         with pytest.raises(NonGenericParametersError):
             require_generic(F(7, 3), F(1, 3))  # g - h integral
+
+    def test_integer_rule_matches_fraction_rule(self):
+        # negative, integral, half-odd and other values over denominators
+        # 1..6, ints and Fractions, against the Fraction form of the rule
+        values = [F(n, d) for d in range(1, 7) for n in range(-13, 14)] + [-3, 0, 2, 5]
+        verdicts = [(is_generic(g, h), reference_is_generic(g, h)) for g in values for h in values]
+        assert all(a is b for a, b in verdicts)
+        assert {a for a, _ in verdicts} == {True, False}
+        for gv, hv in ((0.5, F(1, 3)), (F(7, 3), 2.25), (3.0, 1)):
+            with pytest.raises(TypeError):
+                is_generic(gv, hv)
 
     def test_parse(self):
         s = parse_state("III4")

@@ -15,13 +15,20 @@ from mijacobi.states import (
     StateType,
     make_state,
     parse_state,
+    _int_state,
+    _params,
+    _quasi,
 )
 from mijacobi.wronskian import (
     RawQuasi,
     WronskianZeroError,
+    _bordered_wronskians,
     _columns,
     _int_exact_div,
     _int_quasis,
+    _lazy_det,
+    _tuple_wronskians,
+    _unpacked,
     canonicalize,
     compare_quasi,
     det_poly_matrix,
@@ -423,6 +430,50 @@ class TestLazyKernel:
             assert not det_poly_matrix(_matrix(cols, big))
             with pytest.raises(WronskianZeroError):
                 wronskian_of_quasis(qs[:2] + [extra])
+
+
+class TestBorderedRun:
+    """The kernel stopped after stop levels: its pivot is W[t[:stop]] and its
+    row each W[t[:stop], s] for a later s, every minor checked against the
+    public Wronskian of its own states, built alone."""
+
+    @pytest.mark.parametrize("inst", [None, GENERIC_POINTS[1], GENERIC_POINTS[3]])
+    def test_minors_are_their_own_wronskians(self, inst):
+        # shuffled tuples, so that the sort of the first stop columns takes
+        # permutations of both signs; stop = len(t) leaves no border
+        rng, pt = seeded(77), _params(inst)
+        for _ in range(6 if inst else 4):
+            t = list(random_tuple(rng, 5 if inst else 4, 4, min_size=1))
+            rng.shuffle(t)
+            stop = rng.randint(0, len(t))
+            minors = _tuple_wronskians(t, pt, stop)
+            subs = [t[:stop]] + [t[:stop] + [s] for s in t[stop:]]
+            assert len(minors) == len(subs)
+            for m, sub in zip(minors, subs):
+                w, scale = _quasi(_unpacked(m), pt[2])
+                assert w.scale_poly(F(1, scale)) == wronskian(sub, inst), (t, stop, sub)
+
+    def test_stopped_runs_end_in_the_determinant(self):
+        # stopped one level short, the one bordered minor is the determinant
+        # of all n columns, and stopped at n the pivot is: the same int list
+        # as the full run's
+        rng = seeded(78)
+        for _ in range(6):
+            t = list(random_tuple(rng, 6, 4, min_size=2))
+            rng.shuffle(t)
+            pt = _params(rng.choice(GENERIC_POINTS))
+            big, cols = _columns([_int_state(s, pt) for s in t], pt[2])
+            det = _lazy_det(cols, big)
+            assert _lazy_det(cols, big, len(t) - 1)[1] == det == _lazy_det(cols, big, len(t))[0]
+
+    def test_zero_minor_raises(self):
+        # a border column equal to a body column makes its minor zero, and a
+        # repeated body column every minor
+        pt = _params(GENERIC_POINTS[0])
+        states = [_int_state(parse_state(s), pt) for s in ("I1", "N2", "II0")]
+        for run, stop in ((states + states[:1], 3), (states[:2] + states[:1] + states[2:], 3)):
+            with pytest.raises(WronskianZeroError):
+                _bordered_wronskians(run, pt[2], stop)
 
 
 class TestPackedEdgeStep:

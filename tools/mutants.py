@@ -65,6 +65,7 @@ STATES = "src/mijacobi/states.py"
 SPECTRAL_TESTS = ("tests/test_spectral.py", "tests/test_cli.py")
 QUOTIENT_TESTS = ("tests/test_spectral.py", "tests/test_quotient_route.py")
 WRONSKIAN_TESTS = ("tests/test_wronskian.py", "tests/test_properties.py")
+BORDERED_TESTS = ("tests/test_wronskian.py", "tests/test_spectral.py")
 FAMILY_TESTS = ("tests/test_maya.py", "tests/test_states.py", "tests/test_spectral.py")
 ROOT_TESTS = ("tests/test_algebra.py", "tests/test_properties.py")
 
@@ -119,8 +120,8 @@ MUTANTS = (
     # shifts (c0, c1) by the minor's edge powers, and the next minor's powers
     # are u_k's and u_j's less the pivot's.
     Mutant("lazy-explicit-route", WRONSKIAN,
-           "k_minus, k_plus, core = (det or _lazy_det)(cols, big)",
-           "k_minus, k_plus, core = (det or (lambda cols, big: _edge_split(det_poly_matrix("
+           "(det or _lazy_det)(cols, big)",
+           "(det or (lambda cols, big: _edge_split(det_poly_matrix("
            "[[EtaPoly(e) for e in row] for row in zip(*(_column(p, c0, c1, len(cols), big)"
            " for p, _, c0, c1 in cols))]).coeffs)))(cols, big)",
            ("tests/test_wronskian.py",)),
@@ -129,7 +130,7 @@ MUTANTS = (
            "sign = 1",
            ("tests/test_wronskian.py",)),
     Mutant("lazy-zero-pivot", WRONSKIAN,
-           "        if not pk:\n            return 0, 0, []\n", "",
+           "        if not pk:\n            u = [(0, 0, [])] * n\n            break\n", "",
            ("tests/test_wronskian.py",)),
     Mutant("lazy-combine-sign", WRONSKIAN,
            "_int_combine(pk, step(j), lead, u[j][2])",
@@ -143,6 +144,19 @@ MUTANTS = (
            "u[j] = ak + u[j][0] - prev[0] + a, bk + u[j][1] - prev[1] + b, core",
            "u[j] = ak + u[j][0] + a, bk + u[j][1] + b, core",
            WRONSKIAN_TESTS),
+    # The kernel stopped after stop levels: the pivot and the row of bordered
+    # minors, each an integer state over its own columns; W[T without s, s]
+    # is (-1)^(n-1-i) W[T] for s at position i.
+    Mutant("bordered-sign-dropped", SPECTRAL,
+           "w if (len(rest) - i) % 2 == 0 else [-c for c in w]", "w",
+           SPECTRAL_TESTS),
+    Mutant("stop-off-by-one", WRONSKIAN,
+           "for k in range(n - 1 if stop is None else stop):",
+           "for k in range(n - 1 if stop is None else stop + 1):",
+           BORDERED_TESTS),
+    Mutant("minor-scale-one-column-more", WRONSKIAN,
+           "scale = big ** off * prod(", "scale = big ** (off + len(states)) * prod(",
+           BORDERED_TESTS),
     # Karatsuba over eta for the packed entries of symbolic minors: the
     # middle term, and the empty high half of a short factor.
     Mutant("karatsuba-middle-term-keeps-a1b1", ALGEBRA,
@@ -235,7 +249,7 @@ MUTANTS = (
            "i = [x.type for x in t].index(StateType.III)",
            SPECTRAL_TESTS),
     Mutant("spectrum-bound-over-w-t", SPECTRAL,
-           "return states + [s if pt is None else _int_state(s, pt)]", "return states",
+           "y = next(ys) if lab.kind", "y = wt if lab.kind",
            SPECTRAL_TESTS),
     # The quotient route on ints: -2 (log W)'' has big^2 in its denominator,
     # the higher exponent's side folds (1 -/+ eta) into its numerator and the
