@@ -27,7 +27,8 @@ adds x' to its prefactor exponent if it steps up and 1 - x' if it steps
 down: a left move of the second division contributes shift (-1, +1) and
 exponents (1 - g', h'), and the right move is its exact inverse.  The
 verifiers build W[current] directly at the shifted parameters
-(g + dg, h + dh), symbols or a point, on one path in both modes.  They
+(g + dg, h + dh), symbols or a point, on one path in both modes: each
+side is one run of the Wronskian kernel over its whole tuple.  They
 predict the constant of proportionality in closed form, from the known
 factors of both leading coefficients, and prove the identity and that
 constant together by one comparison of packed integer products, which
@@ -55,7 +56,7 @@ from .states import (
     _quasi,
     _resolve_point,
 )
-from .wronskian import _core, _tuple_wronskian, _unpacked
+from .wronskian import _core, _tuple_wronskians, _unpacked
 
 
 @dataclass(frozen=True)
@@ -263,26 +264,27 @@ def _check_ledger_identity(t_before, t_after, ledger, instantiate):
     on one path: (g, h) = (G/Q, H/Q) is the symbols or the point of
     states._resolve_point as an integer point (states._params), and the
     right side is built at (G + dg*Q, H + dh*Q)/Q.  Both sides are integer
-    states at Q (wronskian._tuple_wronskian): exponents over Q, to which the
-    right side adds each prefactor exponent read at the integer point,
-    cg*G + ch*H + c0*Q, and integer cores a and b, packed symbolically, over
-    scales s_l and s_r.  Once the exponents and the degrees agree,
-    algebra._factored_ratio predicts the constant c = num/den =
-    la*s_r/(s_l*lb) from the leading coefficients la and lb, the only ones
+    states at Q, each from a kernel run over the whole tuple
+    (wronskian._tuple_wronskians with stop its length): exponents over Q, to
+    which the right side adds each prefactor exponent read at the integer
+    point, cg*G + ch*H + c0*Q, and integer cores a and b, packed
+    symbolically, over scales s_l and s_r.  Once the exponents and the
+    degrees agree, algebra._factored_ratio predicts the constant c = num/den
+    = la*s_r/(s_l*lb) from the leading coefficients la and lb, the only ones
     unpacked: a Fraction when both are constants (at a point, or
     symbolically for two empty tuples), else the reduced ParamRat read off
-    the closed-form factors of both leading coefficients (_lc_factors),
-    with no gcd.  One packed comparison of the cores' rows, a*(den*s_r) ==
-    b*(num*s_l) (algebra._products_equal), then proves both that
-    W[t_before] is c times the prefactor times W[t_after] and that c is the
-    reported constant.
+    the closed-form factors of both leading coefficients (_lc_factors), with
+    no gcd.  One packed comparison of the cores' rows, a*(den*s_r) ==
+    b*(num*s_l) (algebra._products_equal), then proves both that W[t_before]
+    is c times the prefactor times W[t_after] and that c is the reported
+    constant.
     """
     point = _resolve_point(max(len(t_before), len(t_after)), SYMBOLIC_SIZE_CAP,
                            instantiate)
     g, h, q = pt = _params(point)
     shifted = (g + ledger.dg * q, h + ledger.dh * q, q)
-    lhs = _tuple_wronskian(t_before, pt)
-    es, ec, b, s_r, r_slots = _tuple_wronskian(t_after, shifted)
+    [lhs] = _tuple_wronskians(t_before, pt, len(t_before))
+    [(es, ec, b, s_r, r_slots)] = _tuple_wronskians(t_after, shifted, len(t_after))
     ps, pc = (e.cg * g + e.ch * h + e.c0 * q for e in (ledger.prefS, ledger.prefC))
     rhs = es + ps, ec + pc, b, s_r, r_slots
     _, _, a, s_l, l_slots = lhs

@@ -36,16 +36,19 @@ states._params throughout: both Wronskians are integer states at Q, the
 potential enters as Q^2 times itself and the eigenvalue as Q^2 E
 (states._int_eigenvalue).
 
-W and Y differ by one column, so both come from one run of the lazy
-determinant, stopped before its last column (wronskian._tuple_wronskians;
-Sylvester): over T then phi_n its last pivot is W[T] and its bordered
-minor W[T, phi_n], and over T without III_m then III_m the pivot is
-W[T without III_m] and the bordered minor W[T] up to the sign of moving
-III_m back to its place (_wronskians).  verify_eigenfunction runs the
-identity for one bound level; verify_spectrum, the checks of spectrum
---verify, runs it for every permitted level, with W[T] and every bound
-numerator from one run over T and all the bound levels' phi_n and each
-extra numerator from a run of its own.
+Every Wronskian here is one run of the lazy determinant stopped after
+stop levels (wronskian._tuple_wronskians, wronskian._bordered_wronskians;
+Sylvester): its last pivot is the Wronskian of the first stop states and
+its row each later state bordering them, and a run over T stopped at its
+length gives W[T] alone.  W and Y differ by one column, so both come from
+one run: over T then phi_n the pivot is W[T] and the bordered minor
+W[T, phi_n], and over T without III_m then III_m the pivot is W[T without
+III_m] and the bordered minor W[T] up to the sign of moving III_m back to
+its place (_wronskians).  verify_eigenfunction runs the identity for one
+bound level; verify_spectrum, the checks of spectrum --verify, runs it for
+every permitted level, with W[T] and every bound numerator from one run
+over T and all the bound levels' phi_n and each extra numerator from a run
+over T without III_m alone.
 
 QuasiRat, potential, apply_hamiltonian and deformed_potential keep the
 quotient route as public API, on ints inside: each operand is cleared once
@@ -99,8 +102,8 @@ from .states import (
     _resolve_point,
 )
 from .maya import tuple_to_diagrams
-from .wronskian import (RawQuasi, _bordered_wronskians, _int_wronskian, _state_column,
-                        _tuple_wronskian, _tuple_wronskians, _unpacked, differentiate)
+from .wronskian import (RawQuasi, _bordered_wronskians, _state_column, _tuple_wronskians,
+                        _unpacked, differentiate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,8 +253,8 @@ def deformed_potential(t, inst=None):
     w2 are d, big d and big^2 d times the eta-parts P, P1, P2 of W, W', W''
     (wronskian._state_column), and (log W)'' = 4 (P2 P - P1^2) /
     ((1-eta^2) P^2) gives -8 (w2 p - w1^2) / (big^2 (1-eta^2) p^2)."""
-    pt = _params(inst)
-    wt = _unpacked(_tuple_wronskian(as_state_tuple(t), pt))
+    t, pt = as_state_tuple(t), _params(inst)
+    [wt] = map(_unpacked, _tuple_wronskians(t, pt, len(t)))
     big, (p, w1, w2), _ = _state_column(wt, pt[2], 3)
     p, w1, w2 = map(EtaPoly, (p, w1, w2))
     return potential(inst).add(QuasiRat.make(
@@ -273,7 +276,7 @@ def _eigen_identity(w, y, e, pt):
     (G/Q, H/Q), and e = Q^2 ev (states._int_eigenvalue).  w = s^a c^b P
     is the canonical W[T] and y = s^a' c^b' R the canonical numerator
     Wronskian (W[T, phi_n] or W[T without III_m]), both integer states at
-    Q (wronskian._int_wronskian) read as their integer cores P and R; a
+    Q (wronskian._int_minor) read as their integer cores P and R; a
     constant factor does not change whether y/w is an eigenfunction.
     U_T = U - 2 (log w)'' gives
 
@@ -503,7 +506,9 @@ def check_nonsingular(t, gv, hv):
     an integer Sturm chain the rest.
     """
     pt = _params(require_generic(gv, hv))
-    return _root_free(_int_wronskian([_int_state(s, pt) for s in as_state_tuple(t)], pt[2])[2])
+    states = [_int_state(s, pt) for s in as_state_tuple(t)]
+    [w] = _bordered_wronskians(states, pt[2], len(states))
+    return _root_free(w[2])
 
 
 def verify_spectrum(t, up_to, gv, hv):
@@ -514,11 +519,12 @@ def verify_spectrum(t, up_to, gv, hv):
     identity holds, one entry per level of permitted_spectrum(t, up_to) in
     its order.  Everything runs on the integer point (G, H, Q) of
     states._params: each state's integer Jacobi sum (states._int_state) is
-    built once.  One kernel run over t's states then every bound level's
-    phi_n gives W[t] and each W[t, phi_n]
-    (wronskian._bordered_wronskians); an extra level reads W[t without
-    III_m] from a run of its own (wronskian._int_wronskian), all as integer
-    states, and Q^2 times its eigenvalue (states._int_eigenvalue).  A small
+    built once.  Each Wronskian is a stopped kernel run
+    (wronskian._bordered_wronskians): one over t's states then every bound
+    level's phi_n, stopped at len(t), gives W[t] and each W[t, phi_n], and
+    an extra level reads W[t without III_m] from a run over those states
+    alone, stopped at their count; all are integer states, and each level
+    has Q^2 times its eigenvalue (states._int_eigenvalue).  A small
     exponent warns as verify_eigenfunction does.
     """
     t = as_state_tuple(t)
@@ -531,7 +537,11 @@ def verify_spectrum(t, up_to, gv, hv):
     checks = {}
     for lab in levels:
         s = lab.state()
-        y = next(ys) if lab.kind == "bound" else _int_wronskian(_without(t, states, s)[1], pt[2])
+        if lab.kind == "bound":
+            y = next(ys)
+        else:
+            rest = _without(t, states, s)[1]
+            [y] = _bordered_wronskians(rest, pt[2], len(rest))
         _warn_if_small(wt, y, pt[2], 2)
         name = "eigenfunction " if lab.kind == "bound" else "extra state "
         checks[name + lab.label()] = _eigen_identity(wt, y, _int_eigenvalue(s, pt), pt)

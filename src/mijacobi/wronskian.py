@@ -12,27 +12,28 @@ Q_{i,j}(eta), so
 
     W = s^(sum a_j - N(N-1)/2) c^(sum b_j - N(N-1)/2) det(Q_{i,j}).
 
-The Wronskian is one integer pipeline in both modes (_int_wronskian), and
-Fractions appear only at its boundary.  It runs at the integer point
-(G, H, Q) of states._params, at a Kronecker point in symbolic mode
-(_tuple_wronskian): states enter as integer states, exponents a/Q and b/Q
-with a and b ints and integer Jacobi sums (states._int_state), and other
-inputs are cleared of denominators once (_int_quasis).  The columns' constants come
-off a -/+ b by one gcd with Q (_columns), the exponent sums stay integers,
-and the Wronskian is itself an integer state at Q; the public calls build
-one AffineExp pair and divide once (states._quasi).  Derivatives follow an
-integer form of the rule above (_step), a lazy
-fraction-free elimination over Z[eta] (_lazy_det: one row of minors,
-differentiated as it goes, in n(n-1)/2 combines where Bareiss on the n
-derivative rows takes (n-1)n(2n-1)/6) takes the determinant; stopped early,
-the same run gives the Wronskian of the first columns and of each later
-column bordering them (_bordered_wronskians).  It splits the
-(1 -/+ eta) factors off each minor as it forms it and multiplies the cores
-only; the factors go into the exponents, still on integers: the public
-Wronskian is an integer core over one integer scale.  Entries are ints in
-both modes: in symbolic mode each eta-coefficient, a polynomial in (g, h),
-is one int packed in the slots that _slots bounds from the states' norms
-for every minor and its edge step, unpacked at the boundary only.
+The Wronskian is one integer pipeline in both modes, and Fractions appear
+only at its boundary.  Every Wronskian is one kernel run stopped after
+stop levels (_bordered_wronskians; _tuple_wronskians for States): over n
+columns it gives the Wronskian of the first stop and of each later column
+bordering them, and for stop = n that of all n.  It runs at the integer point
+(G, H, Q) of states._params, at a Kronecker point in symbolic mode: states
+enter as integer states, exponents a/Q and b/Q with a and b ints and
+integer Jacobi sums (states._int_state), and other inputs are cleared of
+denominators once (_int_quasis).  The columns' constants come off a -/+ b
+by one gcd with Q (_columns), the exponent sums stay integers, and each
+Wronskian is itself an integer state at Q (_int_minor); the public calls
+build one AffineExp pair and divide once (states._quasi).  Derivatives
+follow an integer form of the rule above (_step), and a lazy fraction-free
+elimination over Z[eta] (_lazy_det: one row of minors, differentiated as
+it goes, in n(n-1)/2 combines where Bareiss on the n derivative rows takes
+(n-1)n(2n-1)/6) takes the determinants.  It splits the (1 -/+ eta) factors
+off each minor as it forms it and multiplies the cores only; the factors
+go into the exponents, still on integers: the public Wronskian is an
+integer core over one integer scale.  Entries are ints in both modes: in
+symbolic mode each eta-coefficient, a polynomial in (g, h), is one int
+packed in the slots that _slots bounds from the states' norms for every
+minor and its edge step, unpacked at the boundary only.
 det_poly_matrix, integer Bareiss on the explicit matrix, is the kernel's
 reference.  The eta-polynomial left over is the object of interest: for
 tuples of well states a (multi-indexed) Jacobi-type one.
@@ -158,7 +159,7 @@ def canonicalize(r):
     (1-eta)^k = 2^k sin^(2k) x and (1+eta)^k = 2^k cos^(2k) x, so each
     extracted factor raises the matching exponent by 2 and scales the core
     by 2.  An integer poly (ints or int-coefficient ParamPolys) keeps
-    integer coefficients.  Wronskians fold theirs in _int_wronskian.
+    integer coefficients.  Wronskians fold theirs in _int_minor.
     """
     if not r.poly:
         raise WronskianZeroError("zero Wronskian")
@@ -252,34 +253,34 @@ def _slots(cols, big):
     return width, 1 + sum(deg for _, deg, *_ in cols) + n * (n - 1) // 2
 
 
-def _lazy_det(cols, big, stop=None):
-    """(k_minus, k_plus, core): the derivative matrix's determinant as
-    (1-eta)^k_minus (1+eta)^k_plus times the int list core, which neither
-    factor divides (algebra._edge_split), from one row of minors u_j =
-    det(rows 0..k; columns 0..k-1, j), columns sorted to ascending
-    eta-degree.  In symbolic mode the ints are (g, h)-polynomials packed in
-    the slots of _slots, which hold every minor, and the kernel runs on them
+def _lazy_det(cols, big, stop):
+    """[W, B_stop, ..., B_(n-1)]: minors of the derivative matrix, each as
+    (k_minus, k_plus, core), (1-eta)^k_minus (1+eta)^k_plus times the int
+    list core, which neither factor divides (algebra._edge_split), from one
+    row of minors u_j = det(rows 0..k; columns 0..k-1, j) run for stop
+    levels.  In symbolic mode the ints are (g, h)-polynomials packed in the
+    slots of _slots, which hold every minor, and the kernel runs on them
     unchanged.
 
     D u_j (_step with column j's own c0, c1) is the minor with row k one
     derivative further, up to a term (C0 + C1*eta)*u_j shared by level k that
     cancels in u_k*D u_j - D u_k*u_j = prev * (next u_j) (Sylvester; prev is
     the previous pivot, none at k = 0).  A zero pivot makes columns 0..k
-    dependent: the determinant is zero.
+    dependent: every later minor is zero.
 
     So the pivot of level k is det(columns 0..k) on rows 0..k, and after
     stop levels the row holds u_j = det(columns 0..stop-1, j) on rows
     0..stop for every j >= stop: the Wronskians of the first stop columns
-    and of each later column bordering them.  Given stop, only the first
-    stop columns are sorted, the later ones keep their order, and the result
-    is the list [W, B_stop, ..., B_(n-1)] of those minors in the same
-    (k_minus, k_plus, core) form: W = det(columns 0..stop-1), the pivot of
-    level stop - 1 ((0, 0, [1]) for stop = 0), and B_j = det(columns
-    0..stop-1, j), each with the sign of the sort, and all zero when a
-    pivot is.  Like every value of the full run, each is a minor of the
-    explicit matrix on its leading rows, so the slots that _slots gives for
-    all n columns hold every value tested here: a minor on fewer rows and
-    columns has no larger Hadamard bound, eta-degree or g-degree.
+    and of each later column bordering them.  Only the first stop columns
+    are sorted, to ascending eta-degree; the later ones keep their order.
+    W = det(columns 0..stop-1) is the pivot of level stop - 1 ((0, 0, [1])
+    for stop = 0) and B_j = det(columns 0..stop-1, j), each with the sign
+    of the sort, and all zero when a pivot is.  For stop = n the list is
+    [W], the determinant, and the last pivot takes no step.  Like every
+    value of the run, each is a minor of the explicit matrix on its leading
+    rows, so the slots that _slots gives for all n columns hold every value
+    tested here: a minor on fewer rows and columns has no larger Hadamard
+    bound, eta-degree or g-degree.
 
     Each minor is kept as (alpha, beta, core), u = (1-eta)^alpha
     (1+eta)^beta core, its edge factors split off as it is formed, and the
@@ -301,8 +302,7 @@ def _lazy_det(cols, big, stop=None):
     needs.
     """
     n = len(cols)
-    m = n if stop is None else stop
-    order = sorted(range(m), key=lambda j: len(cols[j][0])) + list(range(m, n))
+    order = sorted(range(stop), key=lambda j: len(cols[j][0])) + list(range(stop, n))
     sign = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
     u, cs = [_edge_split(cols[j][0]) for j in order], [cols[j][2:] for j in order]
 
@@ -311,7 +311,7 @@ def _lazy_det(cols, big, stop=None):
         return _step(p, cs[j][0] + big * (a - b), cs[j][1] + big * (a + b), big)
 
     prev = 0, 0, None
-    for k in range(n - 1 if stop is None else stop):
+    for k in range(min(stop, n - 1)):
         ak, bk, pk = u[k]
         if not pk:
             u = [(0, 0, [])] * n
@@ -322,37 +322,23 @@ def _lazy_det(cols, big, stop=None):
             a, b, core = _edge_split(num if prev[2] is None else _int_exact_div(num, prev[2]))
             u[j] = ak + u[j][0] - prev[0] + a, bk + u[j][1] - prev[1] + b, core
         prev = u[k]
-    out = u[-1:] if stop is None else [u[stop - 1] if stop else (0, 0, [1])] + u[stop:]
-    out = [(a, b, [sign * c for c in core]) for a, b, core in out]
-    return out[0] if stop is None else out
-
-
-def _int_wronskian(states, q, det=None):
-    """(a, b, w, scale): the Wronskian of the integer states (a, b, p, d) of
-    _columns at the denominator q, as an integer state at q itself: s^(a/q)
-    c^(b/q) (w / scale), canonical but for the int scale, with an integer
-    core w.  det(cols, big) is the determinant of the explicit derivative
-    matrix of cols as (k_minus, k_plus, core), the (1 -/+ eta) factors split
-    off, as _lazy_det (the default) gives it; _int_minor reads the state off
-    it.
-    """
-    if not states:
-        return 0, 0, [1], 1
-    big, cols = _columns(states, q)
-    return _int_minor(states, q, big, (det or _lazy_det)(cols, big))
+    return [(a, b, [sign * c for c in core])
+            for a, b, core in [u[stop - 1] if stop else (0, 0, [1])] + u[stop:]]
 
 
 def _int_minor(states, q, big, minor):
-    """_int_wronskian's (a, b, w, scale) of the integer states from the minor
-    (k_minus, k_plus, core) of their columns in a kernel run with the given
-    big (WronskianZeroError for a zero core).  Row i carries big^i and
-    column j its d_j, so scale = big^off * prod d_j, and the exponents sum
-    those of the states less off = m(m-1)/2 for m states, the q*off of a and
-    b.
+    """(a, b, w, scale): the Wronskian of the integer states (a, b, p, d) of
+    _columns at the denominator q, as an integer state at q itself: s^(a/q)
+    c^(b/q) (w / scale), canonical but for the int scale, with an integer
+    core w, read off the minor (k_minus, k_plus, core) of their columns in a
+    kernel run with the given big (WronskianZeroError for a zero core).  Row
+    i carries big^i and column j its d_j, so scale = big^off * prod d_j,
+    and the exponents sum those of the states less off = m(m-1)/2 for m
+    states, the q*off of a and b.
 
     (1-eta)^k = 2^k sin^(2k) x and (1+eta)^k = 2^k cos^(2k) x raise an
     exponent by 2k and the core by 2^k.  At a Kronecker point
-    (_tuple_wronskian) the factors come off the packed ints, whose slots
+    (_tuple_wronskians) the factors come off the packed ints, whose slots
     hold every value the kernel tests for zero.
     """
     k_minus, k_plus, core = minor
@@ -367,11 +353,12 @@ def _int_minor(states, q, big, minor):
 
 
 def _bordered_wronskians(states, q, stop):
-    """[W, B_stop, ..., B_(n-1)] as _int_wronskian gives each, from one kernel
-    run over the integer states (_lazy_det stopped after stop levels): W of
+    """[W, B_stop, ..., B_(n-1)] as _int_minor gives each, from one kernel run
+    over the integer states (_lazy_det stopped after stop levels): W of
     states[:stop] and B_j of states[:stop] bordered by states[j].  Each
     minor's exponents sum over its own states, and its scale is big^off
-    prod d_j over them, with the run's big (_int_minor)."""
+    prod d_j over them, with the run's big.  For stop = len(states) the list
+    is [W], the Wronskian of all the states; W[()] is the int state 1."""
     body = list(states[:stop])
     big, cols = _columns(states, q)
     w, *row = _lazy_det(cols, big, stop)
@@ -379,11 +366,31 @@ def _bordered_wronskians(states, q, stop):
         _int_minor(body + [s], q, big, b) for s, b in zip(states[stop:], row)]
 
 
-def _kronecker_states(t, pt):
-    """(states, exps, slots): the States t as integer states at a Kronecker
-    point (states._kronecker_sum) for the symbols pt, in the slots of _slots
-    from their exact norms (states._sum_norms), and their exponents as
-    int triples (cg, ch, c0)."""
+def _symbolic(w, states, exps, slots):
+    """_tuple_wronskians' (a, b, w, scale, slots) of the integer state w of
+    the Wronskian of Kronecker states with exponents exps, int triples (cg,
+    ch, c0) (states._sum_norms): a and b are never read off packed ints,
+    where one state's g and h can share a slot, but are the affine sums of
+    the states' exponents plus the edge step's change."""
+    a, b = (_linear(*map(sum, zip((0, 0, e - sum(st[i] for st in states)),
+                                  *(x[i] for x in exps))))
+            for i, e in ((0, w[0]), (1, w[1])))
+    return a, b, w[2], w[3], slots
+
+
+def _tuple_wronskians(t, pt, stop):
+    """_bordered_wronskians of the States t at the point pt of
+    states._params, each minor as (a, b, w, scale, slots): W[t[:stop]] and
+    W[t[:stop], s] for each later s, from one kernel run; [W[t]] for stop =
+    len(t).  At a point the states are _int_state's and slots is None.  At
+    the symbols they are ints at a Kronecker point (states._kronecker_sum),
+    in the slots of _slots for all of t's states from their exact norms
+    (states._sum_norms), each w is packed in those slots, and a and b are
+    affine (_symbolic); W[()] is the int state 1 in both modes, with slots
+    None."""
+    if not t or all(type(x) is int for x in pt[:2]):
+        return [(*w, None) for w in
+                _bordered_wronskians([_int_state(s, pt) for s in t], pt[2], stop)]
     sym = _symbols(pt)
     norms = [_sum_norms(s, sym) for s in t]
     slots = _slots([(x, deg, sum(abs(u - v) for u, v in zip(a, b)),
@@ -393,44 +400,8 @@ def _kronecker_states(t, pt):
     for s, (*_, k) in zip(t, norms):
         a, b, p, den = _kronecker_sum(s, sym, *slots)
         states.append((a, b, [c // k for c in p], den // k))
-    return states, [x[:2] for x in norms], slots
-
-
-def _symbolic(w, states, exps, slots):
-    """_tuple_wronskian's (a, b, w, scale, slots) of the integer state w of the
-    Wronskian of Kronecker states with exponents exps (_kronecker_states):
-    a and b are never read off packed ints, where one state's g and h can
-    share a slot, but are the affine sums of the states' exponents plus the
-    edge step's change."""
-    a, b = (_linear(*map(sum, zip((0, 0, e - sum(st[i] for st in states)),
-                                  *(x[i] for x in exps))))
-            for i, e in ((0, w[0]), (1, w[1])))
-    return a, b, w[2], w[3], slots
-
-
-def _tuple_wronskian(t, pt):
-    """(a, b, w, scale, slots): _int_wronskian of the States t at the point pt
-    of states._params, slots None.  At the symbols the states are ints at a
-    Kronecker point (_kronecker_states), w is packed in their slots, and a
-    and b are affine (_symbolic)."""
-    if not t or all(type(x) is int for x in pt[:2]):
-        return (*_int_wronskian([_int_state(s, pt) for s in t], pt[2]), None)
-    states, exps, slots = _kronecker_states(t, pt)
-    return _symbolic(_int_wronskian(states, 1), states, exps, slots)
-
-
-def _tuple_wronskians(t, pt, stop):
-    """_bordered_wronskians of the States t at the point pt, each minor as
-    _tuple_wronskian gives it: W[t[:stop]] and W[t[:stop], s] for each
-    later s, from one kernel run, at a Kronecker point in the slots of all
-    of t's states for the symbols; W[()] is the int state 1 in both modes,
-    as there."""
-    if all(type(x) is int for x in pt[:2]):
-        return [(*w, None) for w in
-                _bordered_wronskians([_int_state(s, pt) for s in t], pt[2], stop)]
-    states, exps, slots = _kronecker_states(t, pt)
     sets = [range(stop)] + [[*range(stop), j] for j in range(stop, len(t))]
-    return [_symbolic(w, [states[i] for i in c], [exps[i] for i in c], slots) if c
+    return [_symbolic(w, [states[i] for i in c], [norms[i][:2] for i in c], slots) if c
             else (*w, None) for w, c in zip(_bordered_wronskians(states, 1, stop), sets)]
 
 
@@ -441,7 +412,7 @@ def _core(cs, slots):
 
 
 def _unpacked(w):
-    """The integer state (a, b, core, scale) of _tuple_wronskian's w."""
+    """The integer state (a, b, core, scale) of a minor w of _tuple_wronskians."""
     return w[0], w[1], _core(w[2], w[4]), w[3]
 
 
@@ -456,7 +427,8 @@ def wronskian(t, inst=None):
     """
     t = as_state_tuple(t)
     pt = _params(inst)
-    w, scale = _quasi(_unpacked(_tuple_wronskian(t, pt)), pt[2])
+    [w] = _tuple_wronskians(t, pt, len(t))
+    w, scale = _quasi(_unpacked(w), pt[2])
     return w.scale_poly(Fraction(1, scale))
 
 

@@ -35,8 +35,8 @@ from mijacobi.states import random_tuple  # noqa: F401  (re-exported for the tes
 from mijacobi.states import _int_state, _params, _quasi, _value
 from mijacobi.algebra import _F1, _clear, _edge_split, _exact_quo, _gcd, _pack
 from mijacobi.wronskian import (RawQuasi, det_poly_matrix, differentiate, wronskian,
-                                _column, _core, _int_quasis, _int_wronskian, _lazy_det,
-                                _slots, _state_column)
+                                _column, _columns, _core, _int_minor, _int_quasis,
+                                _lazy_det, _slots, _state_column)
 
 
 def _matrix(cols, big):
@@ -82,17 +82,16 @@ def pack_columns(cols, big):
 
 
 def int_wronskian(states, q):
-    """wronskian._int_wronskian of integer states of ints or int-coefficient
-    ParamPolys: ParamPoly columns are packed here (pack_columns) for the
-    kernel, whose (k_minus, k_plus, core) passes through, and the core is
-    unpacked from the same slots."""
-    slots = [None]
-
-    def det(cols, big):
-        cols, slots[0] = pack_columns(cols, big)
-        return _lazy_det(cols, big)
-    a, b, core, scale = _int_wronskian(states, q, det)
-    return a, b, _core(core, slots[0]), scale
+    """The Wronskian of integer states of ints or int-coefficient ParamPolys
+    as wronskian._int_minor reads it off a full kernel run: ParamPoly
+    columns are packed here (pack_columns) for the kernel, whose (k_minus,
+    k_plus, core) passes through, and the core is unpacked from the same
+    slots."""
+    big, cols = _columns(states, q)
+    cols, slots = pack_columns(cols, big)
+    [det] = _lazy_det(cols, big, len(cols))
+    a, b, core, scale = _int_minor(states, q, big, det)
+    return a, b, _core(core, slots), scale
 
 
 def wronskian_of_quasis(quasis):
@@ -116,9 +115,10 @@ def wronskian_compose_check(base, f, g2, inst=None):
     pt = _params(require_generic(*inst))
     sts = list(as_state_tuple(base))
     as_state_tuple(sts + [f, g2])  # distinctness check
-    lhs, scale = _quasi(_int_wronskian(
-        [_int_state(s, pt) for s in sts + [f, g2]], pt[2],
-        lambda cols, big: _edge_split(det_poly_matrix(_matrix(cols, big)).coeffs)), pt[2])
+    states = [_int_state(s, pt) for s in sts + [f, g2]]
+    big, cols = _columns(states, pt[2])
+    lhs, scale = _quasi(_int_minor(
+        states, pt[2], big, _edge_split(det_poly_matrix(_matrix(cols, big)).coeffs)), pt[2])
     lhs = lhs.scale_poly(Fraction(1, scale)).mul(wronskian(sts, inst))
     rhs = wronskian_of_quasis([wronskian(sts + [f], inst), wronskian(sts + [g2], inst)])
     return lhs == rhs
@@ -145,7 +145,8 @@ def lazy_det(cols, big):
     bound.
     """
     packed_cols, slots = pack_columns(cols, big)
-    det = with_edges(*_lazy_det(packed_cols, big))
+    [det] = _lazy_det(packed_cols, big, len(cols))
+    det = with_edges(*det)
     if slots is None:
         return EtaPoly(det)
 

@@ -12,7 +12,7 @@ from mijacobi.cli import MAX_INDEX, MAX_RANDOM, MAX_STATES, main, parse_tuple_sp
 from mijacobi.maya import Ledger, ProportionalityReport, tuple_to_diagrams
 from mijacobi.spectral import _eigen_identity
 from mijacobi.states import DEFAULT_GENERIC_POINT, State, StateType, _int_state, as_state_tuple
-from mijacobi.wronskian import _bordered_wronskians, _int_wronskian, wronskian
+from mijacobi.wronskian import _bordered_wronskians, wronskian
 
 G = ParamPoly.gen_g()
 H = ParamPoly.gen_h()
@@ -313,11 +313,6 @@ class TestSpectrum:
         # run of its own
         sizes = {}
 
-        def sized(states, q, det=None):
-            w = _int_wronskian(states, q, det)
-            sizes[id(w)] = len(states)
-            return w
-
         def bordered(states, q, stop):
             ws = _bordered_wronskians(states, q, stop)
             for i, w in enumerate(ws):
@@ -332,7 +327,6 @@ class TestSpectrum:
                 return _eigen_identity(w, y, e, pt)
 
             with monkeypatch.context() as m:
-                m.setattr("mijacobi.spectral._int_wronskian", sized)
                 m.setattr("mijacobi.spectral._bordered_wronskians", bordered)
                 m.setattr("mijacobi.spectral._eigen_identity", stub)
                 code, out, err = run(capsys, "--g", "37/10", "--h", "52/7",
@@ -348,11 +342,7 @@ class TestSpectrum:
         # bordered run gives W[T] and the 3 bound numerators, and the extra
         # numerator has a run of its own
         t = as_state_tuple("I1,II2,III1")
-        sizes, runs, built, public = [], [], [], []
-
-        def counted(states, q, det=None):
-            sizes.append(len(states))
-            return _int_wronskian(states, q, det)
+        runs, built, public = [], [], []
 
         def bordered(states, q, stop):
             runs.append((len(states), stop))
@@ -369,7 +359,6 @@ class TestSpectrum:
         argv = ("--g", "37/10", "--h", "52/7", "spectrum", "I1,II2,III1",
                 "--up-to", "2", "--verify")
         plain = run(capsys, *argv)
-        monkeypatch.setattr("mijacobi.spectral._int_wronskian", counted)
         monkeypatch.setattr("mijacobi.spectral._bordered_wronskians", bordered)
         monkeypatch.setattr("mijacobi.spectral._int_state", state)
         # the function's home module, which `mijacobi.wronskian` (the function
@@ -377,7 +366,7 @@ class TestSpectrum:
         monkeypatch.setattr(sys.modules["mijacobi.wronskian"], "wronskian", refused)
         monkeypatch.setattr("mijacobi.cli.wronskian", refused)
         assert run(capsys, *argv) == plain and plain[0] == 0
-        assert runs == [(6, 3)] and sizes == [2]  # W[T] and 3 bound; 1 extra
+        assert runs == [(6, 3), (2, 2)]  # W[T] and 3 bound; the extra one alone
         assert built == list(t) + [State(StateType.N, n) for n in range(3)]
         assert public == []
 

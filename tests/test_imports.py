@@ -1,8 +1,10 @@
 """Source hygiene: the package exports exactly its public API, every name a
 package module imports is used in it, every module-level private function
 and private method is used somewhere in the package, the CLI imports no
-private name, no module uses floating point, none memoises, and no chain of
-imports between modules leads back to where it began."""
+private name, no module uses floating point, none memoises, no chain of
+imports between modules leads back to where it began, and the Wronskian
+kernel has one entry: one place calls it, its stop has no default, and no
+function takes a determinant as a parameter."""
 
 import ast
 from collections import Counter
@@ -217,3 +219,67 @@ def test_import_cycles_found():
 def test_no_import_cycles():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert sources and import_cycles(sources) == []
+
+
+def mentions_by_place(sources, name):
+    """(module, place) of each mention of name in sources {module: source},
+    one entry per mention: place is the module-level function or
+    Class.method that holds it, the class elsewhere in a class body, and
+    None at module level."""
+    found = []
+    for module, src in sources.items():
+        for node in ast.parse(src).body:
+            if isinstance(node, ast.ClassDef):
+                owners = [("%s.%s" % (node.name, n.name) if isinstance(n, ast.FunctionDef)
+                           else node.name, n) for n in node.body]
+            else:
+                owners = [(node.name if isinstance(node, ast.FunctionDef) else None, node)]
+            found += [(module, owner) for owner, n in owners for _ in range(_mentions(n)[name])]
+    return sorted(found, key=str)
+
+
+def parameters(sources):
+    """(module, function, parameter, has a default) of each parameter of each
+    function, method, nested function or lambda of sources {module: source}."""
+    found = []
+    for module, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                found += [(module, getattr(node, "name", "<lambda>"), a.arg, a in defaulted)
+                          for a in positional + args.kwonlyargs
+                          + [a for a in (args.vararg, args.kwarg) if a]]
+    return found
+
+
+def test_kernel_rules_found():
+    sources = {"w": "def _lazy_det(cols, big, stop=None):\n    return _lazy_det\n\n"
+                    "def _int_wronskian(states, q, det=None):\n"
+                    "    return (det or _lazy_det)(states, q)\n\n"
+                    "class K:\n    \"\"\"Doc.\"\"\"\n    kernel = _lazy_det\n\n"
+                    "    def run(self):\n        return m._lazy_det(1, 2, 3)\n\n"
+                    "alias = _lazy_det\n",
+               "s": "f = lambda a, *det, k=1: a\n"}
+    assert mentions_by_place(sources, "_lazy_det") == [
+        ("w", "K"), ("w", "K.run"), ("w", "_int_wronskian"), ("w", "_lazy_det"), ("w", None)]
+    assert sorted(parameters(sources)) == [
+        ("s", "<lambda>", "a", False), ("s", "<lambda>", "det", False),
+        ("s", "<lambda>", "k", True), ("w", "_int_wronskian", "det", True),
+        ("w", "_int_wronskian", "q", False), ("w", "_int_wronskian", "states", False),
+        ("w", "_lazy_det", "big", False), ("w", "_lazy_det", "cols", False),
+        ("w", "_lazy_det", "stop", True), ("w", "run", "self", False)]
+
+
+def test_one_kernel_entry():
+    # every Wronskian is a stopped run of the lazy-row determinant, entered
+    # from _bordered_wronskians alone: a second entry, a default stop or a
+    # determinant passed in as a parameter would fork the kernel again
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert mentions_by_place(sources, "_lazy_det") == [("wronskian.py", "_bordered_wronskians")]
+    params = parameters(sources)
+    assert [(p, d) for m, f, p, d in params if f == "_lazy_det"] == [
+        ("cols", False), ("big", False), ("stop", False)]
+    assert [(m, f) for m, f, p, _ in params if p == "det"] == []

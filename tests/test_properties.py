@@ -16,7 +16,8 @@ that matrix, Wronskians have the closed-form degree and leading
 coefficient, the symbolic move constants read off those closed-form factors
 equal the gcd-reduced ones, each division move steps the ledger as its case
 in the four-case table says and the opposite move undoes it, a Wronskian built at shifted parameters equals
-the shifted Wronskian (shift_quasi), public results hold Fractions even though the
+the shifted Wronskian (shift_quasi), the mirror x -> pi/2 - x maps W[T] to
+W[T'] with I and II exchanged at (h, g), public results hold Fractions even though the
 integer pipeline computes on ints, the packed EtaPoly product equals the
 schoolbook one, the integer eigen identity decides as its Fraction form
 does, and equal values hash equal.
@@ -67,12 +68,12 @@ from mijacobi.states import (  # noqa: E402
 )
 from mijacobi.wronskian import (  # noqa: E402
     WronskianZeroError,
+    _bordered_wronskians,
     _column_bounds,
     _columns,
     _core,
     _int_quasis,
-    _int_wronskian,
-    _tuple_wronskian,
+    _tuple_wronskians,
     _unpacked,
     det_poly_matrix,
     shift_quasi,
@@ -171,7 +172,8 @@ def test_int_state_is_the_cleared_jacobi_state(s, inst):
 @given(tuples | same_family, st.none() | shifts | points)
 def test_int_wronskian_core_over_scale_is_the_wronskian(t, inst):
     pt = _params(inst)
-    w, scale = _quasi(_unpacked(_tuple_wronskian(t, pt)), pt[2])
+    [w] = _tuple_wronskians(t, pt, len(t))
+    w, scale = _quasi(_unpacked(w), pt[2])
     assert type(scale) is int and scale > 0
     assert all(type(v) is int for v in coefficient_terms(w.poly))
     assert w.scale_poly(F(1, scale)) == wronskian_of_quasis([make_state(s, inst) for s in t])
@@ -189,7 +191,8 @@ def test_symbolic_core_instantiates_to_point_core(t, pt):
     # symbolic route takes off packed ints in the kernel's own slots
     sym, s_sym = _quasi(int_wronskian([_int_state(s, _params(None)) for s in t], 1), 1)
     q = _params(pt)[2]
-    at, s_at = _quasi(_int_wronskian([_int_state(s, _params(pt)) for s in t], q), q)
+    [at] = _bordered_wronskians([_int_state(s, _params(pt)) for s in t], q, len(t))
+    at, s_at = _quasi(at, q)
     assert sym.poly.instantiate(*pt).scale(F(s_at, s_sym)) == at.poly
     assert at.expS == AffineExp.const(sym.expS.as_parampoly().eval_at(*pt))
     assert at.expC == AffineExp.const(sym.expC.as_parampoly().eval_at(*pt))
@@ -204,18 +207,19 @@ class _Stop(Exception):
 
 def kronecker_states(t, pt):
     """(states, slots): the integer states and the slots with which
-    _tuple_wronskian at the symbols pt reaches _int_wronskian, not run."""
+    _tuple_wronskians at the symbols pt reaches _bordered_wronskians, not
+    run."""
     module, seen = sys.modules["mijacobi.wronskian"], []
     rule = module._slots
 
-    def stop(states, q, det=None):
+    def halt(states, q, stop):
         seen.append(states)
         raise _Stop
     with pytest.MonkeyPatch.context() as m:
         m.setattr(module, "_slots", lambda cols, big: seen.append(rule(cols, big)) or seen[-1])
-        m.setattr(module, "_int_wronskian", stop)
+        m.setattr(module, "_bordered_wronskians", halt)
         with pytest.raises(_Stop):
-            _tuple_wronskian(t, pt)
+            _tuple_wronskians(t, pt, len(t))
     return seen[1], seen[0]
 
 
@@ -408,7 +412,7 @@ def test_every_stripped_minor_is_its_explicit_minors_core(t):
     split = module._edge_split
     with pytest.MonkeyPatch.context() as m:
         m.setattr(module, "_edge_split", lambda cs: seen.append(split(cs)) or seen[-1])
-        module._lazy_det(packed_cols, big)
+        module._lazy_det(packed_cols, big, len(cols))
     n, mat = len(cols), _matrix(cols, big)
     minors = [(0, j) for j in range(n)] + [(k, j) for k in range(1, n) for j in range(k, n)]
     assert len(seen) == len(minors)
@@ -559,6 +563,43 @@ def test_factored_constant_matches_gcd_route(t, route, pt):
 def test_wronskian_at_shifted_symbols_matches_shift_quasi(t, dg, dh):
     w = wronskian(t, (AffineExp(1, 0, dg), AffineExp(0, 1, dh)))
     assert w == shift_quasi(wronskian(t), dg, dh)
+
+
+def mirrored(t, inst):
+    """W[T] from the mirror x -> pi/2 - x: W[T'](h, g; -eta) with its sin and
+    cos exponents exchanged, times (-1)^(sum v + n(n-1)/2), for T' the tuple
+    T in its order with I and II exchanged.  The mirror swaps sin and cos
+    and sends eta to -eta; it negates every derivative, so row i of the
+    derivative matrix changes sign i times, and it sends each state of T at
+    (g, h) to the matching state of T' at (h, g) times (-1)^v, as
+    P_v^(alpha, beta)(-eta) = (-1)^v P_v^(beta, alpha)(eta)."""
+    flip = {StateType.I: StateType.II, StateType.II: StateType.I}
+    n = len(t)
+    sign = (-1) ** (sum(s.v for s in t) + n * (n - 1) // 2)
+    w = wronskian([State(flip.get(s.type, s.type), s.v) for s in t],
+                  None if inst is None else inst[::-1])
+
+    def swap(c):
+        return c if type(c) is not ParamPoly else ParamPoly(
+            {(j, i): v for (i, j), v in c.terms.items()})
+    return QuasiPoly(*(AffineExp(e.ch, e.cg, e.c0) for e in (w.expC, w.expS)),
+                     EtaPoly(tuple(swap(c) * (sign * (-1) ** k)
+                                   for k, c in enumerate(w.poly.coeffs))))
+
+
+@settings(no_shrink, max_examples=40)
+@given(st.lists(st.builds(State, st.sampled_from(list(StateType)), st.integers(0, 3)),
+                min_size=0, max_size=4, unique=True))
+@example([])
+def test_mirror_symbolically(t):
+    assert wronskian(t) == mirrored(t, None)
+
+
+@settings(derandomized, max_examples=60)
+@given(st.lists(st.builds(State, st.sampled_from(list(StateType)), st.integers(0, 4)),
+                min_size=0, max_size=5, unique=True), points)
+def test_mirror_at_a_point(t, pt):
+    assert wronskian(t, pt) == mirrored(t, pt)
 
 
 @derandomized

@@ -7,7 +7,7 @@ from math import lcm
 import mpmath as mp
 import pytest
 
-from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly, ParamRat, _pack
+from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly, ParamRat, _edge_split, _pack
 from mijacobi.states import (
     QuasiPoly,
     State,
@@ -455,15 +455,15 @@ class TestBorderedRun:
 
     def test_stopped_runs_end_in_the_determinant(self):
         # stopped one level short, the one bordered minor is the determinant
-        # of all n columns, and stopped at n the pivot is: the same int list
-        # as the full run's
+        # of all n columns, and stopped at n the pivot is: both the edge split
+        # of Bareiss on the explicit matrix
         rng = seeded(78)
         for _ in range(6):
             t = list(random_tuple(rng, 6, 4, min_size=2))
             rng.shuffle(t)
             pt = _params(rng.choice(GENERIC_POINTS))
             big, cols = _columns([_int_state(s, pt) for s in t], pt[2])
-            det = _lazy_det(cols, big)
+            det = _edge_split(det_poly_matrix(_matrix(cols, big)).coeffs)
             assert _lazy_det(cols, big, len(t) - 1)[1] == det == _lazy_det(cols, big, len(t))[0]
 
     def test_zero_minor_raises(self):
@@ -537,11 +537,11 @@ class TestComposition:
         module = sys.modules["mijacobi.wronskian"]
         combine, kernel = module._int_combine, module._lazy_det
 
-        def mutated(cols, big):
+        def mutated(cols, big, stop):
             with monkeypatch.context() as m:
                 m.setattr(module, "_int_combine",
                           lambda pivot, x, lead, y: combine(pivot, x, [-c for c in lead], y))
-                return kernel(cols, big)
+                return kernel(cols, big, stop)
 
         base, f, g2 = [parse_state("I1")], parse_state("III1"), parse_state("N2")
         pt = random_generic_point(seeded(41))

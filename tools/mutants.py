@@ -120,10 +120,11 @@ MUTANTS = (
     # shifts (c0, c1) by the minor's edge powers, and the next minor's powers
     # are u_k's and u_j's less the pivot's.
     Mutant("lazy-explicit-route", WRONSKIAN,
-           "(det or _lazy_det)(cols, big)",
-           "(det or (lambda cols, big: _edge_split(det_poly_matrix("
-           "[[EtaPoly(e) for e in row] for row in zip(*(_column(p, c0, c1, len(cols), big)"
-           " for p, _, c0, c1 in cols))]).coeffs)))(cols, big)",
+           "w, *row = _lazy_det(cols, big, stop)",
+           "w, *row = ([_edge_split(det_poly_matrix("
+           "[[EtaPoly(e) for e in r] for r in zip(*(_column(p, c0, c1, len(cols), big)"
+           " for p, _, c0, c1 in cols))]).coeffs)] if stop == len(cols)"
+           " else _lazy_det(cols, big, stop))",
            ("tests/test_wronskian.py",)),
     Mutant("lazy-permutation-sign", WRONSKIAN,
            "sign = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])",
@@ -146,13 +147,17 @@ MUTANTS = (
            WRONSKIAN_TESTS),
     # The kernel stopped after stop levels: the pivot and the row of bordered
     # minors, each an integer state over its own columns; W[T without s, s]
-    # is (-1)^(n-1-i) W[T] for s at position i.
+    # is (-1)^(n-1-i) W[T] for s at position i, and the run of no levels
+    # has the pivot 1, the Wronskian of no states.
     Mutant("bordered-sign-dropped", SPECTRAL,
            "w if (len(rest) - i) % 2 == 0 else [-c for c in w]", "w",
            SPECTRAL_TESTS),
     Mutant("stop-off-by-one", WRONSKIAN,
-           "for k in range(n - 1 if stop is None else stop):",
-           "for k in range(n - 1 if stop is None else stop + 1):",
+           "for k in range(min(stop, n - 1)):",
+           "for k in range(min(stop + 1, n - 1)):",
+           BORDERED_TESTS),
+    Mutant("empty-run-pivot-sign", WRONSKIAN,
+           "if stop else (0, 0, [1])]", "if stop else (0, 0, [-1])]",
            BORDERED_TESTS),
     Mutant("minor-scale-one-column-more", WRONSKIAN,
            "scale = big ** off * prod(", "scale = big ** (off + len(states)) * prod(",
@@ -249,7 +254,7 @@ MUTANTS = (
            "i = [x.type for x in t].index(StateType.III)",
            SPECTRAL_TESTS),
     Mutant("spectrum-bound-over-w-t", SPECTRAL,
-           "y = next(ys) if lab.kind", "y = wt if lab.kind",
+           "            y = next(ys)\n", "            y = wt\n",
            SPECTRAL_TESTS),
     # The quotient route on ints: -2 (log W)'' has big^2 in its denominator,
     # the higher exponent's side folds (1 -/+ eta) into its numerator and the
