@@ -1017,9 +1017,23 @@ def _pack_rows(rs, lg, ng, nh, width):
 def _products_equal(a, x, b, y):
     """Whether a*x == b*y for nonzero a, b in (eta, g, h) as _rows gives them
     and nonzero scalars x, y (ints, Fractions or ParamPolys), cleared by one
-    common denominator: one product of packed ints per side (_pack_rows), in
-    slots wider than any coefficient of the difference."""
+    common denominator.
+
+    The path follows from the input.  At a point, _rows gives each core as
+    rows of one int (its constant term in g and h) and x, y clear to ints;
+    packing is then the identity on the eta-coefficients, so the same proof
+    needs no slot widths: a*x == b*y is decided coefficient by coefficient,
+    once both have as many coefficients (rows of unequal lengths take the
+    packed path, which also reads untrimmed zero rows right).  Otherwise
+    (symbolic cores, or symbolic scalars) it is one product of packed ints
+    per side (_pack_rows), in slots wider than any coefficient of the
+    difference.
+    """
     (x, y), _ = _clear([x, y])
+    ra, rb = a[0], b[0]
+    if (type(x) is int and type(y) is int and len(ra) == len(rb)
+            and all(len(r) == 1 for rs in (ra, rb) for r in rs)):
+        return all(p[0] * x == q[0] * y for p, q in zip(ra, rb))
     sides = ((a, _rows([x])), (b, _rows([y])))
     ng = max(p[1] + s[1] for p, s in sides) - 1
     nh = 1 + max(sum(max(len(r) - 1 for r in rs) // lg for rs, lg in side) for side in sides)

@@ -21,7 +21,14 @@ MAX_RANDOM = 1000 identities: a symbolic one takes 0.05-0.1 s on average
 (200 seed-0 draws, at most 2.5 s for one), so K = 1000 runs one to two
 minutes, and K above it is a parse error (exit 2).  Times are CPU time on
 Python 3.11 in a 2-core container.  The limits
-hold for the command line only; the API takes any size.  Rationals on the
+hold for the command line only; the API takes any size.  They bound the
+input tuple, not the reduced tuple that reduce --verify checks: a reduction
+makes one move per index up to the largest of each family it consumes, and
+each move adds or removes one state.  At --g 37/10 --h 52/7, reduce II40
+--verify checks 41 states in about 18 s and II20,III20 takes about 8.5 s;
+I40,II40,III40,N40 reduces to 82 states and does not finish in a minute.
+The place to bound that work is a predicted-cost budget for the verifiers
+(ROADMAP item 13), not the input limits.  Rationals on the
 command line are "p/q" or decimals; a negative one is written --g=-7/3, since
 argparse reads --g -7/3 as a flag without its value (exit 2).  The options
 --json, --latex, --g, --h and --seed come before the command (mijacobi --g

@@ -25,14 +25,20 @@ division shifts (g, h) by (sigma, sigma) and a move of the second by
 (sigma, -sigma).  Each parameter x' = x + d0, at its pre-move shift d0,
 adds x' to its prefactor exponent if it steps up and 1 - x' if it steps
 down: a left move of the second division contributes shift (-1, +1) and
-exponents (1 - g', h'), and the right move is its exact inverse.  The
+exponents (1 - g', h'), and the right move is its exact inverse.  A single
+move (move_division) and a whole reduction (reduce_tuple) run one integer
+rule (_moves) on plain bead lists and int shifts; a reduction builds its
+diagrams, its ledger and the ledger's two AffineExps once, at the end.  The
 verifiers build W[current] directly at the shifted parameters
 (g + dg, h + dh), symbols or a point, on one path in both modes: each
 side is one run of the Wronskian kernel over its whole tuple.  They
 predict the constant of proportionality in closed form, from the known
 factors of both leading coefficients, and prove the identity and that
-constant together by one comparison of packed integer products, which
-re-slots the digits of symbolic cores that stay packed from the kernel on.
+constant together by one comparison of integer products
+(algebra._products_equal): of packed ints in symbolic mode, which re-slots
+the digits of cores that stay packed from the kernel on, and coefficient by
+coefficient at a point, where packing is the identity on the
+eta-coefficients.
 
 Iterating left moves of the second division until no type II state remains,
 and of the first division until no type III state remains, reduces any tuple
@@ -76,15 +82,10 @@ class MayaDiagram:
             object.__setattr__(self, name, val)
 
     def moved(self, direction):
-        """Diagram with the division moved one step left or right; a left
-        move is the right move with the two sides swapped."""
-        mirror = _sigma(direction) < 0
-        lw, rb = self.left_white, self.right_black
-        if mirror:
-            lw, rb = rb, lw
-        lw = [p + 1 for p in lw] + ([] if 0 in rb else [0])
-        rb = [p - 1 for p in rb if p]
-        return MayaDiagram(rb, lw) if mirror else MayaDiagram(lw, rb)
+        """Diagram with the division moved one step left or right: the beads
+        of the move rule (_moves), which do not depend on the shifts."""
+        lw, rb, *_ = _moves(self.left_white, self.right_black, _sigma(direction), 0, 1, 0, 0)
+        return MayaDiagram(lw, rb)
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,45 @@ def _sigma(direction):
     return 1 if direction == "right" else -1
 
 
+def _steps(which, direction):
+    """(sg, sh): the steps of (g, h) in one move of the named division,
+    (sigma, sigma) for the first and (sigma, -sigma) for the second."""
+    if which not in ("first", "second"):
+        raise ValueError("which must be 'first' or 'second'")
+    sg = _sigma(direction)
+    return sg, (sg if which == "first" else -sg)
+
+
+def _moves(lw, rb, sg, sh, n, dg, dh):
+    """The move rule on ints: n moves of one division, each stepping (g, h)
+    by (sg, sh) (_steps), on the bead lists lw, rb of its diagram, from the
+    shifts (dg, dh).  Returns (lw, rb, dg, dh, cs, cc): the bead lists and
+    shifts after the moves, and the sums cs, cc of the constants the moves
+    add to prefS and prefC, whose g and h coefficients grow by the change
+    of dg and of dh.
+
+    A right move (sg = 1) lifts every left position by one and lowers every
+    right one; the bead at right position 0 crosses to left position 0,
+    where it is a new white bead unless it was black.  A left move is the
+    right move with the two sides swapped.  A parameter x' = x + d0, at its
+    shift d0 before the move, adds x' to its prefactor exponent if it steps
+    up and 1 - x' if it steps down: step * d0 + (step < 0) to the constant
+    and the step to the coefficient of x.
+    """
+    if sg < 0:
+        lw, rb = rb, lw
+    cs = cc = 0
+    for _ in range(n):
+        cs += sg * dg + (sg < 0)
+        cc += sh * dh + (sh < 0)
+        dg, dh = dg + sg, dh + sh
+        lw = [p + 1 for p in lw] + ([] if 0 in rb else [0])
+        rb = [p - 1 for p in rb if p]
+    if sg < 0:
+        lw, rb = rb, lw
+    return lw, rb, dg, dh, cs, cc
+
+
 def move_division(pair, which, direction):
     """Move one division one step and update the ledger.
 
@@ -141,19 +181,18 @@ def move_division(pair, which, direction):
     (g, h) by (sigma, sigma) and the second by (sigma, -sigma).  A parameter
     x' = x + d0 (d0 its shift before the move) that steps up adds x' to its
     prefactor exponent (prefS for g, prefC for h), and one that steps down
-    adds 1 - x'; both are affine in the original (g, h).
+    adds 1 - x'; both are affine in the original (g, h).  The step is the
+    integer move rule (_moves) on the moved diagram's beads and the
+    ledger's shifts; only the moved diagram and the new ledger are built.
     """
-    if which not in ("first", "second"):
-        raise ValueError("which must be 'first' or 'second'")
-    sg = _sigma(direction)
-    sh = sg if which == "first" else -sg
-    led = pair.ledger
-    cs, cc = (step * d0 + (step < 0) for step, d0 in ((sg, led.dg), (sh, led.dh)))
-    moved = getattr(pair, which).moved(direction)
+    sg, sh = _steps(which, direction)
+    led, diagram = pair.ledger, getattr(pair, which)
+    lw, rb, dg, dh, cs, cc = _moves(diagram.left_white, diagram.right_black, sg, sh, 1,
+                                    led.dg, led.dh)
+    moved = MayaDiagram(lw, rb)
     first, second = (moved, pair.second) if which == "first" else (pair.first, moved)
     return DiagramPair(first, second, Ledger(
-        led.dg + sg, led.dh + sh,
-        led.prefS + AffineExp(sg, 0, cs), led.prefC + AffineExp(0, sh, cc)))
+        dg, dh, led.prefS + AffineExp(sg, 0, cs), led.prefC + AffineExp(0, sh, cc)))
 
 
 def dbar(indices):
@@ -197,19 +236,27 @@ def reduce_tuple(t, target):
     II state), or right max(type I)+1 times otherwise; the first division
     moves left max(type III)+1 times when bound states survive, or right
     max(type N)+1 times otherwise.  Families absent from the tuple cost no
-    moves.
+    moves.  Every move is the integer move rule (_moves) on the index
+    lists, so the diagrams, the ledger and its two AffineExps are built
+    once, from the final beads and shifts; the result is that of folding
+    move_division over the same moves.
     """
     t = as_state_tuple(t)
     target = ReductionTarget(target)
-    pair = tuple_to_diagrams(t)
-    for which, keeps_black in (("second", target.keeps_type_i),
-                               ("first", target.keeps_type_n)):
-        diagram = getattr(pair, which)
-        direction, gone = (("left", diagram.left_white) if keeps_black
-                           else ("right", diagram.right_black))
-        for _ in range(max(gone, default=-1) + 1):
-            pair = move_division(pair, which, direction)
-    return diagrams_to_tuple(pair), pair.ledger
+    dg = dh = cs = cc = 0
+    diagrams = []
+    for which, white, black, keeps_black in (
+            ("second", StateType.II, StateType.I, target.keeps_type_i),
+            ("first", StateType.III, StateType.N, target.keeps_type_n)):
+        lw, rb = t.indices(white), t.indices(black)
+        gone = lw if keeps_black else rb
+        sg, sh = _steps(which, "left" if keeps_black else "right")
+        lw, rb, dg, dh, s, c = _moves(lw, rb, sg, sh, gone[-1] + 1 if gone else 0, dg, dh)
+        cs, cc = cs + s, cc + c
+        diagrams.append(MayaDiagram(lw, rb))
+    second, first = diagrams
+    ledger = Ledger(dg, dh, AffineExp(dg, 0, cs), AffineExp(0, dh, cc))
+    return diagrams_to_tuple(DiagramPair(first, second, ledger)), ledger
 
 
 def canonical_form(t):
@@ -274,8 +321,9 @@ def _check_ledger_identity(t_before, t_after, ledger, instantiate):
     unpacked: a Fraction when both are constants (at a point, or
     symbolically for two empty tuples), else the reduced ParamRat read off
     the closed-form factors of both leading coefficients (_lc_factors), with
-    no gcd.  One packed comparison of the cores' rows, a*(den*s_r) ==
-    b*(num*s_l) (algebra._products_equal), then proves both that W[t_before]
+    no gcd.  One comparison of the cores' rows, a*(den*s_r) == b*(num*s_l)
+    (algebra._products_equal: packed in symbolic mode, coefficient by
+    coefficient at a point), then proves both that W[t_before]
     is c times the prefactor times W[t_after] and that c is the reported
     constant.
     """

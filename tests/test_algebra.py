@@ -6,6 +6,7 @@ from itertools import zip_longest
 
 import pytest
 
+import mijacobi.algebra as algebra
 from mijacobi.algebra import (
     AffineExp,
     EtaPoly,
@@ -22,6 +23,7 @@ from mijacobi.algebra import (
     _int_mul,
     _pack,
     _pack_list,
+    _products_equal,
     _unpack,
 )
 from mijacobi.states import State, StateType, jacobi_poly, make_state
@@ -499,6 +501,68 @@ class TestProportional:
         a = EtaPoly((G * big + 1, H ** 4 * big - G, H))
         assert proportional(a.scale(F(-3)), a) == -3
         assert proportional(a.scale(G - 2), a.scale(H + 1)) == ParamRat(G - 2, H + 1)
+
+
+class TestPointComparison:
+    """_products_equal on rows of one int, as _rows gives a core at a point:
+    decided coefficient by coefficient, with no packing."""
+
+    A = [3, -5, 0, 7, 2]
+    B = [2 * c for c in A]
+    X, Y = F(6, 7), F(3, 7)  # A*X == B*Y
+
+    @staticmethod
+    def equal(a, x, b, y):
+        return _products_equal(([[c] for c in a], 1), x, ([[c] for c in b], 1), y)
+
+    def test_no_packing(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("packed a comparison at a point")
+
+        monkeypatch.setattr(algebra, "_pack_rows", unused)
+        assert self.equal(self.A, self.X, self.B, self.Y)
+        assert not self.equal(self.A, self.Y, self.B, self.X)
+
+    def test_rejects_near_misses(self):
+        a, b, x, y = self.A, self.B, self.X, self.Y
+        assert self.equal(a, x, b, y)
+        assert not self.equal(a, y, b, x)  # swapped scalars
+        for k in range(len(a)):
+            for d in (1, -1):
+                assert not self.equal(a[:k] + [a[k] + d] + a[k + 1:], x, b, y), (k, d)
+                assert not self.equal(a, x, b[:k] + [b[k] + d] + b[k + 1:], y), (k, d)
+        for top in (1, -4):  # an extra top coefficient on either side
+            assert not self.equal(a + [top], x, b, y)
+            assert not self.equal(a, x, b + [top], y)
+        # trailing zeros are no coefficient: unequal lengths take the packed path
+        assert self.equal(a + [0], x, b, y) and self.equal(a, x, b + [0, 0], y)
+
+    def test_matches_scaled_etapolys(self):
+        rng = seeded(23)
+        seen = set()
+        for _ in range(300):
+            a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+            if not any(a):
+                continue
+            x, y = F(rng.randint(1, 30), rng.randint(1, 9)), F(rng.randint(-30, -1), rng.randint(1, 9))
+            # b = (x/y) a in lowest integer terms, then perturbed half the time
+            r = -x / y
+            b = [-c * r.numerator for c in a]
+            a = [c * r.denominator for c in a]
+            change = rng.choice([None, "coefficient", "extra", "swap"])
+            if change == "coefficient":
+                k = rng.randrange(len(b))
+                b[k] += rng.choice([-1, 1])
+            elif change == "extra":
+                b.append(rng.randint(-2, 2))
+            elif change == "swap":
+                x, y = y, x
+            if not any(b):
+                continue
+            expected = EtaPoly(a).scale(x) == EtaPoly(b).scale(y)
+            assert self.equal(a, x, b, y) is expected, (a, x, b, y)
+            seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestPacking:

@@ -10,6 +10,7 @@ import mijacobi.maya as maya
 from mijacobi.algebra import AffineExp, ParamRat
 from mijacobi.cli import main, paramrat_json
 from mijacobi.maya import (
+    DiagramPair,
     Ledger,
     MayaDiagram,
     ReductionTarget,
@@ -187,6 +188,26 @@ class TestReduce:
                 assert (led.dg, led.dh) == (dg, dh)
                 assert led.prefS == gs and led.prefC == hc
                 assert red == closed_form_tuple(t, target)
+
+    def test_reduction_is_folded_single_moves(self):
+        # reduce_tuple runs the integer move rule over index lists; folding
+        # the public single move over the same moves is its oracle
+        rng = seeded(39)
+        for _ in range(80):
+            t = random_tuple(rng, 7, 6)
+            for target in ReductionTarget:
+                pair = tuple_to_diagrams(t)
+                for which, keeps_black in (("second", target.keeps_type_i),
+                                           ("first", target.keeps_type_n)):
+                    diagram = getattr(pair, which)
+                    direction, gone = (("left", diagram.left_white) if keeps_black
+                                       else ("right", diagram.right_black))
+                    for _ in range(max(gone, default=-1) + 1):
+                        pair = move_division(pair, which, direction)
+                red, led = reduce_tuple(t, target)
+                assert red == diagrams_to_tuple(pair) and led == pair.ledger, (t, target)
+                assert tuple_to_diagrams(red) == DiagramPair(pair.first, pair.second, Ledger())
+                assert all(type(e.c0) is F for e in (led.prefS, led.prefC))
 
     def test_order_independence_intro(self):
         # the two extreme interleavings of 3 second-left + 2 first-left moves

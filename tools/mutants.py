@@ -102,13 +102,22 @@ MUTANTS = (
     Mutant("int-state-memoised", STATES,
            "\ndef _int_state(", '\n@__import__("functools").lru_cache(maxsize=None)\ndef _int_state(',
            ("tests/test_imports.py",)),
-    # The family rule: one move formula from the sign of each step, and one
+    # The family rule: one move rule on ints from the sign of each step (the
+    # constant each move adds is read at the shift before the move), and one
     # eigenvalue formula from the sign pair.
     Mutant("second-division-h-step-sign", MAYA,
-           'sh = sg if which == "first" else -sg', 'sh = sg if which == "first" else sg',
+           'return sg, (sg if which == "first" else -sg)',
+           'return sg, (sg if which == "first" else sg)',
            FAMILY_TESTS),
     Mutant("step-down-adds-x-not-one-minus-x", MAYA,
-           "step * d0 + (step < 0)", "step * d0",
+           "cs += sg * dg + (sg < 0)\n        cc += sh * dh + (sh < 0)",
+           "cs += sg * dg\n        cc += sh * dh",
+           FAMILY_TESTS),
+    Mutant("prefactor-added-after-shift-step", MAYA,
+           "        cs += sg * dg + (sg < 0)\n        cc += sh * dh + (sh < 0)\n"
+           "        dg, dh = dg + sg, dh + sh\n",
+           "        dg, dh = dg + sg, dh + sh\n"
+           "        cs += sg * dg + (sg < 0)\n        cc += sh * dh + (sh < 0)\n",
            FAMILY_TESTS),
     Mutant("moved-drops-new-bead-at-0", MAYA,
            "lw = [p + 1 for p in lw] + ([] if 0 in rb else [0])", "lw = [p + 1 for p in lw]",
@@ -197,7 +206,8 @@ MUTANTS = (
     # Symbolic states as ints at a Kronecker point: the provisional slots hold
     # every digit with a 2-bit margin, the content comes off the digits (the
     # gcd of the divisor and the packed values can exceed it), the exponents
-    # carry the edge step's change, and the identity re-slots each h-row.
+    # carry the edge step's change, and the identity re-slots each h-row; at
+    # a point it compares coefficients of cores of equal length.
     Mutant("provisional-width-margin-dropped", STATES,
            "width = bound.bit_length() + 2", "width = bound.bit_length()",
            ("tests/test_properties.py",)),
@@ -207,6 +217,9 @@ MUTANTS = (
     Mutant("kronecker-edge-change-dropped", WRONSKIAN,
            "(0, 0, e - sum(st[i] for st in states))", "(0, 0, 0)",
            WRONSKIAN_TESTS),
+    Mutant("point-comparison-length-unchecked", ALGEBRA,
+           "type(y) is int and len(ra) == len(rb)", "type(y) is int",
+           ("tests/test_algebra.py",)),
     Mutant("products-h-row-offset", ALGEBRA,
            "at, chunk = ng * (nh * k + j // lg), r[j:j + step]",
            "at, chunk = ng * (nh * k + j), r[j:j + step]",
