@@ -28,21 +28,22 @@ Everything downstream is built from four value types, all exact over Q:
              quotient route of spectral (QuasiRat) runs on int coefficients
              at a point and on int-coefficient ParamPolys symbolically.  The
              eigen checks run on no EtaPoly arithmetic: they pack their
-             integer columns into ints (spectral._pack_columns).
+             integer columns into ints (_pack_columns).
 
 Integer polynomials are also packed into single Python ints (Kronecker
-substitution; see _pack): each eta-coefficient, a polynomial in (g, h), of a
-symbolic Wronskian, built packed at a Kronecker point, and each whole
-polynomial in (eta, g, h) of a proportionality check and of an eigen
-identity (_pack_rows).  A product of two
-EtaPolys runs on ints in both modes: each factor is cleared of denominators
-once; at a point the int lists are multiplied by the lazy determinant's own
-product (_int_combine), and in symbolic mode each factor is packed in
-(eta, g, h), in slots wider than any coefficient of the integer product,
-and the one product of packed ints is read back once, so no
-coefficient-by-coefficient Fraction arithmetic is done.  The
-product is int-preserving: it holds ints when both factors hold only ints
-(int coefficients, or ParamPolys of int terms), and Fractions once either
+substitution).  A symbolic Wronskian is built packed at a Kronecker point,
+one int per eta-coefficient, a polynomial in (g, h).  Every other packed
+product, of a symbolic EtaPoly product, a proportionality check and an
+eigen identity, goes through one packer in one layout (_pack_columns): the
+coefficient of eta^k g^i h^j in slot i + ng*(j + nh*k), in slots wider
+than any coefficient of the products, read back by _unpack.  A product of
+two EtaPolys runs on ints in both modes: each factor is cleared of
+denominators once; at a point the int lists are multiplied by the lazy
+determinant's own product (_int_combine), and in symbolic mode the two
+packed factors are multiplied once and the product is read back once, so
+no coefficient-by-coefficient Fraction arithmetic is done.  The product is
+int-preserving: it holds ints when both factors hold only ints (int
+coefficients, or ParamPolys of int terms), and Fractions once either
 factor holds a Fraction, so no public result changes type.
 
 There is no floating point anywhere in this module, and every value is
@@ -53,8 +54,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
-from math import comb, gcd, lcm
+from itertools import chain, zip_longest
+from math import comb, gcd, lcm, prod
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -738,9 +739,10 @@ class EtaPoly:
         int list over eta and the lists are multiplied by the lazy
         determinant's own product (_int_combine: the schoolbook loop, and
         Karatsuba past its gate); otherwise (eta, g, h) are packed into one
-        product of ints (_param_mul).  In both modes the result holds ints
-        when both factors hold only ints (int coefficients, or ParamPolys of
-        int terms), else Fractions.
+        product of ints (_param_mul: both packed in the one layout of
+        _pack_columns and the product read back by _unpack).  In both modes
+        the result holds ints when both factors hold only ints (int
+        coefficients, or ParamPolys of int terms), else Fractions.
         """
         if not isinstance(other, EtaPoly):
             return NotImplemented
@@ -876,43 +878,20 @@ def _edge_split(cs):
 # ---------------------------------------------------------------------------
 # Kronecker packing
 # ---------------------------------------------------------------------------
-# eta^k g^i h^j -> 2^(width*(k + le*(i + lg*j))) maps Z[eta, g, h] into Z as a
-# ring homomorphism (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4).
-# It is injective on polynomials with deg_eta < le, deg_g < lg and every
-# coefficient below 2^(width-1) in absolute value, and such a polynomial is
-# zero exactly when its image is.  Symbolic Wronskians are evaluated at
-# g = 2^width, h = 2^(width*lg) (le = 1), one int per eta-coefficient;
-# EtaPoly.__mul__ packs whole symbolic polynomials in (eta, g, h), and _pack_rows
-# does too, with eta outermost, from rows of digits, for _products_equal and
-# the eigen identity.  A
-# coefficient of a product a*b is a sum of products of one coefficient of
-# each, so its size is at most |a|_1 * |b|_inf (sum and maximum of the
-# coefficients' sizes), and slots of width bits(|a|_1 * |b|_inf) + 2 hold it.
-
-
-def _cleared(polys):
-    """(terms, s): the integer terms {(k, i, j): n} of s*p for each EtaPoly p
-    in polys, where s is the lcm of all their denominators."""
-    terms = [{(k, i, j): v for k, c in enumerate(p.coeffs)
-              for (i, j), v in (c.terms if isinstance(c, ParamPoly) else {(0, 0): c}).items()
-              if v} for p in polys]
-    ns, s = _clear(v for t in terms for v in t.values())
-    it = iter(ns)
-    return [dict(zip(t, it)) for t in terms], s
-
-
-def _pack(terms, width, le, lg):
-    """The image of integer terms {(k, i, j): n} under the packing map, by
-    _pack_list on the dense list of slots (a sum of shifted terms would take
-    time quadratic in the packed length)."""
-    slots = [0] * (1 + max((k + le * (i + lg * j) for k, i, j in terms), default=-1))
-    for (k, i, j), n in terms.items():
-        slots[k + le * (i + lg * j)] += n
-    return _pack_list(slots, width)
+# eta^k g^i h^j -> 2^(width*(i + ng*(j + nh*k))) maps Z[eta, g, h] into Z as
+# a ring homomorphism (von zur Gathen & Gerhard, Modern Computer Algebra,
+# 8.4): eta outermost, so each h-row of a (g, h)-coefficient moves into its
+# ng g-slots as one slice.  It is injective on polynomials with deg_g < ng,
+# deg_h < nh and every coefficient below 2^(width-1) in absolute value, and
+# such a polynomial is zero exactly when its image is.  One packer sizes the
+# slots and packs in this layout (_pack_columns), and _unpack reads it back.
+# A symbolic Wronskian is evaluated at g = 2^width, h = 2^(width*lg) instead,
+# one int per eta-coefficient: the same layout for one eta-coefficient with
+# ng = lg, unpacked by _unpack too (wronskian._core).
 
 
 def _pack_list(ns, width):
-    """The image of the int coefficient list ns over eta (le = lg = 1).
+    """The image of the int coefficient list ns over eta (ng = nh = 1).
 
     The halves are packed apart and joined, low + (high << width*len(low)),
     so every shift and sum is about as long as its result: near-linear time
@@ -960,28 +939,16 @@ def _digits(v, width):
     return out
 
 
-def _unpack(v, width, le, lg, den=None):
-    """EtaPoly with ParamPoly coefficients whose integer terms pack to v,
-    divided by den: int terms when den is None, else Fractions."""
-    coeffs = [{} for _ in range(le)]
-    for pos, d in enumerate(_digits(v, width)):
-        if d:
-            k, ij = pos % le, pos // le
-            coeffs[k][(ij % lg, ij // lg)] = d if den is None else Fraction(d, den)
-    return EtaPoly(tuple(_raw_parampoly(c) for c in coeffs))
-
-
-def _param_mul(a, b):
-    """EtaPoly.__mul__ when a coefficient is a ParamPoly: (eta, g, h) packed."""
-    (ta,), sa = _cleared([a])
-    (tb,), sb = _cleared([b])
-    le = len(a.coeffs) + len(b.coeffs) - 1
-    lg = 1 + max(key[1] for key in ta) + max(key[1] for key in tb)
-    width = (sum(map(abs, ta.values())) * max(map(abs, tb.values()))).bit_length() + 2
-    v = _pack(ta, width, le, lg) * _pack(tb, width, le, lg)
-    ints = all(type(x) is int for c in a.coeffs + b.coeffs
-               for x in (c.terms.values() if type(c) is ParamPoly else (c,)))
-    return _unpack(v, width, le, lg, None if ints else sa * sb)
+def _unpack(v, layout, den=None):
+    """EtaPoly with ParamPoly coefficients whose integer terms pack to v in
+    layout (width, ng, nh) (_pack_columns), divided by den: int terms when
+    den is None, else Fractions."""
+    width, ng, nh = layout
+    ds, n = _digits(v, width), ng * nh
+    return EtaPoly(tuple(
+        _raw_parampoly({(i % ng, i // ng): d if den is None else Fraction(d, den)
+                        for i, d in enumerate(ds[at:at + n]) if d})
+        for at in range(0, len(ds), n)))
 
 
 def _rows(cs, slots=None):
@@ -1002,9 +969,8 @@ def _rows(cs, slots=None):
 
 
 def _pack_rows(rs, lg, ng, nh, width):
-    """The image of rows rs of stride lg (_rows) with eta outermost: the
-    coefficient of eta^k g^i h^j goes to slot i + ng*(j + nh*k) of width
-    bits, so that each h-row moves into its ng g-slots as one slice."""
+    """The image of rows rs of stride lg (_rows) in the layout (width, ng,
+    nh): the coefficient of eta^k g^i h^j goes to slot i + ng*(j + nh*k)."""
     dense = [0] * (ng * nh * len(rs))
     for k, r in enumerate(rs):
         step = lg if lg < ng else len(r) or 1  # rows at the stride ng move whole
@@ -1012,6 +978,52 @@ def _pack_rows(rs, lg, ng, nh, width):
             at, chunk = ng * (nh * k + j // lg), r[j:j + step]
             dense[at:at + len(chunk)] = chunk
     return _pack_list(dense, width)
+
+
+def _pack_columns(cols, terms):
+    """(packed, (width, ng, nh)): the columns cols over eta, each (rows, lg)
+    as _rows gives it, packed once each in one layout whose slots hold every
+    coefficient of S = sum_t +/-s_t prod_i cols[i] for the terms t = (s_t,
+    i, ...): by _pack_rows, or by _pack_list on the ints when every row is
+    one int, where the layout is eta alone (ng = nh = 1).
+
+    A coefficient of a product F_1 ... F_m sums one term of each factor, and
+    once the terms of F_1 ... F_(m-1) are chosen at most one term of F_m
+    completes a given monomial, so it is at most |F_1|_1 ... |F_(m-1)|_1
+    |F_m|_inf, l1 norm and largest |coefficient| over (eta, g, h); a term
+    with an empty factor is zero and adds nothing.  Every coefficient of S
+    is then at most B = sum_t s_t |...|_1 |...|_inf < 2^(width-1) for width
+    = bits(B) + 1, and S has g-degree below ng and h-degree below nh, the
+    largest sums of its terms' factors' degrees plus one.  On such
+    polynomials the packing eta^k g^i h^j -> 2^(width*(i + ng*(j + nh*k)))
+    is injective: the top nonzero slot, at least 2^(width*m) in size,
+    exceeds all lower ones together, at most (2^(width-1) - 1)(2^(width*m)
+    - 1)/(2^width - 1).  Being a ring homomorphism, it maps S to the same
+    sum of products of the packed columns.  Only the norms the bound reads
+    are taken: an l1 norm of a factor before the last, a largest
+    coefficient of a last one.
+    """
+    inner = {i for t in terms for i in t[1:-1]}
+    last = {t[-1] for t in terms}
+    l1 = {i: sum(map(abs, chain.from_iterable(cols[i][0]))) for i in inner}
+    top = {i: max(map(abs, chain.from_iterable(cols[i][0])), default=0) for i in last}
+    bound = sum(s * prod(l1[i] for i in fs[:-1]) * top[fs[-1]] for s, *fs in terms)
+    width = bound.bit_length() + 1
+    if all(len(r) == 1 for rs, _ in cols for r in rs):
+        return [_pack_list([r[0] for r in rs], width) for rs, _ in cols], (width, 1, 1)
+    degs = [(lg - 1, max(((len(r) - 1) // lg for r in rs), default=0)) for rs, lg in cols]
+    ng, nh = (1 + max(sum(degs[i][a] for i in fs) for _, *fs in terms) for a in (0, 1))
+    return [_pack_rows(rs, lg, ng, nh, width) for rs, lg in cols], (width, ng, nh)
+
+
+def _param_mul(a, b):
+    """EtaPoly.__mul__ when a coefficient is a ParamPoly: both factors cleared
+    and packed (_pack_columns), one product of ints read back (_unpack)."""
+    (na, sa), (nb, sb) = _clear(a.coeffs), _clear(b.coeffs)
+    (pa, pb), layout = _pack_columns([_rows(na), _rows(nb)], ((1, 0, 1),))
+    ints = all(type(x) is int for c in a.coeffs + b.coeffs
+               for x in (c.terms.values() if type(c) is ParamPoly else (c,)))
+    return _unpack(pa * pb, layout, None if ints else sa * sb)
 
 
 def _products_equal(a, x, b, y):
@@ -1026,21 +1038,16 @@ def _products_equal(a, x, b, y):
     once both have as many coefficients (rows of unequal lengths take the
     packed path, which also reads untrimmed zero rows right).  Otherwise
     (symbolic cores, or symbolic scalars) it is one product of packed ints
-    per side (_pack_rows), in slots wider than any coefficient of the
-    difference.
+    per side, in slots that hold every coefficient of a*x - b*y
+    (_pack_columns).
     """
     (x, y), _ = _clear([x, y])
     ra, rb = a[0], b[0]
     if (type(x) is int and type(y) is int and len(ra) == len(rb)
             and all(len(r) == 1 for rs in (ra, rb) for r in rs)):
         return all(p[0] * x == q[0] * y for p, q in zip(ra, rb))
-    sides = ((a, _rows([x])), (b, _rows([y])))
-    ng = max(p[1] + s[1] for p, s in sides) - 1
-    nh = 1 + max(sum(max(len(r) - 1 for r in rs) // lg for rs, lg in side) for side in sides)
-    width = sum(sum(map(abs, s[0][0])) * max(max(map(abs, r), default=0) for r in p[0])
-                for p, s in sides).bit_length() + 2
-    return (_pack_rows(*a, ng, nh, width) * _pack_rows(*sides[0][1], ng, nh, width)
-            == _pack_rows(*b, ng, nh, width) * _pack_rows(*sides[1][1], ng, nh, width))
+    (px, py, pa, pb), _ = _pack_columns([_rows([x]), _rows([y]), a, b], ((1, 0, 2), (1, 1, 3)))
+    return pa * px == pb * py
 
 
 def proportional(a, b):

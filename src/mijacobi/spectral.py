@@ -28,13 +28,13 @@ derivative rule (wronskian._state_column), ints at a point and
 int-coefficient ParamPolys in symbolic mode, so the identity is an integer
 polynomial, scaled by a known nonzero integer instead of divided.  It is
 decided as one packed int in both modes: each of its seven columns is
-packed once, over eta alone at a point and over (eta, g, h) in symbolic
-mode, in slots proven wider than any coefficient of the identity
-(_pack_columns), and one sum of products of those ints is tested against
-0; no EtaPoly product is formed.  It reads the integer point (G, H, Q) of
-states._params throughout: both Wronskians are integer states at Q, the
-potential enters as Q^2 times itself and the eigenvalue as Q^2 E
-(states._int_eigenvalue).
+packed once by the one packer (algebra._pack_columns), over eta alone at a
+point and over (eta, g, h) in symbolic mode, in slots proven wider than any
+coefficient of the identity, and one sum of products of those ints is
+tested against 0; no EtaPoly product is formed.  It reads the integer
+point (G, H, Q) of states._params throughout: both Wronskians are integer
+states at Q, the potential enters as Q^2 times itself and the eigenvalue
+as Q^2 E (states._int_eigenvalue).
 
 Every Wronskian here is one run of the lazy determinant stopped after
 stop levels (wronskian._tuple_wronskians, wronskian._bordered_wronskians;
@@ -75,7 +75,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 
 from .algebra import (
     AffineExp,
@@ -84,8 +84,7 @@ from .algebra import (
     _F1,
     _clear,
     _exact,
-    _pack_list,
-    _pack_rows,
+    _pack_columns,
     _root_free,
     _rows,
 )
@@ -252,7 +251,11 @@ def deformed_potential(t, inst=None):
     the integer column of W = W[t] that _eigen_identity reads: rows p, w1,
     w2 are d, big d and big^2 d times the eta-parts P, P1, P2 of W, W', W''
     (wronskian._state_column), and (log W)'' = 4 (P2 P - P1^2) /
-    ((1-eta^2) P^2) gives -8 (w2 p - w1^2) / (big^2 (1-eta^2) p^2)."""
+    ((1-eta^2) P^2) gives -8 (w2 p - w1^2) / (big^2 (1-eta^2) p^2).
+
+    inst is as for wronskian: an AffineExp pair with a non-integral
+    constant, such as (g + 1/2, h), raises ValueError for a nonempty t,
+    though potential takes it."""
     t, pt = as_state_tuple(t), _params(inst)
     [wt] = map(_unpacked, _tuple_wronskians(t, pt, len(t)))
     big, (p, w1, w2), _ = _state_column(wt, pt[2], 3)
@@ -301,8 +304,8 @@ def _eigen_identity(w, y, e, pt):
             = K N,   K = k b_y^2 b_w^2,
 
     and K is not zero, so the integer left side is zero exactly when N is.
-    It is decided as one packed int (_pack_columns): each of the seven
-    columns v', P, W1', W2', R, Y1', Y2' is packed once, by one ring
+    It is decided as one packed int (algebra._pack_columns): each of the
+    seven columns v', P, W1', W2', R, Y1', Y2' is packed once, by one ring
     homomorphism that is injective on the left side, so that side is zero
     exactly when its image, the same sum of products of packed ints, is.
     """
@@ -314,45 +317,8 @@ def _eigen_identity(w, y, e, pt):
     cols = [ug + uh - us, ug - uh, us], p, w1, w2, r, y1, y2
     # the left side's terms as (|scalar|, indices of their factors in cols)
     terms = ((by2 * bw2, 0, 4, 1), (k * bw2, 6, 1), (2 * k * by * bw, 5, 2), (k * by2, 4, 3))
-    v, p, w1, w2, r, y1, y2 = _pack_columns(cols, terms)
+    (v, p, w1, w2, r, y1, y2), _ = _pack_columns([_rows(cs) for cs in cols], terms)
     return not ((v * r * by2 - k * y2) * p * bw2 + 2 * k * by * bw * y1 * w1 - k * by2 * r * w2)
-
-
-def _pack_columns(cols, terms):
-    """The coefficient lists cols over eta, of ints or int-coefficient
-    ParamPolys, each packed once, with eta outermost, in slots that hold
-    every coefficient of S = sum_t +/-s_t prod_i cols[i] for the terms
-    t = (s_t, i, ...): at a point by _pack_list, the layout being eta alone,
-    and in symbolic mode by algebra._pack_rows.
-
-    A coefficient of a product F_1 ... F_m sums one term of each factor, and
-    once the terms of F_1 ... F_(m-1) are chosen at most one term of F_m
-    completes a given monomial, so it is at most |F_1|_1 ... |F_(m-1)|_1
-    |F_m|_inf, l1 norm and largest |coefficient| over (eta, g, h); a term
-    with an empty factor is zero and adds nothing.  Every coefficient of S
-    is then at most B = sum_t s_t |...|_1 |...|_inf < 2^(width-1) for width
-    = bits(B) + 1, and S has g-degree below ng and h-degree below nh, the
-    largest sums of its terms' factors' degrees plus one.  On such
-    polynomials the packing eta^k g^i h^j -> 2^(width*(i + ng*(j + nh*k)))
-    is injective: the top nonzero slot, at least 2^(width*m) in size,
-    exceeds all lower ones together, at most (2^(width-1) - 1)(2^(width*m)
-    - 1)/(2^width - 1).  Being a ring homomorphism, it maps S to the same
-    sum of products of the packed columns.
-    """
-    if all(type(c) is int for cs in cols for c in cs):
-        rows, ng, nh = None, 1, 1
-        sizes = [(sum(map(abs, cs)), max(map(abs, cs), default=0)) for cs in cols]
-    else:
-        rows = [_rows(cs) for cs in cols]
-        sizes = [(sum(abs(x) for r in rs for x in r),
-                  max((abs(x) for r in rs for x in r), default=0)) for rs, _ in rows]
-        degs = [(lg - 1, max(((len(r) - 1) // lg for r in rs), default=0)) for rs, lg in rows]
-        ng, nh = (1 + max(sum(degs[i][a] for i in fs) for _, *fs in terms) for a in (0, 1))
-    bound = sum(s * prod(sizes[i][0] for i in fs[:-1]) * sizes[fs[-1]][1] for s, *fs in terms)
-    width = bound.bit_length() + 1
-    if rows is None:
-        return [_pack_list(cs, width) for cs in cols]
-    return [_pack_rows(rs, lg, ng, nh, width) for rs, lg in rows]
 
 
 def _without(t, xs, s):

@@ -52,12 +52,14 @@ from .algebra import (
     EtaPoly,
     P_G,
     P_H,
+    P_ZERO,
     ParamPoly,
     _clear,
     _digits,
     _exact_point,
     _lowest,
     _raw_parampoly,
+    _unpack,
 )
 
 
@@ -218,8 +220,13 @@ def as_state_tuple(t):
 
 def random_tuple(rng, max_size, max_index, min_size=0):
     """Random tuple in canonical order: min_size..max_size distinct states of
-    any type with indices 0..max_index, drawn from the random.Random rng."""
-    size = rng.randint(min_size, max_size)
+    any type with indices 0..max_index, drawn from the random.Random rng.
+    There are 4(max_index + 1) such states: the size is capped at that
+    count, and a larger min_size raises ValueError."""
+    count = len(StateType) * (max_index + 1)
+    if min_size > count:
+        raise ValueError("%d distinct states requested, only %d exist" % (min_size, count))
+    size = rng.randint(min_size, min(max_size, count))
     seen = set()
     while len(seen) < size:
         seen.add(State(rng.choice(tuple(StateType)), rng.randint(0, max_index)))
@@ -378,7 +385,8 @@ def _symbols(pt):
 def _kronecker_sum(s, sym, width, lg):
     """(a, b, p, den): _int_state of s at the symbols sym (_symbols) before its
     division, at g = 2^width, h = 2^(width*lg), where evaluation packs each
-    (g, h)-polynomial in slots (width, lg) (algebra._pack)."""
+    (g, h)-polynomial in slots (width, lg), one eta-coefficient of the
+    layout of algebra._unpack."""
     g, h = 1 << width, 1 << width * lg
     a, b = (x if sign > 0 else 1 - x for x, sign in
             zip((cg * g + ch * h + c0 for cg, ch, c0 in sym), s.type.signs))
@@ -424,11 +432,11 @@ def make_state(s, inst=None):
 
 def eigenvalue(s):
     """Exact eigenvalue as a ParamPoly in (g, h) of Fractions, read off
-    _int_eigenvalue at the Kronecker point (2^w, 2^(2w), 1): its terms g*h,
-    g, h and 1 have coefficients of at most (2v + 2)^2 < 2^(w-2)."""
+    _int_eigenvalue at the Kronecker point (2^w, 2^(2w), 1), the layout (w,
+    2, 2) of algebra._unpack: its terms g*h, g, h and 1 have coefficients of
+    at most (2v + 2)^2 < 2^(w-2)."""
     w = ((2 * s.v + 2) ** 2).bit_length() + 2
-    digits = _digits(_int_eigenvalue(s, (1 << w, 1 << 2 * w, 1)), w)
-    return ParamPoly({(i % 2, i // 2): d for i, d in enumerate(digits) if d})
+    return _unpack(_int_eigenvalue(s, (1 << w, 1 << 2 * w, 1)), (w, 2, 2), 1).coeff(0) or P_ZERO
 
 
 def _int_eigenvalue(s, pt):

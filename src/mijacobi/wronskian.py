@@ -406,9 +406,12 @@ def _tuple_wronskians(t, pt, stop):
 
 
 def _core(cs, slots):
-    """A core's coefficients cs, unpacked from slots (width, lg) if given."""
+    """A core's coefficients cs, unpacked from slots (width, lg) if given: each
+    is one eta-coefficient, read in the layout (width, lg, nh) of
+    algebra._unpack with nh its bit length, which no count of its digits
+    exceeds."""
     return cs if slots is None else [
-        _unpack(c, slots[0], 1, slots[1]).coeff(0) if c else P_ZERO for c in cs]
+        _unpack(c, (*slots, c.bit_length())).coeff(0) if c else P_ZERO for c in cs]
 
 
 def _unpacked(w):
@@ -419,7 +422,10 @@ def _unpacked(w):
 def wronskian(t, inst=None):
     """Wronskian of a tuple of states at the parameters of inst: the symbols
     for None, a rational point (gv, hv), or a pair of AffineExps such as
-    (g + dg, h + dh) (see make_state).
+    (g + dg, h + dh) with integral constants.  make_state takes any AffineExp
+    pair, but a nonempty tuple at a pair with a non-integral constant, such
+    as (g + 1/2, h), raises ValueError: symbolic Wronskians are built at a
+    Kronecker point, which needs integral constants (states._symbols).
 
     t is a StateTuple, States or a spec string like "I1,II2" (see
     as_state_tuple).  The empty tuple gives the constant 1.  States must be

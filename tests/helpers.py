@@ -33,7 +33,7 @@ from mijacobi.states import (DEFAULT_GENERIC_POINT, QuasiPoly, State, StateTuple
                              as_state_tuple, is_generic, require_generic)
 from mijacobi.states import random_tuple  # noqa: F401  (re-exported for the tests)
 from mijacobi.states import _int_state, _params, _quasi, _value
-from mijacobi.algebra import _F1, _clear, _edge_split, _exact_quo, _gcd, _pack
+from mijacobi.algebra import _F1, _clear, _edge_split, _exact_quo, _gcd
 from mijacobi.wronskian import (RawQuasi, det_poly_matrix, differentiate, wronskian,
                                 _column, _columns, _core, _int_minor, _int_quasis,
                                 _lazy_det, _slots, _state_column)
@@ -65,9 +65,11 @@ def exact_slots(cols, big):
 
 
 def packed(c, slots):
-    """The int or int-coefficient ParamPoly c packed in slots (width, lg)."""
-    return c if type(c) is int else _pack({(0, *ij): v for ij, v in c.terms.items()},
-                                          slots[0], 1, slots[1])
+    """The int or int-coefficient ParamPoly c packed in slots (width, lg), by
+    the reference sum of n * 2^(width*(i + lg*j)) over its terms n g^i h^j."""
+    width, lg = slots
+    return c if type(c) is int else sum(n << width * (i + lg * j)
+                                        for (i, j), n in c.terms.items())
 
 
 def pack_columns(cols, big):

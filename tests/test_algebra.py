@@ -21,8 +21,8 @@ from mijacobi.algebra import (
     _digits,
     _int_combine,
     _int_mul,
-    _pack,
     _pack_list,
+    _pack_rows,
     _products_equal,
     _unpack,
 )
@@ -324,6 +324,11 @@ class TestEtaPolyProduct:
             assert p.coeff(3) == -4 * m * m
             self.check(a, -b)
             self.check(EtaPoly([ParamPoly.const(-m) * G] * 3), EtaPoly([G * m, H * m]))
+        # symbolically too: the packed product's eta^3 coefficient -4 m^2 g^2
+        # is the bound itself, so a slot one bit narrower misreads it
+        for m in (1, 2 ** 31 - 1, 3 ** 40):
+            p = self.check(EtaPoly([G * (-m)] * 4), EtaPoly([G * m] * 4))
+            assert p.coeff(3) == G * G * (-4 * m * m)
         # the kernel's int-list products: _int_mul (Karatsuba over eta) and
         # _int_combine on both sides of its 2048-bit gate, against the
         # schoolbook loop, for empty, one-entry and very unbalanced lists and
@@ -567,16 +572,23 @@ class TestPointComparison:
 
 class TestPacking:
     def test_round_trip_with_negative_top_slot(self):
+        # rows of stride lg packed at a stride ng >= lg, the top slot, in
+        # (k, j, i) order, negative
         rng = seeded(17)
         for _ in range(20):
             le, lg = rng.randint(1, 4), rng.randint(1, 4)
+            ng, nh = lg + rng.randint(0, 2), 4
             terms = {(rng.randrange(le), rng.randrange(lg), rng.randint(0, 3)):
                      rng.randint(-2 ** 40, 2 ** 40) for _ in range(6)}
-            top = max(terms, key=lambda key: (key[2], key[1], key[0]))
+            top = max(terms, key=lambda key: (key[0], key[2], key[1]))
             terms[top] = -abs(terms[top]) or -1
             terms = {key: n for key, n in terms.items() if n}
+            rows = [[0] * (lg * (1 + max((j for k, _, j in terms if k == r), default=0)))
+                    for r in range(le)]
+            for (k, i, j), n in terms.items():
+                rows[k][i + lg * j] = n
             width = 43  # 2 bits above the coefficients' 41
-            e = _unpack(_pack(terms, width, le, lg), width, le, lg)
+            e = _unpack(_pack_rows(rows, lg, ng, nh, width), (width, ng, nh))
             got = {(k, i, j): v for k, c in enumerate(e.coeffs)
                    for (i, j), v in c.terms.items()}
             assert got == terms
@@ -619,8 +631,8 @@ class TestPacking:
                 assert _digits(_pack_list(ns, width), width) == ns
 
     def test_unpack_divides_by_den(self):
-        terms = {(0, 0, 0): 3, (1, 1, 0): -4, (0, 0, 2): 6}
-        e = _unpack(_pack(terms, 6, 2, 2), 6, 2, 2, 4)
+        rows = [[3, 0, 0, 0, 6], [0, -4]]  # 3 + 6 h^2 and -4 g over eta, at stride 2
+        e = _unpack(_pack_rows(rows, 2, 2, 3, 6), (6, 2, 3), 4)
         assert e == EtaPoly((F(3, 4) + H * H * F(3, 2), -G))
         assert coefficient_types(e) == {F}
 

@@ -2,9 +2,10 @@
 package module imports is used in it, every module-level private function
 and private method is used somewhere in the package, the CLI imports no
 private name, no module uses floating point, none memoises, no chain of
-imports between modules leads back to where it began, and the Wronskian
+imports between modules leads back to where it began, the Wronskian
 kernel has one entry: one place calls it, its stop has no default, and no
-function takes a determinant as a parameter."""
+function takes a determinant as a parameter, and one function packs every
+packed product."""
 
 import ast
 from collections import Counter
@@ -283,3 +284,14 @@ def test_one_kernel_entry():
     assert [(p, d) for m, f, p, d in params if f == "_lazy_det"] == [
         ("cols", False), ("big", False), ("stop", False)]
     assert [(m, f) for m, f, p, _ in params if p == "det"] == []
+
+
+def test_one_packer():
+    # every packed product is sized and packed by algebra._pack_columns in its
+    # one layout: a second caller of _pack_rows or _pack_list would bring back
+    # a second layout or a second width rule
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    rows, lists = (mentions_by_place(sources, name) for name in ("_pack_rows", "_pack_list"))
+    assert rows == [("algebra.py", "_pack_columns")]
+    assert {place for _, place in lists} == {"_pack_rows", "_pack_columns", "_pack_list"}
+    assert {module for module, _ in rows + lists} == {"algebra.py"}

@@ -170,20 +170,22 @@ def test_extra_states_through_the_quotient_route_symbolically(t):
 
 def packed_decision(monkeypatch, w, y, e, pt):
     """(flag, width): _eigen_identity's decision and the one slot width in
-    which it packs its seven columns (by _pack_list at a point, by
-    _pack_rows in symbolic mode)."""
-    widths = []
-    for name in ("_pack_list", "_pack_rows"):
-        def recorded(*args, _orig=getattr(spectral, name)):
-            widths.append(args[-1])
-            return _orig(*args)
-        monkeypatch.setattr(spectral, name, recorded)
+    which algebra._pack_columns packs its seven columns."""
+    layouts = []
+
+    def recorded(cols, terms, _orig=spectral._pack_columns):
+        packed, layout = _orig(cols, terms)
+        assert len(packed) == len(cols) == 7
+        layouts.append(layout)
+        return packed, layout
+
+    monkeypatch.setattr(spectral, "_pack_columns", recorded)
     try:
         flag = spectral._eigen_identity(w, y, e, pt)
     finally:
         monkeypatch.undo()
-    assert len(widths) == 7 and len(set(widths)) == 1, widths
-    return flag, widths[0]
+    assert len(layouts) == 1, layouts
+    return flag, layouts[0][0]
 
 
 def largest_coefficient(n):

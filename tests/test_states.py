@@ -1,5 +1,6 @@
 """State construction, eigenvalues, pairing, and the bare well."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,7 @@ from mijacobi.states import (
     make_state,
     pairing,
     parse_state,
+    random_tuple,
     require_generic,
     _int_eigenvalue,
     _params,
@@ -293,3 +295,13 @@ class TestTuplesAndGenericity:
         t = StateTuple([parse_state(x) for x in ("N1", "I2", "III0", "I0")])
         assert t.indices(StateType.I) == [0, 2]
         assert t.sorted().spec() == "I0,I2,III0,N1"
+
+    def test_random_tuple_at_the_state_count(self):
+        # indices 0..1 give 4 * 2 distinct states: asking for all of them
+        # returns them, asking for one more raises instead of drawing forever,
+        # and a larger max_size is capped at the count
+        everything = {State(ty, i) for ty in StateType for i in (0, 1)}
+        assert set(random_tuple(random.Random(0), 8, 1, min_size=8)) == everything
+        with pytest.raises(ValueError):
+            random_tuple(random.Random(0), 9, 1, min_size=9)
+        assert set(random_tuple(random.Random(0), 20, 1, min_size=8)) == everything

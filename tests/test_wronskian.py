@@ -7,7 +7,7 @@ from math import lcm
 import mpmath as mp
 import pytest
 
-from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly, ParamRat, _edge_split, _pack
+from mijacobi.algebra import AffineExp, EtaPoly, ParamPoly, ParamRat, _edge_split
 from mijacobi.states import (
     QuasiPoly,
     State,
@@ -36,6 +36,7 @@ from mijacobi.wronskian import (
     shift_quasi,
     wronskian,
 )
+from mijacobi.spectral import deformed_potential
 from mijacobi.states import DuplicateStatesError
 from helpers import (
     _matrix,
@@ -239,7 +240,7 @@ class TestDetPolyMatrix:
         # coefficients in (g, h) packed as in symbolic mode, with negative slots:
         # ((g - 1) + eta) * ((h - g) + 2 eta) / ((g - 1) + eta) is exact
         def pack(terms):
-            return _pack({(0, i, j): n for (i, j), n in terms.items()}, 8, 1, 3)
+            return sum(n << 8 * (i + 3 * j) for (i, j), n in terms.items())
         b = [pack({(1, 0): 1, (0, 0): -1}), pack({(0, 0): 1})]
         q = [pack({(0, 1): 1, (1, 0): -1}), pack({(0, 0): 2})]
         a = [b[0] * q[0], b[0] * q[1] + b[1] * q[0], b[1] * q[1]]
@@ -353,6 +354,22 @@ class TestWronskian:
         assert inst.poly == sym.poly.instantiate(gv, hv)
         assert inst.expS == AffineExp.const(sym.expS.as_parampoly().eval_at(gv, hv))
         assert inst.expC == AffineExp.const(sym.expC.as_parampoly().eval_at(gv, hv))
+
+
+    def test_affine_points_need_integral_constants(self):
+        # a symbolic Wronskian is built at a Kronecker point, which needs the
+        # constants of an AffineExp pair to be integers: make_state and the
+        # empty tuple take (g + 1/2, h), while wronskian and
+        # deformed_potential of a nonempty tuple raise ValueError
+        g, h = AffineExp(1, 0, 0), AffineExp(0, 1, 0)
+        half = (g + F(1, 2), h)
+        assert make_state(parse_state("I1"), half).expS == AffineExp(1, 0, F(1, 2))
+        assert wronskian("", half).poly == EtaPoly((F(1),))
+        for call in (wronskian, deformed_potential):
+            with pytest.raises(ValueError, match="integral constants"):
+                call("I1", half)
+        # integral constants shift the symbols as shift_quasi does
+        assert wronskian("I1,II0", (g + 1, h - 2)) == shift_quasi(wronskian("I1,II0"), 1, -2)
 
 
 class TestLazyKernel:

@@ -207,7 +207,8 @@ MUTANTS = (
     # every digit with a 2-bit margin, the content comes off the digits (the
     # gcd of the divisor and the packed values can exceed it), the exponents
     # carry the edge step's change, and the identity re-slots each h-row; at
-    # a point it compares coefficients of cores of equal length.
+    # a point it compares coefficients of cores of equal length.  The one
+    # packer's slots hold a coefficient as large as its bound.
     Mutant("provisional-width-margin-dropped", STATES,
            "width = bound.bit_length() + 2", "width = bound.bit_length()",
            ("tests/test_properties.py",)),
@@ -219,6 +220,9 @@ MUTANTS = (
            WRONSKIAN_TESTS),
     Mutant("point-comparison-length-unchecked", ALGEBRA,
            "type(y) is int and len(ra) == len(rb)", "type(y) is int",
+           ("tests/test_algebra.py",)),
+    Mutant("pack-columns-width-one-bit-short", ALGEBRA,
+           "width = bound.bit_length() + 1", "width = bound.bit_length()",
            ("tests/test_algebra.py",)),
     Mutant("products-h-row-offset", ALGEBRA,
            "at, chunk = ng * (nh * k + j // lg), r[j:j + step]",
